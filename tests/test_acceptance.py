@@ -201,10 +201,15 @@ def test_criterion_5_cross_solver_agreement():
                 * (t1.snapshots[k].t - t1.snapshots[k - 1].t)
         return float(np.sqrt(acc))
 
+    # Both schemes share the discrete eigenvalues and the grid, and the
+    # Galerkin truncation error lies below roundoff even at n/8 modes, so
+    # the difference measures how exactly the two Newton solves converge.
+    # An ordering between two numbers at that floor cannot be resolved;
+    # agreement to far below the discretization error can.
     d64 = l2q_difference(64)
     d128 = l2q_difference(128)
     elapsed = time.perf_counter() - t0
-    ok = d64 <= 1e-4 and d128 < d64 and elapsed < 30.0
+    ok = max(d64, d128) <= 1e-12 and elapsed < 30.0
     _verdict(5, "cross-solver agreement", ok,
              f"L2(Q) diff {d64:.2e} at 64 cells, {d128:.2e} at 128, "
              f"{elapsed:.1f}s")
