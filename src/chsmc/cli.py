@@ -131,9 +131,13 @@ def parse_profile(text: str, lengths=None):
     raise ConfigError(f"unknown profile {name!r}")
 
 
-def parse_boundary_profile(text: str):
-    """Profile as a boundary datum callable (point, t) -> value."""
-    f = parse_profile(text)
+def parse_boundary_profile(text: str, lengths=None):
+    """Profile as a boundary datum callable (point, t) -> value.
+
+    A boundary point is not a full cell-center mesh, so the trigonometric
+    profiles need the box ``lengths``.
+    """
+    f = parse_profile(text, lengths)
 
     def datum(x, t):
         X = tuple(np.asarray([xi]) for xi in x)
@@ -171,29 +175,39 @@ def load_config(path):
         lengths = lengths * dim
     if len(cells) != dim or len(lengths) != dim:
         raise ConfigError("cells/lengths do not match dim")
-    grid = Grid(shape=tuple(cells), lengths=tuple(lengths))
+    try:
+        grid = Grid(shape=tuple(cells), lengths=tuple(lengths))
+    except ValueError as exc:
+        raise ConfigError(f"[grid] {exc}") from exc
 
     kind = _get(cp, "potential", "kind")
-    if kind == "regular":
-        spec = pot.regular()
-    elif kind == "logarithmic":
-        spec = pot.logarithmic(_get(cp, "potential", "c1", float))
-    elif kind == "obstacle":
-        spec = pot.double_obstacle(_get(cp, "potential", "c2", float))
-    else:
-        raise ConfigError(f"unknown potential kind {kind!r}")
+    try:
+        if kind == "regular":
+            spec = pot.regular()
+        elif kind == "logarithmic":
+            spec = pot.logarithmic(_get(cp, "potential", "c1", float))
+        elif kind == "obstacle":
+            spec = pot.double_obstacle(_get(cp, "potential", "c2", float))
+        else:
+            raise ConfigError(f"unknown potential kind {kind!r}")
+    except ValueError as exc:
+        raise ConfigError(f"[potential] {exc}") from exc
 
     bc_kind = _get(cp, "bc", "kind")
     if bc_kind == "neumann":
         bc = solver.neumann_bc()
     elif bc_kind == "dirichlet":
         bc = solver.dirichlet_bc(
-            parse_boundary_profile(_get(cp, "bc", "datum")))
+            parse_boundary_profile(_get(cp, "bc", "datum"), lengths))
     else:
         raise ConfigError(f"unknown bc kind {bc_kind!r}")
 
     rho = _get(cp, "control", "rho", float, 0.0)
     ctrl_eps = _get(cp, "control", "eps", float)
+    try:
+        control = smc.SmcParams(rho=rho, eps=ctrl_eps)
+    except ParamError as exc:
+        raise ConfigError(f"[control] {exc}") from exc
     tau = _get(cp, "data", "tau", float)
     g = parse_profile(_get(cp, "data", "g", str, "constant value=0"),
                       lengths)
@@ -210,9 +224,7 @@ def load_config(path):
 
     data = solver.ProblemData(grid=grid, spec=spec, phi0=phi0, g=g,
                               phistar=phistar, bc=bc, tau=tau,
-                              control=smc.SmcParams(
-                                  rho=rho if rho > 0 else 0.0,
-                                  eps=ctrl_eps),
+                              control=control,
                               dphistar_dt=dphistar_dt,
                               lap_phistar=lap_phistar)
 

@@ -90,6 +90,19 @@ def test_parse_boundary_profile_scalar():
     assert datum((0.0,), 0.0) == 0.7
 
 
+def test_boundary_datum_uses_box_lengths(tmp_path):
+    path = tmp_path / "dir.ini"
+    path.write_text(NEUMANN_CONFIG
+                    .replace("lengths = 1.0", "lengths = 0.5")
+                    .replace("kind = neumann", "kind = dirichlet\n"
+                             "datum = cosine amplitude=1 mode=1")
+                    .replace("coupled_neumann", "eliminated_dirichlet"))
+    data, _, _ = cli.load_config(str(path))
+    assert data.bc.datum((0.0,), 0.0) == pytest.approx(1.0)
+    assert data.bc.datum((0.25,), 0.0) == pytest.approx(0.0, abs=1e-15)
+    assert data.bc.datum((0.5,), 0.0) == pytest.approx(-1.0)
+
+
 # -- config loading -----------------------------------------------------------
 
 
@@ -166,6 +179,21 @@ def test_verify_all_passes_on_zero_flux_run(neumann_config, tmp_path,
 def test_config_error_exit_code(tmp_path, capsys):
     code = cli.main(["simulate", "--config", str(tmp_path / "none.ini"),
                      "--quiet"])
+    assert code == cli.EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("old,new", [
+    ("rho = 0", "rho = -1"),
+    ("kind = regular", "kind = logarithmic\nc1 = 1"),
+    ("kind = regular", "kind = obstacle\nc2 = 0"),
+    ("cells = 32", "cells = 2"),
+])
+def test_invalid_values_exit_as_config_errors(tmp_path, capsys, old, new):
+    path = tmp_path / "bad.ini"
+    path.write_text(NEUMANN_CONFIG.replace(old, new))
+    code = cli.main(["simulate", "--config", str(path), "--quiet",
+                     "--out", str(tmp_path / "out")])
     assert code == cli.EXIT_CONFIG
     assert "config error" in capsys.readouterr().err
 
