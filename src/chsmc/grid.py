@@ -3,9 +3,12 @@
 Second-order finite differences with ghost cells: mirrored ghosts give the
 zero-flux (Neumann) Laplacian, odd-reflection ghosts the homogeneous
 Dirichlet one.  Both operators are diagonalized exactly by tensor-product
-DCT-II / DST-II bases, which provides a fast inversion path on these
-uniform grids; a matrix-free preconditioned CG path is kept alongside for
-cross-checking and as the generic route.
+DCT-II / DST-II bases, which provides the fast inversion path on these
+uniform grids.  The module also holds the package's one preconditioned CG
+loop: the time steppers run it on their Newton systems, preconditioned by
+a DCT diagonal (:func:`apply_cosine_symbol`), and the ``method="cg"``
+inverses run it unpreconditioned as an independent cross-check of the
+transform solves.
 """
 
 from __future__ import annotations
@@ -139,6 +142,23 @@ class Grid:
         m = np.arange(1, n + 1)
         return (2.0 / h**2) * (1.0 - np.cos(np.pi * m / n))
 
+    def eigenvalues(self, bc: str) -> np.ndarray:
+        """Eigenvalues of -Lap on the tensor-product DCT-II ("neumann") or
+        DST-II ("dirichlet") modes, grid-shaped and read-only (cached)."""
+        if bc not in ("neumann", "dirichlet"):
+            raise ValueError(f"unknown bc {bc!r}")
+        key = "_eig_" + bc
+        cached = getattr(self, key, None)
+        if cached is None:
+            axis_eig = (self.axis_eigenvalues_neumann if bc == "neumann"
+                        else self.axis_eigenvalues_dirichlet)
+            cached = axis_eig(0)
+            for a in range(1, self.dim):
+                cached = cached[..., None] + axis_eig(a)
+            cached.flags.writeable = False
+            object.__setattr__(self, key, cached)
+        return cached
+
 
 # -- Laplacians --------------------------------------------------------
 
@@ -176,22 +196,9 @@ def laplacian_dirichlet(grid: Grid, u: np.ndarray) -> np.ndarray:
 # -- fast transform solves ---------------------------------------------
 
 
-def _eigen_sum(grid: Grid, which: str) -> np.ndarray:
-    axes = []
-    for a in range(grid.dim):
-        if which == "neumann":
-            axes.append(grid.axis_eigenvalues_neumann(a))
-        else:
-            axes.append(grid.axis_eigenvalues_dirichlet(a))
-    lam = axes[0]
-    for more in axes[1:]:
-        lam = lam[..., None] + more
-    return lam.reshape(grid.shape)
-
-
 def _solve_neumann_dct(grid: Grid, rhs: np.ndarray) -> np.ndarray:
     coeff = dctn(rhs, type=2, norm="ortho")
-    lam = _eigen_sum(grid, "neumann")
+    lam = grid.eigenvalues("neumann")
     flat = coeff.reshape(-1)
     lamf = lam.reshape(-1)
     out = np.zeros_like(flat)
@@ -201,48 +208,64 @@ def _solve_neumann_dct(grid: Grid, rhs: np.ndarray) -> np.ndarray:
 
 def _solve_dirichlet_dst(grid: Grid, rhs: np.ndarray) -> np.ndarray:
     coeff = dstn(rhs, type=2, norm="ortho")
-    lam = _eigen_sum(grid, "dirichlet")
-    return idstn(coeff / lam, type=2, norm="ortho")
+    return idstn(coeff / grid.eigenvalues("dirichlet"), type=2, norm="ortho")
 
 
-# -- conjugate gradient path -------------------------------------------
+def apply_cosine_symbol(grid: Grid, u: np.ndarray,
+                        symbol: np.ndarray) -> np.ndarray:
+    """Operator diagonal in the orthonormal DCT-II basis: multiply the
+    cosine coefficients of ``u`` by the grid-shaped ``symbol``."""
+    return idctn(dctn(u, type=2, norm="ortho") * symbol, type=2,
+                 norm="ortho")
 
 
-def _pcg(apply_A: Callable, b: np.ndarray, rtol: float = 1e-11,
-         maxiter: int = 20000, diag: float = 1.0,
-         project: Optional[Callable] = None) -> np.ndarray:
-    """Plain preconditioned CG with an optional subspace projection
-    applied to the right-hand side and every iterate."""
-    if project is not None:
-        b = project(b)
+# -- conjugate gradients -----------------------------------------------
+
+
+_CG_MAXITER = 20000
+
+
+def pcg(apply_A: Callable, b: np.ndarray,
+        precond: Optional[Callable] = None, rtol: float = 1e-11,
+        atol: float = 0.0) -> np.ndarray:
+    """Preconditioned CG for A x = b, starting from x = 0.
+
+    ``apply_A`` must be symmetric positive definite on the subspace that
+    ``b`` lies in and ``precond`` (identity when None) a symmetric positive
+    definite approximation of its inverse there.  Stops once the Euclidean
+    residual norm is at most max(rtol*||b||, atol).  A non-positive or
+    non-finite curvature p.Ap or r.z is a breakdown and raises
+    :class:`SolveError` before it can reach the iterate, as does running
+    out of ``_CG_MAXITER`` iterations.
+    """
     x = np.zeros_like(b)
     r = b.copy()
     bnorm = np.sqrt(np.sum(b * b))
-    if bnorm == 0.0:
+    stop = max(rtol * bnorm, atol)
+    if bnorm <= stop:
         return x
-    z = r / diag
-    p = z.copy()
+    z = r if precond is None else precond(r)
     rz = np.sum(r * z)
-    for _ in range(maxiter):
+    p = z.copy()
+    for _ in range(_CG_MAXITER):
+        if not (np.isfinite(rz) and rz > 0.0):
+            raise SolveError(f"CG breakdown: r.z = {rz:.3e}")
         Ap = apply_A(p)
-        if project is not None:
-            Ap = project(Ap)
-        alpha = rz / np.sum(p * Ap)
+        pAp = np.sum(p * Ap)
+        if not (np.isfinite(pAp) and pAp > 0.0):
+            raise SolveError(f"CG breakdown: p.Ap = {pAp:.3e}; the "
+                             "operator is not positive definite")
+        alpha = rz / pAp
         x += alpha * p
         r -= alpha * Ap
-        if np.sqrt(np.sum(r * r)) <= rtol * bnorm:
-            if project is not None:
-                x = project(x)
+        if np.sqrt(np.sum(r * r)) <= stop:
             return x
-        z = r / diag
+        z = r if precond is None else precond(r)
         rz_new = np.sum(r * z)
         p = z + (rz_new / rz) * p
         rz = rz_new
-    raise SolveError("CG did not reach tolerance")
-
-
-def _stencil_diag(grid: Grid) -> float:
-    return 2.0 * sum(1.0 / h**2 for h in grid.h)
+    raise SolveError(
+        f"CG did not reach tolerance in {_CG_MAXITER} iterations")
 
 
 # -- inverse operators -------------------------------------------------
@@ -253,16 +276,17 @@ def inverse_neumann(grid: Grid, psi: np.ndarray,
     """Mean-free solution u of -Lap_N u = psi; requires mean(psi) = 0.
 
     ``method``: "auto"/"dct" use the exact cosine diagonalization, "cg"
-    the projected preconditioned CG path.
+    plain CG on the stencil (an independent cross-check).
     """
     nrm = grid.l2_norm(psi)
     if abs(grid.mean(psi)) > 1e-10 * max(nrm, 1e-300):
         raise MeanError("inverse_neumann needs a mean-free right-hand side")
     if method in ("auto", "dct"):
         return _solve_neumann_dct(grid, psi)
-    mean_part = lambda u: u - grid.mean(u)
-    return _pcg(lambda u: -laplacian_neumann(grid, u), psi,
-                diag=_stencil_diag(grid), project=mean_part)
+    # CG stays in the range of the singular operator when started from
+    # an exactly mean-free right-hand side
+    u = pcg(lambda v: -laplacian_neumann(grid, v), psi - grid.mean(psi))
+    return u - grid.mean(u)
 
 
 def inverse_dirichlet(grid: Grid, psi: np.ndarray,
@@ -270,8 +294,7 @@ def inverse_dirichlet(grid: Grid, psi: np.ndarray,
     """Solution u of -Lap_D u = psi."""
     if method in ("auto", "dct"):
         return _solve_dirichlet_dst(grid, psi)
-    return _pcg(lambda u: -laplacian_dirichlet(grid, u), psi,
-                diag=_stencil_diag(grid))
+    return pcg(lambda v: -laplacian_dirichlet(grid, v), psi)
 
 
 def dual_norm(grid: Grid, psi: np.ndarray, bc: str,

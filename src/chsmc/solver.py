@@ -13,8 +13,12 @@ time, Yosida term implicit, Lipschitz perturbation and control explicit):
 * ``galerkin_neumann`` — spectral projection onto the first n zero-flux
   cosine modes, nonlinearities by collocation.
 
-All nonlinear steps use matrix-free Newton with CG inner solves (inner
-tolerance proportional to the outer residual).
+The two finite-difference steppers use matrix-free Newton.  Each Newton
+system is solved tightly by conjugate gradients preconditioned with the
+exact DCT-II inverse of the Jacobian's constant-coefficient part (fast
+direct solvers as preconditioners, Concus & Golub 1973), so a step takes
+about as many Newton iterations as exact Newton.  The Galerkin stepper
+solves its small dense Newton systems directly.
 """
 
 from __future__ import annotations
@@ -28,10 +32,10 @@ import numpy as np
 from . import potentials as pot
 from . import smc
 from .errors import (ConfigError, MissingDataError, NewtonError,
-                     ModeRangeError)
-from .grid import (Grid, NeumannEigenbasis, harmonic_extension,
-                   inverse_dirichlet, inverse_neumann, laplacian_neumann,
-                   neumann_eigenbasis)
+                     ModeRangeError, SolveError)
+from .grid import (Grid, NeumannEigenbasis, apply_cosine_symbol,
+                   harmonic_extension, inverse_dirichlet, inverse_neumann,
+                   laplacian_neumann, neumann_eigenbasis, pcg)
 
 
 @dataclass(frozen=True)
@@ -105,7 +109,6 @@ class SolverConfig:
     n_modes: int = 0
     newton_tol: float = 1e-10
     newton_max: int = 50
-    mms_source: Optional[Callable] = None
     output_times: Optional[List[float]] = None
     galerkin_integrator: str = "backward_euler"  # or "rk4"
 
@@ -176,36 +179,25 @@ class Trajectory:
 # -- Newton-Krylov core ------------------------------------------------
 
 
-def _cg_inner(apply_J, b, rtol, maxiter=4000):
-    x = np.zeros_like(b)
-    r = b.copy()
-    bnorm = np.sqrt(np.sum(b * b))
-    if bnorm == 0.0:
-        return x
-    p = r.copy()
-    rr = np.sum(r * r)
-    for _ in range(maxiter):
-        Jp = apply_J(p)
-        alpha = rr / np.sum(p * Jp)
-        x += alpha * p
-        r -= alpha * Jp
-        rr_new = np.sum(r * r)
-        if np.sqrt(rr_new) <= rtol * bnorm:
-            return x
-        p = r + (rr_new / rr) * p
-        rr = rr_new
-    raise NewtonError("inner CG stalled")
+# Inner CG: relative tolerance, and an absolute floor as a fraction of the
+# Newton tolerance so that CG stops before chasing roundoff once the
+# residual is near that tolerance.
+_INNER_RTOL = 1e-6
+_INNER_FLOOR = 0.1
 
 
-def _newton(residual, make_jacvec, x0, grid, tol, maxiter,
+def _newton(residual, jacobian, x0, grid, tol, maxiter,
             postprocess=None):
     """Matrix-free Newton; absolute tolerance on the L2 residual norm.
 
-    ``make_jacvec(x)`` returns the Jacobian action at the current iterate;
-    the inner CG is solved to a relative tolerance of 1e-2
-    (Eisenstat-Walker style: the outer quadratic convergence is preserved
-    because the Jacobian is SPD and fresh at every iterate).
+    ``jacobian(x)`` returns the Jacobian action at the current iterate and
+    a preconditioner built from the same linearization.  Each Newton
+    system is solved by preconditioned CG to a relative tolerance of
+    ``_INNER_RTOL``, or until its residual is below ``_INNER_FLOOR * tol``
+    in the grid L2 norm, so the outer iteration converges like exact
+    Newton.  A CG breakdown raises :class:`NewtonError`.
     """
+    floor = _INNER_FLOOR * tol / np.sqrt(grid.cell_volume)
     x = x0.copy()
     for it in range(maxiter):
         r = residual(x)
@@ -214,11 +206,68 @@ def _newton(residual, make_jacvec, x0, grid, tol, maxiter,
             raise NewtonError("non-finite residual")
         if rnorm <= tol:
             return x, it
-        dx = _cg_inner(make_jacvec(x), -r, rtol=1e-2)
+        apply_J, precond = jacobian(x)
+        try:
+            dx = pcg(apply_J, -r, precond, rtol=_INNER_RTOL, atol=floor)
+        except SolveError as exc:
+            raise NewtonError(f"inner solve failed: {exc}") from exc
         x = x + dx
         if postprocess is not None:
             x = postprocess(x)
     raise NewtonError(f"Newton did not converge (residual {rnorm:.3e})")
+
+
+def _cosine_preconditioner(grid: Grid, shift: float, dt: float,
+                           offset: float):
+    """Exact inverse of shift - Lap_N + (dt*(offset - Lap_N))^+ in the
+    DCT-II basis, as a preconditioner.
+
+    The symbol 1/(shift + lam + 1/(dt*(lam + offset))) is written as
+    k/(k*(shift + lam) + 1) with k = dt*(lam + offset), so for offset 0
+    the zero mode is removed without a division by zero.
+    """
+    lam = grid.eigenvalues("neumann")
+    k = dt * (lam + offset)
+    symbol = k / (k * (shift + lam) + 1.0)
+    return lambda r: apply_cosine_symbol(grid, r, symbol)
+
+
+def _jacobian_coupled(grid: Grid, tau: float, dt: float,
+                      bprime: np.ndarray):
+    """Jacobian action of the coupled zero-flux residual on mean-free
+    fields, and its preconditioner (exact when ``bprime`` is constant)."""
+
+    def project(u):
+        return u - grid.mean(u)
+
+    def apply_J(v):
+        return (tau * v / dt
+                - laplacian_neumann(grid, v)
+                + project(bprime * v)
+                + inverse_neumann(grid, project(v)) / dt)
+
+    shift = tau / dt + grid.mean(bprime)
+    return apply_J, _cosine_preconditioner(grid, shift, dt, 0.0)
+
+
+def _jacobian_dirichlet(grid: Grid, tau: float, dt: float,
+                        bprime: np.ndarray):
+    """Jacobian action of the eliminated Dirichlet residual and its
+    preconditioner.  D = (-Lap_D)^{-1} is diagonal in the DST basis, not
+    the DCT one, so the preconditioner stands in the DCT symbol
+    1/(lam_N + lam_D,min), which shares D's largest eigenvalue and decay;
+    the mismatch is small next to tau/dt.
+    """
+
+    def apply_J(v):
+        return (tau * v / dt
+                + inverse_dirichlet(grid, v) / dt
+                - laplacian_neumann(grid, v)
+                + bprime * v)
+
+    shift = tau / dt + grid.mean(bprime)
+    lam_d_min = float(grid.eigenvalues("dirichlet").flat[0])
+    return apply_J, _cosine_preconditioner(grid, shift, dt, lam_d_min)
 
 
 # -- steppers ----------------------------------------------------------
@@ -248,8 +297,6 @@ def step_coupled_neumann(state: StateSnapshot, data: ProblemData,
     psi_n = state.phi - m
     expl = _explicit_part(data, X, state.phi, t_new)
     gval = data.g(X, t_new)
-    if cfg.mms_source is not None:
-        gval = gval + cfg.mms_source(X, t_new)
     rhs_fixed = expl - gval
 
     def project(u):
@@ -263,17 +310,11 @@ def step_coupled_neumann(state: StateSnapshot, data: ProblemData,
                 + project(bval + rhs_fixed)
                 + inverse_neumann(grid, psi - psi_n) / dt)
 
-    def make_jacvec(psi):
+    def jacobian(psi):
         bprime = pot.beta_eps_prime(data.spec, cfg.eps, m + psi)
+        return _jacobian_coupled(grid, data.tau, dt, bprime)
 
-        def jacvec(v):
-            return (data.tau * v / dt
-                    - laplacian_neumann(grid, v)
-                    + project(bprime * v)
-                    + inverse_neumann(grid, project(v)) / dt)
-        return jacvec
-
-    psi, iters = _newton(residual, make_jacvec, psi_n, grid,
+    psi, iters = _newton(residual, jacobian, psi_n, grid,
                          cfg.newton_tol, cfg.newton_max,
                          postprocess=project)
     phi = m + psi
@@ -304,8 +345,6 @@ def step_eliminated_dirichlet(state: StateSnapshot, data: ProblemData,
     phi_n = state.phi
     expl = _explicit_part(data, X, phi_n, t_new)
     gstar = data.g(X, t_new) - mu_H
-    if cfg.mms_source is not None:
-        gstar = gstar + cfg.mms_source(X, t_new)
     rhs_fixed = expl - gstar
 
     def residual(phi):
@@ -315,17 +354,11 @@ def step_eliminated_dirichlet(state: StateSnapshot, data: ProblemData,
                 - laplacian_neumann(grid, phi)
                 + bval + rhs_fixed)
 
-    def make_jacvec(phi):
+    def jacobian(phi):
         bprime = pot.beta_eps_prime(data.spec, cfg.eps, phi)
+        return _jacobian_dirichlet(grid, data.tau, dt, bprime)
 
-        def jacvec(v):
-            return (data.tau * v / dt
-                    + inverse_dirichlet(grid, v) / dt
-                    - laplacian_neumann(grid, v)
-                    + bprime * v)
-        return jacvec
-
-    phi, iters = _newton(residual, make_jacvec, phi_n, grid,
+    phi, iters = _newton(residual, jacobian, phi_n, grid,
                          cfg.newton_tol, cfg.newton_max)
     mu = -inverse_dirichlet(grid, (phi - phi_n) / dt) + mu_H
     xi = pot.beta_eps(data.spec, cfg.eps, phi)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from chsmc import grid as gr
-from chsmc.errors import MeanError, ModeRangeError
+from chsmc.errors import MeanError, ModeRangeError, SolveError
 from chsmc.grid import Grid
 
 
@@ -142,6 +142,36 @@ def test_inverse_dirichlet_solves(grid2d, method):
     psi = rng.standard_normal(grid2d.shape)
     u = gr.inverse_dirichlet(grid2d, psi, method=method)
     assert np.allclose(-gr.laplacian_dirichlet(grid2d, u), psi, atol=1e-8)
+
+
+# -- conjugate gradients -----------------------------------------------------
+
+
+def test_pcg_preconditioned_and_plain_agree():
+    rng = np.random.default_rng(10)
+    Q, _ = np.linalg.qr(rng.standard_normal((40, 40)))
+    A = Q @ np.diag(np.logspace(0, 4, 40)) @ Q.T
+    b = rng.standard_normal(40)
+    d = np.diag(A)
+    x_plain = gr.pcg(lambda v: A @ v, b)
+    x_jacobi = gr.pcg(lambda v: A @ v, b, precond=lambda r: r / d)
+    x_exact = np.linalg.solve(A, b)
+    assert np.allclose(x_plain, x_exact, rtol=0.0, atol=1e-9)
+    assert np.allclose(x_jacobi, x_exact, rtol=0.0, atol=1e-9)
+
+
+@pytest.mark.parametrize("diag", [[1.0, -3.0, 2.0], [1.0, np.nan, 2.0]])
+def test_pcg_breakdown_raises(diag):
+    """Indefinite or non-finite curvature raises instead of stepping."""
+    calls = []
+
+    def apply_A(v):
+        calls.append(v.copy())
+        return np.array(diag) * v
+
+    with pytest.raises(SolveError, match="breakdown"):
+        gr.pcg(apply_A, np.ones(3))
+    assert len(calls) == 1
 
 
 def test_dual_norm_closed_forms(grid1d):

@@ -3,7 +3,8 @@ import pytest
 
 from chsmc import potentials as pot
 from chsmc import smc, solver
-from chsmc.errors import ConfigError, MissingDataError, ModeRangeError
+from chsmc.errors import (ConfigError, MissingDataError, ModeRangeError,
+                          NewtonError)
 from chsmc.grid import Grid, laplacian_neumann
 
 from conftest import (zero_potential, zero_field, neumann_problem,
@@ -186,6 +187,30 @@ def test_control_term_saturates():
     traj = solver.run(data, cfg)
     for snap in traj.snapshots:
         assert grid.sup_norm(snap.zeta) <= rho + 1e-12
+
+
+# -- Newton-Krylov core -------------------------------------------------------
+
+
+def test_coupled_preconditioner_inverts_constant_coefficient_jacobian(grid2d):
+    rng = np.random.default_rng(11)
+    v = rng.standard_normal(grid2d.shape)
+    v -= grid2d.mean(v)
+    bprime = np.full(grid2d.shape, 3.7)
+    apply_J, precond = solver._jacobian_coupled(grid2d, 0.7, 1e-3, bprime)
+    w = precond(apply_J(v))
+    assert grid2d.l2_norm(w - v) <= 1e-12 * grid2d.l2_norm(v)
+
+
+def test_newton_raises_on_indefinite_jacobian():
+    grid = small_grid()
+
+    def jacobian(x):
+        return (lambda v: -v), None
+
+    with pytest.raises(NewtonError, match="breakdown"):
+        solver._newton(lambda x: x - 1.0, jacobian, grid.zeros(), grid,
+                       tol=1e-10, maxiter=5)
 
 
 # -- energy decay -----------------------------------------------------------
