@@ -91,11 +91,19 @@ def parse_profile(text: str, lengths=None):
         params[key] = val
 
     def fnum(key, default=None):
-        if key in params:
-            return float(params[key])
-        if default is None:
-            raise ConfigError(f"profile {name!r} needs parameter {key!r}")
-        return default
+        if key not in params:
+            if default is None:
+                raise ConfigError(
+                    f"profile {name!r} needs parameter {key!r}")
+            return default
+        try:
+            val = float(params[key])
+        except ValueError:
+            val = np.nan
+        if not np.isfinite(val):
+            raise ConfigError(f"profile {name!r}: {key} must be a finite "
+                              f"number, got {params[key]!r}")
+        return val
 
     if name == "constant":
         c = fnum("value")
@@ -103,7 +111,10 @@ def parse_profile(text: str, lengths=None):
     if name in ("cosine", "sine"):
         amp = fnum("amplitude")
         off = fnum("offset", 0.0)
-        modes = [int(m) for m in params.get("mode", "1").split(",")]
+        try:
+            modes = [int(m) for m in params.get("mode", "1").split(",")]
+        except ValueError as exc:
+            raise ConfigError(f"profile {name!r}: {exc}") from exc
         trig = np.cos if name == "cosine" else np.sin
 
         def profile(X, t, amp=amp, off=off, modes=modes, trig=trig,
@@ -231,7 +242,11 @@ def load_config(path):
     dt = _get(cp, "time", "dt", float)
     T = _get(cp, "time", "T", float)
     n_out = _get(cp, "time", "outputs", int, 11)
-    output_times = list(np.linspace(0.0, T, n_out)) if T > 0 else []
+    if n_out < 0:
+        raise ConfigError("[time] outputs must be nonnegative")
+    # a non-finite T is rejected by SolverConfig below
+    output_times = (list(np.linspace(0.0, T, n_out))
+                    if 0.0 < T < np.inf else [])
     scheme = _get(cp, "solver", "scheme")
     cfg = solver.SolverConfig(
         eps=_get(cp, "solver", "eps", float, ctrl_eps),
@@ -409,8 +424,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="chsmc",
         description="Viscous Cahn-Hilliard simulator with sliding-mode "
                     "control")
-    p.add_argument("--threads", type=int, default=1,
-                   help="reserved; runs are single-threaded")
     sub = p.add_subparsers(dest="command", required=True)
 
     def with_config(sp):

@@ -37,8 +37,8 @@ class Grid:
             raise ValueError("shape and lengths must agree in dimension")
         if any(n < 3 for n in self.shape):
             raise ValueError("need at least 3 cells per axis")
-        if any(L <= 0 for L in self.lengths):
-            raise ValueError("lengths must be positive")
+        if not all(0 < L < np.inf for L in self.lengths):
+            raise ValueError("lengths must be positive and finite")
         object.__setattr__(self, "shape", tuple(int(n) for n in self.shape))
         object.__setattr__(self, "lengths",
                            tuple(float(L) for L in self.lengths))

@@ -54,10 +54,10 @@ class PotentialSpec:
     def __post_init__(self):
         if self.kind not in ("regular", "logarithmic", "obstacle", "custom"):
             raise ValueError(f"unknown potential kind {self.kind!r}")
-        if self.kind == "logarithmic" and not self.c1 > 1.0:
-            raise ValueError("logarithmic potential requires c1 > 1")
-        if self.kind == "obstacle" and not self.c2 > 0.0:
-            raise ValueError("obstacle potential requires c2 > 0")
+        if self.kind == "logarithmic" and not 1.0 < self.c1 < np.inf:
+            raise ValueError("logarithmic potential requires finite c1 > 1")
+        if self.kind == "obstacle" and not 0.0 < self.c2 < np.inf:
+            raise ValueError("obstacle potential requires finite c2 > 0")
 
 
 def regular() -> PotentialSpec:

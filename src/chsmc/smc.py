@@ -30,10 +30,10 @@ class SmcParams:
     eps: float
 
     def __post_init__(self):
-        if self.rho < 0.0:
-            raise ParamError("rho must be nonnegative")
-        if not self.eps > 0.0:
-            raise ParamError("eps must be positive")
+        if not 0.0 <= self.rho < math.inf:
+            raise ParamError("rho must be nonnegative and finite")
+        if not 0.0 < self.eps < math.inf:
+            raise ParamError("eps must be positive and finite")
 
 
 def sign_eps(eps: float, r):

@@ -1,30 +1,30 @@
 """Time integration of the regularized controlled Cahn-Hilliard system.
 
-Three stepping modes share one semi-implicit splitting (backward Euler in
-time, Yosida term implicit, Lipschitz perturbation and control explicit):
+All schemes share one semi-implicit splitting (backward Euler in time,
+Yosida term implicit, Lipschitz perturbation and control explicit).
 
-* ``coupled_neumann`` — zero-flux conditions for the chemical potential;
-  the potential is eliminated through the mean-free inverse Laplacian, so
-  the mean of the order parameter is conserved exactly.
-* ``eliminated_dirichlet`` — prescribed boundary values for the potential;
-  after homogenization by a harmonic extension, the potential is
-  eliminated via mu = -D(dphi/dt) and the step solves a single equation
-  in phi with the operator tau*I + D.
-* ``galerkin_neumann`` — spectral projection onto the first n zero-flux
-  cosine modes, nonlinearities by collocation.
+The finite-difference schemes ``coupled_neumann`` (zero flux for the
+chemical potential) and ``eliminated_dirichlet`` (prescribed boundary
+values) are one stepper, :func:`step_eliminated`.  It eliminates the
+potential through the inverse Laplacian of its boundary regime: the
+mean-free Neumann inverse N, which conserves the mean of the order
+parameter exactly, or the Dirichlet inverse D after the harmonic
+extension of the datum is subtracted.  Each step solves one equation for
+the increment of phi by matrix-free Newton; each Newton system is solved
+tightly by conjugate gradients preconditioned with the DCT-II inverse of
+the Jacobian's constant-coefficient part (fast direct solvers as
+preconditioners, Concus & Golub 1973), so a step takes about as many
+Newton iterations as exact Newton.
 
-The two finite-difference steppers use matrix-free Newton.  Each Newton
-system is solved tightly by conjugate gradients preconditioned with the
-exact DCT-II inverse of the Jacobian's constant-coefficient part (fast
-direct solvers as preconditioners, Concus & Golub 1973), so a step takes
-about as many Newton iterations as exact Newton.  The Galerkin stepper
-solves its small dense Newton systems directly.
+``galerkin_neumann`` projects onto the first n zero-flux cosine modes,
+with the nonlinearities evaluated by collocation; it solves its small
+dense Newton systems directly.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from typing import Callable, List, Optional
 
 import numpy as np
@@ -86,10 +86,12 @@ class ProblemData:
     lap_phistar: Optional[Callable] = None
 
     def __post_init__(self):
-        if not self.tau > 0.0:
-            raise ConfigError("tau must be positive")
+        if not 0.0 < self.tau < np.inf:
+            raise ConfigError("tau must be positive and finite")
         if self.phi0.shape != self.grid.shape:
             raise ConfigError("phi0 shape does not match grid")
+        if not np.all(np.isfinite(self.phi0)):
+            raise ConfigError("phi0 has non-finite values")
         lo, hi = self.spec.lo, self.spec.hi
         if np.any(self.phi0 < lo) or np.any(self.phi0 > hi):
             raise ConfigError("phi0 leaves the closure of the beta domain")
@@ -116,8 +118,9 @@ class SolverConfig:
         if self.scheme not in ("coupled_neumann", "eliminated_dirichlet",
                                "galerkin_neumann"):
             raise ConfigError(f"unknown scheme {self.scheme!r}")
-        if not (self.eps > 0.0 and self.dt > 0.0 and self.T >= 0.0):
-            raise ConfigError("need eps, dt > 0 and T >= 0")
+        if not (0.0 < self.eps < np.inf and 0.0 < self.dt < np.inf
+                and 0.0 <= self.T < np.inf):
+            raise ConfigError("need finite eps, dt > 0 and T >= 0")
 
 
 _SCHEME_BC = {"coupled_neumann": "neumann",
@@ -232,140 +235,106 @@ def _cosine_preconditioner(grid: Grid, shift: float, dt: float,
     return lambda r: apply_cosine_symbol(grid, r, symbol)
 
 
-def _jacobian_coupled(grid: Grid, tau: float, dt: float,
-                      bprime: np.ndarray):
-    """Jacobian action of the coupled zero-flux residual on mean-free
-    fields, and its preconditioner (exact when ``bprime`` is constant)."""
+def _regime(grid: Grid, bc_kind: str):
+    """(G, P, offset) of the potential's boundary regime: the inverse
+    Laplacian G, the projection P and the preconditioner offset.
 
-    def project(u):
-        return u - grid.mean(u)
-
-    def apply_J(v):
-        return (tau * v / dt
-                - laplacian_neumann(grid, v)
-                + project(bprime * v)
-                + inverse_neumann(grid, project(v)) / dt)
-
-    shift = tau / dt + grid.mean(bprime)
-    return apply_J, _cosine_preconditioner(grid, shift, dt, 0.0)
-
-
-def _jacobian_dirichlet(grid: Grid, tau: float, dt: float,
-                        bprime: np.ndarray):
-    """Jacobian action of the eliminated Dirichlet residual and its
-    preconditioner.  D = (-Lap_D)^{-1} is diagonal in the DST basis, not
-    the DCT one, so the preconditioner stands in the DCT symbol
-    1/(lam_N + lam_D,min), which shares D's largest eigenvalue and decay;
-    the mismatch is small next to tau/dt.
+    Zero flux: G = N o P, P the mean-free projection, offset 0.
+    Dirichlet: G = D = (-Lap_D)^{-1}, P = I, offset lam_D,min.  D is
+    diagonal in the DST basis, so the DCT symbol 1/(lam_N + lam_D,min)
+    only stands in for it; the mismatch is small next to tau/dt.
     """
+    if bc_kind == "neumann":
+        def P(u):
+            return u - grid.mean(u)
+
+        def G(u):
+            return inverse_neumann(grid, P(u))
+        return G, P, 0.0
+
+    def G(u):
+        return inverse_dirichlet(grid, u)
+    return G, (lambda u: u), float(grid.eigenvalues("dirichlet").flat[0])
+
+
+def _jacobian(grid: Grid, bc_kind: str, tau: float, dt: float,
+              bprime: np.ndarray, regime=None):
+    """Jacobian action of the eliminated residual and its preconditioner
+    (exact for zero flux when ``bprime`` is constant).  A stepper passes
+    the ``_regime`` it built for the step as ``regime``."""
+    G, P, offset = regime or _regime(grid, bc_kind)
 
     def apply_J(v):
         return (tau * v / dt
-                + inverse_dirichlet(grid, v) / dt
+                + G(v) / dt
                 - laplacian_neumann(grid, v)
-                + bprime * v)
+                + P(bprime * v))
 
     shift = tau / dt + grid.mean(bprime)
-    lam_d_min = float(grid.eigenvalues("dirichlet").flat[0])
-    return apply_J, _cosine_preconditioner(grid, shift, dt, lam_d_min)
+    return apply_J, _cosine_preconditioner(grid, shift, dt, offset)
 
 
 # -- steppers ----------------------------------------------------------
 
 
-def _explicit_part(data: ProblemData, X, phi_n, t_new):
-    chi_n = phi_n - data.phistar(X, t_new)
-    zeta = data.control.rho * smc.sign_eps(data.control.eps, chi_n)
-    return pot.pi(data.spec, phi_n) + zeta
+def _explicit_part(data: ProblemData, X, phi, t):
+    chi = phi - data.phistar(X, t)
+    return pot.pi(data.spec, phi) + smc.apply_S_eps(data.control, chi)
 
 
-def step_coupled_neumann(state: StateSnapshot, data: ProblemData,
-                         cfg: SolverConfig,
-                         dt: Optional[float] = None) -> StateSnapshot:
-    """One backward-Euler step of the coupled zero-flux system.
+def step_eliminated(state: StateSnapshot, data: ProblemData,
+                    cfg: SolverConfig,
+                    dt: Optional[float] = None) -> StateSnapshot:
+    """One backward-Euler step of the finite-difference system with the
+    potential eliminated through the inverse Laplacian G of its regime.
 
-    The potential is eliminated on the mean-free subspace through the
-    inverse Neumann Laplacian; its mean is recovered from the spatial
-    average of the potential equation.  The mean of phi is conserved
-    exactly by construction.
+    Solves for the increment d = phi - phi^n, starting from 0,
+
+        tau d/dt + G(d)/dt - Lap_N phi + P[beta_eps(phi) + explicit - g
+                                           + mu_H] = 0,
+
+    and recovers mu = mu_H - G(d/dt) + (I - P)[xi + explicit - g], with
+    mu_H the harmonic extension of the Dirichlet datum (0 for zero flux).
+    For zero flux d stays mean-free, so the mean of phi is conserved.
     """
     grid = data.grid
     dt = cfg.dt if dt is None else dt
     t_new = state.t + dt
     X = grid.meshgrid()
-    m = grid.mean(state.phi)
-    psi_n = state.phi - m
-    expl = _explicit_part(data, X, state.phi, t_new)
-    gval = data.g(X, t_new)
-    rhs_fixed = expl - gval
-
-    def project(u):
-        return u - grid.mean(u)
-
-    def residual(psi):
-        phi = m + psi
-        bval = pot.beta_eps(data.spec, cfg.eps, phi)
-        return (data.tau * (psi - psi_n) / dt
-                - laplacian_neumann(grid, phi)
-                + project(bval + rhs_fixed)
-                + inverse_neumann(grid, psi - psi_n) / dt)
-
-    def jacobian(psi):
-        bprime = pot.beta_eps_prime(data.spec, cfg.eps, m + psi)
-        return _jacobian_coupled(grid, data.tau, dt, bprime)
-
-    psi, iters = _newton(residual, jacobian, psi_n, grid,
-                         cfg.newton_tol, cfg.newton_max,
-                         postprocess=project)
-    phi = m + psi
-    xi = pot.beta_eps(data.spec, cfg.eps, phi)
-    mu_tilde = -inverse_neumann(grid, (psi - psi_n) / dt)
-    # mean of mu from the spatial average of the potential equation
-    mu_mean = grid.mean(xi + expl - gval)
-    mu = mu_mean + mu_tilde
-    chi = phi - data.phistar(X, t_new)
-    zeta = data.control.rho * smc.sign_eps(data.control.eps, chi)
-    return StateSnapshot(t=t_new, phi=phi, mu=mu, xi=xi, zeta=zeta,
-                         newton_iters=iters)
-
-
-def step_eliminated_dirichlet(state: StateSnapshot, data: ProblemData,
-                              cfg: SolverConfig,
-                              dt: Optional[float] = None,
-                              mu_H: Optional[np.ndarray] = None
-                              ) -> StateSnapshot:
-    """One backward-Euler step of the eliminated Dirichlet system
-    (tau*I + D) dphi/dt - Lap phi + beta_eps(phi) + explicit = g - mu_H."""
-    grid = data.grid
-    dt = cfg.dt if dt is None else dt
-    t_new = state.t + dt
-    X = grid.meshgrid()
-    if mu_H is None:
-        mu_H = harmonic_extension(grid, data.bc.datum, t_new)
+    regime = _regime(grid, data.bc.kind)
+    G, P, _ = regime
+    mu_H = (harmonic_extension(grid, data.bc.datum, t_new)
+            if data.bc.kind == "dirichlet" else 0.0)
     phi_n = state.phi
-    expl = _explicit_part(data, X, phi_n, t_new)
-    gstar = data.g(X, t_new) - mu_H
-    rhs_fixed = expl - gstar
+    expl_g = _explicit_part(data, X, phi_n, t_new) - data.g(X, t_new)
+    fixed = expl_g + mu_H
 
-    def residual(phi):
-        bval = pot.beta_eps(data.spec, cfg.eps, phi)
-        return (data.tau * (phi - phi_n) / dt
-                + inverse_dirichlet(grid, (phi - phi_n) / dt)
+    def residual(d):
+        phi = phi_n + d
+        return (data.tau * d / dt
+                + G(d) / dt
                 - laplacian_neumann(grid, phi)
-                + bval + rhs_fixed)
+                + P(pot.beta_eps(data.spec, cfg.eps, phi) + fixed))
 
-    def jacobian(phi):
-        bprime = pot.beta_eps_prime(data.spec, cfg.eps, phi)
-        return _jacobian_dirichlet(grid, data.tau, dt, bprime)
+    def jacobian(d):
+        bprime = pot.beta_eps_prime(data.spec, cfg.eps, phi_n + d)
+        return _jacobian(grid, data.bc.kind, data.tau, dt, bprime, regime)
 
-    phi, iters = _newton(residual, jacobian, phi_n, grid,
-                         cfg.newton_tol, cfg.newton_max)
-    mu = -inverse_dirichlet(grid, (phi - phi_n) / dt) + mu_H
+    d, iters = _newton(residual, jacobian, grid.zeros(), grid,
+                       cfg.newton_tol, cfg.newton_max, postprocess=P)
+    phi = phi_n + d
     xi = pot.beta_eps(data.spec, cfg.eps, phi)
-    chi = phi - data.phistar(X, t_new)
-    zeta = data.control.rho * smc.sign_eps(data.control.eps, chi)
+    rest = xi + expl_g
+    mu = mu_H - G(d / dt) + (rest - P(rest))
+    zeta = smc.apply_S_eps(data.control, phi - data.phistar(X, t_new))
     return StateSnapshot(t=t_new, phi=phi, mu=mu, xi=xi, zeta=zeta,
                          newton_iters=iters)
+
+
+# The scheme names stay bound to the one stepper: configs name them, and
+# _advance calls them at call time because bench/tracing.py wraps them.
+step_coupled_neumann = step_eliminated
+step_eliminated_dirichlet = step_eliminated
 
 
 def step_galerkin_neumann(coeffs: np.ndarray, t: float, data: ProblemData,
@@ -395,7 +364,7 @@ def step_galerkin_neumann(coeffs: np.ndarray, t: float, data: ProblemData,
         def rate(c, s):
             u = basis.synthesize(c)
             nl = (pot.beta_eps(data.spec, cfg.eps, u)
-                  + _explicit_part_nl(data, X, u, s))
+                  + _explicit_part(data, X, u, s))
             gc = basis.project(data.g(X, s))
             return -scale * (lam * c + basis.project(nl) - gc)
 
@@ -431,12 +400,6 @@ def step_galerkin_neumann(coeffs: np.ndarray, t: float, data: ProblemData,
     raise NewtonError("Galerkin Newton did not converge")
 
 
-def _explicit_part_nl(data, X, u, t):
-    chi = u - data.phistar(X, t)
-    return (pot.pi(data.spec, u)
-            + data.control.rho * smc.sign_eps(data.control.eps, chi))
-
-
 # -- runner ------------------------------------------------------------
 
 
@@ -460,8 +423,7 @@ def _initial_snapshot(data: ProblemData, cfg: SolverConfig) -> StateSnapshot:
     else:
         mu = grid.zeros()  # placeholder: mu is defined by the first step
     xi = pot.beta_eps(data.spec, cfg.eps, phi)
-    chi = phi - data.phistar(X, 0.0)
-    zeta = data.control.rho * smc.sign_eps(data.control.eps, chi)
+    zeta = smc.apply_S_eps(data.control, phi - data.phistar(X, 0.0))
     return StateSnapshot(t=0.0, phi=phi, mu=mu, xi=xi, zeta=zeta)
 
 
@@ -480,12 +442,10 @@ def _record(diag: DiagnosticsSeries, grid: Grid, data: ProblemData,
     if prev_phi is None:
         dn = 0.0
     else:
-        dphi = (state.phi - prev_phi) / dt
+        # imported here: the benchmark tracer patches chsmc.grid.dual_norm,
+        # which a module-level import would bypass
         from .grid import dual_norm
-        if data.bc.kind == "neumann":
-            dn = dual_norm(grid, dphi, "neumann")
-        else:
-            dn = dual_norm(grid, dphi, "dirichlet")
+        dn = dual_norm(grid, (state.phi - prev_phi) / dt, data.bc.kind)
     diag.append(t=state.t, mean_phi=grid.mean(state.phi),
                 free_energy_reg=fe, sup_chi=grid.sup_norm(chi),
                 sup_G_eps=supG, dual_norm_dphi=dn,
@@ -493,7 +453,8 @@ def _record(diag: DiagnosticsSeries, grid: Grid, data: ProblemData,
 
 
 def _advance(state, data, cfg, dt, basis, coeffs, depth=0):
-    """One step with halving-on-failure (depth-bounded)."""
+    """One step with halving-on-failure (depth-bounded); each halving warns
+    and the result counts the Newton iterations of both halves."""
     try:
         if cfg.scheme == "coupled_neumann":
             return step_coupled_neumann(state, data, cfg, dt=dt), None
@@ -501,30 +462,32 @@ def _advance(state, data, cfg, dt, basis, coeffs, depth=0):
             return step_eliminated_dirichlet(state, data, cfg, dt=dt), None
         new_coeffs = step_galerkin_neumann(coeffs, state.t, data, cfg,
                                            basis, dt=dt)
-        grid = data.grid
-        X = grid.meshgrid()
+        X = data.grid.meshgrid()
         t_new = state.t + dt
         phi = basis.synthesize(new_coeffs)
         xi = pot.beta_eps(data.spec, cfg.eps, phi)
-        chi = phi - data.phistar(X, t_new)
-        zeta = data.control.rho * smc.sign_eps(data.control.eps, chi)
+        zeta = smc.apply_S_eps(data.control, phi - data.phistar(X, t_new))
         # spectral potential from the projected second equation
         eta = (data.tau * (new_coeffs - coeffs) / dt
                + basis.eigenvalues * new_coeffs
-               + basis.project(xi + _explicit_part_nl(data, X, phi, t_new)
+               + basis.project(xi + _explicit_part(data, X, phi, t_new)
                                - data.g(X, t_new)))
         mu = basis.synthesize(eta)
-        snap = StateSnapshot(t=t_new, phi=phi, mu=mu, xi=xi, zeta=zeta)
-        return snap, new_coeffs
-    except NewtonError:
+        return (StateSnapshot(t=t_new, phi=phi, mu=mu, xi=xi, zeta=zeta),
+                new_coeffs)
+    except NewtonError as exc:
         if depth >= 8:
             raise NewtonError(
                 f"step failed at t = {state.t} even after halving 8 times")
-        half, coeffs_half = _advance(state, data, cfg, dt / 2, basis,
-                                     coeffs, depth + 1)
-        return _advance(half, data, cfg, dt / 2, basis,
-                        coeffs_half if coeffs_half is not None else coeffs,
-                        depth + 1)
+        warnings.warn(f"step from t = {state.t:g} failed with dt = {dt:g} "
+                      f"({exc}); retrying as two steps of dt = {dt / 2:g}",
+                      stacklevel=2)
+        first, coeffs = _advance(state, data, cfg, dt / 2, basis, coeffs,
+                                 depth + 1)
+        second, coeffs = _advance(first, data, cfg, dt / 2, basis, coeffs,
+                                  depth + 1)
+        iters = first.newton_iters + second.newton_iters
+        return replace(second, newton_iters=iters), coeffs
 
 
 def run(data: ProblemData, cfg: SolverConfig) -> Trajectory:
@@ -534,14 +497,12 @@ def run(data: ProblemData, cfg: SolverConfig) -> Trajectory:
         raise ConfigError(
             f"scheme {cfg.scheme} incompatible with bc {data.bc.kind}")
     grid = data.grid
+    basis = coeffs = None  # the Galerkin scheme's modes and coefficients
     if cfg.scheme == "galerkin_neumann":
         if cfg.n_modes < 1:
             raise ModeRangeError("galerkin scheme needs n_modes >= 1")
         basis = neumann_eigenbasis(grid, cfg.n_modes)
         coeffs = basis.project(data.phi0)
-    else:
-        basis = None
-        coeffs = None
     rho, s_eps = data.control.rho, data.control.eps
     if cfg.dt * rho / (data.tau * s_eps) > 1.0:
         warnings.warn(
@@ -561,10 +522,8 @@ def run(data: ProblemData, cfg: SolverConfig) -> Trajectory:
     prev_phi = state.phi
     for n in range(nsteps):
         try:
-            state, coeffs_new = _advance(state, data, cfg, cfg.dt, basis,
-                                         coeffs)
-            if coeffs_new is not None:
-                coeffs = coeffs_new
+            state, coeffs = _advance(state, data, cfg, cfg.dt, basis,
+                                     coeffs)
         except NewtonError as exc:
             raise NewtonError(f"{exc} (t = {state.t + cfg.dt:g})") from exc
         _record(diag, grid, data, cfg, state, prev_phi, cfg.dt)

@@ -1,5 +1,10 @@
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, event, given, settings
+from hypothesis import strategies as st
 
 from chsmc import cli
 from chsmc.errors import ConfigError
@@ -34,6 +39,12 @@ outputs = 3
 scheme = coupled_neumann
 eps = 1e-2
 """
+
+
+DIRICHLET_CONFIG = (NEUMANN_CONFIG
+                    .replace("kind = neumann", "kind = dirichlet\n"
+                             "datum = constant value=0.1")
+                    .replace("coupled_neumann", "eliminated_dirichlet"))
 
 
 @pytest.fixture
@@ -196,6 +207,124 @@ def test_invalid_values_exit_as_config_errors(tmp_path, capsys, old, new):
                      "--out", str(tmp_path / "out")])
     assert code == cli.EXIT_CONFIG
     assert "config error" in capsys.readouterr().err
+
+
+REJECTED_CASES = [
+    (NEUMANN_CONFIG, "rho = 0", "rho = nan"),
+    (NEUMANN_CONFIG, "rho = 0", "rho = inf"),
+    (NEUMANN_CONFIG, "T = 0.01", "T = inf"),
+    (NEUMANN_CONFIG, "outputs = 3", "outputs = -1"),
+    (NEUMANN_CONFIG, "amplitude=0.4", "amplitude=abc"),
+    (NEUMANN_CONFIG, "mode=1", "mode=x"),
+    (NEUMANN_CONFIG, "tau = 1.0", "tau = inf"),
+    (DIRICHLET_CONFIG.replace("cosine amplitude=0.4 mode=1 offset=0.1",
+                              "constant value=0.1"),
+     "lengths = 1.0", "lengths = inf"),
+    (NEUMANN_CONFIG, "kind = regular", "kind = logarithmic\nc1 = inf"),
+    (NEUMANN_CONFIG, "kind = regular", "kind = obstacle\nc2 = inf"),
+    (DIRICHLET_CONFIG, "value=0.1", "value=nan"),
+    (DIRICHLET_CONFIG, "amplitude=0.4", "amplitude=nan"),
+]
+
+
+@pytest.mark.parametrize("config,old,new", REJECTED_CASES,
+                         ids=[new for _, _, new in REJECTED_CASES])
+def test_non_finite_or_malformed_values_exit_2(tmp_path, capsys, config,
+                                               old, new):
+    path = tmp_path / "bad.ini"
+    path.write_text(config.replace(old, new))
+    code = cli.main(["simulate", "--config", str(path), "--quiet",
+                     "--out", str(tmp_path / "out")])
+    assert code == cli.EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
+
+
+PROPERTY_CONFIG = """\
+[grid]
+dim = 1
+cells = 16
+lengths = {length!r}
+
+[potential]
+kind = {potential}
+
+[bc]
+kind = {bc}
+
+[control]
+rho = {rho!r}
+eps = {ctrl_eps!r}
+
+[data]
+tau = {tau!r}
+g = constant value={g!r}
+phi0 = cosine amplitude={amp!r} mode=1 offset={offset!r}
+
+[time]
+dt = {dt!r}
+T = {T!r}
+outputs = 3
+
+[solver]
+scheme = {scheme}
+"""
+
+
+_PROPERTY_RANGES = {
+    "c": (0.5, 3.0), "datum": (-1.0, 1.0), "length": (0.5, 2.0),
+    "rho": (0.0, 5.0), "ctrl_eps": (1e-3, 0.1), "tau": (0.1, 2.0),
+    "g": (-1.0, 1.0), "amp": (-0.6, 0.6), "offset": (-0.3, 0.3),
+    "dt": (1e-4, 1e-2), "T": (0.0, 5e-3),
+}
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(dirichlet=st.booleans(),
+       potential=st.sampled_from(["regular", "logarithmic\nc1 = {c!r}",
+                                  "obstacle\nc2 = {c!r}"]),
+       values=st.fixed_dictionaries(
+           {k: st.floats(lo, hi) for k, (lo, hi) in _PROPERTY_RANGES.items()}),
+       bad_key=st.one_of(st.none(), st.sampled_from(sorted(_PROPERTY_RANGES))),
+       bad_value=st.sampled_from([float("nan"), float("inf"), float("-inf"),
+                                  -1.0, 0.0]))
+def test_config_either_rejected_or_runs_finite(dirichlet, potential, values,
+                                               bad_key, bad_value):
+    """Every config either exits 2 or runs to exit 0 with finite fields
+    and diagnostics (sup_G_eps is NaN by definition for zero flux).
+    Values come from working ranges, at most one replaced by a non-finite,
+    negative or zero value."""
+    if bad_key is not None:
+        values[bad_key] = bad_value
+    c, datum = values.pop("c"), values.pop("datum")
+    if dirichlet:
+        bc = f"dirichlet\ndatum = constant value={datum!r}"
+        scheme = "eliminated_dirichlet"
+    else:
+        bc, scheme = "neumann", "coupled_neumann"
+    text = PROPERTY_CONFIG.format(potential=potential.format(c=c), bc=bc,
+                                  scheme=scheme, **values)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "run.ini")
+        with open(path, "w") as fh:
+            fh.write(text)
+        out = os.path.join(tmp, "out")
+        code = cli.main(["simulate", "--config", path, "--quiet",
+                         "--out", out])
+        assert code in (cli.EXIT_OK, cli.EXIT_CONFIG), text
+        event(f"exit {code}")
+        if code == cli.EXIT_CONFIG:
+            return
+        for name in os.listdir(out):
+            if name.startswith("snapshot_"):
+                _, t, field = read_snapshot(os.path.join(out, name))
+                assert np.isfinite(t) and np.all(np.isfinite(field)), text
+        with open(os.path.join(out, "diagnostics.csv")) as fh:
+            header, *rows = [line.strip().split(",") for line in fh]
+        for row in rows:
+            for col, val in zip(header, row):
+                if not (col == "sup_G_eps" and not dirichlet):
+                    assert np.isfinite(float(val)), (col, text)
 
 
 def test_numerical_error_exit_code(capsys):

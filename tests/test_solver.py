@@ -34,6 +34,25 @@ def test_solver_config_validation():
         solver.SolverConfig(eps=0.0, dt=1e-3, T=0.1, scheme="coupled_neumann")
 
 
+@pytest.mark.parametrize("field", ["eps", "dt", "T"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_solver_config_rejects_non_finite(field, value):
+    kw = dict(eps=1e-2, dt=1e-3, T=0.1, scheme="coupled_neumann")
+    kw[field] = value
+    with pytest.raises(ConfigError):
+        solver.SolverConfig(**kw)
+
+
+def test_problem_data_rejects_non_finite():
+    grid = small_grid()
+    phi0 = grid.zeros()
+    phi0[3] = np.nan
+    with pytest.raises(ConfigError, match="non-finite"):
+        dirichlet_problem(grid, pot.regular(), phi0)
+    with pytest.raises(ConfigError):
+        dirichlet_problem(grid, pot.regular(), grid.zeros(), tau=np.inf)
+
+
 def test_problem_data_validation():
     grid = small_grid()
     spec = pot.double_obstacle(0.5)
@@ -197,7 +216,7 @@ def test_coupled_preconditioner_inverts_constant_coefficient_jacobian(grid2d):
     v = rng.standard_normal(grid2d.shape)
     v -= grid2d.mean(v)
     bprime = np.full(grid2d.shape, 3.7)
-    apply_J, precond = solver._jacobian_coupled(grid2d, 0.7, 1e-3, bprime)
+    apply_J, precond = solver._jacobian(grid2d, "neumann", 0.7, 1e-3, bprime)
     w = precond(apply_J(v))
     assert grid2d.l2_norm(w - v) <= 1e-12 * grid2d.l2_norm(v)
 
@@ -211,6 +230,34 @@ def test_newton_raises_on_indefinite_jacobian():
     with pytest.raises(NewtonError, match="breakdown"):
         solver._newton(lambda x: x - 1.0, jacobian, grid.zeros(), grid,
                        tol=1e-10, maxiter=5)
+
+
+def test_halving_is_reported_and_counts_both_halves(monkeypatch):
+    grid = small_grid()
+    data = neumann_problem(grid, pot.regular(), cosine_data(grid))
+    cfg = solver.SolverConfig(eps=1e-2, dt=1e-3, T=2e-3,
+                              scheme="coupled_neumann")
+    step = solver.step_coupled_neumann
+    state0 = solver._initial_snapshot(data, cfg)
+    first = step(state0, data, cfg, dt=5e-4)
+    second = step(first, data, cfg, dt=5e-4)
+    failed = []
+
+    def fail_once(state, data, cfg, dt=None):
+        if not failed:
+            failed.append(dt)
+            raise NewtonError("injected failure")
+        return step(state, data, cfg, dt=dt)
+
+    monkeypatch.setattr(solver, "step_coupled_neumann", fail_once)
+    with pytest.warns(UserWarning, match=r"t = 0 failed with dt = 0\.001 "
+                                         r".*two steps of dt = 0\.0005"):
+        traj = solver.run(data, cfg)
+    assert failed == [1e-3]
+    assert traj.diagnostics.newton_iters[1] == (first.newton_iters
+                                                + second.newton_iters)
+    assert first.newton_iters > 0 and second.newton_iters > 0
+    assert traj.diagnostics.t[1] == second.t
 
 
 # -- energy decay -----------------------------------------------------------
