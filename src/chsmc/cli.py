@@ -39,7 +39,11 @@ config fully determines a run::
 Profiles: ``constant value=``, ``cosine amplitude= mode= offset=``,
 ``sine amplitude= mode= offset=``, ``tanh_front center= width= amplitude=
 offset=``, ``ramp slope= offset=`` (mode may be comma-separated per axis;
-tanh_front and ramp act along the first axis).
+tanh_front and ramp act along the first axis).  Every profile, the
+``[bc] datum`` included, is a callable ``(X, t) -> values`` on coordinate
+arrays: ``g``, ``phistar`` and ``phi0`` are evaluated on the cell centers,
+the mu datum once per boundary side on its face centers, with the box
+lengths of ``[grid]`` fixing the period of the trigonometric profiles.
 
 Exit codes: 0 ok, 2 config error, 3 numerical failure, 4 verification
 failure.
@@ -142,20 +146,6 @@ def parse_profile(text: str, lengths=None):
     raise ConfigError(f"unknown profile {name!r}")
 
 
-def parse_boundary_profile(text: str, lengths=None):
-    """Profile as a boundary datum callable (point, t) -> value.
-
-    A boundary point is not a full cell-center mesh, so the trigonometric
-    profiles need the box ``lengths``.
-    """
-    f = parse_profile(text, lengths)
-
-    def datum(x, t):
-        X = tuple(np.asarray([xi]) for xi in x)
-        return float(f(X, t)[0])
-    return datum
-
-
 # -- config loading -------------------------------------------------------
 
 
@@ -209,7 +199,7 @@ def load_config(path):
         bc = solver.neumann_bc()
     elif bc_kind == "dirichlet":
         bc = solver.dirichlet_bc(
-            parse_boundary_profile(_get(cp, "bc", "datum"), lengths))
+            parse_profile(_get(cp, "bc", "datum"), lengths))
     else:
         raise ConfigError(f"unknown bc kind {bc_kind!r}")
 

@@ -76,6 +76,32 @@ class Grid:
             object.__setattr__(self, "_mesh", cached)
         return cached
 
+    def boundary_sides(self):
+        """Per boundary side, (axis, X, cells), in the order axis 0 low,
+        axis 0 high, axis 1 low, ... (cached).
+
+        ``X`` holds the face-center coordinate arrays of the side, shaped
+        like the grid with length 1 along ``axis``; ``cells`` is the index
+        of the adjacent slab of cells, which has that same shape.
+        """
+        cached = getattr(self, "_sides", None)
+        if cached is None:
+            sides = []
+            for axis in range(self.dim):
+                for coord, slab in ((0.0, slice(0, 1)),
+                                    (self.lengths[axis], slice(-1, None))):
+                    axes = [self.axis_centers(a) for a in range(self.dim)]
+                    axes[axis] = np.array([coord])
+                    X = tuple(np.meshgrid(*axes, indexing="ij"))
+                    for x in X:
+                        x.flags.writeable = False
+                    cells = tuple(slab if a == axis else slice(None)
+                                  for a in range(self.dim))
+                    sides.append((axis, X, cells))
+            cached = tuple(sides)
+            object.__setattr__(self, "_sides", cached)
+        return cached
+
     def zeros(self) -> np.ndarray:
         return np.zeros(self.shape)
 
@@ -272,17 +298,19 @@ def pcg(apply_A: Callable, b: np.ndarray,
 
 
 def inverse_neumann(grid: Grid, psi: np.ndarray,
-                    method: str = "auto") -> np.ndarray:
+                    method: str = "dct") -> np.ndarray:
     """Mean-free solution u of -Lap_N u = psi; requires mean(psi) = 0.
 
-    ``method``: "auto"/"dct" use the exact cosine diagonalization, "cg"
-    plain CG on the stencil (an independent cross-check).
+    ``method``: "dct" uses the exact cosine diagonalization, "cg" plain CG
+    on the stencil (an independent cross-check).
     """
     nrm = grid.l2_norm(psi)
     if abs(grid.mean(psi)) > 1e-10 * max(nrm, 1e-300):
         raise MeanError("inverse_neumann needs a mean-free right-hand side")
-    if method in ("auto", "dct"):
+    if method == "dct":
         return _solve_neumann_dct(grid, psi)
+    if method != "cg":
+        raise ValueError(f"unknown inverse method {method!r}")
     # CG stays in the range of the singular operator when started from
     # an exactly mean-free right-hand side
     u = pcg(lambda v: -laplacian_neumann(grid, v), psi - grid.mean(psi))
@@ -290,28 +318,29 @@ def inverse_neumann(grid: Grid, psi: np.ndarray,
 
 
 def inverse_dirichlet(grid: Grid, psi: np.ndarray,
-                      method: str = "auto") -> np.ndarray:
-    """Solution u of -Lap_D u = psi."""
-    if method in ("auto", "dct"):
+                      method: str = "dct") -> np.ndarray:
+    """Solution u of -Lap_D u = psi; ``method`` as for inverse_neumann."""
+    if method == "dct":
         return _solve_dirichlet_dst(grid, psi)
+    if method != "cg":
+        raise ValueError(f"unknown inverse method {method!r}")
     return pcg(lambda v: -laplacian_dirichlet(grid, v), psi)
 
 
-def dual_norm(grid: Grid, psi: np.ndarray, bc: str,
-              method: str = "auto") -> float:
+def dual_norm(grid: Grid, psi: np.ndarray, bc: str) -> float:
     """Dual (inverse-Laplacian) norm of psi.
 
-    Neumann: sqrt(<psi0, N psi0> + mean(psi)^2 * ...) with psi0 the
-    mean-free part, i.e. ||grad N psi0||^2 + |mean psi|^2.  Dirichlet:
-    sqrt(<psi, D psi>) = ||grad D psi||.
+    Neumann: sqrt(<psi0, N psi0> + mean(psi)^2) with psi0 = psi - mean(psi)
+    the mean-free part, i.e. sqrt(||grad N psi0||^2 + mean(psi)^2).
+    Dirichlet: sqrt(<psi, D psi>) = ||grad D psi||.
     """
     if bc == "neumann":
         m = grid.mean(psi)
         psi0 = psi - m
-        u = inverse_neumann(grid, psi0, method=method)
+        u = inverse_neumann(grid, psi0)
         return float(np.sqrt(max(grid.inner(psi0, u), 0.0) + m * m))
     if bc == "dirichlet":
-        u = inverse_dirichlet(grid, psi, method=method)
+        u = inverse_dirichlet(grid, psi)
         return float(np.sqrt(max(grid.inner(psi, u), 0.0)))
     raise ValueError(f"unknown bc {bc!r}")
 
@@ -319,38 +348,19 @@ def dual_norm(grid: Grid, psi: np.ndarray, bc: str,
 # -- harmonic extension ------------------------------------------------
 
 
-def boundary_faces(grid: Grid):
-    """Iterate (axis, side, index tuple, face-center coordinates) over all
-    boundary faces; ``index`` addresses the adjacent cell."""
-    for axis in range(grid.dim):
-        h = grid.h[axis]
-        other_axes = [a for a in range(grid.dim) if a != axis]
-        ranges = [range(grid.shape[a]) for a in other_axes]
-        for side in (0, 1):
-            cell = grid.shape[axis] - 1 if side else 0
-            coord = grid.lengths[axis] if side else 0.0
-            for combo in itertools.product(*ranges):
-                idx = [0] * grid.dim
-                idx[axis] = cell
-                x = [0.0] * grid.dim
-                x[axis] = coord
-                for a, i in zip(other_axes, combo):
-                    idx[a] = i
-                    x[a] = grid.axis_centers(a)[i]
-                yield axis, side, tuple(idx), tuple(x)
+def harmonic_extension(grid: Grid, datum: Callable, t: float) -> np.ndarray:
+    """Discrete harmonic field matching ``datum(X, t)`` on the boundary.
 
-
-def harmonic_extension(grid: Grid, datum: Callable, t: float,
-                       method: str = "auto") -> np.ndarray:
-    """Discrete harmonic field matching ``datum(x, t)`` on the boundary.
-
-    Satisfies the discrete maximum principle: values lie within the range
-    of the boundary datum.
+    ``datum`` is called once per boundary side on the face-center
+    coordinate arrays of :meth:`Grid.boundary_sides` and must return
+    values broadcastable to ``X[0]``.  Each face enters the cell next to
+    it through the odd-reflection ghost as 2*datum/h^2.  Satisfies the
+    discrete maximum principle: values lie within the range of the datum.
     """
     rhs = grid.zeros()
-    for axis, _side, idx, x in boundary_faces(grid):
-        rhs[idx] += 2.0 * float(datum(x, t)) / grid.h[axis] ** 2
-    return inverse_dirichlet(grid, rhs, method=method)
+    for axis, X, cells in grid.boundary_sides():
+        rhs[cells] += 2.0 * datum(X, t) / grid.h[axis] ** 2
+    return inverse_dirichlet(grid, rhs)
 
 
 # -- Neumann eigenbasis ------------------------------------------------

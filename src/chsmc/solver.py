@@ -23,6 +23,7 @@ dense Newton systems directly.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field as dc_field, replace
 from typing import Callable, List, Optional
@@ -43,7 +44,10 @@ class MuBoundaryCondition:
     """Boundary regime for the chemical potential.
 
     ``kind`` is "neumann" (zero flux) or "dirichlet"; in the latter case
-    ``datum`` maps (boundary point, t) to the prescribed value.
+    ``datum`` is a callable (X, t) -> values like the other data, called
+    once per boundary side with X the face-center coordinate arrays of
+    that side (:meth:`Grid.boundary_sides`).  Its result must broadcast
+    to ``X[0]``, so a datum returning a scalar is a constant.
     """
 
     kind: str
@@ -61,6 +65,7 @@ def neumann_bc() -> MuBoundaryCondition:
 
 
 def dirichlet_bc(datum: Callable) -> MuBoundaryCondition:
+    """Dirichlet regime with ``datum(X, t)`` on the boundary faces."""
     return MuBoundaryCondition(kind="dirichlet", datum=datum)
 
 
@@ -112,7 +117,6 @@ class SolverConfig:
     newton_tol: float = 1e-10
     newton_max: int = 50
     output_times: Optional[List[float]] = None
-    galerkin_integrator: str = "backward_euler"  # or "rk4"
 
     def __post_init__(self):
         if self.scheme not in ("coupled_neumann", "eliminated_dirichlet",
@@ -344,8 +348,9 @@ def step_galerkin_neumann(coeffs: np.ndarray, t: float, data: ProblemData,
 
     With A = diag(lambda), the combined system reads
     (I + tau*A) c' + A*(A c + P[N(u)] + P[sigma(u)] - P[g]) = 0 where the
-    nonlinearities are evaluated by collocation.  Backward Euler (with the
-    same splitting as the finite-difference steppers) or explicit RK4.
+    nonlinearities are evaluated by collocation.  Backward Euler with the
+    same splitting as the finite-difference steppers: Yosida term
+    implicit, perturbation and control explicit.
     """
     grid = data.grid
     dt = cfg.dt if dt is None else dt
@@ -354,27 +359,6 @@ def step_galerkin_neumann(coeffs: np.ndarray, t: float, data: ProblemData,
     lam = basis.eigenvalues
     scale = lam / (1.0 + data.tau * lam)
 
-    if cfg.galerkin_integrator == "rk4":
-        crit = dt * np.max(lam**2 / (1.0 + data.tau * lam))
-        if crit > 2.0:
-            warnings.warn(
-                f"RK4 stability indicator dt*lam^2/(1+tau*lam) = {crit:.2f}"
-                " exceeds 2; expect blow-up", stacklevel=2)
-
-        def rate(c, s):
-            u = basis.synthesize(c)
-            nl = (pot.beta_eps(data.spec, cfg.eps, u)
-                  + _explicit_part(data, X, u, s))
-            gc = basis.project(data.g(X, s))
-            return -scale * (lam * c + basis.project(nl) - gc)
-
-        k1 = rate(coeffs, t)
-        k2 = rate(coeffs + 0.5 * dt * k1, t + 0.5 * dt)
-        k3 = rate(coeffs + 0.5 * dt * k2, t + 0.5 * dt)
-        k4 = rate(coeffs + dt * k3, t_new)
-        return coeffs + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-    # backward Euler, Yosida term implicit, perturbation/control explicit
     u_n = basis.synthesize(coeffs)
     expl = _explicit_part(data, X, u_n, t_new)
     fixed = basis.project(expl - data.g(X, t_new))
@@ -491,8 +475,9 @@ def _advance(state, data, cfg, dt, basis, coeffs, depth=0):
 
 
 def run(data: ProblemData, cfg: SolverConfig) -> Trajectory:
-    """Integrate from 0 to T; snapshots at the requested output times
-    (t = 0 always included), diagnostics at every step."""
+    """Integrate from 0 to T in steps of dt, the last one shortened to end
+    exactly at T; snapshots at the requested output times (t = 0 always
+    included), diagnostics at every step."""
     if _SCHEME_BC[cfg.scheme] != data.bc.kind:
         raise ConfigError(
             f"scheme {cfg.scheme} incompatible with bc {data.bc.kind}")
@@ -509,7 +494,12 @@ def run(data: ProblemData, cfg: SolverConfig) -> Trajectory:
             "explicit control term is stiff: dt*rho/(tau*eps) = "
             f"{cfg.dt * rho / (data.tau * s_eps):.2f} > 1", stacklevel=2)
 
-    nsteps = int(round(cfg.T / cfg.dt)) if cfg.T > 0 else 0
+    # ceil(T/dt) steps, the last one cut to end exactly at T.  A ratio
+    # within 1e-9 (relative, absolute below 1) of a whole number counts as
+    # that number, so roundoff in T/dt adds no sliver of a step and a
+    # horizon below 1e-9*dt takes none.
+    ratio = cfg.T / cfg.dt
+    nsteps = math.ceil(ratio - 1e-9 * max(ratio, 1.0))
     out_times = cfg.output_times
     if out_times is None:
         out_times = [cfg.T] if cfg.T > 0 else []
@@ -521,14 +511,16 @@ def run(data: ProblemData, cfg: SolverConfig) -> Trajectory:
     _record(diag, grid, data, cfg, state, None, cfg.dt)
     prev_phi = state.phi
     for n in range(nsteps):
+        dt = cfg.dt if n < nsteps - 1 else cfg.T - state.t
         try:
-            state, coeffs = _advance(state, data, cfg, cfg.dt, basis,
-                                     coeffs)
+            state, coeffs = _advance(state, data, cfg, dt, basis, coeffs)
         except NewtonError as exc:
-            raise NewtonError(f"{exc} (t = {state.t + cfg.dt:g})") from exc
-        _record(diag, grid, data, cfg, state, prev_phi, cfg.dt)
+            raise NewtonError(f"{exc} (t = {state.t + dt:g})") from exc
+        _record(diag, grid, data, cfg, state, prev_phi, dt)
         prev_phi = state.phi
-        while remaining and state.t >= remaining[0] - 0.5 * cfg.dt:
+        # an output time goes to the step that ends nearest to it
+        next_dt = min(cfg.dt, cfg.T - state.t)
+        while remaining and state.t >= remaining[0] - 0.5 * next_dt:
             snapshots.append(state)
             remaining.pop(0)
     return Trajectory(grid=grid, bc_kind=data.bc.kind, snapshots=snapshots,

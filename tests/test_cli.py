@@ -97,8 +97,9 @@ def test_parse_profile_errors():
 
 
 def test_parse_boundary_profile_scalar():
-    datum = cli.parse_boundary_profile("constant value=0.7")
-    assert datum((0.0,), 0.0) == 0.7
+    datum = cli.parse_profile("constant value=0.7")
+    for _, X, _ in Grid(shape=(4, 3), lengths=(1.0, 2.0)).boundary_sides():
+        assert np.array_equal(datum(X, 0.0), np.full(X[0].shape, 0.7))
 
 
 def test_boundary_datum_uses_box_lengths(tmp_path):

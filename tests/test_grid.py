@@ -144,6 +144,15 @@ def test_inverse_dirichlet_solves(grid2d, method):
     assert np.allclose(-gr.laplacian_dirichlet(grid2d, u), psi, atol=1e-8)
 
 
+@pytest.mark.parametrize("inverse", [gr.inverse_neumann,
+                                     gr.inverse_dirichlet])
+@pytest.mark.parametrize("method", ["dtc", "auto", "CG"])
+def test_inverse_rejects_unknown_method(grid1d, inverse, method):
+    psi = np.cos(np.pi * grid1d.meshgrid()[0] / grid1d.lengths[0])
+    with pytest.raises(ValueError, match="unknown inverse method"):
+        inverse(grid1d, psi, method=method)
+
+
 # -- conjugate gradients -----------------------------------------------------
 
 
@@ -208,15 +217,52 @@ def test_harmonic_extension_constant_and_linear(grid1d):
 def test_harmonic_extension_maximum_principle(grid2d):
     datum = lambda x, t: np.sin(3.0 * x[0]) + 0.5 * np.cos(2.0 * x[1])
     u = gr.harmonic_extension(grid2d, datum, 0.0)
-    vals = [datum(x, 0.0) for _, _, _, x in gr.boundary_faces(grid2d)]
+    vals = np.concatenate([datum(X, 0.0).ravel()
+                           for _, X, _ in grid2d.boundary_sides()])
     assert np.min(u) >= min(vals) - 1e-10
     assert np.max(u) <= max(vals) + 1e-10
 
 
 def test_boundary_faces_count(grid2d):
-    faces = list(gr.boundary_faces(grid2d))
+    sides = grid2d.boundary_sides()
     n0, n1 = grid2d.shape
-    assert len(faces) == 2 * n0 + 2 * n1
+    assert sum(X[0].size for _, X, _ in sides) == 2 * n0 + 2 * n1
+    assert sides is grid2d.boundary_sides()  # cached
+    for k, (axis, X, cells) in enumerate(sides):
+        assert axis == k // 2
+        assert grid2d.zeros()[cells].shape == X[0].shape
+        assert np.all(X[axis] == (grid2d.lengths[axis] if k % 2 else 0.0))
+
+
+def _per_face_harmonic_extension(grid, datum, t):
+    """Reference: the datum evaluated at one boundary face at a time and
+    added to the adjacent cell, axis by axis, low side first."""
+    rhs = grid.zeros()
+    for axis in range(grid.dim):
+        for cell, coord in ((0, 0.0),
+                            (grid.shape[axis] - 1, grid.lengths[axis])):
+            for idx in np.ndindex(*grid.shape):
+                if idx[axis] != cell:
+                    continue
+                x = [grid.axis_centers(a)[i] for a, i in enumerate(idx)]
+                x[axis] = coord
+                rhs[idx] += 2.0 * float(datum(tuple(x), t)) / grid.h[axis]**2
+    return gr.inverse_dirichlet(grid, rhs)
+
+
+@pytest.mark.parametrize("shape, lengths", [
+    ((17,), (0.8,)), ((12, 10), (1.0, 2.0)), ((6, 7, 5), (0.4, 0.5, 0.3))])
+@pytest.mark.parametrize("datum", [
+    lambda X, t: np.tanh((X[0] - 0.3) / 0.1) * np.cos(2.0 * X[-1] + 3.0 * t)
+    + t * X[-1],
+    lambda X, t: -0.7,
+], ids=["varying", "scalar"])
+def test_harmonic_extension_matches_per_face_reference(shape, lengths, datum):
+    grid = Grid(shape=shape, lengths=lengths)
+    for t in (0.0, 0.37):
+        u = gr.harmonic_extension(grid, datum, t)
+        ref = _per_face_harmonic_extension(grid, datum, t)
+        assert np.max(np.abs(u - ref)) <= 1e-14
 
 
 # -- eigenbasis ---------------------------------------------------------------

@@ -300,32 +300,6 @@ def test_galerkin_full_basis_matches_coupled():
     assert diff < 1e-7
 
 
-def test_galerkin_rk4_matches_linear_decay():
-    grid = small_grid(16)
-    tau, k = 1.0, 1
-    lam = grid.axis_eigenvalues_neumann(0)[k]
-    x = grid.meshgrid()[0]
-    phi0 = 0.2 * np.cos(np.pi * k * x)
-    data = neumann_problem(grid, zero_potential(), phi0, tau=tau)
-    cfg = solver.SolverConfig(eps=1e-2, dt=1e-3, T=0.1,
-                              scheme="galerkin_neumann", n_modes=8,
-                              galerkin_integrator="rk4")
-    traj = solver.run(data, cfg)
-    rate = lam**2 / (1.0 + tau * lam)
-    exact = 0.2 * np.exp(-rate * 0.1) * np.cos(np.pi * k * x)
-    assert np.allclose(traj.snapshots[-1].phi, exact, atol=1e-6)
-
-
-def test_galerkin_rk4_warns_when_unstable():
-    grid = small_grid(32)
-    data = neumann_problem(grid, zero_potential(), grid.zeros())
-    cfg = solver.SolverConfig(eps=1e-2, dt=1e-2, T=1e-2,
-                              scheme="galerkin_neumann", n_modes=32,
-                              galerkin_integrator="rk4")
-    with pytest.warns(UserWarning, match="stability"):
-        solver.run(data, cfg)
-
-
 # -- time accuracy -------------------------------------------------------------
 
 
@@ -365,6 +339,31 @@ def test_output_times_and_diagnostics(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == ",".join(solver.DiagnosticsSeries.COLUMNS)
     assert len(lines) == 12
+
+
+# T = 0.0104 needs a shortened last step; ten additions of 1e-3 give
+# T/dt = 10.000000000000002, which must still be ten steps.
+@pytest.mark.parametrize("T, steps", [(0.0104, 11), (sum([1e-3] * 10), 10)])
+def test_horizon_lands_on_T(T, steps):
+    grid = small_grid()
+    data = neumann_problem(grid, pot.regular(), cosine_data(grid))
+    cfg = solver.SolverConfig(eps=1e-2, dt=1e-3, T=T,
+                              scheme="coupled_neumann", output_times=[T])
+    traj = solver.run(data, cfg)
+    assert len(traj.diagnostics.t) == steps + 1  # initial record + steps
+    assert traj.diagnostics.t[-1] == T
+    assert traj.diagnostics.t[-2] == pytest.approx((steps - 1) * 1e-3,
+                                                   abs=1e-15)
+    assert [s.t for s in traj.snapshots] == [0.0, T]
+
+
+def test_horizon_below_step_roundoff_takes_no_step():
+    grid = small_grid()
+    data = neumann_problem(grid, pot.regular(), cosine_data(grid))
+    cfg = solver.SolverConfig(eps=1e-2, dt=1e-3, T=5e-324,
+                              scheme="coupled_neumann")
+    traj = solver.run(data, cfg)
+    assert traj.diagnostics.t == [0.0]
 
 
 def test_assemble_G_eps_requires_target_derivatives():
