@@ -4,21 +4,29 @@ Second-order finite differences with ghost cells: mirrored ghosts give the
 zero-flux (Neumann) Laplacian, odd-reflection ghosts the homogeneous
 Dirichlet one.  Both operators are diagonalized exactly by tensor-product
 DCT-II / DST-II bases, which provides the fast inversion path on these
-uniform grids.  The module also holds the package's one preconditioned CG
-loop: the time steppers run it on their Newton systems, preconditioned by
-a DCT diagonal (:func:`apply_cosine_symbol`), and the ``method="cg"``
-inverses run it unpreconditioned as an independent cross-check of the
-transform solves.
+uniform grids.  On small grids the transforms are applied as dense
+per-axis matrices (the fast diagonalization method of Lynch, Rice &
+Thomas, 1964), because there a matrix product costs less than the
+per-call overhead of ``scipy.fft``; larger grids, where the O(n log n)
+transform wins, use ``scipy.fft``.  The choice depends on the grid shape
+alone (:func:`_dense_transforms`).
+
+The module also holds the package's one preconditioned CG loop: the time
+steppers run it on their Newton systems, preconditioned by a DCT diagonal
+(:func:`apply_cosine_symbol`), and the ``method="cg"`` inverses run it
+unpreconditioned as an independent cross-check of the transform solves.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.fft import dctn, dstn, idctn, idstn
+from scipy.fft import dct, dctn, dst, dstn, idctn, idstn
 
 from .errors import MeanError, ModeRangeError, SolveError
 
@@ -43,23 +51,32 @@ class Grid:
         object.__setattr__(self, "lengths",
                            tuple(float(L) for L in self.lengths))
 
+    # Derived sizes and arrays are computed once per grid and kept in the
+    # instance dict; equality and hashing see only shape and lengths.
+
+    def _cached(self, key, build):
+        value = self.__dict__.get(key)
+        if value is None:
+            value = self.__dict__[key] = build()
+        return value
+
     @property
     def dim(self) -> int:
         return len(self.shape)
 
-    @property
+    @cached_property
     def h(self) -> tuple:
         return tuple(L / n for L, n in zip(self.lengths, self.shape))
 
-    @property
+    @cached_property
     def volume(self) -> float:
         return float(np.prod(self.lengths))
 
-    @property
+    @cached_property
     def cell_volume(self) -> float:
         return float(np.prod(self.h))
 
-    @property
+    @cached_property
     def ncells(self) -> int:
         return int(np.prod(self.shape))
 
@@ -69,12 +86,8 @@ class Grid:
 
     def meshgrid(self):
         """Cell-center coordinate arrays, one per axis, each grid-shaped."""
-        cached = getattr(self, "_mesh", None)
-        if cached is None:
-            axes = [self.axis_centers(a) for a in range(self.dim)]
-            cached = tuple(np.meshgrid(*axes, indexing="ij"))
-            object.__setattr__(self, "_mesh", cached)
-        return cached
+        return self._cached("_mesh", lambda: tuple(np.meshgrid(
+            *[self.axis_centers(a) for a in range(self.dim)], indexing="ij")))
 
     def boundary_sides(self):
         """Per boundary side, (axis, X, cells), in the order axis 0 low,
@@ -84,23 +97,22 @@ class Grid:
         like the grid with length 1 along ``axis``; ``cells`` is the index
         of the adjacent slab of cells, which has that same shape.
         """
-        cached = getattr(self, "_sides", None)
-        if cached is None:
-            sides = []
-            for axis in range(self.dim):
-                for coord, slab in ((0.0, slice(0, 1)),
-                                    (self.lengths[axis], slice(-1, None))):
-                    axes = [self.axis_centers(a) for a in range(self.dim)]
-                    axes[axis] = np.array([coord])
-                    X = tuple(np.meshgrid(*axes, indexing="ij"))
-                    for x in X:
-                        x.flags.writeable = False
-                    cells = tuple(slab if a == axis else slice(None)
-                                  for a in range(self.dim))
-                    sides.append((axis, X, cells))
-            cached = tuple(sides)
-            object.__setattr__(self, "_sides", cached)
-        return cached
+        return self._cached("_sides", self._build_boundary_sides)
+
+    def _build_boundary_sides(self):
+        sides = []
+        for axis in range(self.dim):
+            for coord, slab in ((0.0, slice(0, 1)),
+                                (self.lengths[axis], slice(-1, None))):
+                axes = [self.axis_centers(a) for a in range(self.dim)]
+                axes[axis] = np.array([coord])
+                X = tuple(np.meshgrid(*axes, indexing="ij"))
+                for x in X:
+                    x.flags.writeable = False
+                cells = tuple(slab if a == axis else slice(None)
+                              for a in range(self.dim))
+                sides.append((axis, X, cells))
+        return tuple(sides)
 
     def zeros(self) -> np.ndarray:
         return np.zeros(self.shape)
@@ -171,19 +183,47 @@ class Grid:
     def eigenvalues(self, bc: str) -> np.ndarray:
         """Eigenvalues of -Lap on the tensor-product DCT-II ("neumann") or
         DST-II ("dirichlet") modes, grid-shaped and read-only (cached)."""
-        if bc not in ("neumann", "dirichlet"):
-            raise ValueError(f"unknown bc {bc!r}")
-        key = "_eig_" + bc
-        cached = getattr(self, key, None)
-        if cached is None:
+        def build():
+            _check_bc(bc)
             axis_eig = (self.axis_eigenvalues_neumann if bc == "neumann"
                         else self.axis_eigenvalues_dirichlet)
-            cached = axis_eig(0)
+            lam = axis_eig(0)
             for a in range(1, self.dim):
-                cached = cached[..., None] + axis_eig(a)
-            cached.flags.writeable = False
-            object.__setattr__(self, key, cached)
-        return cached
+                lam = lam[..., None] + axis_eig(a)
+            return _read_only(lam)
+        return self._cached("_eig_" + bc, build)
+
+    def inverse_eigenvalues(self, bc: str) -> np.ndarray:
+        """Symbol of (-Lap)^{-1}: 1/eigenvalues(bc), with the Neumann zero
+        mode set to 0 (the mean-free inverse); read-only (cached)."""
+        def build():
+            lam = self.eigenvalues(bc)
+            inv = np.zeros_like(lam)
+            np.divide(1.0, lam, out=inv, where=lam != 0.0)
+            return _read_only(inv)
+        return self._cached("_inv_eig_" + bc, build)
+
+    def transform_matrices(self, bc: str) -> tuple:
+        """Per axis, the orthonormal DCT-II ("neumann") or DST-II
+        ("dirichlet") matrix M with M @ u = dct(u) (resp. dst(u)) along
+        that axis; M.T is its inverse.  Read-only (cached)."""
+        def build():
+            _check_bc(bc)
+            transform = dct if bc == "neumann" else dst
+            return tuple(_read_only(transform(np.eye(n), type=2,
+                                              norm="ortho", axis=0))
+                         for n in self.shape)
+        return self._cached("_mat_" + bc, build)
+
+
+def _check_bc(bc: str) -> None:
+    if bc not in ("neumann", "dirichlet"):
+        raise ValueError(f"unknown bc {bc!r}")
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 # -- Laplacians --------------------------------------------------------
@@ -222,27 +262,57 @@ def laplacian_dirichlet(grid: Grid, u: np.ndarray) -> np.ndarray:
 # -- fast transform solves ---------------------------------------------
 
 
-def _solve_neumann_dct(grid: Grid, rhs: np.ndarray) -> np.ndarray:
-    coeff = dctn(rhs, type=2, norm="ortho")
-    lam = grid.eigenvalues("neumann")
-    flat = coeff.reshape(-1)
-    lamf = lam.reshape(-1)
-    out = np.zeros_like(flat)
-    out[1:] = flat[1:] / lamf[1:]  # zero mode removed: mean-free inverse
-    return idctn(out.reshape(grid.shape), type=2, norm="ortho")
+def _dense_transforms(shape: tuple) -> bool:
+    """Whether per-axis matrix products beat ``scipy.fft`` on this shape.
+
+    A dense transform costs about ncells*sum(shape) multiply-adds against
+    the FFT's O(ncells*log n) plus a fixed per-call overhead of tens of
+    microseconds, which dominates on small grids.  The bound comes from a
+    single-threaded sweep over 1-D, 2-D and 3-D shapes and errs towards
+    the FFT near the crossover.
+    """
+    return math.prod(shape) * sum(shape) <= 2e6 and max(shape) <= 256
 
 
-def _solve_dirichlet_dst(grid: Grid, rhs: np.ndarray) -> np.ndarray:
-    coeff = dstn(rhs, type=2, norm="ortho")
-    return idstn(coeff / grid.eigenvalues("dirichlet"), type=2, norm="ortho")
+def _symbol_dense(grid: Grid, u: np.ndarray, symbol: np.ndarray,
+                  bc: str) -> np.ndarray:
+    M = grid.transform_matrices(bc)
+    if grid.dim == 1:
+        (A,) = M
+        return A.T @ (symbol * (A @ u))
+    if grid.dim == 2:
+        A, B = M
+        return A.T @ (symbol * (A @ u @ B.T)) @ B
+    # 3-D: axes 1 and 2 as a stack of 2-D products, then axis 0 on the
+    # (n0, n1*n2) reshape
+    A, B, C = M
+    n0 = grid.shape[0]
+    coeff = (A @ (B @ u @ C.T).reshape(n0, -1)).reshape(grid.shape)
+    return (A.T @ (B.T @ (symbol * coeff) @ C).reshape(n0, -1)).reshape(
+        grid.shape)
+
+
+def _symbol_fft(u: np.ndarray, symbol: np.ndarray, bc: str) -> np.ndarray:
+    forward, inverse = (dctn, idctn) if bc == "neumann" else (dstn, idstn)
+    return inverse(forward(u, type=2, norm="ortho") * symbol, type=2,
+                   norm="ortho")
+
+
+def _apply_symbol(grid: Grid, u: np.ndarray, symbol: np.ndarray,
+                  bc: str) -> np.ndarray:
+    """Multiply the orthonormal DCT-II ("neumann") or DST-II ("dirichlet")
+    coefficients of ``u`` by the grid-shaped ``symbol`` and transform
+    back; dense or FFT transforms as :func:`_dense_transforms` selects."""
+    if _dense_transforms(grid.shape):
+        return _symbol_dense(grid, u, symbol, bc)
+    return _symbol_fft(u, symbol, bc)
 
 
 def apply_cosine_symbol(grid: Grid, u: np.ndarray,
                         symbol: np.ndarray) -> np.ndarray:
     """Operator diagonal in the orthonormal DCT-II basis: multiply the
     cosine coefficients of ``u`` by the grid-shaped ``symbol``."""
-    return idctn(dctn(u, type=2, norm="ortho") * symbol, type=2,
-                 norm="ortho")
+    return _apply_symbol(grid, u, symbol, "neumann")
 
 
 # -- conjugate gradients -----------------------------------------------
@@ -308,7 +378,8 @@ def inverse_neumann(grid: Grid, psi: np.ndarray,
     if abs(grid.mean(psi)) > 1e-10 * max(nrm, 1e-300):
         raise MeanError("inverse_neumann needs a mean-free right-hand side")
     if method == "dct":
-        return _solve_neumann_dct(grid, psi)
+        return _apply_symbol(grid, psi, grid.inverse_eigenvalues("neumann"),
+                             "neumann")
     if method != "cg":
         raise ValueError(f"unknown inverse method {method!r}")
     # CG stays in the range of the singular operator when started from
@@ -321,7 +392,9 @@ def inverse_dirichlet(grid: Grid, psi: np.ndarray,
                       method: str = "dct") -> np.ndarray:
     """Solution u of -Lap_D u = psi; ``method`` as for inverse_neumann."""
     if method == "dct":
-        return _solve_dirichlet_dst(grid, psi)
+        return _apply_symbol(grid, psi,
+                             grid.inverse_eigenvalues("dirichlet"),
+                             "dirichlet")
     if method != "cg":
         raise ValueError(f"unknown inverse method {method!r}")
     return pcg(lambda v: -laplacian_dirichlet(grid, v), psi)

@@ -345,33 +345,45 @@ def beta_eps_prime(spec: PotentialSpec, eps: float, r):
     return float(out) if scalar else out
 
 
-def moreau_envelope(spec: PotentialSpec, eps: float, r):
+def moreau_envelope(spec: PotentialSpec, eps: float, r, xi=None):
     """Moreau-Yosida envelope of the convex part.
 
     Equals |r - J|^2/(2 eps) + B_hat(J) at the resolvent point J, is
     everywhere defined, nonnegative, and dominated by B_hat on its domain.
+    A caller that already holds ``xi = beta_eps(r)`` passes it to skip the
+    resolvent solve: then J = r - eps*xi and the envelope is
+    eps*xi^2/2 + B_hat(J).
     """
     arr, scalar = _as_array(r)
-    s = resolvent(spec, eps, arr)
-    out = (arr - s) ** 2 / (2.0 * eps) + B_hat(spec, s)
+    if xi is None:
+        s = resolvent(spec, eps, arr)
+        out = (arr - s) ** 2 / (2.0 * eps) + B_hat(spec, s)
+    else:
+        # r - eps*xi can leave the closure of the domain by an ulp, where
+        # B_hat would reject it
+        s = np.clip(arr - eps * xi, spec.lo, spec.hi)
+        out = 0.5 * eps * xi**2 + B_hat(spec, s)
     return float(out) if scalar else out
 
 
 def free_energy(grid, phi: np.ndarray, spec: PotentialSpec,
                 eps: Optional[float] = None,
-                gradient: str = "centered") -> float:
+                gradient: str = "centered",
+                xi: Optional[np.ndarray] = None) -> float:
     """Quadrature of |grad phi|^2/2 + f(phi) over the grid (diagnostic).
 
     With ``eps`` set, the convex part is replaced by its Moreau envelope so
-    the density is defined for any field values.  ``gradient="centered"``
-    uses second-order centered differences (one-sided at the boundary);
-    ``gradient="faces"`` uses face differences, which matches the discrete
-    summation-by-parts identity used by the energy-decay diagnostic.
+    the density is defined for any field values; ``xi = beta_eps(phi)``,
+    when given, spares the envelope its resolvent solve.
+    ``gradient="centered"`` uses second-order centered differences
+    (one-sided at the boundary); ``gradient="faces"`` uses face
+    differences, which matches the discrete summation-by-parts identity
+    used by the energy-decay diagnostic.
     """
     if eps is None:
         dens = B_hat(spec, phi) + Pi(spec, phi)
     else:
-        dens = moreau_envelope(spec, eps, phi) + Pi(spec, phi)
+        dens = moreau_envelope(spec, eps, phi, xi) + Pi(spec, phi)
     total = float(np.sum(dens)) * grid.cell_volume
     total += 0.5 * grid.gradient_energy(phi, scheme=gradient)
     return total

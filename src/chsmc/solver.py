@@ -202,7 +202,9 @@ def _newton(residual, jacobian, x0, grid, tol, maxiter,
     system is solved by preconditioned CG to a relative tolerance of
     ``_INNER_RTOL``, or until its residual is below ``_INNER_FLOOR * tol``
     in the grid L2 norm, so the outer iteration converges like exact
-    Newton.  A CG breakdown raises :class:`NewtonError`.
+    Newton.  A CG breakdown raises :class:`NewtonError`.  The returned
+    iterate is the one of the last ``residual`` call, so a caller may
+    reuse what that call computed.
     """
     floor = _INNER_FLOOR * tol / np.sqrt(grid.cell_volume)
     x = x0.copy()
@@ -297,9 +299,11 @@ def step_eliminated(state: StateSnapshot, data: ProblemData,
         tau d/dt + G(d)/dt - Lap_N phi + P[beta_eps(phi) + explicit - g
                                            + mu_H] = 0,
 
-    and recovers mu = mu_H - G(d/dt) + (I - P)[xi + explicit - g], with
+    and recovers mu = mu_H - G(d)/dt + (I - P)[xi + explicit - g], with
     mu_H the harmonic extension of the Dirichlet datum (0 for zero flux).
     For zero flux d stays mean-free, so the mean of phi is conserved.
+    xi = beta_eps(phi) and G(d) are those of Newton's last residual
+    evaluation, which was at the returned d.
     """
     grid = data.grid
     dt = cfg.dt if dt is None else dt
@@ -312,13 +316,16 @@ def step_eliminated(state: StateSnapshot, data: ProblemData,
     phi_n = state.phi
     expl_g = _explicit_part(data, X, phi_n, t_new) - data.g(X, t_new)
     fixed = expl_g + mu_H
+    last = {}
 
     def residual(d):
         phi = phi_n + d
+        last["xi"] = pot.beta_eps(data.spec, cfg.eps, phi)
+        last["Gd"] = G(d)
         return (data.tau * d / dt
-                + G(d) / dt
+                + last["Gd"] / dt
                 - laplacian_neumann(grid, phi)
-                + P(pot.beta_eps(data.spec, cfg.eps, phi) + fixed))
+                + P(last["xi"] + fixed))
 
     def jacobian(d):
         bprime = pot.beta_eps_prime(data.spec, cfg.eps, phi_n + d)
@@ -327,9 +334,9 @@ def step_eliminated(state: StateSnapshot, data: ProblemData,
     d, iters = _newton(residual, jacobian, grid.zeros(), grid,
                        cfg.newton_tol, cfg.newton_max, postprocess=P)
     phi = phi_n + d
-    xi = pot.beta_eps(data.spec, cfg.eps, phi)
+    xi = last["xi"]
     rest = xi + expl_g
-    mu = mu_H - G(d / dt) + (rest - P(rest))
+    mu = mu_H - last["Gd"] / dt + (rest - P(rest))
     zeta = smc.apply_S_eps(data.control, phi - data.phistar(X, t_new))
     return StateSnapshot(t=t_new, phi=phi, mu=mu, xi=xi, zeta=zeta,
                          newton_iters=iters)
@@ -417,7 +424,7 @@ def _record(diag: DiagnosticsSeries, grid: Grid, data: ProblemData,
     X = grid.meshgrid()
     chi = state.phi - data.phistar(X, state.t)
     fe = pot.free_energy(grid, state.phi, data.spec, eps=cfg.eps,
-                         gradient="faces")
+                         gradient="faces", xi=state.xi)
     if (data.bc.kind == "dirichlet" and data.dphistar_dt is not None
             and data.lap_phistar is not None):
         supG = grid.sup_norm(assemble_G_eps(state, data))
@@ -438,7 +445,8 @@ def _record(diag: DiagnosticsSeries, grid: Grid, data: ProblemData,
 
 def _advance(state, data, cfg, dt, basis, coeffs, depth=0):
     """One step with halving-on-failure (depth-bounded); each halving warns
-    and the result counts the Newton iterations of both halves."""
+    and the result counts the Newton iterations of both halves.  The
+    second half ends at state.t + dt, as the whole step would have."""
     try:
         if cfg.scheme == "coupled_neumann":
             return step_coupled_neumann(state, data, cfg, dt=dt), None
@@ -468,16 +476,18 @@ def _advance(state, data, cfg, dt, basis, coeffs, depth=0):
                       stacklevel=2)
         first, coeffs = _advance(state, data, cfg, dt / 2, basis, coeffs,
                                  depth + 1)
-        second, coeffs = _advance(first, data, cfg, dt / 2, basis, coeffs,
-                                  depth + 1)
+        # state.t + dt - first.t is exact (Sterbenz), so the second half
+        # ends at state.t + dt itself
+        second, coeffs = _advance(first, data, cfg, state.t + dt - first.t,
+                                  basis, coeffs, depth + 1)
         iters = first.newton_iters + second.newton_iters
         return replace(second, newton_iters=iters), coeffs
 
 
 def run(data: ProblemData, cfg: SolverConfig) -> Trajectory:
-    """Integrate from 0 to T in steps of dt, the last one shortened to end
-    exactly at T; snapshots at the requested output times (t = 0 always
-    included), diagnostics at every step."""
+    """Integrate from 0 to T in steps of dt, step n ending at n*dt and the
+    last one shortened to end exactly at T; snapshots at the requested
+    output times (t = 0 always included), diagnostics at every step."""
     if _SCHEME_BC[cfg.scheme] != data.bc.kind:
         raise ConfigError(
             f"scheme {cfg.scheme} incompatible with bc {data.bc.kind}")
@@ -510,18 +520,24 @@ def run(data: ProblemData, cfg: SolverConfig) -> Trajectory:
     diag = DiagnosticsSeries()
     _record(diag, grid, data, cfg, state, None, cfg.dt)
     prev_phi = state.phi
-    for n in range(nsteps):
-        dt = cfg.dt if n < nsteps - 1 else cfg.T - state.t
+    for n in range(1, nsteps + 1):
+        # the end time minus the start time is exact (Sterbenz), so the
+        # step ends at n*dt (at T for the last), with no drift from
+        # summing step lengths
+        dt = (n * cfg.dt if n < nsteps else cfg.T) - state.t
         try:
             state, coeffs = _advance(state, data, cfg, dt, basis, coeffs)
         except NewtonError as exc:
             raise NewtonError(f"{exc} (t = {state.t + dt:g})") from exc
         _record(diag, grid, data, cfg, state, prev_phi, dt)
         prev_phi = state.phi
-        # an output time goes to the step that ends nearest to it
+        # an output time goes to the step that ends nearest to it; one
+        # within roundoff of that step's end is carried exactly
         next_dt = min(cfg.dt, cfg.T - state.t)
         while remaining and state.t >= remaining[0] - 0.5 * next_dt:
-            snapshots.append(state)
-            remaining.pop(0)
+            t_out = remaining.pop(0)
+            snapshots.append(replace(state, t=t_out)
+                             if abs(state.t - t_out) <= 1e-9 * cfg.dt
+                             else state)
     return Trajectory(grid=grid, bc_kind=data.bc.kind, snapshots=snapshots,
                       diagnostics=diag, data=data, cfg=cfg)

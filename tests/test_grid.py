@@ -32,6 +32,20 @@ def test_grid_geometry(grid2d):
     assert Y[0, -1] == pytest.approx(2.0 - grid2d.h[1] / 2)
 
 
+def test_cached_geometry_keeps_equality_and_hash():
+    a = Grid(shape=(12, 10), lengths=(1.0, 2.0))
+    b = Grid(shape=(12, 10), lengths=(1.0, 2.0))
+    assert (a.h, a.volume, a.cell_volume, a.ncells) == (
+        (1.0 / 12, 2.0 / 10), float(np.prod(a.lengths)),
+        float(np.prod(a.h)), 120)
+    a.meshgrid()
+    a.eigenvalues("dirichlet")
+    a.transform_matrices("neumann")
+    assert a == b and hash(a) == hash(b)
+    assert a != Grid(shape=(12, 10), lengths=(1.0, 2.5))
+    assert len({a, b}) == 1
+
+
 def test_quadrature_and_norms(grid1d):
     x = grid1d.meshgrid()[0]
     u = np.full(grid1d.shape, 3.0)
@@ -151,6 +165,54 @@ def test_inverse_rejects_unknown_method(grid1d, inverse, method):
     psi = np.cos(np.pi * grid1d.meshgrid()[0] / grid1d.lengths[0])
     with pytest.raises(ValueError, match="unknown inverse method"):
         inverse(grid1d, psi, method=method)
+
+
+# Shapes on both sides of the dense/FFT selection; the tier-1 fixture grids
+# (64, 12x10, 8^3) are all on the dense side.
+TRANSFORM_SHAPES = [((64,), True), ((256,), True), ((1024,), False),
+                    ((12, 10), True), ((96, 96), True), ((128, 128), False),
+                    ((8, 8, 8), True), ((6, 7, 5), True),
+                    ((24, 24, 24), True), ((32, 32, 32), False)]
+
+
+@pytest.mark.parametrize("shape, dense", TRANSFORM_SHAPES,
+                         ids=[str(s) for s, _ in TRANSFORM_SHAPES])
+@pytest.mark.parametrize("bc", ["neumann", "dirichlet"])
+def test_dense_and_fft_transforms_agree(shape, dense, bc):
+    grid = Grid(shape=shape,
+                lengths=tuple(0.5 + 0.25 * a for a in range(len(shape))))
+    assert gr._dense_transforms(shape) is dense
+    rng = np.random.default_rng(12)
+    psi = rng.standard_normal(shape)
+    psi -= grid.mean(psi)
+    symbol = grid.inverse_eigenvalues(bc)
+    u_dense = gr._symbol_dense(grid, psi, symbol, bc)
+    u_fft = gr._symbol_fft(psi, symbol, bc)
+    scale = np.max(np.abs(u_fft))
+    assert np.max(np.abs(u_dense - u_fft)) <= 1e-13 * scale
+    inverse = gr.inverse_neumann if bc == "neumann" else gr.inverse_dirichlet
+    u = inverse(grid, psi)
+    assert np.array_equal(u, u_dense if dense else u_fft)
+    u_cg = inverse(grid, psi, method="cg")
+    assert np.max(np.abs(u_cg - u)) <= 1e-9 * scale
+
+
+def test_transform_data_cached_read_only(grid2d):
+    for bc in ("neumann", "dirichlet"):
+        mats = grid2d.transform_matrices(bc)
+        assert mats is grid2d.transform_matrices(bc)
+        inv = grid2d.inverse_eigenvalues(bc)
+        assert inv is grid2d.inverse_eigenvalues(bc)
+        for a, M in enumerate(mats):
+            assert not M.flags.writeable
+            assert np.allclose(M @ M.T, np.eye(grid2d.shape[a]), atol=1e-14)
+        assert not inv.flags.writeable
+    lam = grid2d.eigenvalues("neumann")
+    inv = grid2d.inverse_eigenvalues("neumann")
+    assert inv.flat[0] == 0.0  # the zero mode of the mean-free inverse
+    assert np.all(inv.flat[1:] == 1.0 / lam.flat[1:])
+    with pytest.raises(ValueError):
+        grid2d.transform_matrices("robin")
 
 
 # -- conjugate gradients -----------------------------------------------------

@@ -190,6 +190,18 @@ def test_moreau_envelope_obstacle_outside_is_quadratic_distance():
         0.5**2 / (2.0 * eps))
 
 
+@pytest.mark.parametrize("eps", [1e-2, 0.1])
+def test_moreau_envelope_from_beta_eps(spec, eps):
+    """The envelope taken from xi = beta_eps(r) equals the resolvent form;
+    for the obstacle, r - eps*xi leaves [-1, 1] by an ulp at some of these
+    points, which must not reach B_hat."""
+    r = np.linspace(-3.0, 3.0, 2001)
+    env = pot.moreau_envelope(spec, eps, r)
+    env_xi = pot.moreau_envelope(spec, eps, r, pot.beta_eps(spec, eps, r))
+    assert np.all(np.isfinite(env_xi))
+    assert np.allclose(env_xi, env, rtol=1e-12, atol=1e-12)
+
+
 # -- property tests --------------------------------------------------------
 
 

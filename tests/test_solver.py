@@ -5,7 +5,7 @@ from chsmc import potentials as pot
 from chsmc import smc, solver
 from chsmc.errors import (ConfigError, MissingDataError, ModeRangeError,
                           NewtonError)
-from chsmc.grid import Grid, laplacian_neumann
+from chsmc.grid import Grid, harmonic_extension, laplacian_neumann
 
 from conftest import (zero_potential, zero_field, neumann_problem,
                       dirichlet_problem)
@@ -196,6 +196,37 @@ def test_dirichlet_step_recovers_potential():
                        atol=1e-6 * np.max(np.abs(dphi)))
 
 
+@pytest.mark.parametrize("kind", ["neumann", "dirichlet"])
+def test_step_reuses_newtons_last_evaluation(kind):
+    """xi and mu come from Newton's last residual evaluation, which was at
+    the returned iterate: xi is beta_eps(phi) exactly, and mu matches the
+    potential recovered from scratch."""
+    grid = small_grid()
+    phi0 = cosine_data(grid, amp=0.6, offset=0.1)
+    if kind == "neumann":
+        data = neumann_problem(grid, pot.regular(), phi0, rho=1.0)
+        scheme = "coupled_neumann"
+    else:
+        data = dirichlet_problem(grid, pot.regular(), phi0, rho=1.0,
+                                 datum=lambda X, t: 0.2 + X[0] * t)
+        scheme = "eliminated_dirichlet"
+    cfg = solver.SolverConfig(eps=1e-2, dt=1e-3, T=0.0, scheme=scheme)
+    state0 = solver._initial_snapshot(data, cfg)
+    state1 = solver.step_eliminated(state0, data, cfg)
+    assert state1.newton_iters > 0
+    assert np.array_equal(state1.xi,
+                          pot.beta_eps(data.spec, cfg.eps, state1.phi))
+    G, P, _ = solver._regime(grid, kind)
+    X = grid.meshgrid()
+    t = cfg.dt
+    mu_H = (harmonic_extension(grid, data.bc.datum, t)
+            if kind == "dirichlet" else 0.0)
+    rest = (pot.beta_eps(data.spec, cfg.eps, state1.phi)
+            + solver._explicit_part(data, X, state0.phi, t) - data.g(X, t))
+    mu = mu_H - G((state1.phi - state0.phi) / cfg.dt) + (rest - P(rest))
+    assert np.max(np.abs(state1.mu - mu)) <= 1e-13 * np.max(np.abs(mu))
+
+
 def test_control_term_saturates():
     grid = small_grid()
     rho = 2.0
@@ -282,6 +313,27 @@ def test_convex_splitting_energy_inequality():
         state = new
 
 
+def test_obstacle_overshoot_records_envelope_free_energy():
+    """A strong concave part drives phi past the obstacle, and phi - eps*xi
+    then leaves [-1, 1] by an ulp at some cells; the free energy recorded
+    from xi stays finite and equals the resolvent-based one."""
+    grid = small_grid()
+    spec = pot.double_obstacle(60.0)
+    data = neumann_problem(grid, spec, cosine_data(grid, amp=0.9,
+                                                   offset=0.0))
+    cfg = solver.SolverConfig(eps=1e-2, dt=1e-3, T=0.02,
+                              scheme="coupled_neumann",
+                              output_times=[k * 1e-3 for k in range(21)])
+    traj = solver.run(data, cfg)
+    assert len(traj.snapshots) == len(traj.diagnostics.t) == 21
+    assert max(grid.sup_norm(s.phi) for s in traj.snapshots) > 1.0
+    for snap, fe in zip(traj.snapshots, traj.diagnostics.free_energy_reg):
+        ref = pot.free_energy(grid, snap.phi, spec, eps=cfg.eps,
+                              gradient="faces")
+        assert np.isfinite(fe)
+        assert fe == pytest.approx(ref, rel=1e-12, abs=1e-12)
+
+
 # -- cross-scheme agreement ---------------------------------------------------
 
 
@@ -339,6 +391,19 @@ def test_output_times_and_diagnostics(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == ",".join(solver.DiagnosticsSeries.COLUMNS)
     assert len(lines) == 12
+
+
+def test_output_times_are_exact():
+    """Step n ends at n*dt, not at a running sum of step lengths, and a
+    snapshot requested at the end of a step carries the requested time."""
+    grid = small_grid(16)
+    data = neumann_problem(grid, pot.regular(), cosine_data(grid))
+    times = list(np.linspace(0.0, 1.0, 21))
+    cfg = solver.SolverConfig(eps=1e-2, dt=1e-3, T=1.0,
+                              scheme="coupled_neumann", output_times=times)
+    traj = solver.run(data, cfg)
+    assert [s.t for s in traj.snapshots] == times
+    assert traj.diagnostics.t == [n * 1e-3 for n in range(1001)]
 
 
 # T = 0.0104 needs a shortened last step; ten additions of 1e-3 give
