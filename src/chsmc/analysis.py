@@ -186,17 +186,26 @@ class ContdepReport:
         return max((r.ratio for r in self.rows), default=0.0)
 
 
+def _paired_outputs(traj1: Trajectory, traj2: Trajectory):
+    """(phi1 - phi2, length of the output interval ending there) at every
+    output after the first; the two runs must share their output times."""
+    snaps1, snaps2 = traj1.snapshots, traj2.snapshots
+    times = [s.t for s in snaps1]
+    if times != [s.t for s in snaps2]:
+        raise ValueError(f"trajectories differ in their output times: "
+                         f"{times} vs {[s.t for s in snaps2]}")
+    return [(snaps1[k].phi - snaps2[k].phi, times[k] - times[k - 1])
+            for k in range(1, len(times))]
+
+
 def _solution_distance(grid: Grid, traj1: Trajectory,
                        traj2: Trajectory) -> float:
     """Discrete L-infinity(0,T;L2) plus L2(0,T;H1-seminorm) distance over
     the shared output snapshots."""
     sup_h = 0.0
     acc = 0.0
-    snaps1, snaps2 = traj1.snapshots, traj2.snapshots
-    for k in range(1, len(snaps1)):
-        d = snaps1[k].phi - snaps2[k].phi
+    for d, dt_out in _paired_outputs(traj1, traj2):
         sup_h = max(sup_h, grid.l2_norm(d))
-        dt_out = snaps1[k].t - snaps1[k - 1].t
         acc += grid.gradient_energy(d, scheme="faces") * dt_out
     return sup_h + float(np.sqrt(acc))
 
@@ -303,11 +312,8 @@ def yosida_convergence_study(data: ProblemData, cfg: SolverConfig,
         overshoots.append(over)
     rows = []
     for k in range(len(eps_list) - 1):
-        dist = 0.0
-        snaps1, snaps2 = trajs[k].snapshots, trajs[k + 1].snapshots
-        for j in range(1, len(snaps1)):
-            dt_out = snaps1[j].t - snaps1[j - 1].t
-            dist += grid.l2_norm(snaps1[j].phi - snaps2[j].phi) ** 2 * dt_out
+        dist = sum(grid.l2_norm(d) ** 2 * dt_out
+                   for d, dt_out in _paired_outputs(trajs[k], trajs[k + 1]))
         rows.append(YosidaRow(eps_coarse=eps_list[k],
                               eps_fine=eps_list[k + 1],
                               distance=float(np.sqrt(dist)),

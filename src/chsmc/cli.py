@@ -33,17 +33,18 @@ config fully determines a run::
     outputs = 21
 
     [solver]
-    scheme = eliminated_dirichlet
-    eps = 1e-3
+    scheme = eliminated_dirichlet ; or coupled_neumann, or galerkin_neumann
+    eps = 1e-3                    ; (with n_modes = 1 .. number of cells)
 
 Profiles: ``constant value=``, ``cosine amplitude= mode= offset=``,
 ``sine amplitude= mode= offset=``, ``tanh_front center= width= amplitude=
 offset=``, ``ramp slope= offset=`` (mode may be comma-separated per axis;
 tanh_front and ramp act along the first axis).  Every profile, the
-``[bc] datum`` included, is a callable ``(X, t) -> values`` on coordinate
-arrays: ``g``, ``phistar`` and ``phi0`` are evaluated on the cell centers,
-the mu datum once per boundary side on its face centers, with the box
-lengths of ``[grid]`` fixing the period of the trigonometric profiles.
+``[bc] datum`` and the ``[contdep] shape`` included, is a callable
+``(X, t) -> values`` on coordinate arrays: ``g``, ``phistar``, ``phi0``
+and the shape are evaluated on the cell centers, the mu datum once per
+boundary side on its face centers, with the box lengths of ``[grid]``
+fixing the period of the trigonometric profiles.
 
 Exit codes: 0 ok, 2 config error, 3 numerical failure, 4 verification
 failure.
@@ -76,12 +77,11 @@ _NUMERICAL_ERRORS = (NewtonError, SolveError, ConvergenceError, ParamError,
 # -- profile language ----------------------------------------------------
 
 
-def parse_profile(text: str, lengths=None):
+def parse_profile(text: str, lengths):
     """``name key=value ...`` -> callable (X, t) -> field.
 
-    ``lengths`` fixes the box size used by the trigonometric profiles;
-    without it the size is inferred from the coordinate samples (valid
-    for full cell-center meshes only).
+    ``lengths`` are the box lengths, one per axis, that the trigonometric
+    profiles scale their modes to.
     """
     parts = text.split()
     if not parts:
@@ -126,11 +126,7 @@ def parse_profile(text: str, lengths=None):
             out = np.full_like(X[0], amp)
             for a, x in enumerate(X):
                 m = modes[a] if a < len(modes) else 0
-                if lengths is not None:
-                    L = lengths[a]
-                else:
-                    L = np.max(x) + np.min(x)  # cell centers are symmetric
-                out = out * trig(np.pi * m * x / L)
+                out = out * trig(np.pi * m * x / lengths[a])
             return out + off
         return profile
     if name == "tanh_front":
@@ -238,10 +234,13 @@ def load_config(path):
     output_times = (list(np.linspace(0.0, T, n_out))
                     if 0.0 < T < np.inf else [])
     scheme = _get(cp, "solver", "scheme")
+    n_modes = _get(cp, "solver", "n_modes", int, 0)
+    if scheme == "galerkin_neumann" and not 1 <= n_modes <= grid.ncells:
+        raise ConfigError(f"[solver] n_modes must be in [1, {grid.ncells}] "
+                          f"for scheme {scheme}, got {n_modes}")
     cfg = solver.SolverConfig(
         eps=_get(cp, "solver", "eps", float, ctrl_eps),
-        dt=dt, T=T, scheme=scheme,
-        n_modes=_get(cp, "solver", "n_modes", int, 0),
+        dt=dt, T=T, scheme=scheme, n_modes=n_modes,
         output_times=output_times)
     if solver._SCHEME_BC.get(scheme) != bc_kind:
         raise ConfigError(f"scheme {scheme!r} incompatible with bc "
@@ -332,7 +331,8 @@ def cmd_contdep(args) -> int:
     out = _outdir(args)
     cd = extras.get("contdep", {})
     which = cd.get("which", "g")
-    shape = parse_profile(cd.get("shape", "cosine amplitude=1 mode=1"))
+    shape = parse_profile(cd.get("shape", "cosine amplitude=1 mode=1"),
+                          data.grid.lengths)
     deltas = [float(v) for v in
               cd.get("deltas", "1e-1,1e-2,1e-3").split(",")]
     report = analysis.contdep_experiment(data, cfg, which, shape, deltas)

@@ -11,10 +11,9 @@ per-call overhead of ``scipy.fft``; larger grids, where the O(n log n)
 transform wins, use ``scipy.fft``.  The choice depends on the grid shape
 alone (:func:`_dense_transforms`).
 
-The module also holds the package's one preconditioned CG loop: the time
-steppers run it on their Newton systems, preconditioned by a DCT diagonal
-(:func:`apply_cosine_symbol`), and the ``method="cg"`` inverses run it
-unpreconditioned as an independent cross-check of the transform solves.
+The module also holds the package's one preconditioned CG loop, which the
+time stepper runs on its Newton systems, preconditioned by a DCT diagonal
+(:func:`apply_cosine_symbol`).
 """
 
 from __future__ import annotations
@@ -231,7 +230,7 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 def _second_difference(u: np.ndarray, h: float, axis: int,
                        bc: str) -> np.ndarray:
-    v = np.moveaxis(u, axis, 0)
+    v = u.swapaxes(0, axis)
     d = np.empty_like(v)
     d[1:-1] = v[2:] - 2.0 * v[1:-1] + v[:-2]
     if bc == "neumann":  # mirrored ghost equals the edge cell
@@ -240,7 +239,7 @@ def _second_difference(u: np.ndarray, h: float, axis: int,
     else:  # odd reflection: ghost equals minus the edge cell
         d[0] = v[1] - 3.0 * v[0]
         d[-1] = v[-2] - 3.0 * v[-1]
-    return np.moveaxis(d, 0, axis) / h**2
+    return d.swapaxes(0, axis) / h**2
 
 
 def laplacian_neumann(grid: Grid, u: np.ndarray) -> np.ndarray:
@@ -367,37 +366,20 @@ def pcg(apply_A: Callable, b: np.ndarray,
 # -- inverse operators -------------------------------------------------
 
 
-def inverse_neumann(grid: Grid, psi: np.ndarray,
-                    method: str = "dct") -> np.ndarray:
-    """Mean-free solution u of -Lap_N u = psi; requires mean(psi) = 0.
-
-    ``method``: "dct" uses the exact cosine diagonalization, "cg" plain CG
-    on the stencil (an independent cross-check).
-    """
+def inverse_neumann(grid: Grid, psi: np.ndarray) -> np.ndarray:
+    """Mean-free solution u of -Lap_N u = psi by the exact cosine
+    diagonalization; requires mean(psi) = 0."""
     nrm = grid.l2_norm(psi)
     if abs(grid.mean(psi)) > 1e-10 * max(nrm, 1e-300):
         raise MeanError("inverse_neumann needs a mean-free right-hand side")
-    if method == "dct":
-        return _apply_symbol(grid, psi, grid.inverse_eigenvalues("neumann"),
-                             "neumann")
-    if method != "cg":
-        raise ValueError(f"unknown inverse method {method!r}")
-    # CG stays in the range of the singular operator when started from
-    # an exactly mean-free right-hand side
-    u = pcg(lambda v: -laplacian_neumann(grid, v), psi - grid.mean(psi))
-    return u - grid.mean(u)
+    return _apply_symbol(grid, psi, grid.inverse_eigenvalues("neumann"),
+                         "neumann")
 
 
-def inverse_dirichlet(grid: Grid, psi: np.ndarray,
-                      method: str = "dct") -> np.ndarray:
-    """Solution u of -Lap_D u = psi; ``method`` as for inverse_neumann."""
-    if method == "dct":
-        return _apply_symbol(grid, psi,
-                             grid.inverse_eigenvalues("dirichlet"),
-                             "dirichlet")
-    if method != "cg":
-        raise ValueError(f"unknown inverse method {method!r}")
-    return pcg(lambda v: -laplacian_dirichlet(grid, v), psi)
+def inverse_dirichlet(grid: Grid, psi: np.ndarray) -> np.ndarray:
+    """Solution u of -Lap_D u = psi by the exact sine diagonalization."""
+    return _apply_symbol(grid, psi, grid.inverse_eigenvalues("dirichlet"),
+                         "dirichlet")
 
 
 def dual_norm(grid: Grid, psi: np.ndarray, bc: str) -> float:

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import xlogy
 
 from .errors import ConvergenceError, DomainError
@@ -81,8 +80,8 @@ def custom(B, beta, pi, lo=-np.inf, hi=np.inf, lo_open=False, hi_open=False,
     """User-supplied splitting.
 
     ``B``, ``beta`` (minimal section on the closure of the domain) and
-    ``pi`` are scalar maps; ``Pi`` (antiderivative of pi, optional) is only
-    needed for exact free-energy evaluation without quadrature.
+    ``pi`` are scalar maps; ``Pi`` (antiderivative of pi) is needed by
+    :func:`Pi` and so by the free energy, which raise without it.
     """
     return PotentialSpec(kind="custom", lo=lo, hi=hi,
                          lo_open=lo_open, hi_open=hi_open,
@@ -178,8 +177,7 @@ def Pi(spec: PotentialSpec, r):
     elif spec.Pi_fn is not None:
         out = np.vectorize(spec.Pi_fn)(arr).astype(float)
     else:
-        out = np.vectorize(
-            lambda x: quad(spec.pi_fn, 0.0, x)[0])(arr).astype(float)
+        raise ValueError("custom potential needs an explicit Pi")
     return float(out) if scalar else out
 
 
@@ -304,29 +302,30 @@ def _resolvent_generic(spec: PotentialSpec, eps: float,
     return out
 
 
-def resolvent(spec: PotentialSpec, eps: float, r, method: str = "auto"):
+def resolvent(spec: PotentialSpec, eps: float, r):
     """Resolvent J_eps(r) = (I + eps*beta)^{-1} r.
 
-    ``method="auto"`` uses closed forms where available (projection for the
-    obstacle, Cardano for the quartic); ``method="generic"`` forces the
-    safeguarded Newton/bisection path for cross-checking.
+    Closed forms where available (projection for the obstacle, Cardano for
+    the quartic), else the safeguarded Newton/bisection solve of
+    :func:`_resolvent_generic`, which tests also run on the closed-form
+    families as a cross-check.
     """
     if not eps > 0.0:
         raise ValueError("eps must be positive")
     arr, scalar = _as_array(r)
-    if method == "auto" and spec.kind == "obstacle":
+    if spec.kind == "obstacle":
         out = np.clip(arr, -1.0, 1.0)
-    elif method == "auto" and spec.kind == "regular":
+    elif spec.kind == "regular":
         out = _resolvent_regular(eps, arr)
     else:
         out = _resolvent_generic(spec, eps, arr)
     return float(out) if scalar else out
 
 
-def beta_eps(spec: PotentialSpec, eps: float, r, method: str = "auto"):
+def beta_eps(spec: PotentialSpec, eps: float, r):
     """Yosida approximation beta_eps(r) = (r - J_eps(r)) / eps."""
     arr, scalar = _as_array(r)
-    out = (arr - resolvent(spec, eps, arr, method=method)) / eps
+    out = (arr - resolvent(spec, eps, arr)) / eps
     return float(out) if scalar else out
 
 

@@ -18,7 +18,12 @@ Newton iterations as exact Newton.
 
 ``galerkin_neumann`` projects onto the first n zero-flux cosine modes,
 with the nonlinearities evaluated by collocation; it solves its small
-dense Newton systems directly.
+dense Newton systems directly and is kept as an independent check of the
+finite-difference stepper.
+
+Every stepper takes ``(state, data, cfg, dt=None)`` and returns the next
+:class:`StateSnapshot`, with mu recovered and the Newton iterations
+counted.
 """
 
 from __future__ import annotations
@@ -32,11 +37,10 @@ import numpy as np
 
 from . import potentials as pot
 from . import smc
-from .errors import (ConfigError, MissingDataError, NewtonError,
-                     ModeRangeError, SolveError)
-from .grid import (Grid, NeumannEigenbasis, apply_cosine_symbol,
-                   harmonic_extension, inverse_dirichlet, inverse_neumann,
-                   laplacian_neumann, neumann_eigenbasis, pcg)
+from .errors import ConfigError, MissingDataError, NewtonError, SolveError
+from .grid import (Grid, apply_cosine_symbol, harmonic_extension,
+                   inverse_dirichlet, inverse_neumann, laplacian_neumann,
+                   neumann_eigenbasis, pcg)
 
 
 @dataclass(frozen=True)
@@ -348,24 +352,30 @@ step_coupled_neumann = step_eliminated
 step_eliminated_dirichlet = step_eliminated
 
 
-def step_galerkin_neumann(coeffs: np.ndarray, t: float, data: ProblemData,
-                          cfg: SolverConfig, basis: NeumannEigenbasis,
-                          dt: Optional[float] = None) -> np.ndarray:
-    """One step of the spectral system in the zero-flux cosine basis.
+def step_galerkin_neumann(state: StateSnapshot, data: ProblemData,
+                          cfg: SolverConfig,
+                          dt: Optional[float] = None) -> StateSnapshot:
+    """One step of the spectral system in the first ``cfg.n_modes``
+    zero-flux cosine modes, from the projection of ``state.phi``.
 
     With A = diag(lambda), the combined system reads
     (I + tau*A) c' + A*(A c + P[N(u)] + P[sigma(u)] - P[g]) = 0 where the
     nonlinearities are evaluated by collocation.  Backward Euler with the
     same splitting as the finite-difference steppers: Yosida term
-    implicit, perturbation and control explicit.
+    implicit, perturbation and control explicit.  mu is recovered from
+    the projected second equation with the same explicit part, so
+    (c - c^n)/dt = -A eta holds for its coefficients eta.
     """
     grid = data.grid
     dt = cfg.dt if dt is None else dt
-    t_new = t + dt
+    t_new = state.t + dt
     X = grid.meshgrid()
+    n = cfg.n_modes
+    basis = grid._cached(f"_basis_{n}", lambda: neumann_eigenbasis(grid, n))
     lam = basis.eigenvalues
     scale = lam / (1.0 + data.tau * lam)
 
+    coeffs = basis.project(state.phi)
     u_n = basis.synthesize(coeffs)
     expl = _explicit_part(data, X, u_n, t_new)
     fixed = basis.project(expl - data.g(X, t_new))
@@ -376,19 +386,26 @@ def step_galerkin_neumann(coeffs: np.ndarray, t: float, data: ProblemData,
         return c - coeffs + dt * scale * (lam * c + b + fixed)
 
     c = coeffs.copy()
-    n = basis.n
     E = basis.modes.reshape(n, -1)
     w = grid.cell_volume
     for it in range(cfg.newton_max):
         r = F(c)
         if np.linalg.norm(r) <= cfg.newton_tol:
-            return c
+            break
         u = basis.synthesize(c)
         bp = pot.beta_eps_prime(data.spec, cfg.eps, u).reshape(-1)
         B = (E * bp) @ E.T * w
         J = np.eye(n) + dt * scale[:, None] * (np.diag(lam) + B)
         c = c - np.linalg.solve(J, r)
-    raise NewtonError("Galerkin Newton did not converge")
+    else:
+        raise NewtonError("Galerkin Newton did not converge")
+    phi = basis.synthesize(c)
+    xi = pot.beta_eps(data.spec, cfg.eps, phi)
+    zeta = smc.apply_S_eps(data.control, phi - data.phistar(X, t_new))
+    eta = (data.tau * (c - coeffs) / dt + lam * c + basis.project(xi)
+           + fixed)
+    return StateSnapshot(t=t_new, phi=phi, mu=basis.synthesize(eta), xi=xi,
+                         zeta=zeta, newton_iters=it)
 
 
 # -- runner ------------------------------------------------------------
@@ -443,30 +460,16 @@ def _record(diag: DiagnosticsSeries, grid: Grid, data: ProblemData,
                 newton_iters=state.newton_iters)
 
 
-def _advance(state, data, cfg, dt, basis, coeffs, depth=0):
+def _advance(state, data, cfg, dt, depth=0):
     """One step with halving-on-failure (depth-bounded); each halving warns
     and the result counts the Newton iterations of both halves.  The
     second half ends at state.t + dt, as the whole step would have."""
     try:
         if cfg.scheme == "coupled_neumann":
-            return step_coupled_neumann(state, data, cfg, dt=dt), None
+            return step_coupled_neumann(state, data, cfg, dt=dt)
         if cfg.scheme == "eliminated_dirichlet":
-            return step_eliminated_dirichlet(state, data, cfg, dt=dt), None
-        new_coeffs = step_galerkin_neumann(coeffs, state.t, data, cfg,
-                                           basis, dt=dt)
-        X = data.grid.meshgrid()
-        t_new = state.t + dt
-        phi = basis.synthesize(new_coeffs)
-        xi = pot.beta_eps(data.spec, cfg.eps, phi)
-        zeta = smc.apply_S_eps(data.control, phi - data.phistar(X, t_new))
-        # spectral potential from the projected second equation
-        eta = (data.tau * (new_coeffs - coeffs) / dt
-               + basis.eigenvalues * new_coeffs
-               + basis.project(xi + _explicit_part(data, X, phi, t_new)
-                               - data.g(X, t_new)))
-        mu = basis.synthesize(eta)
-        return (StateSnapshot(t=t_new, phi=phi, mu=mu, xi=xi, zeta=zeta),
-                new_coeffs)
+            return step_eliminated_dirichlet(state, data, cfg, dt=dt)
+        return step_galerkin_neumann(state, data, cfg, dt=dt)
     except NewtonError as exc:
         if depth >= 8:
             raise NewtonError(
@@ -474,14 +477,13 @@ def _advance(state, data, cfg, dt, basis, coeffs, depth=0):
         warnings.warn(f"step from t = {state.t:g} failed with dt = {dt:g} "
                       f"({exc}); retrying as two steps of dt = {dt / 2:g}",
                       stacklevel=2)
-        first, coeffs = _advance(state, data, cfg, dt / 2, basis, coeffs,
-                                 depth + 1)
+        first = _advance(state, data, cfg, dt / 2, depth + 1)
         # state.t + dt - first.t is exact (Sterbenz), so the second half
         # ends at state.t + dt itself
-        second, coeffs = _advance(first, data, cfg, state.t + dt - first.t,
-                                  basis, coeffs, depth + 1)
+        second = _advance(first, data, cfg, state.t + dt - first.t,
+                          depth + 1)
         iters = first.newton_iters + second.newton_iters
-        return replace(second, newton_iters=iters), coeffs
+        return replace(second, newton_iters=iters)
 
 
 def run(data: ProblemData, cfg: SolverConfig) -> Trajectory:
@@ -492,12 +494,6 @@ def run(data: ProblemData, cfg: SolverConfig) -> Trajectory:
         raise ConfigError(
             f"scheme {cfg.scheme} incompatible with bc {data.bc.kind}")
     grid = data.grid
-    basis = coeffs = None  # the Galerkin scheme's modes and coefficients
-    if cfg.scheme == "galerkin_neumann":
-        if cfg.n_modes < 1:
-            raise ModeRangeError("galerkin scheme needs n_modes >= 1")
-        basis = neumann_eigenbasis(grid, cfg.n_modes)
-        coeffs = basis.project(data.phi0)
     rho, s_eps = data.control.rho, data.control.eps
     if cfg.dt * rho / (data.tau * s_eps) > 1.0:
         warnings.warn(
@@ -526,7 +522,7 @@ def run(data: ProblemData, cfg: SolverConfig) -> Trajectory:
         # summing step lengths
         dt = (n * cfg.dt if n < nsteps else cfg.T) - state.t
         try:
-            state, coeffs = _advance(state, data, cfg, dt, basis, coeffs)
+            state = _advance(state, data, cfg, dt)
         except NewtonError as exc:
             raise NewtonError(f"{exc} (t = {state.t + dt:g})") from exc
         _record(diag, grid, data, cfg, state, prev_phi, dt)

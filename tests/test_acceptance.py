@@ -65,7 +65,7 @@ def test_criterion_1_resolvent_identity():
     r = rng.uniform(-3.0, 3.0, size=2000)
     exact_match = all(
         np.array_equal(pot.resolvent(spec, eps, r),
-                       pot.resolvent(spec, eps, r, method="generic"))
+                       pot._resolvent_generic(spec, eps, r))
         for eps in eps_values)
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-12 and worst_defining <= 1e-11 and exact_match \

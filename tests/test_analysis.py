@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -178,6 +180,16 @@ def test_contdep_phistar_rhs_scales_like_sqrt():
     assert report.rows[0].rhs == pytest.approx(10.0 * report.rows[1].rhs)
 
 
+def test_solution_distance_rejects_mismatched_times():
+    data, cfg = contdep_setup()
+    base = solver.run(data, cfg)
+    other = solver.run(data, replace(cfg, output_times=[0.0, 0.01, 0.015,
+                                                        0.018, 0.02]))
+    assert len(other.snapshots) == len(base.snapshots)
+    with pytest.raises(ValueError, match="output times"):
+        analysis._solution_distance(data.grid, base, other)
+
+
 # -- Yosida sweep ----------------------------------------------------------------
 
 
@@ -190,6 +202,23 @@ def test_yosida_study_row_structure():
     assert all(r.distance >= 0.0 for r in rows)
     # unconstrained quartic potential: no overshoot is defined/recorded
     assert all(r.overshoot_coarse == 0.0 for r in rows)
+
+
+def test_yosida_study_rejects_mismatched_times(monkeypatch):
+    data, cfg = contdep_setup()
+    runs = []
+
+    def run_shifting_later_runs(d, c):
+        traj = solver.run(d, c)
+        if runs:
+            traj.snapshots[2] = replace(traj.snapshots[2],
+                                        t=traj.snapshots[2].t + c.dt)
+        runs.append(traj)
+        return traj
+
+    monkeypatch.setattr(analysis, "run", run_shifting_later_runs)
+    with pytest.raises(ValueError, match="output times"):
+        analysis.yosida_convergence_study(data, cfg, [1e-1, 1e-2])
 
 
 # -- constant probes ---------------------------------------------------------------

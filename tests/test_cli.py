@@ -1,4 +1,6 @@
 import os
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
@@ -6,6 +8,7 @@ import pytest
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
+import chsmc
 from chsmc import cli
 from chsmc.errors import ConfigError
 from chsmc.grid import Grid, read_snapshot
@@ -58,7 +61,7 @@ def neumann_config(tmp_path):
 
 
 def test_parse_profile_constant():
-    f = cli.parse_profile("constant value=2.5")
+    f = cli.parse_profile("constant value=2.5", (1.0,))
     X = (np.array([0.0, 1.0]),)
     assert np.array_equal(f(X, 0.0), [2.5, 2.5])
 
@@ -70,34 +73,28 @@ def test_parse_profile_cosine_with_lengths():
     assert np.allclose(f((x,), 0.0), 2.0 * np.cos(np.pi * x / 0.5) + 1.0)
 
 
-def test_parse_profile_cosine_infers_box_from_centers():
-    grid = Grid(shape=(16,), lengths=(0.5,))
-    f = cli.parse_profile("cosine amplitude=1 mode=2")
-    x = grid.meshgrid()[0]
-    assert np.allclose(f((x,), 0.0), np.cos(2.0 * np.pi * x / 0.5))
-
-
 def test_parse_profile_ramp_and_tanh():
     X = (np.array([0.0, 1.0, 2.0]),)
-    ramp = cli.parse_profile("ramp slope=2 offset=-1")
+    ramp = cli.parse_profile("ramp slope=2 offset=-1", (2.0,))
     assert np.array_equal(ramp(X, 0.0), [-1.0, 1.0, 3.0])
-    front = cli.parse_profile("tanh_front center=1 width=0.5 amplitude=2")
+    front = cli.parse_profile("tanh_front center=1 width=0.5 amplitude=2",
+                              (2.0,))
     assert front(X, 0.0)[1] == pytest.approx(0.0)
 
 
 def test_parse_profile_errors():
     with pytest.raises(ConfigError):
-        cli.parse_profile("")
+        cli.parse_profile("", (1.0,))
     with pytest.raises(ConfigError):
-        cli.parse_profile("vortex radius=1")
+        cli.parse_profile("vortex radius=1", (1.0,))
     with pytest.raises(ConfigError):
-        cli.parse_profile("constant 2.5")
+        cli.parse_profile("constant 2.5", (1.0,))
     with pytest.raises(ConfigError):
-        cli.parse_profile("constant")  # missing required parameter
+        cli.parse_profile("constant", (1.0,))  # missing required parameter
 
 
 def test_parse_boundary_profile_scalar():
-    datum = cli.parse_profile("constant value=0.7")
+    datum = cli.parse_profile("constant value=0.7", (1.0, 2.0))
     for _, X, _ in Grid(shape=(4, 3), lengths=(1.0, 2.0)).boundary_sides():
         assert np.array_equal(datum(X, 0.0), np.full(X[0].shape, 0.7))
 
@@ -138,6 +135,20 @@ def test_load_config_missing_key_names_it(tmp_path):
 def test_load_config_missing_file():
     with pytest.raises(ConfigError, match="not found"):
         cli.load_config("/nonexistent/run.ini")
+
+
+@pytest.mark.parametrize("n_modes,code", [
+    ("0", cli.EXIT_CONFIG), ("-3", cli.EXIT_CONFIG), ("33", cli.EXIT_CONFIG),
+    ("100000", cli.EXIT_CONFIG), ("1", cli.EXIT_OK), ("32", cli.EXIT_OK)])
+def test_galerkin_mode_count_is_validated(tmp_path, capsys, n_modes, code):
+    path = tmp_path / "run.ini"
+    path.write_text(NEUMANN_CONFIG.replace(
+        "coupled_neumann", f"galerkin_neumann\nn_modes = {n_modes}"))
+    assert cli.main(["simulate", "--config", str(path), "--quiet",
+                     "--out", str(tmp_path / "out")]) == code
+    if code == cli.EXIT_CONFIG:
+        assert ("config error: [solver] n_modes must be in [1, 32]"
+                in capsys.readouterr().err)
 
 
 def test_load_config_rejects_scheme_bc_mismatch(tmp_path):
@@ -326,6 +337,17 @@ def test_config_either_rejected_or_runs_finite(dirichlet, potential, values,
             for col, val in zip(header, row):
                 if not (col == "sup_G_eps" and not dirichlet):
                     assert np.isfinite(float(val)), (col, text)
+
+
+def test_cli_import_loads_no_scipy_integrate():
+    src = os.path.dirname(os.path.dirname(chsmc.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    probe = ("import sys, chsmc.cli; print(sorted(m for m in sys.modules "
+             "if m.startswith('scipy.integrate')))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_numerical_error_exit_code(capsys):

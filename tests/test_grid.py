@@ -126,12 +126,26 @@ def test_discrete_eigenpairs_tensor(grid3d):
 # -- inverse operators -------------------------------------------------------
 
 
-@pytest.mark.parametrize("method", ["dct", "cg"])
-def test_inverse_neumann_solves(grid2d, method):
+def cg_inverse_neumann(grid, psi):
+    """Plain CG on the stencil: an independent check of the transform
+    solve.  CG stays in the range of the singular operator when started
+    from an exactly mean-free right-hand side."""
+    u = gr.pcg(lambda v: -gr.laplacian_neumann(grid, v),
+               psi - grid.mean(psi))
+    return u - grid.mean(u)
+
+
+def cg_inverse_dirichlet(grid, psi):
+    return gr.pcg(lambda v: -gr.laplacian_dirichlet(grid, v), psi)
+
+
+@pytest.mark.parametrize("inverse", [gr.inverse_neumann, cg_inverse_neumann],
+                         ids=["dct", "cg"])
+def test_inverse_neumann_solves(grid2d, inverse):
     rng = np.random.default_rng(5)
     psi = rng.standard_normal(grid2d.shape)
     psi -= grid2d.mean(psi)
-    u = gr.inverse_neumann(grid2d, psi, method=method)
+    u = inverse(grid2d, psi)
     assert abs(grid2d.mean(u)) < 1e-11
     assert np.allclose(-gr.laplacian_neumann(grid2d, u), psi, atol=1e-8)
 
@@ -140,8 +154,8 @@ def test_inverse_neumann_paths_agree(grid1d):
     rng = np.random.default_rng(6)
     psi = rng.standard_normal(grid1d.shape)
     psi -= grid1d.mean(psi)
-    u1 = gr.inverse_neumann(grid1d, psi, method="dct")
-    u2 = gr.inverse_neumann(grid1d, psi, method="cg")
+    u1 = gr.inverse_neumann(grid1d, psi)
+    u2 = cg_inverse_neumann(grid1d, psi)
     assert np.allclose(u1, u2, atol=1e-9)
 
 
@@ -150,21 +164,14 @@ def test_inverse_neumann_rejects_nonzero_mean(grid1d):
         gr.inverse_neumann(grid1d, np.ones(grid1d.shape))
 
 
-@pytest.mark.parametrize("method", ["dct", "cg"])
-def test_inverse_dirichlet_solves(grid2d, method):
+@pytest.mark.parametrize("inverse", [gr.inverse_dirichlet,
+                                     cg_inverse_dirichlet],
+                         ids=["dct", "cg"])
+def test_inverse_dirichlet_solves(grid2d, inverse):
     rng = np.random.default_rng(7)
     psi = rng.standard_normal(grid2d.shape)
-    u = gr.inverse_dirichlet(grid2d, psi, method=method)
+    u = inverse(grid2d, psi)
     assert np.allclose(-gr.laplacian_dirichlet(grid2d, u), psi, atol=1e-8)
-
-
-@pytest.mark.parametrize("inverse", [gr.inverse_neumann,
-                                     gr.inverse_dirichlet])
-@pytest.mark.parametrize("method", ["dtc", "auto", "CG"])
-def test_inverse_rejects_unknown_method(grid1d, inverse, method):
-    psi = np.cos(np.pi * grid1d.meshgrid()[0] / grid1d.lengths[0])
-    with pytest.raises(ValueError, match="unknown inverse method"):
-        inverse(grid1d, psi, method=method)
 
 
 # Shapes on both sides of the dense/FFT selection; the tier-1 fixture grids
@@ -190,10 +197,12 @@ def test_dense_and_fft_transforms_agree(shape, dense, bc):
     u_fft = gr._symbol_fft(psi, symbol, bc)
     scale = np.max(np.abs(u_fft))
     assert np.max(np.abs(u_dense - u_fft)) <= 1e-13 * scale
-    inverse = gr.inverse_neumann if bc == "neumann" else gr.inverse_dirichlet
+    inverse, cg_inverse = ((gr.inverse_neumann, cg_inverse_neumann)
+                           if bc == "neumann" else
+                           (gr.inverse_dirichlet, cg_inverse_dirichlet))
     u = inverse(grid, psi)
     assert np.array_equal(u, u_dense if dense else u_fft)
-    u_cg = inverse(grid, psi, method="cg")
+    u_cg = cg_inverse(grid, psi)
     assert np.max(np.abs(u_cg - u)) <= 1e-9 * scale
 
 

@@ -85,11 +85,15 @@ def test_pi_lipschitz_values():
                                     pi=lambda r: 0.0))
 
 
-def test_custom_quadrature_fallback_for_Pi():
-    # no antiderivative supplied: Pi falls back to numerical quadrature
+def test_custom_without_Pi_raises():
     s = pot.custom(B=lambda r: 0.0, beta=lambda r: 0.0,
                    pi=lambda r: -r, pi_lipschitz=1.0)
-    assert pot.Pi(s, 2.0) == pytest.approx(-2.0, abs=1e-10)
+    with pytest.raises(ValueError, match="needs an explicit Pi"):
+        pot.Pi(s, 2.0)
+    with_Pi = pot.custom(B=lambda r: 0.0, beta=lambda r: 0.0,
+                         pi=lambda r: -r, pi_lipschitz=1.0,
+                         Pi=lambda r: -0.5 * r * r)
+    assert pot.Pi(with_Pi, 2.0) == -2.0
 
 
 # -- resolvent and Yosida approximation -----------------------------------
@@ -110,7 +114,7 @@ def test_resolvent_obstacle_is_projection():
     J = pot.resolvent(s, 0.01, r)
     assert np.array_equal(J, np.clip(r, -1.0, 1.0))
     # generic Newton/bisection path lands on exactly the same values
-    Jg = pot.resolvent(s, 0.01, r, method="generic")
+    Jg = pot._resolvent_generic(s, 0.01, r)
     assert np.array_equal(Jg, J)
 
 
@@ -118,7 +122,7 @@ def test_resolvent_generic_matches_closed_form_regular():
     s = SPECS["regular"]
     r = np.linspace(-4, 4, 57)
     J = pot.resolvent(s, 0.05, r)
-    Jg = pot.resolvent(s, 0.05, r, method="generic")
+    Jg = pot._resolvent_generic(s, 0.05, r)
     assert np.allclose(Jg, J, atol=1e-12)
 
 

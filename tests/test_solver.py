@@ -180,6 +180,25 @@ def test_coupled_step_satisfies_potential_equation():
     assert np.allclose(lhs, state1.mu, atol=1e-8)
 
 
+def test_galerkin_step_satisfies_both_equations():
+    """In the full cosine basis the spectral step solves the two equations
+    of the finite-difference step, mu included."""
+    grid = small_grid()
+    data = neumann_problem(grid, pot.regular(), cosine_data(grid), rho=1.0,
+                           eps=1e-2)
+    cfg = solver.SolverConfig(eps=1e-2, dt=1e-3, T=0.0,
+                              scheme="galerkin_neumann", n_modes=grid.ncells)
+    state0 = solver._initial_snapshot(data, cfg)
+    state1 = solver.step_galerkin_neumann(state0, data, cfg)
+    dphi = (state1.phi - state0.phi) / cfg.dt
+    assert np.allclose(dphi, laplacian_neumann(grid, state1.mu), atol=1e-7)
+    lhs = (data.tau * dphi - laplacian_neumann(grid, state1.phi)
+           + state1.xi + pot.pi(data.spec, state0.phi)
+           + smc.apply_S_eps(data.control, state0.phi))
+    assert np.allclose(lhs, state1.mu, atol=1e-8)
+    assert state1.newton_iters > 0
+
+
 def test_dirichlet_step_recovers_potential():
     grid = small_grid()
     data = dirichlet_problem(grid, pot.regular(), cosine_data(grid, k=2),
@@ -350,6 +369,17 @@ def test_galerkin_full_basis_matches_coupled():
     t2 = solver.run(neumann_problem(grid, spec, phi0), cfg_sp)
     diff = grid.sup_norm(t1.snapshots[-1].phi - t2.snapshots[-1].phi)
     assert diff < 1e-7
+
+
+def test_galerkin_records_newton_iterations():
+    grid = small_grid(16)
+    data = neumann_problem(grid, pot.regular(),
+                           cosine_data(grid, amp=0.4, offset=0.0))
+    cfg = solver.SolverConfig(eps=1e-2, dt=1e-3, T=5e-3,
+                              scheme="galerkin_neumann", n_modes=8)
+    iters = solver.run(data, cfg).diagnostics.newton_iters
+    assert len(iters) == 6 and iters[0] == 0
+    assert all(k > 0 for k in iters[1:])
 
 
 # -- time accuracy -------------------------------------------------------------
