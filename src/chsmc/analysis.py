@@ -17,7 +17,7 @@ import numpy as np
 
 from . import potentials as pot
 from . import smc
-from .errors import (MeanError, MissingDataError, ParamError, RegimeError)
+from .errors import MeanError, MissingDataError, RegimeError
 from .grid import Grid, inverse_dirichlet, laplacian_dirichlet
 from .solver import ProblemData, SolverConfig, Trajectory, run
 
@@ -97,13 +97,10 @@ def check_comparison_bound(traj: Trajectory, w0: float, M_meas: float,
     """
     if traj.bc_kind != "dirichlet":
         raise RegimeError("comparison bound applies to the Dirichlet regime")
-    if not rho > M_meas:
-        raise ParamError(f"need rho > M_meas (rho={rho}, M_meas={M_meas})")
+    w = smc.ode_w_closed_form(w0, M_meas, rho, tau, traj.diagnostics.t)
     if tol_cmp is None:
         tol_cmp = 5.0 * (traj.cfg.dt + traj.cfg.eps)
-    times = np.asarray(traj.diagnostics.t)
     sup_chi = np.asarray(traj.diagnostics.sup_chi)
-    w = np.maximum(w0 - (rho - M_meas) / tau * times, 0.0)
     worst = float(np.max(sup_chi - w))
     return ComparisonReport(passed=worst <= tol_cmp, worst_margin=worst,
                             tol_cmp=tol_cmp)
@@ -387,7 +384,6 @@ def structural_constant_estimate(traj: Trajectory, data: ProblemData,
     """
     rho = max(data.control.rho, 1.0)
     vol = data.grid.volume
-    dn = np.asarray(traj.diagnostics.dual_norm_dphi)
     grid = data.grid
     sup_dphi = 0.0
     snaps = traj.snapshots

@@ -36,6 +36,16 @@ config fully determines a run::
     scheme = eliminated_dirichlet ; or coupled_neumann, or galerkin_neumann
     eps = 1e-3                    ; (with n_modes = 1 .. number of cells)
 
+    [experiment]                  ; optional, read by sliding-check
+    rho_margin = 2.0              ; finite, > 1
+    dt_stability_factor = 0.3     ; finite, > 0
+    tol_slide = auto              ; or a finite number > 0
+
+    [contdep]                     ; optional, read by contdep
+    which = g                     ; or phi0, or phistar
+    shape = cosine amplitude=1 mode=1
+    deltas = 1e-1,1e-2,1e-3       ; finite numbers > 0
+
 Profiles: ``constant value=``, ``cosine amplitude= mode= offset=``,
 ``sine amplitude= mode= offset=``, ``tanh_front center= width= amplitude=
 offset=``, ``ramp slope= offset=`` (mode may be comma-separated per axis;
@@ -60,18 +70,13 @@ import sys
 import numpy as np
 
 from . import analysis, potentials as pot, smc, solver
-from .errors import (ChsmcError, ConfigError, ConvergenceError, MeanError,
-                     MissingDataError, NewtonError, ParamError, RegimeError,
-                     SolveError, VolumeError)
+from .errors import ChsmcError, ConfigError, ParamError, RegimeError
 from .grid import Grid, write_snapshot
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_VERIFICATION = 4
-
-_NUMERICAL_ERRORS = (NewtonError, SolveError, ConvergenceError, ParamError,
-                     VolumeError, MeanError, MissingDataError)
 
 
 # -- profile language ----------------------------------------------------
@@ -152,20 +157,78 @@ def _get(cp, section, key, cast=str, default=None):
         raise ConfigError(f"missing key [{section}] {key}")
     try:
         return cast(cp[section][key])
-    except ValueError as exc:
+    except (ValueError, configparser.Error) as exc:
         raise ConfigError(f"bad value for [{section}] {key}: {exc}") from exc
 
 
+# Casts for _get: each raises ValueError on a malformed or out-of-range
+# value, which _get reports with its section and key.
+
+def _list_of(cast):
+    return lambda text: [cast(v) for v in text.split(",")]
+
+
+def _number_above(lo):
+    def cast(text):
+        val = float(text)
+        if not lo < val < np.inf:
+            raise ValueError(f"need a finite number above {lo:g}, "
+                             f"got {text!r}")
+        return val
+    return cast
+
+
+def _one_of(*choices):
+    def cast(text):
+        if text not in choices:
+            raise ValueError(f"need one of {', '.join(choices)}, "
+                             f"got {text!r}")
+        return text
+    return cast
+
+
+def _tol_slide(text):
+    return None if text == "auto" else _number_above(0.0)(text)
+
+
+# The optional sections: key -> cast.  The designed gain
+# rho = rho_margin*(M + tau*w0/T) must exceed the drift bound M, and a
+# tol_slide of "auto" (None) leaves the tolerance to the experiment.
+_OPTIONAL_SECTIONS = {
+    "experiment": {"rho_margin": _number_above(1.0),
+                   "dt_stability_factor": _number_above(0.0),
+                   "tol_slide": _tol_slide},
+    "contdep": {"which": _one_of("g", "phi0", "phistar"),
+                "shape": str,
+                "deltas": _list_of(_number_above(0.0))},
+}
+
+
+def _optional_section(cp, section):
+    """The keys of an optional section that the config sets, cast."""
+    return {key: _get(cp, section, key, cast)
+            for key, cast in _OPTIONAL_SECTIONS[section].items()
+            if key in cp[section]}
+
+
 def load_config(path):
-    """Parse a config file into (ProblemData, SolverConfig, extras)."""
+    """Parse a config file into (ProblemData, SolverConfig, extras).
+
+    ``extras`` holds the ``[experiment]`` keys the config sets and, under
+    "contdep", those of ``[contdep]``, cast and checked; it is empty for a
+    config without these sections.
+    """
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
     cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
-    cp.read(path)
+    try:
+        cp.read(path)
+    except configparser.Error as exc:
+        raise ConfigError(f"cannot parse {path}: {exc}") from exc
 
     dim = _get(cp, "grid", "dim", int)
-    cells = [int(v) for v in str(_get(cp, "grid", "cells")).split(",")]
-    lengths = [float(v) for v in str(_get(cp, "grid", "lengths")).split(",")]
+    cells = _get(cp, "grid", "cells", _list_of(int))
+    lengths = _get(cp, "grid", "lengths", _list_of(float))
     if len(cells) == 1:
         cells = cells * dim
     if len(lengths) == 1:
@@ -248,9 +311,9 @@ def load_config(path):
 
     extras = {}
     if cp.has_section("experiment"):
-        extras = dict(cp["experiment"])
+        extras = _optional_section(cp, "experiment")
     if cp.has_section("contdep"):
-        extras["contdep"] = dict(cp["contdep"])
+        extras["contdep"] = _optional_section(cp, "contdep")
     return data, cfg, extras
 
 
@@ -283,8 +346,8 @@ def cmd_sliding_check(args) -> int:
         raise RegimeError("sliding check needs the Dirichlet regime")
     out = _outdir(args)
     tau, T = data.tau, cfg.T
-    margin = float(extras.get("rho_margin", 2.0))
-    stiff_cap = float(extras.get("dt_stability_factor", 0.3))
+    margin = extras.get("rho_margin", 2.0)
+    stiff_cap = extras.get("dt_stability_factor", 0.3)
 
     from dataclasses import replace
 
@@ -298,11 +361,9 @@ def cmd_sliding_check(args) -> int:
             dt = min(dt, stiff_cap * data.control.eps * tau / rho)
         return replace(cfg, dt=dt)
 
-    tol = extras.get("tol_slide", "auto")
-    tol_slide = None if tol == "auto" else float(tol)
     report, comparison, traj = analysis.run_sliding_experiment(
         make_data, make_cfg, T=T, tau=tau, rho_margin=margin,
-        tol_slide=tol_slide)
+        tol_slide=extras.get("tol_slide"))
     traj.diagnostics.to_csv(os.path.join(out, "sliding_diagnostics.csv"))
     lines = [
         f"verdict: {report.verdict}",
@@ -333,8 +394,7 @@ def cmd_contdep(args) -> int:
     which = cd.get("which", "g")
     shape = parse_profile(cd.get("shape", "cosine amplitude=1 mode=1"),
                           data.grid.lengths)
-    deltas = [float(v) for v in
-              cd.get("deltas", "1e-1,1e-2,1e-3").split(",")]
+    deltas = cd.get("deltas", [1e-1, 1e-2, 1e-3])
     report = analysis.contdep_experiment(data, cfg, which, shape, deltas)
     path = os.path.join(out, "contdep.csv")
     with open(path, "w") as fh:
@@ -396,7 +456,7 @@ def cmd_verify_all(args) -> int:
             failures.append("mass")
     if data.control.rho == 0.0 and data.bc.kind == "neumann":
         fe = np.asarray(traj.diagnostics.free_energy_reg)
-        diss_ok = bool(np.all(np.diff(fe) <= 10 * cfg.newton_tol + 1e-12))
+        diss_ok = bool(np.all(np.diff(fe) <= 10 * solver.NEWTON_TOL + 1e-12))
         print(f"energy decay: {'pass' if diss_ok else 'fail'}")
         if not diss_ok:
             failures.append("energy")
@@ -470,14 +530,11 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except _NUMERICAL_ERRORS as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
     except RegimeError as exc:
         print(f"regime error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except ChsmcError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 
 

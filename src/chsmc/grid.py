@@ -18,8 +18,6 @@ time stepper runs on its Newton systems, preconditioned by a DCT diagonal
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional
@@ -158,13 +156,6 @@ class Grid:
             total += float(np.sum(d * d))
         return total * self.cell_volume
 
-    def h1_seminorm(self, u: np.ndarray) -> float:
-        return float(np.sqrt(self.gradient_energy(u, scheme="faces")))
-
-    def norms(self, u: np.ndarray):
-        """(L2 norm, H1 seminorm, sup norm)."""
-        return self.l2_norm(u), self.h1_seminorm(u), self.sup_norm(u)
-
     # -- spectral data -------------------------------------------------
 
     def axis_eigenvalues_neumann(self, axis: int) -> np.ndarray:
@@ -261,16 +252,22 @@ def laplacian_dirichlet(grid: Grid, u: np.ndarray) -> np.ndarray:
 # -- fast transform solves ---------------------------------------------
 
 
+# Largest sum(shape), per dimension, at which the dense transforms win.
+_DENSE_MAX_SUM = {1: 256, 2: 224, 3: 288}
+
+
 def _dense_transforms(shape: tuple) -> bool:
     """Whether per-axis matrix products beat ``scipy.fft`` on this shape.
 
     A dense transform costs about ncells*sum(shape) multiply-adds against
     the FFT's O(ncells*log n) plus a fixed per-call overhead of tens of
-    microseconds, which dominates on small grids.  The bound comes from a
-    single-threaded sweep over 1-D, 2-D and 3-D shapes and errs towards
-    the FFT near the crossover.
+    microseconds, which dominates on small grids.  The bounds come from a
+    single-threaded sweep of one Dirichlet inverse per shape (best of 7,
+    2-core Xeon, numpy 2.4, scipy 1.17): the FFT took over between 256
+    and 320 cells in 1-D, 112^2 and 120^2 in 2-D, and 96^3 and 100^3 in
+    3-D, where the dense path still won at 85^3 (35 against 53 ms).
     """
-    return math.prod(shape) * sum(shape) <= 2e6 and max(shape) <= 256
+    return sum(shape) <= _DENSE_MAX_SUM[len(shape)]
 
 
 def _symbol_dense(grid: Grid, u: np.ndarray, symbol: np.ndarray,
@@ -445,36 +442,21 @@ class NeumannEigenbasis:
 
 
 def neumann_eigenbasis(grid: Grid, n: int) -> NeumannEigenbasis:
-    """Lowest-eigenvalue discrete cosine modes; e_1 is 1/sqrt(|Omega|)."""
+    """The n lowest modes of :meth:`Grid.eigenvalues` (ties in index order),
+    products of directly evaluated cosines; e_1 is 1/sqrt(|Omega|)."""
     if n < 1 or n > grid.ncells:
         raise ModeRangeError(f"n must be in [1, {grid.ncells}]")
-    per_axis = []
-    for a in range(grid.dim):
-        na = grid.shape[a]
+    lam = grid.eigenvalues("neumann").reshape(-1)
+    order = np.argsort(lam, kind="stable")[:n]
+    modes = np.ones((n,) + (1,) * grid.dim)
+    for a, k in enumerate(np.unravel_index(order, grid.shape)):
         L = grid.lengths[a]
-        lam = grid.axis_eigenvalues_neumann(a)
-        x = grid.axis_centers(a)
-        vecs = []
-        for k in range(na):
-            v = np.cos(np.pi * k * x / L)
-            v *= (1.0 / np.sqrt(L)) if k == 0 else np.sqrt(2.0 / L)
-            vecs.append(v)
-        per_axis.append((lam, vecs))
-    combos = sorted(
-        itertools.product(*[range(grid.shape[a]) for a in range(grid.dim)]),
-        key=lambda ks: (sum(per_axis[a][0][k] for a, k in enumerate(ks)), ks))
-    eigenvalues = []
-    modes = []
-    for ks in combos[:n]:
-        lam = sum(per_axis[a][0][k] for a, k in enumerate(ks))
-        mode = per_axis[0][1][ks[0]]
-        for a in range(1, grid.dim):
-            mode = np.multiply.outer(mode, per_axis[a][1][ks[a]])
-        eigenvalues.append(lam)
-        modes.append(mode)
-    return NeumannEigenbasis(grid=grid,
-                             eigenvalues=np.array(eigenvalues),
-                             modes=np.array(modes))
+        v = np.cos(np.pi * k[:, None] * grid.axis_centers(a) / L)
+        v *= np.where(k == 0, 1.0 / np.sqrt(L), np.sqrt(2.0 / L))[:, None]
+        shape = [n] + [1] * grid.dim
+        shape[a + 1] = grid.shape[a]
+        modes = modes * v.reshape(shape)
+    return NeumannEigenbasis(grid=grid, eigenvalues=lam[order], modes=modes)
 
 
 # -- snapshot file format ----------------------------------------------

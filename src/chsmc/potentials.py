@@ -96,10 +96,8 @@ def _as_array(r):
 
 def _check_domain(spec: PotentialSpec, arr: np.ndarray, closure: bool = True):
     lo, hi = spec.lo, spec.hi
-    if closure:
-        bad = (arr < lo) | (arr > hi)
-    else:
-        bad = (arr < lo) | (arr > hi)
+    bad = (arr < lo) | (arr > hi)
+    if not closure:
         if spec.lo_open:
             bad |= arr == lo
         if spec.hi_open:
@@ -139,11 +137,6 @@ def beta0(spec: PotentialSpec, r):
     else:
         out = np.vectorize(spec.beta_fn)(arr).astype(float)
     return float(out) if scalar else out
-
-
-def beta(spec: PotentialSpec, r):
-    """Alias for the minimal section (single-valued families coincide)."""
-    return beta0(spec, r)
 
 
 def pi(spec: PotentialSpec, r):
@@ -349,19 +342,17 @@ def moreau_envelope(spec: PotentialSpec, eps: float, r, xi=None):
 
     Equals |r - J|^2/(2 eps) + B_hat(J) at the resolvent point J, is
     everywhere defined, nonnegative, and dominated by B_hat on its domain.
-    A caller that already holds ``xi = beta_eps(r)`` passes it to skip the
-    resolvent solve: then J = r - eps*xi and the envelope is
-    eps*xi^2/2 + B_hat(J).
+    With xi = beta_eps(r), J = r - eps*xi and the envelope is
+    eps*xi^2/2 + B_hat(J); a caller that already holds ``xi`` passes it
+    to skip the resolvent solve.
     """
     arr, scalar = _as_array(r)
     if xi is None:
-        s = resolvent(spec, eps, arr)
-        out = (arr - s) ** 2 / (2.0 * eps) + B_hat(spec, s)
-    else:
-        # r - eps*xi can leave the closure of the domain by an ulp, where
-        # B_hat would reject it
-        s = np.clip(arr - eps * xi, spec.lo, spec.hi)
-        out = 0.5 * eps * xi**2 + B_hat(spec, s)
+        xi = beta_eps(spec, eps, arr)
+    # r - eps*xi can leave the closure of the domain by an ulp, where
+    # B_hat would reject it
+    s = np.clip(arr - eps * xi, spec.lo, spec.hi)
+    out = 0.5 * eps * xi**2 + B_hat(spec, s)
     return float(out) if scalar else out
 
 

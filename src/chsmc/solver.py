@@ -118,8 +118,6 @@ class SolverConfig:
     T: float
     scheme: str  # "coupled_neumann" | "eliminated_dirichlet" | "galerkin_neumann"
     n_modes: int = 0
-    newton_tol: float = 1e-10
-    newton_max: int = 50
     output_times: Optional[List[float]] = None
 
     def __post_init__(self):
@@ -190,43 +188,44 @@ class Trajectory:
 # -- Newton-Krylov core ------------------------------------------------
 
 
-# Inner CG: relative tolerance, and an absolute floor as a fraction of the
-# Newton tolerance so that CG stops before chasing roundoff once the
-# residual is near that tolerance.
+# Newton, in every stepper: absolute tolerance on the residual norm and
+# iteration cap.  Inner CG: relative tolerance, and an absolute floor as a
+# fraction of the Newton tolerance so that CG stops before chasing
+# roundoff once the residual is near that tolerance.
+NEWTON_TOL = 1e-10
+NEWTON_MAX = 50
 _INNER_RTOL = 1e-6
 _INNER_FLOOR = 0.1
 
 
-def _newton(residual, jacobian, x0, grid, tol, maxiter,
-            postprocess=None):
-    """Matrix-free Newton; absolute tolerance on the L2 residual norm.
+def _newton(residual, jacobian, x0, grid, project):
+    """Matrix-free Newton to ``NEWTON_TOL`` on the L2 residual norm; each
+    new iterate is passed through ``project``.
 
     ``jacobian(x)`` returns the Jacobian action at the current iterate and
     a preconditioner built from the same linearization.  Each Newton
     system is solved by preconditioned CG to a relative tolerance of
-    ``_INNER_RTOL``, or until its residual is below ``_INNER_FLOOR * tol``
-    in the grid L2 norm, so the outer iteration converges like exact
-    Newton.  A CG breakdown raises :class:`NewtonError`.  The returned
-    iterate is the one of the last ``residual`` call, so a caller may
-    reuse what that call computed.
+    ``_INNER_RTOL``, or until its residual is below ``_INNER_FLOOR`` times
+    the Newton tolerance in the grid L2 norm, so the outer iteration
+    converges like exact Newton.  A CG breakdown raises
+    :class:`NewtonError`.  The returned iterate is the one of the last
+    ``residual`` call, so a caller may reuse what that call computed.
     """
-    floor = _INNER_FLOOR * tol / np.sqrt(grid.cell_volume)
+    floor = _INNER_FLOOR * NEWTON_TOL / np.sqrt(grid.cell_volume)
     x = x0.copy()
-    for it in range(maxiter):
+    for it in range(NEWTON_MAX):
         r = residual(x)
         rnorm = grid.l2_norm(r)
         if not np.isfinite(rnorm):
             raise NewtonError("non-finite residual")
-        if rnorm <= tol:
+        if rnorm <= NEWTON_TOL:
             return x, it
         apply_J, precond = jacobian(x)
         try:
             dx = pcg(apply_J, -r, precond, rtol=_INNER_RTOL, atol=floor)
         except SolveError as exc:
             raise NewtonError(f"inner solve failed: {exc}") from exc
-        x = x + dx
-        if postprocess is not None:
-            x = postprocess(x)
+        x = project(x + dx)
     raise NewtonError(f"Newton did not converge (residual {rnorm:.3e})")
 
 
@@ -267,12 +266,11 @@ def _regime(grid: Grid, bc_kind: str):
     return G, (lambda u: u), float(grid.eigenvalues("dirichlet").flat[0])
 
 
-def _jacobian(grid: Grid, bc_kind: str, tau: float, dt: float,
-              bprime: np.ndarray, regime=None):
+def _jacobian(grid: Grid, regime, tau: float, dt: float, bprime: np.ndarray):
     """Jacobian action of the eliminated residual and its preconditioner
-    (exact for zero flux when ``bprime`` is constant).  A stepper passes
-    the ``_regime`` it built for the step as ``regime``."""
-    G, P, offset = regime or _regime(grid, bc_kind)
+    (exact for zero flux when ``bprime`` is constant), for the ``_regime``
+    the stepper built."""
+    G, P, offset = regime
 
     def apply_J(v):
         return (tau * v / dt
@@ -333,10 +331,9 @@ def step_eliminated(state: StateSnapshot, data: ProblemData,
 
     def jacobian(d):
         bprime = pot.beta_eps_prime(data.spec, cfg.eps, phi_n + d)
-        return _jacobian(grid, data.bc.kind, data.tau, dt, bprime, regime)
+        return _jacobian(grid, regime, data.tau, dt, bprime)
 
-    d, iters = _newton(residual, jacobian, grid.zeros(), grid,
-                       cfg.newton_tol, cfg.newton_max, postprocess=P)
+    d, iters = _newton(residual, jacobian, grid.zeros(), grid, P)
     phi = phi_n + d
     xi = last["xi"]
     rest = xi + expl_g
@@ -388,9 +385,9 @@ def step_galerkin_neumann(state: StateSnapshot, data: ProblemData,
     c = coeffs.copy()
     E = basis.modes.reshape(n, -1)
     w = grid.cell_volume
-    for it in range(cfg.newton_max):
+    for it in range(NEWTON_MAX):
         r = F(c)
-        if np.linalg.norm(r) <= cfg.newton_tol:
+        if np.linalg.norm(r) <= NEWTON_TOL:
             break
         u = basis.synthesize(c)
         bp = pot.beta_eps_prime(data.spec, cfg.eps, u).reshape(-1)

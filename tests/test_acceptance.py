@@ -241,7 +241,7 @@ def test_criterion_6_energy_decay():
                     + cfg.dt * grid.gradient_energy(new.mu, scheme="faces"))
             gap = e_new + diss - e_old
             worst = max(worst, gap)
-            ok = ok and gap <= 10 * cfg.newton_tol
+            ok = ok and gap <= 10 * solver.NEWTON_TOL
             state = new
     elapsed = time.perf_counter() - t0
     ok = ok and elapsed < 20.0

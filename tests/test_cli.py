@@ -236,6 +236,11 @@ REJECTED_CASES = [
     (NEUMANN_CONFIG, "kind = regular", "kind = obstacle\nc2 = inf"),
     (DIRICHLET_CONFIG, "value=0.1", "value=nan"),
     (DIRICHLET_CONFIG, "amplitude=0.4", "amplitude=nan"),
+    # files configparser cannot read: a duplicate key, no section header,
+    # a bare % (interpolation syntax)
+    (NEUMANN_CONFIG, "dim = 1", "dim = 1\ndim = 2"),
+    (NEUMANN_CONFIG, "[grid]\ndim = 1", "dim = 1"),
+    (NEUMANN_CONFIG, "offset=0.1", "offset=5%"),
 ]
 
 
@@ -249,6 +254,56 @@ def test_non_finite_or_malformed_values_exit_2(tmp_path, capsys, config,
                      "--out", str(tmp_path / "out")])
     assert code == cli.EXIT_CONFIG
     assert "config error" in capsys.readouterr().err
+
+
+# (command, section, key, value): the command is the one that reads the key
+BAD_VALUE_CASES = [
+    ("simulate", "grid", "cells", "abc"),
+    ("simulate", "grid", "lengths", "x"),
+    ("sliding-check", "experiment", "rho_margin", "abc"),
+    ("sliding-check", "experiment", "rho_margin", "-1"),
+    ("sliding-check", "experiment", "rho_margin", "nan"),
+    ("sliding-check", "experiment", "rho_margin", "1"),
+    ("sliding-check", "experiment", "dt_stability_factor", "x"),
+    ("sliding-check", "experiment", "dt_stability_factor", "0"),
+    ("sliding-check", "experiment", "tol_slide", "nope"),
+    ("sliding-check", "experiment", "tol_slide", "-1"),
+    ("sliding-check", "experiment", "tol_slide", "inf"),
+    ("contdep", "contdep", "deltas", "a,b"),
+    ("contdep", "contdep", "deltas", "nan"),
+    ("contdep", "contdep", "deltas", "1e-2,-1e-2"),
+    ("contdep", "contdep", "which", "mu"),
+]
+
+
+@pytest.mark.parametrize("command,section,key,value", BAD_VALUE_CASES,
+                         ids=[f"{k}={v}" for _, _, k, v in BAD_VALUE_CASES])
+def test_bad_value_exits_2_naming_its_key(tmp_path, capsys, command,
+                                          section, key, value):
+    if section == "grid":
+        old = next(line for line in NEUMANN_CONFIG.splitlines()
+                   if line.startswith(key + " ="))
+        text = NEUMANN_CONFIG.replace(old, f"{key} = {value}")
+    else:
+        base = DIRICHLET_CONFIG if section == "experiment" else NEUMANN_CONFIG
+        text = base + f"\n[{section}]\n{key} = {value}\n"
+    path = tmp_path / "bad.ini"
+    path.write_text(text)
+    code = cli.main([command, "--config", str(path), "--quiet",
+                     "--out", str(tmp_path / "out")])
+    assert code == cli.EXIT_CONFIG
+    assert f"[{section}] {key}" in capsys.readouterr().err
+
+
+def test_load_config_types_experiment_and_contdep_values(tmp_path):
+    path = tmp_path / "run.ini"
+    path.write_text(DIRICHLET_CONFIG + "\n[experiment]\nrho_margin = 3\n"
+                    "tol_slide = auto\n\n[contdep]\nwhich = phistar\n"
+                    "deltas = 1e-1, 1e-2\n")
+    _, _, extras = cli.load_config(str(path))
+    assert extras == {"rho_margin": 3.0, "tol_slide": None,
+                      "contdep": {"which": "phistar",
+                                  "deltas": [1e-1, 1e-2]}}
 
 
 PROPERTY_CONFIG = """\
@@ -339,15 +394,33 @@ def test_config_either_rejected_or_runs_finite(dirichlet, potential, values,
                     assert np.isfinite(float(val)), (col, text)
 
 
-def test_cli_import_loads_no_scipy_integrate():
+def _run_python(*args):
     src = os.path.dirname(os.path.dirname(chsmc.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    return subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True, text=True)
+
+
+def test_cli_import_loads_no_scipy_integrate():
     probe = ("import sys, chsmc.cli; print(sorted(m for m in sys.modules "
              "if m.startswith('scipy.integrate')))")
-    out = subprocess.run([sys.executable, "-c", probe], env=env,
-                         capture_output=True, text=True, check=True)
+    out = _run_python("-c", probe)
+    assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
+
+
+def test_package_import_loads_submodules_on_demand():
+    out = _run_python("-c", "import sys, chsmc; print(sorted(m for m in "
+                            "sys.modules if m.startswith('chsmc')))")
+    assert out.stdout.strip() == "['chsmc', 'chsmc.errors']"
+
+
+def test_module_entry_point_runs_without_runtime_warning():
+    out = _run_python("-W", "error::RuntimeWarning", "-m", "chsmc.cli",
+                      "--help")
+    assert out.returncode == 0, out.stderr
+    assert "usage: chsmc" in out.stdout
 
 
 def test_numerical_error_exit_code(capsys):

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -179,7 +181,8 @@ def test_inverse_dirichlet_solves(grid2d, inverse):
 TRANSFORM_SHAPES = [((64,), True), ((256,), True), ((1024,), False),
                     ((12, 10), True), ((96, 96), True), ((128, 128), False),
                     ((8, 8, 8), True), ((6, 7, 5), True),
-                    ((24, 24, 24), True), ((32, 32, 32), False)]
+                    ((24, 24, 24), True), ((32, 32, 32), True),
+                    ((282, 3, 3), True), ((283, 3, 3), False)]
 
 
 @pytest.mark.parametrize("shape, dense", TRANSFORM_SHAPES,
@@ -337,6 +340,47 @@ def test_harmonic_extension_matches_per_face_reference(shape, lengths, datum):
 
 
 # -- eigenbasis ---------------------------------------------------------------
+
+
+def _per_mode_eigenbasis(grid):
+    """Reference: every index tuple sorted by (per-axis eigenvalue sum,
+    index tuple), each mode the outer product of its per-axis cosines."""
+    per_axis = []
+    for a in range(grid.dim):
+        L = grid.lengths[a]
+        x = grid.axis_centers(a)
+        vecs = []
+        for k in range(grid.shape[a]):
+            v = np.cos(np.pi * k * x / L)
+            v *= (1.0 / np.sqrt(L)) if k == 0 else np.sqrt(2.0 / L)
+            vecs.append(v)
+        per_axis.append((grid.axis_eigenvalues_neumann(a), vecs))
+    combos = sorted(
+        itertools.product(*[range(n_a) for n_a in grid.shape]),
+        key=lambda ks: (sum(per_axis[a][0][k] for a, k in enumerate(ks)), ks))
+    eigenvalues, modes = [], []
+    for ks in combos:
+        eigenvalues.append(sum(per_axis[a][0][k] for a, k in enumerate(ks)))
+        mode = per_axis[0][1][ks[0]]
+        for a in range(1, grid.dim):
+            mode = np.multiply.outer(mode, per_axis[a][1][ks[a]])
+        modes.append(mode)
+    return np.array(eigenvalues), np.array(modes)
+
+
+# cubes and squares have many tied eigenvalues
+@pytest.mark.parametrize("shape, lengths", [
+    ((64,), (1.0,)), ((32,), (0.5,)), ((12, 10), (1.0, 2.0)),
+    ((24, 24), (1.0, 1.0)), ((8, 8, 8), (0.4, 0.4, 0.4)),
+    ((10, 9, 8), (1.0, 0.9, 0.8))])
+def test_neumann_eigenbasis_matches_per_mode_reference(shape, lengths):
+    grid = Grid(shape=shape, lengths=lengths)
+    ref_lam, ref_modes = _per_mode_eigenbasis(grid)
+    N = grid.ncells
+    for n in sorted({1, 2, 3, 5, N // 3, N // 2, N - 1, N}):
+        basis = gr.neumann_eigenbasis(grid, n)
+        assert np.array_equal(basis.eigenvalues, ref_lam[:n])
+        assert np.array_equal(basis.modes, ref_modes[:n])
 
 
 def test_neumann_eigenbasis_orthonormal(grid2d):

@@ -28,7 +28,7 @@ def spec(request):
 def test_regular_values():
     s = SPECS["regular"]
     assert pot.B_hat(s, 2.0) == pytest.approx(4.0)
-    assert pot.beta(s, 2.0) == pytest.approx(8.0)
+    assert pot.beta0(s, 2.0) == pytest.approx(8.0)
     assert pot.pi(s, 2.0) == pytest.approx(-2.0)
     # full well f = B + Pi equals (r^2 - 1)^2 / 4
     r = np.linspace(-2, 2, 41)
@@ -38,15 +38,15 @@ def test_regular_values():
 
 def test_logarithmic_values():
     s = SPECS["logarithmic"]
-    assert pot.beta(s, 0.0) == 0.0
-    assert pot.beta(s, 0.5) == pytest.approx(np.log(3.0))
+    assert pot.beta0(s, 0.0) == 0.0
+    assert pot.beta0(s, 0.5) == pytest.approx(np.log(3.0))
     assert pot.B_hat(s, 0.0) == 0.0
     # endpoints belong to the closure of B's domain but not of beta's
     assert pot.B_hat(s, 1.0) == pytest.approx(2.0 * np.log(2.0))
     with pytest.raises(DomainError):
-        pot.beta(s, 1.0)
+        pot.beta0(s, 1.0)
     with pytest.raises(DomainError):
-        pot.beta(s, np.array([0.0, -1.0]))
+        pot.beta0(s, np.array([0.0, -1.0]))
 
 
 def test_obstacle_values():
