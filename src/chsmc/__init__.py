@@ -8,7 +8,8 @@ harness), :mod:`chsmc.cli` (batch front end).
 
 ``import chsmc`` loads only :mod:`chsmc.errors`; the first access to a
 subpackage loads them all (PEP 562), so that ``python -m chsmc.cli`` does
-not find ``chsmc.cli`` imported before it runs.
+not find ``chsmc.cli`` imported before it runs, nor imports it a second
+time while it runs.
 """
 
 import importlib
@@ -39,7 +40,11 @@ def __getattr__(name):
     # attribute (a tracer, say) finds every binding already made.  Once one
     # is loading, a sibling it imports must not start a third that needs
     # names it has not defined yet, so only the one asked for is imported.
-    started = any(f"{__name__}.{sub}" in sys.modules for sub in _SUBMODULES)
+    # A subpackage run as ``__main__`` (python -m) counts as loading.
+    main_spec = getattr(sys.modules.get("__main__"), "__spec__", None)
+    started = (getattr(main_spec, "parent", None) == __name__
+               or any(f"{__name__}.{sub}" in sys.modules
+                      for sub in _SUBMODULES))
     for sub in (name,) if started else _SUBMODULES:
         importlib.import_module(f".{sub}", __name__)
     return sys.modules[f"{__name__}.{name}"]

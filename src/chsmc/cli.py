@@ -54,7 +54,8 @@ tanh_front and ramp act along the first axis).  Every profile, the
 ``(X, t) -> values`` on coordinate arrays: ``g``, ``phistar``, ``phi0``
 and the shape are evaluated on the cell centers, the mu datum once per
 boundary side on its face centers, with the box lengths of ``[grid]``
-fixing the period of the trigonometric profiles.
+fixing the period of the trigonometric profiles.  A key that the run
+does not read, in any section, is rejected as a config error.
 
 Exit codes: 0 ok, 2 config error, 3 numerical failure, 4 verification
 failure.
@@ -150,7 +151,23 @@ def parse_profile(text: str, lengths):
 # -- config loading -------------------------------------------------------
 
 
+class _Config(configparser.ConfigParser):
+    """A config file that records which keys :func:`_get` reads."""
+
+    def __init__(self):
+        super().__init__(inline_comment_prefixes=(";", "#"))
+        self.read_keys = set()
+
+    def check_all_read(self):
+        """Reject the first key, in file order, that nothing read."""
+        for section in self.sections():
+            for key in self[section]:
+                if (section, key) not in self.read_keys:
+                    raise ConfigError(f"unknown key [{section}] {key}")
+
+
 def _get(cp, section, key, cast=str, default=None):
+    cp.read_keys.add((section, cp.optionxform(key)))
     if not cp.has_section(section) or key not in cp[section]:
         if default is not None:
             return default
@@ -216,11 +233,12 @@ def load_config(path):
 
     ``extras`` holds the ``[experiment]`` keys the config sets and, under
     "contdep", those of ``[contdep]``, cast and checked; it is empty for a
-    config without these sections.
+    config without these sections.  A key that the run does not read (a
+    misspelt name, a ``c1`` for a regular potential) is a config error.
     """
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
-    cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+    cp = _Config()
     try:
         cp.read(path)
     except configparser.Error as exc:
@@ -314,6 +332,7 @@ def load_config(path):
         extras = _optional_section(cp, "experiment")
     if cp.has_section("contdep"):
         extras["contdep"] = _optional_section(cp, "contdep")
+    cp.check_all_read()
     return data, cfg, extras
 
 

@@ -9,7 +9,10 @@ per-axis matrices (the fast diagonalization method of Lynch, Rice &
 Thomas, 1964), because there a matrix product costs less than the
 per-call overhead of ``scipy.fft``; larger grids, where the O(n log n)
 transform wins, use ``scipy.fft``.  The choice depends on the grid shape
-alone (:func:`_dense_transforms`).
+alone (:func:`_dense_transforms`).  The dense matrices are built in closed
+form with numpy, so only a grid whose shape takes the FFT path loads
+``scipy.fft``, and it does so when the grid is constructed, before any
+time is spent stepping.
 
 The module also holds the package's one preconditioned CG loop, which the
 time stepper runs on its Newton systems, preconditioned by a DCT diagonal
@@ -23,7 +26,6 @@ from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.fft import dct, dctn, dst, dstn, idctn, idstn
 
 from .errors import MeanError, ModeRangeError, SolveError
 
@@ -47,6 +49,10 @@ class Grid:
         object.__setattr__(self, "shape", tuple(int(n) for n in self.shape))
         object.__setattr__(self, "lengths",
                            tuple(float(L) for L in self.lengths))
+        if not _dense_transforms(self.shape):
+            # an FFT-path grid pays for the scipy.fft import here, not
+            # inside the first solve that needs it
+            import scipy.fft  # noqa: F401
 
     # Derived sizes and arrays are computed once per grid and kept in the
     # instance dict; equality and hashing see only shape and lengths.
@@ -196,14 +202,28 @@ class Grid:
     def transform_matrices(self, bc: str) -> tuple:
         """Per axis, the orthonormal DCT-II ("neumann") or DST-II
         ("dirichlet") matrix M with M @ u = dct(u) (resp. dst(u)) along
-        that axis; M.T is its inverse.  Read-only (cached)."""
+        that axis, in ``scipy.fft``'s ``norm="ortho"`` convention; M.T is
+        its inverse.  Closed-form numpy, read-only (cached)."""
         def build():
             _check_bc(bc)
-            transform = dct if bc == "neumann" else dst
-            return tuple(_read_only(transform(np.eye(n), type=2,
-                                              norm="ortho", axis=0))
+            return tuple(_read_only(_transform_matrix(n, bc))
                          for n in self.shape)
         return self._cached("_mat_" + bc, build)
+
+
+def _transform_matrix(n: int, bc: str) -> np.ndarray:
+    """Orthonormal DCT-II ("neumann") or DST-II ("dirichlet") matrix of
+    size n: row k samples cos(pi*k*(2j+1)/(2n)), resp.
+    sin(pi*(k+1)*(2j+1)/(2n)), at j = 0..n-1.  The integer phase is reduced
+    mod 4n before the angle is formed, so the argument stays below 2*pi and
+    the entries agree with ``scipy.fft`` to within an ulp or two."""
+    k = np.arange(n)[:, None] + (bc == "dirichlet")
+    angle = np.pi * ((k * (2 * np.arange(n) + 1)) % (4 * n)) / (2 * n)
+    scale = np.full((n, 1), np.sqrt(2.0 / n))
+    # the constant cosine (first row) and the alternating sine (last row)
+    # have twice the squared norm of the others
+    scale[0 if bc == "neumann" else -1] = np.sqrt(1.0 / n)
+    return scale * (np.cos(angle) if bc == "neumann" else np.sin(angle))
 
 
 def _check_bc(bc: str) -> None:
@@ -289,6 +309,7 @@ def _symbol_dense(grid: Grid, u: np.ndarray, symbol: np.ndarray,
 
 
 def _symbol_fft(u: np.ndarray, symbol: np.ndarray, bc: str) -> np.ndarray:
+    from scipy.fft import dctn, dstn, idctn, idstn
     forward, inverse = (dctn, idctn) if bc == "neumann" else (dstn, idstn)
     return inverse(forward(u, type=2, norm="ortho") * symbol, type=2,
                    norm="ortho")

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.special import xlogy
 
 from .errors import ConvergenceError, DomainError
 
@@ -107,6 +106,13 @@ def _check_domain(spec: PotentialSpec, arr: np.ndarray, closure: bool = True):
             f"value outside domain [{lo}, {hi}] of beta ({spec.kind})")
 
 
+def _xlogx(x: np.ndarray) -> np.ndarray:
+    """x*log(x), extended by its limit 0 at x = 0 without a floating-point
+    warning; NaN stays NaN."""
+    zero = x == 0.0
+    return np.where(zero, 0.0, x * np.log(np.where(zero, 1.0, x)))
+
+
 def B_hat(spec: PotentialSpec, r):
     """Convex part of the potential, on the closure of its domain."""
     arr, scalar = _as_array(r)
@@ -114,7 +120,7 @@ def B_hat(spec: PotentialSpec, r):
     if spec.kind == "regular":
         out = 0.25 * arr**4
     elif spec.kind == "logarithmic":
-        out = xlogy(1.0 + arr, 1.0 + arr) + xlogy(1.0 - arr, 1.0 - arr)
+        out = _xlogx(1.0 + arr) + _xlogx(1.0 - arr)
     elif spec.kind == "obstacle":
         out = np.zeros_like(arr)
     else:

@@ -295,6 +295,39 @@ def test_bad_value_exits_2_naming_its_key(tmp_path, capsys, command,
     assert f"[{section}] {key}" in capsys.readouterr().err
 
 
+# (base config, section, key): a key that no command reads, in a section
+# that the base config has or not
+UNKNOWN_KEY_CASES = [
+    (NEUMANN_CONFIG, "control", "rhoo"),
+    (NEUMANN_CONFIG, "solver", "epss"),
+    (NEUMANN_CONFIG, "grid", "cell"),
+    (NEUMANN_CONFIG, "time", "tt"),
+    (NEUMANN_CONFIG, "potential", "c1"),  # read by logarithmic only
+    (NEUMANN_CONFIG, "bc", "datum"),  # read by dirichlet only
+    (DIRICHLET_CONFIG, "data", "phi_0"),
+    (DIRICHLET_CONFIG, "experiment", "rho_margn"),
+    (NEUMANN_CONFIG, "contdep", "delta"),
+    (NEUMANN_CONFIG, "experimnt", "rho_margin"),
+]
+
+
+@pytest.mark.parametrize("config,section,key", UNKNOWN_KEY_CASES,
+                         ids=[f"{s}.{k}" for _, s, k in UNKNOWN_KEY_CASES])
+def test_unknown_key_exits_2_naming_it(tmp_path, capsys, config, section,
+                                       key):
+    header = f"[{section}]\n"
+    if header in config:
+        text = config.replace(header, f"{header}{key} = 5\n")
+    else:
+        text = config + f"\n{header}{key} = 5\n"
+    path = tmp_path / "typo.ini"
+    path.write_text(text)
+    code = cli.main(["simulate", "--config", str(path), "--quiet",
+                     "--out", str(tmp_path / "out")])
+    assert code == cli.EXIT_CONFIG
+    assert f"unknown key [{section}] {key}" in capsys.readouterr().err
+
+
 def test_load_config_types_experiment_and_contdep_values(tmp_path):
     path = tmp_path / "run.ini"
     path.write_text(DIRICHLET_CONFIG + "\n[experiment]\nrho_margin = 3\n"
@@ -402,18 +435,61 @@ def _run_python(*args):
                           capture_output=True, text=True)
 
 
-def test_cli_import_loads_no_scipy_integrate():
-    probe = ("import sys, chsmc.cli; print(sorted(m for m in sys.modules "
-             "if m.startswith('scipy.integrate')))")
-    out = _run_python("-c", probe)
+_LOADED_SCIPY = ("print(sorted(m for m in sys.modules "
+                 "if m.split('.')[0] == 'scipy'))")
+
+
+def test_cli_import_loads_no_scipy():
+    out = _run_python("-c", "import sys, chsmc.cli; " + _LOADED_SCIPY)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("dim,cells", [(1, 128), (3, 24)])
+def test_dense_path_simulate_loads_no_scipy(tmp_path, dim, cells):
+    """A run on a grid that takes the dense transforms needs only numpy."""
+    config = tmp_path / "run.ini"
+    config.write_text(DIRICHLET_CONFIG
+                      .replace("dim = 1", f"dim = {dim}")
+                      .replace("cells = 32", f"cells = {cells}")
+                      .replace("T = 0.01", "T = 0.002"))
+    argv = ["simulate", "--config", str(config), "--quiet",
+            "--out", str(tmp_path / "out")]
+    out = _run_python("-c", f"import sys; from chsmc import cli; "
+                            f"code = cli.main({argv!r}); " + _LOADED_SCIPY
+                      + "; sys.exit(code)")
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
+    assert len(list((tmp_path / "out").glob("snapshot_*"))) == 3
+
+
+def test_fft_path_grid_loads_scipy_fft_when_built():
+    """scipy.fft is imported by the Grid constructor, before any run."""
+    out = _run_python("-c", "import sys; from chsmc.grid import Grid; "
+                            "Grid(shape=(128, 128), lengths=(1.0, 1.0)); "
+                            "print('scipy.fft' in sys.modules)")
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "True"
 
 
 def test_package_import_loads_submodules_on_demand():
     out = _run_python("-c", "import sys, chsmc; print(sorted(m for m in "
                             "sys.modules if m.startswith('chsmc')))")
     assert out.stdout.strip() == "['chsmc', 'chsmc.errors']"
+
+
+def test_module_entry_point_does_not_import_itself_again():
+    probe = ("import runpy, sys\n"
+             "sys.argv = ['chsmc', '--help']\n"
+             "try:\n"
+             "    runpy.run_module('chsmc.cli', run_name='__main__', "
+             "alter_sys=True)\n"
+             "except SystemExit as exc:\n"
+             "    assert exc.code == 0, exc.code\n"
+             "print('chsmc.cli imported:', 'chsmc.cli' in sys.modules)\n")
+    out = _run_python("-c", probe)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == "chsmc.cli imported: False"
 
 
 def test_module_entry_point_runs_without_runtime_warning():

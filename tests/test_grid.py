@@ -209,6 +209,19 @@ def test_dense_and_fft_transforms_agree(shape, dense, bc):
     assert np.max(np.abs(u_cg - u)) <= 1e-9 * scale
 
 
+@pytest.mark.parametrize("n", [3, 8, 64, 128, 256, 288])
+@pytest.mark.parametrize("bc", ["neumann", "dirichlet"])
+def test_closed_form_transform_matrices_match_scipy(n, bc):
+    """The numpy matrices are scipy's orthonormal DCT-II / DST-II of the
+    identity up to roundoff, and as orthogonal as those."""
+    from scipy.fft import dct, dst
+    (M,) = Grid(shape=(n,), lengths=(1.0,)).transform_matrices(bc)
+    transform = dct if bc == "neumann" else dst
+    reference = transform(np.eye(n), type=2, norm="ortho", axis=0)
+    assert np.max(np.abs(M - reference)) <= 4e-16
+    assert np.max(np.abs(M @ M.T - np.eye(n))) <= 1e-14
+
+
 def test_transform_data_cached_read_only(grid2d):
     for bc in ("neumann", "dirichlet"):
         mats = grid2d.transform_matrices(bc)

@@ -49,6 +49,32 @@ def test_logarithmic_values():
         pot.beta0(s, np.array([0.0, -1.0]))
 
 
+def test_logarithmic_convex_part_matches_xlogy():
+    """The numpy x*log(x) reproduces scipy's xlogy(x, x) up to the last
+    ulp or two of numpy's log, endpoints included, and raises no
+    floating-point warning."""
+    from scipy.special import xlogy
+    s = SPECS["logarithmic"]
+    r = np.concatenate([[-1.0, 1.0, 0.0, np.nextafter(-1.0, 0.0),
+                         np.nextafter(1.0, 0.0)],
+                        np.linspace(-1.0, 1.0, 2001),
+                        1.0 - np.logspace(-16, 0, 200),
+                        -1.0 + np.logspace(-16, 0, 200)])
+    x = np.concatenate([1.0 + r, 1.0 - r])
+    with np.errstate(all="raise"):
+        B = pot.B_hat(s, r)
+        terms = pot._xlogx(x)
+        B_end = [pot.B_hat(s, -1.0), pot.B_hat(s, 1.0)]
+    reference = xlogy(x, x)
+    assert np.all(np.abs(terms - reference)
+                  <= 2 * np.spacing(np.abs(reference)))
+    assert np.all(np.abs(B - (xlogy(1.0 + r, 1.0 + r)
+                              + xlogy(1.0 - r, 1.0 - r)))
+                  <= 2 * np.spacing(2.0 * np.log(2.0)))
+    assert B_end == [2.0 * np.log(2.0)] * 2
+    assert np.isnan(pot.B_hat(s, np.nan))
+
+
 def test_obstacle_values():
     s = SPECS["obstacle"]
     assert pot.B_hat(s, 1.0) == 0.0
