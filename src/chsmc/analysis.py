@@ -203,7 +203,7 @@ def _solution_distance(grid: Grid, traj1: Trajectory,
     acc = 0.0
     for d, dt_out in _paired_outputs(traj1, traj2):
         sup_h = max(sup_h, grid.l2_norm(d))
-        acc += grid.gradient_energy(d, scheme="faces") * dt_out
+        acc += grid.gradient_energy(d) * dt_out
     return sup_h + float(np.sqrt(acc))
 
 

@@ -46,6 +46,9 @@ config fully determines a run::
     shape = cosine amplitude=1 mode=1
     deltas = 1e-1,1e-2,1e-3       ; finite numbers > 0
 
+The values shown in ``[experiment]`` and ``[contdep]`` are the defaults
+that a missing key or section takes.
+
 Profiles: ``constant value=``, ``cosine amplitude= mode= offset=``,
 ``sine amplitude= mode= offset=``, ``tanh_front center= width= amplitude=
 offset=``, ``ramp slope= offset=`` (mode may be comma-separated per axis;
@@ -57,8 +60,9 @@ boundary side on its face centers, with the box lengths of ``[grid]``
 fixing the period of the trigonometric profiles.  A key that the run
 does not read, in any section, is rejected as a config error.
 
-Exit codes: 0 ok, 2 config error, 3 numerical failure, 4 verification
-failure.
+Exit codes: 0 ok, 2 config error (``ode-oracle`` and ``design-rho``
+flags that the formulas reject included), 3 numerical failure,
+4 verification failure.
 """
 
 from __future__ import annotations
@@ -71,7 +75,8 @@ import sys
 import numpy as np
 
 from . import analysis, potentials as pot, smc, solver
-from .errors import ChsmcError, ConfigError, ParamError, RegimeError
+from .errors import (ChsmcError, ConfigError, ParamError, RegimeError,
+                     VolumeError)
 from .grid import Grid, write_snapshot
 
 EXIT_OK = 0
@@ -167,13 +172,14 @@ class _Config(configparser.ConfigParser):
 
 
 def _get(cp, section, key, cast=str, default=None):
+    """``cast`` of the value of [section] key, or of ``default`` when the
+    config does not set the key; without a default the key is required."""
     cp.read_keys.add((section, cp.optionxform(key)))
-    if not cp.has_section(section) or key not in cp[section]:
-        if default is not None:
-            return default
+    present = cp.has_section(section) and key in cp[section]
+    if not present and default is None:
         raise ConfigError(f"missing key [{section}] {key}")
     try:
-        return cast(cp[section][key])
+        return cast(cp[section][key] if present else default)
     except (ValueError, configparser.Error) as exc:
         raise ConfigError(f"bad value for [{section}] {key}: {exc}") from exc
 
@@ -208,33 +214,26 @@ def _tol_slide(text):
     return None if text == "auto" else _number_above(0.0)(text)
 
 
-# The optional sections: key -> cast.  The designed gain
+# The optional sections: key -> (cast, default text).  The designed gain
 # rho = rho_margin*(M + tau*w0/T) must exceed the drift bound M, and a
 # tol_slide of "auto" (None) leaves the tolerance to the experiment.
 _OPTIONAL_SECTIONS = {
-    "experiment": {"rho_margin": _number_above(1.0),
-                   "dt_stability_factor": _number_above(0.0),
-                   "tol_slide": _tol_slide},
-    "contdep": {"which": _one_of("g", "phi0", "phistar"),
-                "shape": str,
-                "deltas": _list_of(_number_above(0.0))},
+    "experiment": {"rho_margin": (_number_above(1.0), "2.0"),
+                   "dt_stability_factor": (_number_above(0.0), "0.3"),
+                   "tol_slide": (_tol_slide, "auto")},
+    "contdep": {"which": (_one_of("g", "phi0", "phistar"), "g"),
+                "shape": (str, "cosine amplitude=1 mode=1"),
+                "deltas": (_list_of(_number_above(0.0)), "1e-1,1e-2,1e-3")},
 }
-
-
-def _optional_section(cp, section):
-    """The keys of an optional section that the config sets, cast."""
-    return {key: _get(cp, section, key, cast)
-            for key, cast in _OPTIONAL_SECTIONS[section].items()
-            if key in cp[section]}
 
 
 def load_config(path):
     """Parse a config file into (ProblemData, SolverConfig, extras).
 
-    ``extras`` holds the ``[experiment]`` keys the config sets and, under
-    "contdep", those of ``[contdep]``, cast and checked; it is empty for a
-    config without these sections.  A key that the run does not read (a
-    misspelt name, a ``c1`` for a regular potential) is a config error.
+    ``extras`` maps "experiment" and "contdep" to every key of that
+    optional section, cast and checked, a key the config does not set
+    taking its default.  A key that the run does not read (a misspelt
+    name, a ``c1`` for a regular potential) is a config error.
     """
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
@@ -294,8 +293,8 @@ def load_config(path):
     phi0_profile = parse_profile(_get(cp, "data", "phi0"), lengths)
     phi0 = phi0_profile(grid.meshgrid(), 0.0)
 
-    # static profiles: target derivatives vanish, curvature from the
-    # discrete operator would also work but constants dominate usage
+    # the profiles are static, so d_t phistar = 0, and Lap phistar is the
+    # discrete zero-flux Laplacian of the sampled target
     dphistar_dt = lambda X, t: np.zeros_like(X[0])
     from .grid import laplacian_neumann
     lap_phistar = lambda X, t: laplacian_neumann(grid, phistar(X, t))
@@ -327,11 +326,9 @@ def load_config(path):
         raise ConfigError(f"scheme {scheme!r} incompatible with bc "
                           f"{bc_kind!r}")
 
-    extras = {}
-    if cp.has_section("experiment"):
-        extras = _optional_section(cp, "experiment")
-    if cp.has_section("contdep"):
-        extras["contdep"] = _optional_section(cp, "contdep")
+    extras = {section: {key: _get(cp, section, key, cast, default)
+                        for key, (cast, default) in keys.items()}
+              for section, keys in _OPTIONAL_SECTIONS.items()}
     cp.check_all_read()
     return data, cfg, extras
 
@@ -365,8 +362,8 @@ def cmd_sliding_check(args) -> int:
         raise RegimeError("sliding check needs the Dirichlet regime")
     out = _outdir(args)
     tau, T = data.tau, cfg.T
-    margin = extras.get("rho_margin", 2.0)
-    stiff_cap = extras.get("dt_stability_factor", 0.3)
+    experiment = extras["experiment"]
+    stiff_cap = experiment["dt_stability_factor"]
 
     from dataclasses import replace
 
@@ -381,8 +378,9 @@ def cmd_sliding_check(args) -> int:
         return replace(cfg, dt=dt)
 
     report, comparison, traj = analysis.run_sliding_experiment(
-        make_data, make_cfg, T=T, tau=tau, rho_margin=margin,
-        tol_slide=extras.get("tol_slide"))
+        make_data, make_cfg, T=T, tau=tau,
+        rho_margin=experiment["rho_margin"],
+        tol_slide=experiment["tol_slide"])
     traj.diagnostics.to_csv(os.path.join(out, "sliding_diagnostics.csv"))
     lines = [
         f"verdict: {report.verdict}",
@@ -409,12 +407,11 @@ def cmd_sliding_check(args) -> int:
 def cmd_contdep(args) -> int:
     data, cfg, extras = load_config(args.config)
     out = _outdir(args)
-    cd = extras.get("contdep", {})
-    which = cd.get("which", "g")
-    shape = parse_profile(cd.get("shape", "cosine amplitude=1 mode=1"),
-                          data.grid.lengths)
-    deltas = cd.get("deltas", [1e-1, 1e-2, 1e-3])
-    report = analysis.contdep_experiment(data, cfg, which, shape, deltas)
+    cd = extras["contdep"]
+    which = cd["which"]
+    shape = parse_profile(cd["shape"], data.grid.lengths)
+    report = analysis.contdep_experiment(data, cfg, which, shape,
+                                         cd["deltas"])
     path = os.path.join(out, "contdep.csv")
     with open(path, "w") as fh:
         fh.write("delta,lhs,rhs,ratio\n")
@@ -428,17 +425,19 @@ def cmd_contdep(args) -> int:
 
 
 def cmd_ode_oracle(args) -> int:
-    tstar = smc.sliding_time(args.w0, args.M, args.rho, args.tau)
+    try:
+        tstar = smc.sliding_time(args.w0, args.M, args.rho, args.tau)
+        times, w_num = smc.ode_weps_integrate(args.eps, args.M, args.rho,
+                                              args.tau, args.w0, args.dt,
+                                              args.T)
+    except ParamError as exc:
+        raise ConfigError(f"invalid flags: {exc}") from exc
     print(f"T* = tau*w0/(rho - M) = {tstar!r}")
-    if args.w0 > 0 and args.eps >= args.w0:
-        raise ParamError("need eps in (0, w0)")
-    times, w_num = smc.ode_weps_integrate(args.eps, args.M, args.rho,
-                                          args.tau, args.w0, args.dt,
-                                          args.T)
     print("t,w_numeric,w_limit_closed_form" +
           (",w_eps_closed_form" if args.w0 == 0 else ""))
+    # about 20 rows, the last one at T
     stride = max(1, len(times) // 20)
-    for k in range(0, len(times), stride):
+    for k in list(range(0, len(times) - 1, stride)) + [len(times) - 1]:
         t = float(times[k])
         w_lim = smc.ode_w_closed_form(args.w0, args.M, args.rho, args.tau,
                                       t)
@@ -450,12 +449,15 @@ def cmd_ode_oracle(args) -> int:
 
 
 def cmd_design_rho(args) -> int:
-    design = smc.design_parameters(args.Chat, args.Cstr, args.betastar,
-                                   args.tau, args.w0, args.T, args.vol)
+    try:
+        design = smc.design_parameters(args.Chat, args.Cstr, args.betastar,
+                                       args.tau, args.w0, args.T, args.vol)
+        rho = 2.0 * design.rhostar
+        design.choose_rho(rho)
+    except (ParamError, VolumeError) as exc:
+        raise ConfigError(f"invalid flags: {exc}") from exc
     print(f"deltastar = {design.deltastar!r}")
     print(f"rhostar = {design.rhostar!r}")
-    rho = 2.0 * design.rhostar
-    design.choose_rho(rho)
     print(f"example rho = 2*rhostar = {rho!r}: M = {design.M!r}, "
           f"T* = {design.Tstar!r}")
     return EXIT_OK

@@ -16,7 +16,8 @@ time is spent stepping.
 
 The module also holds the package's one preconditioned CG loop, which the
 time stepper runs on its Newton systems, preconditioned by a DCT diagonal
-(:func:`apply_cosine_symbol`).
+(:func:`apply_symbol`, which applies any operator diagonal in either
+transform basis).
 """
 
 from __future__ import annotations
@@ -137,55 +138,34 @@ class Grid:
     def sup_norm(self, u: np.ndarray) -> float:
         return float(np.max(np.abs(u)))
 
-    def gradient_energy(self, u: np.ndarray, scheme: str = "faces") -> float:
-        """Integral of |grad u|^2.
-
-        ``"faces"``: interior face differences; exact counterpart of the
-        summation-by-parts identity <-Lap_N u, u>.  ``"centered"``:
-        centered differences at cell centers with one-sided boundary
-        stencils; second-order for fields that need not satisfy zero-flux
-        conditions.
-        """
+    def gradient_energy(self, u: np.ndarray) -> float:
+        """Integral of |grad u|^2 by interior face differences: the exact
+        counterpart of the summation-by-parts identity <-Lap_N u, u>."""
         total = 0.0
         for axis in range(self.dim):
             h = self.h[axis]
             v = np.moveaxis(u, axis, 0)
-            if scheme == "faces":
-                d = (v[1:] - v[:-1]) / h
-            elif scheme == "centered":
-                d = np.empty_like(v)
-                d[1:-1] = (v[2:] - v[:-2]) / (2.0 * h)
-                d[0] = (v[1] - v[0]) / h
-                d[-1] = (v[-1] - v[-2]) / h
-            else:
-                raise ValueError(f"unknown gradient scheme {scheme!r}")
+            d = (v[1:] - v[:-1]) / h
             total += float(np.sum(d * d))
         return total * self.cell_volume
 
     # -- spectral data -------------------------------------------------
 
-    def axis_eigenvalues_neumann(self, axis: int) -> np.ndarray:
+    def axis_eigenvalues(self, axis: int, bc: str) -> np.ndarray:
+        """Eigenvalues of the 1-D -Lap along ``axis`` on the DCT-II
+        ("neumann") or DST-II ("dirichlet") modes, in mode order."""
+        _check_bc(bc)
         n = self.shape[axis]
-        h = self.h[axis]
-        k = np.arange(n)
-        return (2.0 / h**2) * (1.0 - np.cos(np.pi * k / n))
-
-    def axis_eigenvalues_dirichlet(self, axis: int) -> np.ndarray:
-        n = self.shape[axis]
-        h = self.h[axis]
-        m = np.arange(1, n + 1)
-        return (2.0 / h**2) * (1.0 - np.cos(np.pi * m / n))
+        k = np.arange(n) + (bc == "dirichlet")
+        return (2.0 / self.h[axis] ** 2) * (1.0 - np.cos(np.pi * k / n))
 
     def eigenvalues(self, bc: str) -> np.ndarray:
         """Eigenvalues of -Lap on the tensor-product DCT-II ("neumann") or
         DST-II ("dirichlet") modes, grid-shaped and read-only (cached)."""
         def build():
-            _check_bc(bc)
-            axis_eig = (self.axis_eigenvalues_neumann if bc == "neumann"
-                        else self.axis_eigenvalues_dirichlet)
-            lam = axis_eig(0)
+            lam = self.axis_eigenvalues(0, bc)
             for a in range(1, self.dim):
-                lam = lam[..., None] + axis_eig(a)
+                lam = lam[..., None] + self.axis_eigenvalues(a, bc)
             return _read_only(lam)
         return self._cached("_eig_" + bc, build)
 
@@ -315,21 +295,15 @@ def _symbol_fft(u: np.ndarray, symbol: np.ndarray, bc: str) -> np.ndarray:
                    norm="ortho")
 
 
-def _apply_symbol(grid: Grid, u: np.ndarray, symbol: np.ndarray,
-                  bc: str) -> np.ndarray:
-    """Multiply the orthonormal DCT-II ("neumann") or DST-II ("dirichlet")
-    coefficients of ``u`` by the grid-shaped ``symbol`` and transform
-    back; dense or FFT transforms as :func:`_dense_transforms` selects."""
+def apply_symbol(grid: Grid, u: np.ndarray, symbol: np.ndarray,
+                 bc: str) -> np.ndarray:
+    """Operator diagonal in the orthonormal DCT-II ("neumann") or DST-II
+    ("dirichlet") basis: multiply the coefficients of ``u`` by the
+    grid-shaped ``symbol`` and transform back; dense or FFT transforms as
+    :func:`_dense_transforms` selects."""
     if _dense_transforms(grid.shape):
         return _symbol_dense(grid, u, symbol, bc)
     return _symbol_fft(u, symbol, bc)
-
-
-def apply_cosine_symbol(grid: Grid, u: np.ndarray,
-                        symbol: np.ndarray) -> np.ndarray:
-    """Operator diagonal in the orthonormal DCT-II basis: multiply the
-    cosine coefficients of ``u`` by the grid-shaped ``symbol``."""
-    return _apply_symbol(grid, u, symbol, "neumann")
 
 
 # -- conjugate gradients -----------------------------------------------
@@ -390,14 +364,14 @@ def inverse_neumann(grid: Grid, psi: np.ndarray) -> np.ndarray:
     nrm = grid.l2_norm(psi)
     if abs(grid.mean(psi)) > 1e-10 * max(nrm, 1e-300):
         raise MeanError("inverse_neumann needs a mean-free right-hand side")
-    return _apply_symbol(grid, psi, grid.inverse_eigenvalues("neumann"),
-                         "neumann")
+    return apply_symbol(grid, psi, grid.inverse_eigenvalues("neumann"),
+                        "neumann")
 
 
 def inverse_dirichlet(grid: Grid, psi: np.ndarray) -> np.ndarray:
     """Solution u of -Lap_D u = psi by the exact sine diagonalization."""
-    return _apply_symbol(grid, psi, grid.inverse_eigenvalues("dirichlet"),
-                         "dirichlet")
+    return apply_symbol(grid, psi, grid.inverse_eigenvalues("dirichlet"),
+                        "dirichlet")
 
 
 def dual_norm(grid: Grid, psi: np.ndarray, bc: str) -> float:
@@ -407,15 +381,14 @@ def dual_norm(grid: Grid, psi: np.ndarray, bc: str) -> float:
     the mean-free part, i.e. sqrt(||grad N psi0||^2 + mean(psi)^2).
     Dirichlet: sqrt(<psi, D psi>) = ||grad D psi||.
     """
+    _check_bc(bc)
     if bc == "neumann":
         m = grid.mean(psi)
         psi0 = psi - m
         u = inverse_neumann(grid, psi0)
         return float(np.sqrt(max(grid.inner(psi0, u), 0.0) + m * m))
-    if bc == "dirichlet":
-        u = inverse_dirichlet(grid, psi)
-        return float(np.sqrt(max(grid.inner(psi, u), 0.0)))
-    raise ValueError(f"unknown bc {bc!r}")
+    u = inverse_dirichlet(grid, psi)
+    return float(np.sqrt(max(grid.inner(psi, u), 0.0)))
 
 
 # -- harmonic extension ------------------------------------------------
@@ -510,11 +483,3 @@ def read_snapshot(path):
     field = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
     return Grid(shape=shape, lengths=lengths), t, field
 
-
-def write_field_csv(path, grid: Grid, field: np.ndarray) -> None:
-    """Index coordinates plus value, one cell per row (for plotting)."""
-    with open(path, "w") as fh:
-        fh.write(",".join("ijk"[:grid.dim]) + ",value\n")
-        for idx in np.ndindex(*grid.shape):
-            fh.write(",".join(str(i) for i in idx)
-                     + f",{float(field[idx])!r}\n")

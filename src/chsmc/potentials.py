@@ -95,7 +95,7 @@ def _as_array(r):
 
 def _check_domain(spec: PotentialSpec, arr: np.ndarray, closure: bool = True):
     lo, hi = spec.lo, spec.hi
-    bad = (arr < lo) | (arr > hi)
+    bad = ~((arr >= lo) & (arr <= hi))  # NaN is outside as well
     if not closure:
         if spec.lo_open:
             bad |= arr == lo
@@ -257,6 +257,9 @@ def _resolvent_regular(eps: float, arr: np.ndarray) -> np.ndarray:
 
 def _resolvent_generic(spec: PotentialSpec, eps: float,
                        arr: np.ndarray) -> np.ndarray:
+    if np.isnan(arr).any():
+        raise DomainError(f"resolvent input is NaN ({spec.kind})")
+
     def g(s):
         return s + eps * np.asarray(beta0(spec, s)) - arr
 
@@ -364,22 +367,16 @@ def moreau_envelope(spec: PotentialSpec, eps: float, r, xi=None):
 
 def free_energy(grid, phi: np.ndarray, spec: PotentialSpec,
                 eps: Optional[float] = None,
-                gradient: str = "centered",
                 xi: Optional[np.ndarray] = None) -> float:
-    """Quadrature of |grad phi|^2/2 + f(phi) over the grid (diagnostic).
+    """Quadrature of |grad phi|^2/2 + f(phi) over the grid (diagnostic),
+    with the face-difference gradient energy of :meth:`Grid.gradient_energy`.
 
     With ``eps`` set, the convex part is replaced by its Moreau envelope so
     the density is defined for any field values; ``xi = beta_eps(phi)``,
     when given, spares the envelope its resolvent solve.
-    ``gradient="centered"`` uses second-order centered differences
-    (one-sided at the boundary); ``gradient="faces"`` uses face
-    differences, which matches the discrete summation-by-parts identity
-    used by the energy-decay diagnostic.
     """
     if eps is None:
         dens = B_hat(spec, phi) + Pi(spec, phi)
     else:
         dens = moreau_envelope(spec, eps, phi, xi) + Pi(spec, phi)
-    total = float(np.sum(dens)) * grid.cell_volume
-    total += 0.5 * grid.gradient_energy(phi, scheme=gradient)
-    return total
+    return grid.integral(dens) + 0.5 * grid.gradient_energy(phi)

@@ -63,8 +63,8 @@ def apply_S_eps(params: SmcParams, chi: np.ndarray) -> np.ndarray:
 def _check_drift(M: float, rho: float):
     if M < 0.0:
         raise ParamError("M must be nonnegative")
-    if not rho > M:
-        raise ParamError(f"need rho > M (got rho={rho}, M={M})")
+    if not M < rho < math.inf:
+        raise ParamError(f"need finite rho > M (got rho={rho}, M={M})")
 
 
 def ode_w_closed_form(w0: float, M: float, rho: float, tau: float, t):
@@ -93,22 +93,29 @@ def ode_weps_integrate(eps: float, M: float, rho: float, tau: float,
                        w0: float, dt: float, T: float):
     """Integrate tau*w' + rho*sign_eps(w) = M with RK4.
 
-    Returns (times, values) sampled every ``dt``.  Internal substeps are
-    chosen so that rho*h/(eps*tau) <= 0.5, which resolves the boundary
-    layer of width eps near w = 0; on the saturated affine branch RK4 is
-    exact.
+    Returns (times, values) sampled every ``dt`` up to ``T``, the last
+    interval shortened to end exactly at T, by the rule of
+    :func:`chsmc.solver.run`.  Internal substeps are chosen so that
+    rho*h/(eps*tau) <= 0.5, which resolves the boundary layer of width eps
+    near w = 0; on the saturated affine branch RK4 is exact.
     """
     _check_drift(M, rho)
-    if not eps > 0.0 or not tau > 0.0 or not dt > 0.0:
-        raise ParamError("need eps, tau, dt > 0")
+    if not eps > 0.0 or not tau > 0.0 or not 0.0 < dt < math.inf:
+        raise ParamError("need eps, tau > 0 and finite dt > 0")
+    if not 0.0 <= T < math.inf:
+        raise ParamError("need finite T >= 0")
     if w0 < 0.0:
         raise ParamError("w0 must be nonnegative")
     if w0 > 0.0 and eps >= w0:
         raise ParamError("need eps in (0, w0) when w0 > 0")
-    nout = int(round(T / dt))
+    # ceil(T/dt) intervals; a ratio within 1e-9 of a whole number counts
+    # as that number
+    ratio = T / dt
+    nout = math.ceil(ratio - 1e-9 * max(ratio, 1.0))
     times = dt * np.arange(nout + 1)
+    if nout:
+        times[-1] = T
     nsub = max(1, int(math.ceil(dt * rho / (0.5 * eps * tau))))
-    h = dt / nsub
 
     def f(w):
         return (M - rho * min(max(w / eps, -1.0), 1.0)) / tau
@@ -117,6 +124,7 @@ def ode_weps_integrate(eps: float, M: float, rho: float, tau: float,
     values[0] = w0
     w = w0
     for n in range(nout):
+        h = (dt if n < nout - 1 else T - times[n]) / nsub
         for _ in range(nsub):
             k1 = f(w)
             k2 = f(w + 0.5 * h * k1)
@@ -194,7 +202,7 @@ def design_parameters(Chat: float, Cstr: float, betastar: float, tau: float,
     deltastar = abs((math.sqrt(1.0 + 4.0 / Cstr) - 1.0) / 2.0) ** 1.5
     if vol >= deltastar:
         raise VolumeError(
-            f"volume {vol} >= deltastar {deltastar}: gain design undefined")
+            f"vol = {vol} >= deltastar = {deltastar}: gain design undefined")
     shape_factor = Cstr * vol ** (2.0 / 3.0) * (vol ** (2.0 / 3.0) + 1.0)
     rhostar = (Chat + betastar + tau * w0 / T) / (1.0 - shape_factor)
     return SlidingDesign(Chat=Chat, Cstr=Cstr, betastar=betastar, tau=tau,

@@ -38,7 +38,7 @@ import numpy as np
 from . import potentials as pot
 from . import smc
 from .errors import ConfigError, MissingDataError, NewtonError, SolveError
-from .grid import (Grid, apply_cosine_symbol, harmonic_extension,
+from .grid import (Grid, apply_symbol, harmonic_extension,
                    inverse_dirichlet, inverse_neumann, laplacian_neumann,
                    neumann_eigenbasis, pcg)
 
@@ -111,27 +111,27 @@ class ProblemData:
                     "mean(phi0) must lie in the interior of the beta domain")
 
 
+# The schemes, each with the boundary regime it solves.
+_SCHEME_BC = {"coupled_neumann": "neumann",
+              "galerkin_neumann": "neumann",
+              "eliminated_dirichlet": "dirichlet"}
+
+
 @dataclass
 class SolverConfig:
     eps: float
     dt: float
     T: float
-    scheme: str  # "coupled_neumann" | "eliminated_dirichlet" | "galerkin_neumann"
+    scheme: str  # a key of _SCHEME_BC
     n_modes: int = 0
     output_times: Optional[List[float]] = None
 
     def __post_init__(self):
-        if self.scheme not in ("coupled_neumann", "eliminated_dirichlet",
-                               "galerkin_neumann"):
+        if self.scheme not in _SCHEME_BC:
             raise ConfigError(f"unknown scheme {self.scheme!r}")
         if not (0.0 < self.eps < np.inf and 0.0 < self.dt < np.inf
                 and 0.0 <= self.T < np.inf):
             raise ConfigError("need finite eps, dt > 0 and T >= 0")
-
-
-_SCHEME_BC = {"coupled_neumann": "neumann",
-              "galerkin_neumann": "neumann",
-              "eliminated_dirichlet": "dirichlet"}
 
 
 @dataclass(frozen=True)
@@ -241,7 +241,7 @@ def _cosine_preconditioner(grid: Grid, shift: float, dt: float,
     lam = grid.eigenvalues("neumann")
     k = dt * (lam + offset)
     symbol = k / (k * (shift + lam) + 1.0)
-    return lambda r: apply_cosine_symbol(grid, r, symbol)
+    return lambda r: apply_symbol(grid, r, symbol, "neumann")
 
 
 def _regime(grid: Grid, bc_kind: str):
@@ -437,8 +437,7 @@ def _record(diag: DiagnosticsSeries, grid: Grid, data: ProblemData,
             prev_phi: Optional[np.ndarray], dt: float):
     X = grid.meshgrid()
     chi = state.phi - data.phistar(X, state.t)
-    fe = pot.free_energy(grid, state.phi, data.spec, eps=cfg.eps,
-                         gradient="faces", xi=state.xi)
+    fe = pot.free_energy(grid, state.phi, data.spec, eps=cfg.eps, xi=state.xi)
     if (data.bc.kind == "dirichlet" and data.dphistar_dt is not None
             and data.lap_phistar is not None):
         supG = grid.sup_norm(assemble_G_eps(state, data))

@@ -114,7 +114,7 @@ def test_criterion_3_linear_modal_decay():
     grid = Grid(shape=(128,), lengths=(1.0,))
     x = grid.meshgrid()[0]
     k, tau, a0 = 2, 1.0, 0.25
-    lam = grid.axis_eigenvalues_neumann(0)[k]
+    lam = grid.axis_eigenvalues(0, "neumann")[k]
     mode = np.cos(np.pi * k * x)
     rate_exact = lam**2 / (1.0 + tau * lam)
 
@@ -232,13 +232,11 @@ def test_criterion_6_energy_decay():
         state = solver._initial_snapshot(data, cfg)
         for _ in range(100):
             new = solver.step_coupled_neumann(state, data, cfg)
-            e_old = pot.free_energy(grid, state.phi, spec, eps=cfg.eps,
-                                    gradient="faces")
-            e_new = pot.free_energy(grid, new.phi, spec, eps=cfg.eps,
-                                    gradient="faces")
+            e_old = pot.free_energy(grid, state.phi, spec, eps=cfg.eps)
+            e_new = pot.free_energy(grid, new.phi, spec, eps=cfg.eps)
             diss = (data.tau / cfg.dt
                     * grid.l2_norm(new.phi - state.phi) ** 2
-                    + cfg.dt * grid.gradient_energy(new.mu, scheme="faces"))
+                    + cfg.dt * grid.gradient_energy(new.mu))
             gap = e_new + diss - e_old
             worst = max(worst, gap)
             ok = ok and gap <= 10 * solver.NEWTON_TOL

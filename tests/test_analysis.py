@@ -243,7 +243,7 @@ def test_embedding_probe_sine_mode_ratio_closed_form():
     probe = analysis.embedding_constant_probe(grid, n_random=0, n_modes=1)
     x = grid.meshgrid()[0]
     v = np.sin(np.pi * x)
-    lam = grid.axis_eigenvalues_dirichlet(0)[0]
+    lam = grid.axis_eigenvalues(0, "dirichlet")[0]
     expected = np.max(v) / (lam * grid.l2_norm(v))
     assert probe.ratios[0] == pytest.approx(expected)
 

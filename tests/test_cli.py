@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import chsmc
 from chsmc import cli
-from chsmc.errors import ConfigError
+from chsmc.errors import ConfigError, NewtonError
 from chsmc.grid import Grid, read_snapshot
 
 NEUMANN_CONFIG = """\
@@ -122,7 +122,11 @@ def test_load_config(neumann_config):
     assert cfg.scheme == "coupled_neumann"
     assert cfg.T == 0.01
     assert len(cfg.output_times) == 3
-    assert extras == {}
+    assert extras == {
+        "experiment": {"rho_margin": 2.0, "dt_stability_factor": 0.3,
+                       "tol_slide": None},
+        "contdep": {"which": "g", "shape": "cosine amplitude=1 mode=1",
+                    "deltas": [1e-1, 1e-2, 1e-3]}}
 
 
 def test_load_config_missing_key_names_it(tmp_path):
@@ -334,9 +338,11 @@ def test_load_config_types_experiment_and_contdep_values(tmp_path):
                     "tol_slide = auto\n\n[contdep]\nwhich = phistar\n"
                     "deltas = 1e-1, 1e-2\n")
     _, _, extras = cli.load_config(str(path))
-    assert extras == {"rho_margin": 3.0, "tol_slide": None,
-                      "contdep": {"which": "phistar",
-                                  "deltas": [1e-1, 1e-2]}}
+    assert extras == {
+        "experiment": {"rho_margin": 3.0, "dt_stability_factor": 0.3,
+                       "tol_slide": None},
+        "contdep": {"which": "phistar", "shape": "cosine amplitude=1 mode=1",
+                    "deltas": [1e-1, 1e-2]}}
 
 
 PROPERTY_CONFIG = """\
@@ -499,12 +505,43 @@ def test_module_entry_point_runs_without_runtime_warning():
     assert "usage: chsmc" in out.stdout
 
 
-def test_numerical_error_exit_code(capsys):
-    # eps >= w0 makes the comparison-ODE integration ill-posed
-    code = cli.main(["ode-oracle", "--w0", "0.5", "--M", "1", "--rho", "5",
-                     "--eps", "0.5"])
+def test_numerical_error_exit_code(tmp_path, neumann_config, monkeypatch,
+                                   capsys):
+    def fail(*args, **kwargs):
+        raise NewtonError("Newton did not converge")
+    monkeypatch.setattr(chsmc.solver, "step_coupled_neumann", fail)
+    with pytest.warns(UserWarning, match="retrying"):
+        code = cli.main(["simulate", "--config", neumann_config, "--quiet",
+                         "--out", str(tmp_path / "out")])
     assert code == cli.EXIT_NUMERICAL
     assert "numerical failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags,message", [
+    # eps >= w0 makes the comparison-ODE integration ill-posed
+    (["--w0", "0.5", "--M", "1", "--rho", "5", "--eps", "0.5"],
+     "eps in (0, w0)"),
+    (["--w0", "0.5", "--M", "1", "--rho", "5", "--eps", "0.6"],
+     "eps in (0, w0)"),
+    (["--w0", "1", "--M", "1", "--rho", "0.5"], "rho > M"),
+    (["--w0", "1", "--M", "1", "--rho", "inf"], "rho > M"),
+    (["--w0", "1", "--M", "1", "--rho", "5", "--dt", "0"], "dt > 0"),
+    (["--w0", "1", "--M", "1", "--rho", "5", "--T", "-1"], "T >= 0"),
+])
+def test_ode_oracle_invalid_flags_exit_2(capsys, flags, message):
+    code = cli.main(["ode-oracle"] + flags)
+    assert code == cli.EXIT_CONFIG
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "config error: invalid flags" in err and message in err
+
+
+def test_ode_oracle_last_row_at_T(capsys):
+    code = cli.main(["ode-oracle", "--w0", "1", "--M", "1", "--rho", "5",
+                     "--dt", "0.03", "--T", "0.05"])
+    assert code == 0
+    rows = capsys.readouterr().out.splitlines()[2:]
+    assert [float(r.split(",")[0]) for r in rows] == [0.0, 0.03, 0.05]
 
 
 def test_ode_oracle_output(capsys):
@@ -528,7 +565,10 @@ def test_design_rho_output(capsys):
 def test_design_rho_volume_failure(capsys):
     code = cli.main(["design-rho", "--Chat", "0.5", "--Cstr", "0.7",
                      "--betastar", "0.2", "--w0", "1", "--vol", "50"])
-    assert code == cli.EXIT_NUMERICAL
+    assert code == cli.EXIT_CONFIG
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "vol = 50.0 >= deltastar" in err
 
 
 def test_contdep_command(tmp_path, neumann_config, capsys):

@@ -67,13 +67,20 @@ def test_gradient_energy_linear_field(grid1d):
     x = grid1d.meshgrid()[0]
     u = 2.0 * x
     # |grad u|^2 = 4 on the unit interval; faces miss the two boundary
-    # half-cells, centered is exact for affine fields
+    # half-cells
     n = grid1d.shape[0]
-    assert grid1d.gradient_energy(u, scheme="faces") == pytest.approx(
-        4.0 * (n - 1) / n)
-    assert grid1d.gradient_energy(u, scheme="centered") == pytest.approx(4.0)
-    with pytest.raises(ValueError):
-        grid1d.gradient_energy(u, scheme="bogus")
+    assert grid1d.gradient_energy(u) == pytest.approx(4.0 * (n - 1) / n)
+
+
+@pytest.mark.parametrize("shape", [(128,), (12, 10), (10, 9, 8)])
+def test_gradient_energy_is_summation_by_parts(shape):
+    """Face differences give exactly <-Lap_N u, u>, the discrete Green
+    identity the energy-dissipation bookkeeping relies on."""
+    grid = Grid(shape=shape, lengths=(1.0, 2.0, 0.5)[:len(shape)])
+    u = np.random.default_rng(3).standard_normal(shape)
+    energy = grid.gradient_energy(u)
+    assert energy == pytest.approx(
+        -grid.inner(u, gr.laplacian_neumann(grid, u)), rel=1e-14, abs=0)
 
 
 # -- Laplacians -------------------------------------------------------------
@@ -105,12 +112,12 @@ def test_discrete_eigenpairs_1d(grid1d):
     x = grid1d.meshgrid()[0]
     L = grid1d.lengths[0]
     k = 3
-    lam_n = grid1d.axis_eigenvalues_neumann(0)[k]
+    lam_n = grid1d.axis_eigenvalues(0, "neumann")[k]
     v = np.cos(np.pi * k * x / L)
     assert np.allclose(-gr.laplacian_neumann(grid1d, v), lam_n * v,
                        atol=1e-10)
     m = 2
-    lam_d = grid1d.axis_eigenvalues_dirichlet(0)[m - 1]
+    lam_d = grid1d.axis_eigenvalues(0, "dirichlet")[m - 1]
     w = np.sin(np.pi * m * x / L)
     assert np.allclose(-gr.laplacian_dirichlet(grid1d, w), lam_d * w,
                        atol=1e-10)
@@ -118,8 +125,8 @@ def test_discrete_eigenpairs_1d(grid1d):
 
 def test_discrete_eigenpairs_tensor(grid3d):
     X = grid3d.meshgrid()
-    lam = (grid3d.axis_eigenvalues_neumann(0)[1]
-           + grid3d.axis_eigenvalues_neumann(2)[2])
+    lam = (grid3d.axis_eigenvalues(0, "neumann")[1]
+           + grid3d.axis_eigenvalues(2, "neumann")[2])
     v = (np.cos(np.pi * X[0] / grid3d.lengths[0])
          * np.cos(2.0 * np.pi * X[2] / grid3d.lengths[2]))
     assert np.allclose(-gr.laplacian_neumann(grid3d, v), lam * v, atol=1e-9)
@@ -236,8 +243,10 @@ def test_transform_data_cached_read_only(grid2d):
     inv = grid2d.inverse_eigenvalues("neumann")
     assert inv.flat[0] == 0.0  # the zero mode of the mean-free inverse
     assert np.all(inv.flat[1:] == 1.0 / lam.flat[1:])
-    with pytest.raises(ValueError):
-        grid2d.transform_matrices("robin")
+    for spectral in (grid2d.transform_matrices, grid2d.eigenvalues,
+                     lambda bc: grid2d.axis_eigenvalues(0, bc)):
+        with pytest.raises(ValueError):
+            spectral("robin")
 
 
 # -- conjugate gradients -----------------------------------------------------
@@ -277,12 +286,12 @@ def test_dual_norm_closed_forms(grid1d):
     # single mean-free eigenmode: ||psi|| / sqrt(lambda)
     x = grid1d.meshgrid()[0]
     k = 2
-    lam = grid1d.axis_eigenvalues_neumann(0)[k]
+    lam = grid1d.axis_eigenvalues(0, "neumann")[k]
     psi = np.cos(np.pi * k * x / grid1d.lengths[0])
     assert gr.dual_norm(grid1d, psi, "neumann") == pytest.approx(
         grid1d.l2_norm(psi) / np.sqrt(lam))
     m = 1
-    lam_d = grid1d.axis_eigenvalues_dirichlet(0)[m - 1]
+    lam_d = grid1d.axis_eigenvalues(0, "dirichlet")[m - 1]
     w = np.sin(np.pi * m * x / grid1d.lengths[0])
     assert gr.dual_norm(grid1d, w, "dirichlet") == pytest.approx(
         grid1d.l2_norm(w) / np.sqrt(lam_d))
@@ -367,7 +376,7 @@ def _per_mode_eigenbasis(grid):
             v = np.cos(np.pi * k * x / L)
             v *= (1.0 / np.sqrt(L)) if k == 0 else np.sqrt(2.0 / L)
             vecs.append(v)
-        per_axis.append((grid.axis_eigenvalues_neumann(a), vecs))
+        per_axis.append((grid.axis_eigenvalues(a, "neumann"), vecs))
     combos = sorted(
         itertools.product(*[range(n_a) for n_a in grid.shape]),
         key=lambda ks: (sum(per_axis[a][0][k] for a, k in enumerate(ks)), ks))
@@ -446,13 +455,3 @@ def test_snapshot_rejects_foreign_files(tmp_path):
     path.write_bytes(b"not a snapshot\n")
     with pytest.raises(ValueError):
         gr.read_snapshot(path)
-
-
-def test_field_csv(tmp_path, grid2d):
-    field = np.arange(grid2d.ncells, dtype=float).reshape(grid2d.shape)
-    path = tmp_path / "field.csv"
-    gr.write_field_csv(path, grid2d, field)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "i,j,value"
-    assert len(lines) == grid2d.ncells + 1
-    assert lines[1] == "0,0,0.0"

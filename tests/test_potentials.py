@@ -65,6 +65,7 @@ def test_logarithmic_convex_part_matches_xlogy():
         B = pot.B_hat(s, r)
         terms = pot._xlogx(x)
         B_end = [pot.B_hat(s, -1.0), pot.B_hat(s, 1.0)]
+    assert np.isnan(pot._xlogx(np.array(np.nan)))
     reference = xlogy(x, x)
     assert np.all(np.abs(terms - reference)
                   <= 2 * np.spacing(np.abs(reference)))
@@ -72,7 +73,26 @@ def test_logarithmic_convex_part_matches_xlogy():
                               + xlogy(1.0 - r, 1.0 - r)))
                   <= 2 * np.spacing(2.0 * np.log(2.0)))
     assert B_end == [2.0 * np.log(2.0)] * 2
-    assert np.isnan(pot.B_hat(s, np.nan))
+    with pytest.raises(DomainError):
+        pot.B_hat(s, np.nan)
+
+
+@pytest.mark.parametrize("kind", ["regular", "logarithmic", "obstacle"])
+def test_nan_is_outside_every_domain(kind):
+    s = SPECS[kind]
+    for fn in (pot.B_hat, pot.beta0):
+        with pytest.raises(DomainError):
+            fn(s, np.nan)
+        with pytest.raises(DomainError):
+            fn(s, np.array([0.0, np.nan]))
+
+
+def test_generic_resolvent_names_nan_input():
+    with pytest.raises(DomainError, match="NaN"):
+        pot.resolvent(SPECS["logarithmic"], 0.1, np.array([0.2, np.nan]))
+    # the Cardano path still passes NaN through, so that Newton sees a
+    # non-finite residual and the step is halved
+    assert np.isnan(pot.resolvent(SPECS["regular"], 0.1, np.nan))
 
 
 def test_obstacle_values():
@@ -284,19 +304,3 @@ def test_free_energy_constant_field(grid1d):
     # the regularized density is below the exact one
     reg = pot.free_energy(grid1d, phi, s, eps=0.1)
     assert reg <= exact + 1e-12
-
-
-def test_free_energy_gradient_second_order():
-    from chsmc.grid import Grid
-    s = SPECS["regular"]
-    errs = []
-    for n in (32, 64, 128):
-        g = Grid(shape=(n,), lengths=(1.0,))
-        x = g.meshgrid()[0]
-        phi = 0.4 * np.sin(2.0 * np.pi * x)
-        exact = (0.5 * 0.4**2 * (2.0 * np.pi) ** 2 * 0.5
-                 + g.integral(pot.B_hat(s, phi) + pot.Pi(s, phi)))
-        errs.append(abs(pot.free_energy(g, phi, s, gradient="centered")
-                        - exact))
-    assert errs[0] / errs[1] > 3.0
-    assert errs[1] / errs[2] > 3.0

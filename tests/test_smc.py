@@ -104,6 +104,19 @@ def test_integrator_affine_branch_slope():
     assert np.allclose(slopes, (M - rho) / tau, atol=1e-9)
 
 
+def test_integrator_ends_at_T():
+    # T/dt = 5/3: two intervals, the second shortened to end at T
+    eps, M, rho, tau, w0 = 1e-3, 1.0, 5.0, 1.0, 1.0
+    times, w = smc.ode_weps_integrate(eps, M, rho, tau, w0, 0.03, 0.05)
+    assert times.tolist() == [0.0, 0.03, 0.05]
+    # the affine branch, on which RK4 is exact
+    assert np.allclose(w, smc.ode_w_closed_form(w0, M, rho, tau, times),
+                       rtol=0, atol=1e-12)
+    # a whole-number ratio keeps its count
+    times, _ = smc.ode_weps_integrate(eps, M, rho, tau, w0, 1e-3, 0.1)
+    assert len(times) == 101 and times[-1] == 0.1
+
+
 def test_integrator_parameter_validation():
     with pytest.raises(ParamError):
         smc.ode_weps_integrate(1e-2, 1.0, 5.0, 1.0, -0.1, 1e-3, 0.1)

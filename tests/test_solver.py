@@ -105,7 +105,7 @@ def test_modal_recursion():
     grid = small_grid(64)
     x = grid.meshgrid()[0]
     k, tau, dt = 3, 0.7, 1e-3
-    lam = grid.axis_eigenvalues_neumann(0)[k]
+    lam = grid.axis_eigenvalues(0, "neumann")[k]
     a0 = 0.25
     phi0 = a0 * np.cos(np.pi * k * x)
     data = neumann_problem(grid, zero_potential(), phi0, tau=tau)
@@ -323,12 +323,10 @@ def test_convex_splitting_energy_inequality():
     state = solver._initial_snapshot(data, cfg)
     for _ in range(30):
         new = solver.step_coupled_neumann(state, data, cfg)
-        e_old = pot.free_energy(grid, state.phi, spec, eps=cfg.eps,
-                                gradient="faces")
-        e_new = pot.free_energy(grid, new.phi, spec, eps=cfg.eps,
-                                gradient="faces")
+        e_old = pot.free_energy(grid, state.phi, spec, eps=cfg.eps)
+        e_new = pot.free_energy(grid, new.phi, spec, eps=cfg.eps)
         diss = (data.tau / cfg.dt * grid.l2_norm(new.phi - state.phi) ** 2
-                + cfg.dt * grid.gradient_energy(new.mu, scheme="faces"))
+                + cfg.dt * grid.gradient_energy(new.mu))
         assert e_new + diss <= e_old + 10 * solver.NEWTON_TOL
         state = new
 
@@ -348,8 +346,7 @@ def test_obstacle_overshoot_records_envelope_free_energy():
     assert len(traj.snapshots) == len(traj.diagnostics.t) == 21
     assert max(grid.sup_norm(s.phi) for s in traj.snapshots) > 1.0
     for snap, fe in zip(traj.snapshots, traj.diagnostics.free_energy_reg):
-        ref = pot.free_energy(grid, snap.phi, spec, eps=cfg.eps,
-                              gradient="faces")
+        ref = pot.free_energy(grid, snap.phi, spec, eps=cfg.eps)
         assert np.isfinite(fe)
         assert fe == pytest.approx(ref, rel=1e-12, abs=1e-12)
 
