@@ -1,11 +1,11 @@
 """Verification harness: theorem-shaped checks and empirical constant probes.
 
-Each check is a pure function of a trajectory and its tolerances.  The
-constants that the sliding-mode design needs but that are not computable
-in closed form (the structural constant and the data-dependent offset of
-the drift bound) are measured here: the embedding probe estimates the
-shape constant, and the comparison drift is taken directly from the
-recorded sup-norms of the drift field.
+Each check is a pure function of a trajectory (which holds its run's
+data) and its tolerances.  The constants that the sliding-mode design
+needs but that are not computable in closed form (the structural
+constant and the data-dependent offset of the drift bound) are measured
+here: the embedding probe estimates the shape constant, and the
+comparison drift is taken from the recorded sup-norms of the drift field.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ class MassReport:
 def check_mass_conservation(traj: Trajectory) -> MassReport:
     """Zero-flux regime only: |mean phi(t) - mean phi0| stays at rounding
     level at every recorded step."""
-    if traj.bc_kind != "neumann":
+    if traj.data.bc.kind != "neumann":
         raise RegimeError("mass conservation holds only in the zero-flux "
                           "regime")
     means = np.asarray(traj.diagnostics.mean_phi)
@@ -86,29 +86,31 @@ class ComparisonReport:
     tol_cmp: float
 
 
-def check_comparison_bound(traj: Trajectory, w0: float, M_meas: float,
-                           rho: float, tau: float,
+def check_comparison_bound(traj: Trajectory, M_meas: float,
                            tol_cmp: Optional[float] = None
                            ) -> ComparisonReport:
-    """sup|chi(t)| <= w(t) + tol_cmp for the affine comparison solution w.
+    """sup|chi(t)| <= w(t) + tol_cmp for the affine comparison solution w
+    of the run's rho and tau, from its first recorded sup|chi| = w0.
 
     Default tolerance 5*(dt + eps) absorbs the time-discretization error
     and the plateau of the regularized dynamics.
     """
-    if traj.bc_kind != "dirichlet":
+    data, diag = traj.data, traj.diagnostics
+    if data.bc.kind != "dirichlet":
         raise RegimeError("comparison bound applies to the Dirichlet regime")
-    w = smc.ode_w_closed_form(w0, M_meas, rho, tau, traj.diagnostics.t)
+    w = smc.ode_w_closed_form(diag.sup_chi[0], M_meas, data.control.rho,
+                              data.tau, diag.t)
     if tol_cmp is None:
         tol_cmp = 5.0 * (traj.cfg.dt + traj.cfg.eps)
-    sup_chi = np.asarray(traj.diagnostics.sup_chi)
-    worst = float(np.max(sup_chi - w))
+    worst = float(np.max(np.asarray(diag.sup_chi) - w))
     return ComparisonReport(passed=worst <= tol_cmp, worst_margin=worst,
                             tol_cmp=tol_cmp)
 
 
-def measure_comparison_drift(traj: Trajectory, data: ProblemData) -> float:
+def measure_comparison_drift(traj: Trajectory) -> float:
     """M_meas = max over the run of sup|G_eps| plus the sup of the minimal
     section of beta at the target (sampled over the output snapshots)."""
+    data = traj.data
     supG = np.asarray(traj.diagnostics.sup_G_eps)
     if len(supG) == 0 or np.all(np.isnan(supG)):
         raise MissingDataError("trajectory has no drift diagnostics; "
@@ -135,10 +137,8 @@ def run_sliding_experiment(make_data: Callable[[float], ProblemData],
     control term stable).  Returns (report, comparison, trajectory).
     """
     calib = run(make_data(0.0), make_cfg(0.0))
-    data0 = make_data(0.0)
-    M_meas = measure_comparison_drift(calib, data0)
-    X = data0.grid.meshgrid()
-    w0 = float(np.max(np.abs(data0.phi0 - data0.phistar(X, 0.0))))
+    M_meas = measure_comparison_drift(calib)
+    w0 = calib.diagnostics.sup_chi[0]  # sup|phi0 - phistar(0)|
     rho = rho_margin * (M_meas + tau * w0 / T)
     data = make_data(rho)
     cfg = make_cfg(rho)
@@ -153,7 +153,7 @@ def run_sliding_experiment(make_data: Callable[[float], ProblemData],
                            M_meas=M_meas, Tstar_bound=bound,
                            Tstar_observed=t_obs, tol_slide=tol_slide,
                            verdict=verdict)
-    comparison = check_comparison_bound(traj, w0, M_meas, rho, tau)
+    comparison = check_comparison_bound(traj, M_meas)
     return report, comparison, traj
 
 
@@ -195,10 +195,10 @@ def _paired_outputs(traj1: Trajectory, traj2: Trajectory):
             for k in range(1, len(times))]
 
 
-def _solution_distance(grid: Grid, traj1: Trajectory,
-                       traj2: Trajectory) -> float:
+def _solution_distance(traj1: Trajectory, traj2: Trajectory) -> float:
     """Discrete L-infinity(0,T;L2) plus L2(0,T;H1-seminorm) distance over
-    the shared output snapshots."""
+    the shared output snapshots, on the grid of ``traj1``."""
+    grid = traj1.data.grid
     sup_h = 0.0
     acc = 0.0
     for d, dt_out in _paired_outputs(traj1, traj2):
@@ -233,7 +233,7 @@ def contdep_experiment(base: ProblemData, cfg: SolverConfig, which: str,
     for delta in deltas:
         pert = _perturbed(base, which, shape, delta)
         traj = run(pert, cfg)
-        lhs = _solution_distance(grid, base_traj, traj)
+        lhs = _solution_distance(base_traj, traj)
         rhs = _rhs_norm(grid, which, shape, delta, times)
         ratio = lhs / rhs if rhs > 0.0 else 0.0
         report.rows.append(ContdepRow(delta=delta, lhs=lhs, rhs=rhs,
@@ -373,8 +373,7 @@ def embedding_constant_probe(grid: Grid, n_random: int = 10,
                           uses_volume_exponent=grid.dim == 3)
 
 
-def structural_constant_estimate(traj: Trajectory, data: ProblemData,
-                                 csh: float) -> float:
+def structural_constant_estimate(traj: Trajectory, csh: float) -> float:
     """Empirical surrogate for the structural constant of the drift bound.
 
     Follows the chain C2 -> C3 = Csh*C2 -> C4 -> C5 = Csh*C4 ->
@@ -382,6 +381,7 @@ def structural_constant_estimate(traj: Trajectory, data: ProblemData,
     of the time-derivative estimate.  This is a measured surrogate, not a
     certified constant; reports that use it must say so.
     """
+    data = traj.data
     rho = max(data.control.rho, 1.0)
     vol = data.grid.volume
     grid = data.grid

@@ -51,18 +51,20 @@ that a missing key or section takes.
 
 Profiles: ``constant value=``, ``cosine amplitude= mode= offset=``,
 ``sine amplitude= mode= offset=``, ``tanh_front center= width= amplitude=
-offset=``, ``ramp slope= offset=`` (mode may be comma-separated per axis;
-tanh_front and ramp act along the first axis).  Every profile, the
+offset=``, ``ramp slope= offset=`` (mode is comma-separated, at most one
+per axis, an axis without one taking no factor; width > 0; tanh_front
+and ramp act along the first axis).  Every profile, the
 ``[bc] datum`` and the ``[contdep] shape`` included, is a callable
 ``(X, t) -> values`` on coordinate arrays: ``g``, ``phistar``, ``phi0``
 and the shape are evaluated on the cell centers, the mu datum once per
 boundary side on its face centers, with the box lengths of ``[grid]``
-fixing the period of the trigonometric profiles.  A key that the run
-does not read, in any section, is rejected as a config error.
+fixing the period of the trigonometric profiles.  A profile that is not
+finite where it is evaluated, and a key that the run does not read, in
+any section, are config errors.
 
-Exit codes: 0 ok, 2 config error (``ode-oracle`` and ``design-rho``
-flags that the formulas reject included), 3 numerical failure,
-4 verification failure.
+Exit codes: 0 ok, 2 config error (an ``--out`` that cannot be made a
+directory, and ``ode-oracle`` and ``design-rho`` flags that the formulas
+reject, included), 3 numerical failure, 4 verification failure.
 """
 
 from __future__ import annotations
@@ -130,19 +132,24 @@ def parse_profile(text: str, lengths):
             modes = [int(m) for m in params.get("mode", "1").split(",")]
         except ValueError as exc:
             raise ConfigError(f"profile {name!r}: {exc}") from exc
+        if len(modes) > len(lengths):
+            raise ConfigError(f"profile {name!r}: {len(modes)} modes for "
+                              f"a {len(lengths)}-D grid")
         trig = np.cos if name == "cosine" else np.sin
 
         def profile(X, t, amp=amp, off=off, modes=modes, trig=trig,
                     lengths=lengths):
             out = np.full_like(X[0], amp)
-            for a, x in enumerate(X):
-                m = modes[a] if a < len(modes) else 0
-                out = out * trig(np.pi * m * x / lengths[a])
+            for m, x, length in zip(modes, X, lengths):
+                out = out * trig(np.pi * m * x / length)
             return out + off
         return profile
     if name == "tanh_front":
         c = fnum("center")
         w = fnum("width")
+        if not w > 0.0:
+            raise ConfigError(f"profile {name!r}: width must be > 0, "
+                              f"got {params['width']!r}")
         amp = fnum("amplitude", 1.0)
         off = fnum("offset", 0.0)
         return lambda X, t: amp * np.tanh((X[0] - c) / w) + off
@@ -180,12 +187,12 @@ def _get(cp, section, key, cast=str, default=None):
         raise ConfigError(f"missing key [{section}] {key}")
     try:
         return cast(cp[section][key] if present else default)
-    except (ValueError, configparser.Error) as exc:
+    except (ValueError, ConfigError, configparser.Error) as exc:
         raise ConfigError(f"bad value for [{section}] {key}: {exc}") from exc
 
 
-# Casts for _get: each raises ValueError on a malformed or out-of-range
-# value, which _get reports with its section and key.
+# Casts for _get: each raises ValueError or ConfigError on a malformed or
+# out-of-range value, which _get reports with its section and key.
 
 def _list_of(cast):
     return lambda text: [cast(v) for v in text.split(",")]
@@ -212,6 +219,18 @@ def _one_of(*choices):
 
 def _tol_slide(text):
     return None if text == "auto" else _number_above(0.0)(text)
+
+
+def _profile_on(lengths, samples):
+    """Cast to the profile a text names, which must be finite on every
+    coordinate tuple in ``samples`` at t = 0 (profiles ignore t)."""
+    def cast(text):
+        profile = parse_profile(text, lengths)
+        with np.errstate(all="ignore"):
+            if not all(np.isfinite(profile(X, 0.0)).all() for X in samples):
+                raise ValueError(f"profile {text!r} is not finite")
+        return profile
+    return cast
 
 
 # The optional sections: key -> (cast, default text).  The designed gain
@@ -270,12 +289,14 @@ def load_config(path):
     except ValueError as exc:
         raise ConfigError(f"[potential] {exc}") from exc
 
+    X = grid.meshgrid()
+    on_cells = _profile_on(lengths, [X])
     bc_kind = _get(cp, "bc", "kind")
     if bc_kind == "neumann":
         bc = solver.neumann_bc()
     elif bc_kind == "dirichlet":
-        bc = solver.dirichlet_bc(
-            parse_profile(_get(cp, "bc", "datum"), lengths))
+        bc = solver.dirichlet_bc(_get(cp, "bc", "datum", _profile_on(
+            lengths, [F for _, F, _ in grid.boundary_sides()])))
     else:
         raise ConfigError(f"unknown bc kind {bc_kind!r}")
 
@@ -286,12 +307,9 @@ def load_config(path):
     except ParamError as exc:
         raise ConfigError(f"[control] {exc}") from exc
     tau = _get(cp, "data", "tau", float)
-    g = parse_profile(_get(cp, "data", "g", str, "constant value=0"),
-                      lengths)
-    phistar = parse_profile(_get(cp, "data", "phistar", str,
-                                 "constant value=0"), lengths)
-    phi0_profile = parse_profile(_get(cp, "data", "phi0"), lengths)
-    phi0 = phi0_profile(grid.meshgrid(), 0.0)
+    g = _get(cp, "data", "g", on_cells, "constant value=0")
+    phistar = _get(cp, "data", "phistar", on_cells, "constant value=0")
+    phi0 = _get(cp, "data", "phi0", on_cells)(X, 0.0)
 
     # the profiles are static, so d_t phistar = 0, and Lap phistar is the
     # discrete zero-flux Laplacian of the sampled target
@@ -329,6 +347,8 @@ def load_config(path):
     extras = {section: {key: _get(cp, section, key, cast, default)
                         for key, (cast, default) in keys.items()}
               for section, keys in _OPTIONAL_SECTIONS.items()}
+    # extras keep the text of the shape; check its profile like the others
+    _get(cp, "contdep", "shape", on_cells, extras["contdep"]["shape"])
     cp.check_all_read()
     return data, cfg, extras
 
@@ -336,9 +356,18 @@ def load_config(path):
 # -- commands -------------------------------------------------------------
 
 
+def _say(args, text):
+    if not args.quiet:
+        print(text)
+
+
 def _outdir(args):
     out = args.out or "chsmc-out"
-    os.makedirs(out, exist_ok=True)
+    try:
+        os.makedirs(out, exist_ok=True)
+    except OSError as exc:  # a file of that name, or no permission
+        raise ConfigError(f"cannot make output directory {out}: "
+                          f"{exc.strerror}") from exc
     return out
 
 
@@ -350,9 +379,8 @@ def cmd_simulate(args) -> int:
     for k, snap in enumerate(traj.snapshots):
         write_snapshot(os.path.join(out, f"snapshot_{k:04d}.bin"),
                        data.grid, snap.t, snap.phi)
-    if not args.quiet:
-        print(f"wrote {len(traj.snapshots)} snapshots and diagnostics "
-              f"to {out}")
+    _say(args, f"wrote {len(traj.snapshots)} snapshots and diagnostics to "
+               f"{out}")
     return EXIT_OK
 
 
@@ -361,7 +389,6 @@ def cmd_sliding_check(args) -> int:
     if data.bc.kind != "dirichlet":
         raise RegimeError("sliding check needs the Dirichlet regime")
     out = _outdir(args)
-    tau, T = data.tau, cfg.T
     experiment = extras["experiment"]
     stiff_cap = experiment["dt_stability_factor"]
 
@@ -374,11 +401,11 @@ def cmd_sliding_check(args) -> int:
     def make_cfg(rho):
         dt = cfg.dt
         if rho > 0:
-            dt = min(dt, stiff_cap * data.control.eps * tau / rho)
+            dt = min(dt, stiff_cap * data.control.eps * data.tau / rho)
         return replace(cfg, dt=dt)
 
     report, comparison, traj = analysis.run_sliding_experiment(
-        make_data, make_cfg, T=T, tau=tau,
+        make_data, make_cfg, T=cfg.T, tau=data.tau,
         rho_margin=experiment["rho_margin"],
         tol_slide=experiment["tol_slide"])
     traj.diagnostics.to_csv(os.path.join(out, "sliding_diagnostics.csv"))
@@ -398,8 +425,7 @@ def cmd_sliding_check(args) -> int:
     ]
     with open(os.path.join(out, "sliding_report.txt"), "w") as fh:
         fh.write("\n".join(lines) + "\n")
-    if not args.quiet:
-        print("\n".join(lines))
+    _say(args, "\n".join(lines))
     ok = report.verdict == "achieved" and comparison.passed
     return EXIT_OK if ok else EXIT_VERIFICATION
 
@@ -418,9 +444,8 @@ def cmd_contdep(args) -> int:
         for row in report.rows:
             fh.write(f"{row.delta!r},{row.lhs!r},{row.rhs!r},"
                      f"{row.ratio!r}\n")
-    if not args.quiet:
-        print(f"perturbation target: {which}; ratio spread "
-              f"{report.ratio_spread:.3g}; wrote {path}")
+    _say(args, f"perturbation target: {which}; ratio spread "
+               f"{report.ratio_spread:.3g}; wrote {path}")
     return EXIT_OK
 
 
@@ -472,19 +497,20 @@ def cmd_verify_all(args) -> int:
     if data.bc.kind == "neumann":
         mass = analysis.check_mass_conservation(traj)
         status = "pass" if mass.passed else "fail"
-        print(f"mass conservation: {status} (drift {mass.max_drift:.3e})")
+        _say(args, f"mass conservation: {status} "
+                   f"(drift {mass.max_drift:.3e})")
         if not mass.passed:
             failures.append("mass")
     if data.control.rho == 0.0 and data.bc.kind == "neumann":
         fe = np.asarray(traj.diagnostics.free_energy_reg)
         diss_ok = bool(np.all(np.diff(fe) <= 10 * solver.NEWTON_TOL + 1e-12))
-        print(f"energy decay: {'pass' if diss_ok else 'fail'}")
+        _say(args, f"energy decay: {'pass' if diss_ok else 'fail'}")
         if not diss_ok:
             failures.append("energy")
     sup_zeta = max(data.grid.sup_norm(s.zeta) for s in traj.snapshots)
     zeta_ok = sup_zeta <= data.control.rho + 1e-12
-    print(f"control saturation: {'pass' if zeta_ok else 'fail'} "
-          f"(sup |zeta| = {sup_zeta:.3e}, rho = {data.control.rho})")
+    _say(args, f"control saturation: {'pass' if zeta_ok else 'fail'} "
+               f"(sup |zeta| = {sup_zeta:.3e}, rho = {data.control.rho})")
     if not zeta_ok:
         failures.append("zeta")
     return EXIT_OK if not failures else EXIT_VERIFICATION

@@ -89,13 +89,22 @@ def ode_weps_closed_form_zero(eps: float, M: float, rho: float,
     return float(out) if tt.ndim == 0 else out
 
 
+def step_end_times(T: float, dt: float) -> list:
+    """End times (Python floats) of ceil(T/dt) steps from 0, step n ending
+    at n*dt and the last at T.  A ratio T/dt within 1e-9 (relative,
+    absolute below 1) of a whole number counts as that number, so
+    roundoff adds no sliver of a step and T below 1e-9*dt takes none."""
+    ratio = T / dt
+    nsteps = math.ceil(ratio - 1e-9 * max(ratio, 1.0))
+    return [n * dt for n in range(1, nsteps)] + ([T] if nsteps else [])
+
+
 def ode_weps_integrate(eps: float, M: float, rho: float, tau: float,
                        w0: float, dt: float, T: float):
     """Integrate tau*w' + rho*sign_eps(w) = M with RK4.
 
-    Returns (times, values) sampled every ``dt`` up to ``T``, the last
-    interval shortened to end exactly at T, by the rule of
-    :func:`chsmc.solver.run`.  Internal substeps are chosen so that
+    Returns (times, values) at t = 0 and the :func:`step_end_times` of
+    ``T`` and ``dt``.  Internal substeps are chosen so that
     rho*h/(eps*tau) <= 0.5, which resolves the boundary layer of width eps
     near w = 0; on the saturated affine branch RK4 is exact.
     """
@@ -108,13 +117,8 @@ def ode_weps_integrate(eps: float, M: float, rho: float, tau: float,
         raise ParamError("w0 must be nonnegative")
     if w0 > 0.0 and eps >= w0:
         raise ParamError("need eps in (0, w0) when w0 > 0")
-    # ceil(T/dt) intervals; a ratio within 1e-9 of a whole number counts
-    # as that number
-    ratio = T / dt
-    nout = math.ceil(ratio - 1e-9 * max(ratio, 1.0))
-    times = dt * np.arange(nout + 1)
-    if nout:
-        times[-1] = T
+    times = np.array([0.0] + step_end_times(T, dt))
+    nout = len(times) - 1
     nsub = max(1, int(math.ceil(dt * rho / (0.5 * eps * tau))))
 
     def f(w):

@@ -28,7 +28,6 @@ counted.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass, field as dc_field, replace
 from typing import Callable, List, Optional
@@ -175,14 +174,13 @@ class DiagnosticsSeries:
 
 @dataclass
 class Trajectory:
-    """Snapshots at the requested output times plus per-step diagnostics."""
+    """Snapshots at the requested output times plus per-step diagnostics,
+    with the problem and config of the run that produced them."""
 
-    grid: Grid
-    bc_kind: str
     snapshots: List[StateSnapshot]
     diagnostics: DiagnosticsSeries
-    data: Optional[ProblemData] = None
-    cfg: Optional[SolverConfig] = None
+    data: ProblemData
+    cfg: SolverConfig
 
 
 # -- Newton-Krylov core ------------------------------------------------
@@ -432,9 +430,9 @@ def _initial_snapshot(data: ProblemData, cfg: SolverConfig) -> StateSnapshot:
     return StateSnapshot(t=0.0, phi=phi, mu=mu, xi=xi, zeta=zeta)
 
 
-def _record(diag: DiagnosticsSeries, grid: Grid, data: ProblemData,
-            cfg: SolverConfig, state: StateSnapshot,
-            prev_phi: Optional[np.ndarray], dt: float):
+def _record(diag: DiagnosticsSeries, data: ProblemData, cfg: SolverConfig,
+            state: StateSnapshot, prev_phi: Optional[np.ndarray], dt: float):
+    grid = data.grid
     X = grid.meshgrid()
     chi = state.phi - data.phistar(X, state.t)
     fe = pot.free_energy(grid, state.phi, data.spec, eps=cfg.eps, xi=state.xi)
@@ -459,7 +457,8 @@ def _record(diag: DiagnosticsSeries, grid: Grid, data: ProblemData,
 def _advance(state, data, cfg, dt, depth=0):
     """One step with halving-on-failure (depth-bounded); each halving warns
     and the result counts the Newton iterations of both halves.  The
-    second half ends at state.t + dt, as the whole step would have."""
+    second half ends at state.t + dt, as the whole step would have.  A
+    failure at the deepest halving raises its own NewtonError."""
     try:
         if cfg.scheme == "coupled_neumann":
             return step_coupled_neumann(state, data, cfg, dt=dt)
@@ -468,8 +467,7 @@ def _advance(state, data, cfg, dt, depth=0):
         return step_galerkin_neumann(state, data, cfg, dt=dt)
     except NewtonError as exc:
         if depth >= 8:
-            raise NewtonError(
-                f"step failed at t = {state.t} even after halving 8 times")
+            raise
         warnings.warn(f"step from t = {state.t:g} failed with dt = {dt:g} "
                       f"({exc}); retrying as two steps of dt = {dt / 2:g}",
                       stacklevel=2)
@@ -483,25 +481,18 @@ def _advance(state, data, cfg, dt, depth=0):
 
 
 def run(data: ProblemData, cfg: SolverConfig) -> Trajectory:
-    """Integrate from 0 to T in steps of dt, step n ending at n*dt and the
-    last one shortened to end exactly at T; snapshots at the requested
-    output times (t = 0 always included), diagnostics at every step."""
+    """Integrate from 0 to T in the steps of :func:`smc.step_end_times`;
+    snapshots at the requested output times (t = 0 always included),
+    diagnostics at every step."""
     if _SCHEME_BC[cfg.scheme] != data.bc.kind:
         raise ConfigError(
             f"scheme {cfg.scheme} incompatible with bc {data.bc.kind}")
-    grid = data.grid
     rho, s_eps = data.control.rho, data.control.eps
     if cfg.dt * rho / (data.tau * s_eps) > 1.0:
         warnings.warn(
             "explicit control term is stiff: dt*rho/(tau*eps) = "
             f"{cfg.dt * rho / (data.tau * s_eps):.2f} > 1", stacklevel=2)
 
-    # ceil(T/dt) steps, the last one cut to end exactly at T.  A ratio
-    # within 1e-9 (relative, absolute below 1) of a whole number counts as
-    # that number, so roundoff in T/dt adds no sliver of a step and a
-    # horizon below 1e-9*dt takes none.
-    ratio = cfg.T / cfg.dt
-    nsteps = math.ceil(ratio - 1e-9 * max(ratio, 1.0))
     out_times = cfg.output_times
     if out_times is None:
         out_times = [cfg.T] if cfg.T > 0 else []
@@ -510,18 +501,20 @@ def run(data: ProblemData, cfg: SolverConfig) -> Trajectory:
     state = _initial_snapshot(data, cfg)
     snapshots = [state]
     diag = DiagnosticsSeries()
-    _record(diag, grid, data, cfg, state, None, cfg.dt)
+    _record(diag, data, cfg, state, None, cfg.dt)
     prev_phi = state.phi
-    for n in range(1, nsteps + 1):
+    for end in smc.step_end_times(cfg.T, cfg.dt):
         # the end time minus the start time is exact (Sterbenz), so the
-        # step ends at n*dt (at T for the last), with no drift from
-        # summing step lengths
-        dt = (n * cfg.dt if n < nsteps else cfg.T) - state.t
+        # step ends at ``end`` itself, with no drift from summing step
+        # lengths
+        dt = end - state.t
         try:
             state = _advance(state, data, cfg, dt)
         except NewtonError as exc:
-            raise NewtonError(f"{exc} (t = {state.t + dt:g})") from exc
-        _record(diag, grid, data, cfg, state, prev_phi, dt)
+            raise NewtonError(
+                f"step from t = {state.t:g} to {end:g} failed even after "
+                f"halving 8 times: {exc}") from exc
+        _record(diag, data, cfg, state, prev_phi, dt)
         prev_phi = state.phi
         # an output time goes to the step that ends nearest to it; one
         # within roundoff of that step's end is carried exactly
@@ -531,5 +524,5 @@ def run(data: ProblemData, cfg: SolverConfig) -> Trajectory:
             snapshots.append(replace(state, t=t_out)
                              if abs(state.t - t_out) <= 1e-9 * cfg.dt
                              else state)
-    return Trajectory(grid=grid, bc_kind=data.bc.kind, snapshots=snapshots,
-                      diagnostics=diag, data=data, cfg=cfg)
+    return Trajectory(snapshots=snapshots, diagnostics=diag, data=data,
+                      cfg=cfg)

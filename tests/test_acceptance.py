@@ -280,8 +280,7 @@ def _sliding_cfg(rho, T_run):
 @pytest.fixture(scope="module")
 def sliding_experiment():
     calib = solver.run(_sliding_data(0.0), _sliding_cfg(0.0, T_SLIDE))
-    data0 = _sliding_data(0.0)
-    M_meas = analysis.measure_comparison_drift(calib, data0)
+    M_meas = analysis.measure_comparison_drift(calib)
     w0 = 0.5
     rho = 2.0 * (M_meas + TAU_SLIDE * w0 / T_SLIDE)
     data = _sliding_data(rho)
@@ -289,8 +288,9 @@ def sliding_experiment():
     traj = solver.run(data, cfg)
     tol_slide = analysis.default_tol_slide(EPS_SLIDE, M_meas, rho)
     t_obs = analysis.detect_sliding(traj, tol_slide)
-    comparison = analysis.check_comparison_bound(traj, w0, M_meas, rho,
-                                                 TAU_SLIDE)
+    # the comparison starts at the recorded w0 = sup|phi0 - phistar|
+    # (0.49996235 on this grid), not at the analytic 0.5 of the design
+    comparison = analysis.check_comparison_bound(traj, M_meas)
     return dict(calib=calib, M_meas=M_meas, w0=w0, rho=rho, traj=traj,
                 tol_slide=tol_slide, t_obs=t_obs, comparison=comparison)
 

@@ -11,17 +11,20 @@ from conftest import neumann_problem, dirichlet_problem
 
 
 def synthetic_trajectory(times, sup_chi, bc_kind="dirichlet", dt=1e-3,
-                         eps=1e-3):
+                         eps=1e-3, rho=0.0, tau=1.0):
     diag = solver.DiagnosticsSeries()
     for t, s in zip(times, sup_chi):
         diag.append(t=t, mean_phi=0.0, free_energy_reg=0.0, sup_chi=s,
                     sup_G_eps=float("nan"), dual_norm_dphi=0.0,
                     newton_iters=0)
+    grid = Grid(shape=(4,), lengths=(1.0,))
+    problem = dirichlet_problem if bc_kind == "dirichlet" else neumann_problem
+    data = problem(grid, pot.regular(), grid.zeros(), rho=rho, eps=eps,
+                   tau=tau)
     cfg = solver.SolverConfig(eps=eps, dt=dt, T=times[-1],
                               scheme="eliminated_dirichlet")
-    return solver.Trajectory(grid=Grid(shape=(4,), lengths=(1.0,)),
-                             bc_kind=bc_kind, snapshots=[],
-                             diagnostics=diag, cfg=cfg)
+    return solver.Trajectory(snapshots=[], diagnostics=diag, data=data,
+                             cfg=cfg)
 
 
 # -- mass conservation -------------------------------------------------------
@@ -73,42 +76,52 @@ def test_default_tol_slide():
 
 
 def test_comparison_bound_requires_dominating_gain():
-    traj = synthetic_trajectory([0.0, 0.1], [1.0, 0.9])
+    traj = synthetic_trajectory([0.0, 0.1], [1.0, 0.9], rho=1.0)
     with pytest.raises(ParamError):
-        analysis.check_comparison_bound(traj, w0=1.0, M_meas=2.0, rho=1.0,
-                                        tau=1.0)
+        analysis.check_comparison_bound(traj, M_meas=2.0)
 
 
 def test_comparison_bound_requires_dirichlet_regime():
-    traj = synthetic_trajectory([0.0, 0.1], [1.0, 0.9], bc_kind="neumann")
+    traj = synthetic_trajectory([0.0, 0.1], [1.0, 0.9], bc_kind="neumann",
+                                rho=2.0)
     with pytest.raises(RegimeError):
-        analysis.check_comparison_bound(traj, w0=1.0, M_meas=0.5, rho=2.0,
-                                        tau=1.0)
+        analysis.check_comparison_bound(traj, M_meas=0.5)
 
 
 def test_comparison_bound_pass_and_fail():
     times = np.linspace(0.0, 1.0, 11)
     w0, M, rho, tau = 1.0, 1.0, 3.0, 1.0
     w = np.maximum(w0 - (rho - M) * times, 0.0)
-    ok = synthetic_trajectory(times, list(w * 0.99))
-    rep = analysis.check_comparison_bound(ok, w0, M, rho, tau)
+    # each case starts at the w0 it is checked against, its own first
+    # sup|chi|: one decays at the comparison rate, one not at all
+    ok = synthetic_trajectory(times, [w0] + list(w[1:] * 0.99), rho=rho,
+                              tau=tau)
+    rep = analysis.check_comparison_bound(ok, M)
     assert rep.passed
-    bad = synthetic_trajectory(times, list(w + 0.5))
-    rep = analysis.check_comparison_bound(bad, w0, M, rho, tau)
+    bad = synthetic_trajectory(times, [w0] * len(times), rho=rho, tau=tau)
+    rep = analysis.check_comparison_bound(bad, M)
     assert not rep.passed
-    assert rep.worst_margin == pytest.approx(0.5)
+    assert rep.worst_margin == pytest.approx(1.0)
     # explicit tolerance overrides the default
-    rep = analysis.check_comparison_bound(bad, w0, M, rho, tau, tol_cmp=0.6)
+    rep = analysis.check_comparison_bound(bad, M, tol_cmp=1.0)
     assert rep.passed
+
+
+@pytest.mark.parametrize("rho,tau,margin", [
+    (2.0, 1.0, 0.4), (3.0, 1.0, 0.8), (3.0, 2.0, 0.4)])
+def test_comparison_bound_reads_rho_and_tau_from_the_run(rho, tau, margin):
+    """The same diagnostics under another gain or tau give another margin:
+    w(t) = (1 - (rho - M) t / tau)^+ against a sup|chi| that stays 1."""
+    times = np.linspace(0.0, 0.4, 5)
+    traj = synthetic_trajectory(times, [1.0] * 5, rho=rho, tau=tau)
+    rep = analysis.check_comparison_bound(traj, M_meas=1.0)
+    assert rep.worst_margin == pytest.approx(margin)
 
 
 def test_measure_drift_requires_diagnostics():
     traj = synthetic_trajectory([0.0, 0.1], [1.0, 0.9])
-    grid = Grid(shape=(4,), lengths=(1.0,))
-    data = dirichlet_problem(grid, pot.regular(), grid.zeros(),
-                             with_target_derivatives=False)
     with pytest.raises(MissingDataError):
-        analysis.measure_comparison_drift(traj, data)
+        analysis.measure_comparison_drift(traj)
 
 
 def test_measure_drift_on_real_run():
@@ -119,7 +132,7 @@ def test_measure_drift_on_real_run():
     cfg = solver.SolverConfig(eps=1e-2, dt=1e-3, T=0.01,
                               scheme="eliminated_dirichlet")
     traj = solver.run(data, cfg)
-    M = analysis.measure_comparison_drift(traj, data)
+    M = analysis.measure_comparison_drift(traj)
     # for the constant-zero target the drift is sup|mu - pi(phi)| >= 0
     assert np.isfinite(M)
     assert M > 0.0
@@ -187,7 +200,7 @@ def test_solution_distance_rejects_mismatched_times():
                                                         0.018, 0.02]))
     assert len(other.snapshots) == len(base.snapshots)
     with pytest.raises(ValueError, match="output times"):
-        analysis._solution_distance(data.grid, base, other)
+        analysis._solution_distance(base, other)
 
 
 # -- Yosida sweep ----------------------------------------------------------------
@@ -258,6 +271,6 @@ def test_embedding_probe_volume_exponent_in_3d():
 def test_structural_constant_estimate_positive():
     data, cfg = contdep_setup()
     traj = solver.run(data, cfg)
-    c = analysis.structural_constant_estimate(traj, data, csh=1.0)
+    c = analysis.structural_constant_estimate(traj, csh=1.0)
     assert c > 0.0
     assert np.isfinite(c)

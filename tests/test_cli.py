@@ -93,6 +93,17 @@ def test_parse_profile_errors():
         cli.parse_profile("constant", (1.0,))  # missing required parameter
 
 
+def test_parse_profile_leaves_out_axes_without_a_mode():
+    """A trigonometric profile has no factor along an axis without a mode
+    (a sine used to be sin(0) = 0 there) and rejects extra modes."""
+    grid = Grid(shape=(8, 6), lengths=(1.0, 2.0))
+    X = grid.meshgrid()
+    sine = cli.parse_profile("sine amplitude=1 mode=1", grid.lengths)
+    assert np.array_equal(sine(X, 0.0), np.sin(np.pi * X[0]))
+    with pytest.raises(ConfigError, match="3 modes for a 2-D grid"):
+        cli.parse_profile("cosine amplitude=1 mode=1,2,3", grid.lengths)
+
+
 def test_parse_boundary_profile_scalar():
     datum = cli.parse_profile("constant value=0.7", (1.0, 2.0))
     for _, X, _ in Grid(shape=(4, 3), lengths=(1.0, 2.0)).boundary_sides():
@@ -203,6 +214,25 @@ def test_verify_all_passes_on_zero_flux_run(neumann_config, tmp_path,
     assert "control saturation: pass" in out
 
 
+def test_verify_all_quiet_prints_nothing(neumann_config, tmp_path, capsys):
+    code = cli.main(["verify-all", "--config", neumann_config, "--quiet",
+                     "--out", str(tmp_path / "v")])
+    assert code == 0
+    assert capsys.readouterr() == ("", "")
+
+
+def test_out_naming_a_file_exits_2(neumann_config, tmp_path, capsys):
+    out = tmp_path / "taken"
+    out.write_text("")
+    code = cli.main(["simulate", "--config", neumann_config,
+                     "--out", str(out)])
+    assert code == cli.EXIT_CONFIG
+    stdout, err = capsys.readouterr()
+    assert stdout == ""
+    assert err.startswith(f"config error: cannot make output directory "
+                          f"{out}")
+
+
 def test_config_error_exit_code(tmp_path, capsys):
     code = cli.main(["simulate", "--config", str(tmp_path / "none.ini"),
                      "--quiet"])
@@ -258,6 +288,45 @@ def test_non_finite_or_malformed_values_exit_2(tmp_path, capsys, config,
                      "--out", str(tmp_path / "out")])
     assert code == cli.EXIT_CONFIG
     assert "config error" in capsys.readouterr().err
+
+
+# (base config, old, new, the key the error names): profiles that load_config
+# rejects where they are sampled.  On 32 cells of [0, 1] the cell centers
+# are (k + 1/2)/32, and the datum's ramp overflows on the face x = 1 only.
+PROFILE_REJECTED_CASES = {
+    "g-tanh-width-0-at-a-center": (
+        NEUMANN_CONFIG, "phi0 =",
+        "g = tanh_front center=0.015625 width=0\nphi0 =", "[data] g"),
+    "g-tanh-width-negative": (
+        NEUMANN_CONFIG, "phi0 =", "g = tanh_front center=0.5 width=-1\nphi0 =",
+        "[data] g"),
+    "phistar-ramp-overflows": (
+        NEUMANN_CONFIG, "phi0 =",
+        "phistar = ramp slope=1e308 offset=1e308\nphi0 =", "[data] phistar"),
+    "phi0-extra-mode": (NEUMANN_CONFIG, "mode=1", "mode=1,2", "[data] phi0"),
+    "contdep-shape-overflows": (
+        NEUMANN_CONFIG, "[solver]",
+        "[contdep]\nshape = cosine amplitude=1e308 offset=1e308\n\n[solver]",
+        "[contdep] shape"),
+    "datum-overflows-on-a-face": (
+        DIRICHLET_CONFIG, "constant value=0.1",
+        "ramp slope=1e308 offset=8e307", "[bc] datum"),
+}
+
+
+@pytest.mark.parametrize("config,old,new,where",
+                         PROFILE_REJECTED_CASES.values(),
+                         ids=PROFILE_REJECTED_CASES.keys())
+def test_profiles_rejected_where_sampled_exit_2(tmp_path, capsys, config,
+                                                old, new, where):
+    path = tmp_path / "bad.ini"
+    path.write_text(config.replace(old, new))
+    code = cli.main(["simulate", "--config", str(path),
+                     "--out", str(tmp_path / "out")])
+    assert code == cli.EXIT_CONFIG
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"config error: bad value for {where}: ")
 
 
 # (command, section, key, value): the command is the one that reads the key
@@ -363,7 +432,8 @@ eps = {ctrl_eps!r}
 
 [data]
 tau = {tau!r}
-g = constant value={g!r}
+g = {g}
+phistar = {phistar}
 phi0 = cosine amplitude={amp!r} mode=1 offset={offset!r}
 
 [time]
@@ -379,9 +449,24 @@ scheme = {scheme}
 _PROPERTY_RANGES = {
     "c": (0.5, 3.0), "datum": (-1.0, 1.0), "length": (0.5, 2.0),
     "rho": (0.0, 5.0), "ctrl_eps": (1e-3, 0.1), "tau": (0.1, 2.0),
-    "g": (-1.0, 1.0), "amp": (-0.6, 0.6), "offset": (-0.3, 0.3),
-    "dt": (1e-4, 1e-2), "T": (0.0, 5e-3),
+    "g": (-1.0, 1.0), "phistar": (-1.0, 1.0), "amp": (-0.6, 0.6),
+    "offset": (-0.3, 0.3), "dt": (1e-4, 1e-2), "T": (0.0, 5e-3),
 }
+
+# A profile of each kind, as a template whose {v!r} takes the value,
+# amplitude or slope drawn for g, phistar or the datum.  Mode "1,1" is one
+# mode too many for the 1-D grid, tanh widths include 0, and the last ramp
+# overflows wherever it is sampled: each of these is rejected.
+_PROFILE_TEMPLATES = st.one_of(
+    st.just("constant value={v!r}"),
+    st.builds("{} amplitude={{v!r}} mode={} offset={!r}".format,
+              st.sampled_from(["cosine", "sine"]),
+              st.sampled_from(["1", "2", "1,1"]), st.floats(-0.3, 0.3)),
+    st.builds("tanh_front center={!r} width={!r} amplitude={{v!r}}".format,
+              st.floats(0.0, 2.0), st.sampled_from([0.0, 0.05, 0.5])),
+    st.builds("ramp slope={{v!r}} offset={!r}".format, st.floats(-0.3, 0.3)),
+    st.just("ramp slope=1.7e308 offset=1.7e308"),
+)
 
 
 @settings(max_examples=100, deadline=None,
@@ -389,22 +474,29 @@ _PROPERTY_RANGES = {
 @given(dirichlet=st.booleans(),
        potential=st.sampled_from(["regular", "logarithmic\nc1 = {c!r}",
                                   "obstacle\nc2 = {c!r}"]),
+       profiles=st.fixed_dictionaries(
+           {k: _PROFILE_TEMPLATES for k in ("g", "phistar", "datum")}),
        values=st.fixed_dictionaries(
            {k: st.floats(lo, hi) for k, (lo, hi) in _PROPERTY_RANGES.items()}),
        bad_key=st.one_of(st.none(), st.sampled_from(sorted(_PROPERTY_RANGES))),
        bad_value=st.sampled_from([float("nan"), float("inf"), float("-inf"),
                                   -1.0, 0.0]))
-def test_config_either_rejected_or_runs_finite(dirichlet, potential, values,
-                                               bad_key, bad_value):
+def test_config_either_rejected_or_runs_finite(dirichlet, potential,
+                                               profiles, values, bad_key,
+                                               bad_value):
     """Every config either exits 2 or runs to exit 0 with finite fields
     and diagnostics (sup_G_eps is NaN by definition for zero flux).
     Values come from working ranges, at most one replaced by a non-finite,
-    negative or zero value."""
+    negative or zero value; g, phistar and the datum are profiles of every
+    kind."""
     if bad_key is not None:
         values[bad_key] = bad_value
-    c, datum = values.pop("c"), values.pop("datum")
+    c = values.pop("c")
+    for key, template in profiles.items():
+        values[key] = template.format(v=values[key])
+    datum = values.pop("datum")
     if dirichlet:
-        bc = f"dirichlet\ndatum = constant value={datum!r}"
+        bc = f"dirichlet\ndatum = {datum}"
         scheme = "eliminated_dirichlet"
     else:
         bc, scheme = "neumann", "coupled_neumann"
@@ -514,7 +606,9 @@ def test_numerical_error_exit_code(tmp_path, neumann_config, monkeypatch,
         code = cli.main(["simulate", "--config", neumann_config, "--quiet",
                          "--out", str(tmp_path / "out")])
     assert code == cli.EXIT_NUMERICAL
-    assert "numerical failure" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "numerical failure: step from t = 0 to 0.001 failed even after "
+        "halving 8 times: Newton did not converge\n")
 
 
 @pytest.mark.parametrize("flags,message", [

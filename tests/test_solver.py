@@ -311,6 +311,21 @@ def test_halving_is_reported_and_counts_both_halves(monkeypatch):
     assert traj.diagnostics.t[1] == second.t
 
 
+def test_step_failing_every_halving_names_its_interval_and_reason():
+    """A NaN source fails every attempt with a non-finite residual; the
+    error gives the whole step once, with that innermost reason."""
+    grid = small_grid()
+    data = neumann_problem(grid, pot.regular(), cosine_data(grid),
+                           g=lambda X, t: np.full_like(X[0], np.nan))
+    cfg = solver.SolverConfig(eps=1e-2, dt=1e-3, T=2e-3,
+                              scheme="coupled_neumann")
+    with pytest.warns(UserWarning, match="retrying"):
+        with pytest.raises(NewtonError) as info:
+            solver.run(data, cfg)
+    assert str(info.value) == ("step from t = 0 to 0.001 failed even after "
+                               "halving 8 times: non-finite residual")
+
+
 # -- energy decay -----------------------------------------------------------
 
 
