@@ -1,11 +1,11 @@
-"""Verification harness: theorem-shaped checks and empirical constant probes.
+"""Verification harness: theorem-shaped checks and the measured drift.
 
 Each check is a pure function of a trajectory (which holds its run's
-data) and its tolerances.  The constants that the sliding-mode design
-needs but that are not computable in closed form (the structural
-constant and the data-dependent offset of the drift bound) are measured
-here: the embedding probe estimates the shape constant, and the
-comparison drift is taken from the recorded sup-norms of the drift field.
+data) and its tolerances.  The sliding-mode design needs a gain rho above
+the drift M of the comparison problem; M is not computed from constants
+of the domain but measured by a calibration run at gain 0, as the largest
+recorded sup-norm of the drift field plus the sup of the minimal section
+of beta at the target.
 """
 
 from __future__ import annotations
@@ -18,7 +18,8 @@ import numpy as np
 from . import potentials as pot
 from . import smc
 from .errors import MeanError, MissingDataError, RegimeError
-from .grid import Grid, inverse_dirichlet, laplacian_dirichlet
+# inverse_dirichlet is unused here: bench/tracing.py wraps it by this name
+from .grid import Grid, inverse_dirichlet
 from .solver import ProblemData, SolverConfig, Trajectory, run
 
 
@@ -178,10 +179,6 @@ class ContdepReport:
         ratios = [r.ratio for r in self.rows if r.ratio > 0.0]
         return max(ratios) / min(ratios) if ratios else 1.0
 
-    @property
-    def fitted_constant(self) -> float:
-        return max((r.ratio for r in self.rows), default=0.0)
-
 
 def _paired_outputs(traj1: Trajectory, traj2: Trajectory):
     """(phi1 - phi2, length of the output interval ending there) at every
@@ -317,83 +314,3 @@ def yosida_convergence_study(data: ProblemData, cfg: SolverConfig,
                               overshoot_coarse=overshoots[k],
                               overshoot_fine=overshoots[k + 1]))
     return rows
-
-
-# -- embedding constant probe ---------------------------------------------
-
-
-@dataclass(frozen=True)
-class EmbeddingProbe:
-    estimate: float
-    ratios: tuple
-    family: tuple
-    uses_volume_exponent: bool
-
-
-def embedding_constant_probe(grid: Grid, n_random: int = 10,
-                             n_modes: int = 6, seed: int = 0
-                             ) -> EmbeddingProbe:
-    """Lower bound for the shape constant in the sup-norm embedding.
-
-    Maximizes ||v||_inf / (|Omega|^{1/6} ||Lap v||_2) over low Dirichlet
-    eigenmodes and smoothed random fields (the 1/6 volume exponent is the
-    three-dimensional one; in lower dimension the raw ratio is reported).
-    """
-    rng = np.random.default_rng(seed)
-    vol_factor = grid.volume ** (1.0 / 6.0) if grid.dim == 3 else 1.0
-    fields = []
-    labels = []
-    # low tensor sine modes (exactly in the discrete Dirichlet kernel space)
-    count = 0
-    for ks in np.ndindex(*(min(3, n) for n in grid.shape)):
-        if count >= n_modes:
-            break
-        v = np.ones(grid.shape)
-        for a, k in enumerate(ks):
-            x = grid.axis_centers(a)
-            mode = np.sin(np.pi * (k + 1) * x / grid.lengths[a])
-            sh = [1] * grid.dim
-            sh[a] = -1
-            v = v * mode.reshape(sh)
-        fields.append(v)
-        labels.append(f"sine mode {tuple(k + 1 for k in ks)}")
-        count += 1
-    for j in range(n_random):
-        noise = rng.standard_normal(grid.shape)
-        v = inverse_dirichlet(grid, inverse_dirichlet(grid, noise))
-        fields.append(v)
-        labels.append(f"smoothed noise {j}")
-    ratios = []
-    for v in fields:
-        lap = laplacian_dirichlet(grid, v)
-        denom = vol_factor * grid.l2_norm(lap)
-        ratios.append(grid.sup_norm(v) / denom)
-    return EmbeddingProbe(estimate=float(max(ratios)),
-                          ratios=tuple(ratios), family=tuple(labels),
-                          uses_volume_exponent=grid.dim == 3)
-
-
-def structural_constant_estimate(traj: Trajectory, csh: float) -> float:
-    """Empirical surrogate for the structural constant of the drift bound.
-
-    Follows the chain C2 -> C3 = Csh*C2 -> C4 -> C5 = Csh*C4 ->
-    C6 = C5*Lip(pi) -> Cstr = C3 + C6, anchoring C2 in the measured ratio
-    of the time-derivative estimate.  This is a measured surrogate, not a
-    certified constant; reports that use it must say so.
-    """
-    data = traj.data
-    rho = max(data.control.rho, 1.0)
-    vol = data.grid.volume
-    grid = data.grid
-    sup_dphi = 0.0
-    snaps = traj.snapshots
-    for k in range(1, len(snaps)):
-        dphi = (snaps[k].phi - snaps[k - 1].phi) / (snaps[k].t
-                                                    - snaps[k - 1].t)
-        sup_dphi = max(sup_dphi, grid.l2_norm(dphi))
-    c2 = sup_dphi / (vol ** 0.5 * rho) + 1.0
-    c3 = csh * c2
-    c4 = max(c3, data.tau * c2 + 1.0)
-    c5 = csh * c4
-    c6 = c5 * pot.pi_lipschitz(data.spec)
-    return c3 + c6

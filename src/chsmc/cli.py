@@ -59,8 +59,9 @@ and ramp act along the first axis).  Every profile, the
 and the shape are evaluated on the cell centers, the mu datum once per
 boundary side on its face centers, with the box lengths of ``[grid]``
 fixing the period of the trigonometric profiles.  A profile that is not
-finite where it is evaluated, and a key that the run does not read, in
-any section, are config errors.
+finite where it is evaluated, a ``phistar`` whose discrete Laplacian is
+not finite, and a key that the run does not read, in any section, are
+config errors.
 
 Exit codes: 0 ok, 2 config error (an ``--out`` that cannot be made a
 directory, and ``ode-oracle`` and ``design-rho`` flags that the formulas
@@ -312,10 +313,15 @@ def load_config(path):
     phi0 = _get(cp, "data", "phi0", on_cells)(X, 0.0)
 
     # the profiles are static, so d_t phistar = 0, and Lap phistar is the
-    # discrete zero-flux Laplacian of the sampled target
+    # discrete zero-flux Laplacian of the sampled target, taken once
     dphistar_dt = lambda X, t: np.zeros_like(X[0])
     from .grid import laplacian_neumann
-    lap_phistar = lambda X, t: laplacian_neumann(grid, phistar(X, t))
+    with np.errstate(all="ignore"):
+        lap_target = laplacian_neumann(grid, phistar(X, 0.0))
+    if not np.isfinite(lap_target).all():
+        raise ConfigError("bad value for [data] phistar: its discrete "
+                          "Laplacian is not finite")
+    lap_phistar = lambda X, t: lap_target
 
     data = solver.ProblemData(grid=grid, spec=spec, phi0=phi0, g=g,
                               phistar=phistar, bc=bc, tau=tau,

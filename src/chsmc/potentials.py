@@ -47,7 +47,6 @@ class PotentialSpec:
     beta_fn: Optional[Callable] = None
     pi_fn: Optional[Callable] = None
     Pi_fn: Optional[Callable] = None
-    pi_lip: Optional[float] = None
 
     def __post_init__(self):
         if self.kind not in ("regular", "logarithmic", "obstacle", "custom"):
@@ -75,7 +74,7 @@ def double_obstacle(c2: float) -> PotentialSpec:
 
 
 def custom(B, beta, pi, lo=-np.inf, hi=np.inf, lo_open=False, hi_open=False,
-           pi_lipschitz=None, Pi=None) -> PotentialSpec:
+           Pi=None) -> PotentialSpec:
     """User-supplied splitting.
 
     ``B``, ``beta`` (minimal section on the closure of the domain) and
@@ -84,8 +83,7 @@ def custom(B, beta, pi, lo=-np.inf, hi=np.inf, lo_open=False, hi_open=False,
     """
     return PotentialSpec(kind="custom", lo=lo, hi=hi,
                          lo_open=lo_open, hi_open=hi_open,
-                         B_fn=B, beta_fn=beta, pi_fn=pi, Pi_fn=Pi,
-                         pi_lip=pi_lipschitz)
+                         B_fn=B, beta_fn=beta, pi_fn=pi, Pi_fn=Pi)
 
 
 def _as_array(r):
@@ -178,19 +176,6 @@ def Pi(spec: PotentialSpec, r):
     else:
         raise ValueError("custom potential needs an explicit Pi")
     return float(out) if scalar else out
-
-
-def pi_lipschitz(spec: PotentialSpec) -> float:
-    """Lipschitz constant of pi."""
-    if spec.kind == "regular":
-        return 1.0
-    if spec.kind == "logarithmic":
-        return 2.0 * spec.c1
-    if spec.kind == "obstacle":
-        return 2.0 * spec.c2
-    if spec.pi_lip is None:
-        raise ValueError("custom potential needs an explicit pi_lipschitz")
-    return float(spec.pi_lip)
 
 
 def _beta0_prime(spec: PotentialSpec, s):

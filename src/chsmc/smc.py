@@ -45,16 +45,6 @@ def sign_eps(eps: float, r):
     return float(out) if arr.ndim == 0 else out
 
 
-def hat_s_eps(eps: float, rho: float, r):
-    """Antiderivative of rho*sign_eps: rho*r^2/(2 eps) inside the ramp,
-    rho*(|r| - eps/2) on the saturated branches."""
-    if not eps > 0.0 or not rho > 0.0:
-        raise ParamError("eps and rho must be positive")
-    arr = np.abs(np.asarray(r, dtype=float))
-    out = rho * np.where(arr <= eps, arr**2 / (2.0 * eps), arr - eps / 2.0)
-    return float(out) if np.asarray(r).ndim == 0 else out
-
-
 def apply_S_eps(params: SmcParams, chi: np.ndarray) -> np.ndarray:
     """Pointwise control field rho * sign_eps(chi); sup-norm at most rho."""
     return params.rho * sign_eps(params.eps, chi)
@@ -145,12 +135,6 @@ def sliding_time(w0: float, M: float, rho: float, tau: float) -> float:
     if w0 < 0.0 or not tau > 0.0:
         raise ParamError("need w0 >= 0 and tau > 0")
     return tau * w0 / (rho - M)
-
-
-def reaching_before_horizon(w0: float, M: float, rho: float, tau: float,
-                            T: float) -> bool:
-    """Whether rho > M + tau*w0/T, i.e. T* lies strictly before T."""
-    return rho > M + tau * w0 / T
 
 
 @dataclass

@@ -24,8 +24,7 @@ def grid3d():
 def zero_potential():
     """Potential with B = beta = pi = 0 (linearizes the flow)."""
     return pot.custom(B=lambda r: 0.0, beta=lambda r: 0.0,
-                      pi=lambda r: 0.0, pi_lipschitz=0.0,
-                      Pi=lambda r: 0.0)
+                      pi=lambda r: 0.0, Pi=lambda r: 0.0)
 
 
 def zero_field(X, t):

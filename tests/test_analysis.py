@@ -180,7 +180,6 @@ def test_contdep_g_ratios_are_stable():
                                          [1e-1, 1e-2])
     assert len(report.rows) == 2
     assert report.ratio_spread < 3.0
-    assert report.fitted_constant > 0.0
     # the right-hand side scales linearly in delta
     assert report.rows[0].rhs == pytest.approx(10.0 * report.rows[1].rhs)
 
@@ -232,45 +231,3 @@ def test_yosida_study_rejects_mismatched_times(monkeypatch):
     monkeypatch.setattr(analysis, "run", run_shifting_later_runs)
     with pytest.raises(ValueError, match="output times"):
         analysis.yosida_convergence_study(data, cfg, [1e-1, 1e-2])
-
-
-# -- constant probes ---------------------------------------------------------------
-
-
-def test_embedding_probe_basics():
-    grid = Grid(shape=(24,), lengths=(1.0,))
-    probe = analysis.embedding_constant_probe(grid, n_random=4, n_modes=3,
-                                              seed=1)
-    assert probe.estimate > 0.0
-    assert len(probe.ratios) == len(probe.family) == 7
-    assert not probe.uses_volume_exponent
-    assert probe.estimate == max(probe.ratios)
-    # deterministic under a fixed seed
-    again = analysis.embedding_constant_probe(grid, n_random=4, n_modes=3,
-                                              seed=1)
-    assert probe.ratios == again.ratios
-
-
-def test_embedding_probe_sine_mode_ratio_closed_form():
-    grid = Grid(shape=(64,), lengths=(1.0,))
-    probe = analysis.embedding_constant_probe(grid, n_random=0, n_modes=1)
-    x = grid.meshgrid()[0]
-    v = np.sin(np.pi * x)
-    lam = grid.axis_eigenvalues(0, "dirichlet")[0]
-    expected = np.max(v) / (lam * grid.l2_norm(v))
-    assert probe.ratios[0] == pytest.approx(expected)
-
-
-def test_embedding_probe_volume_exponent_in_3d():
-    grid = Grid(shape=(6, 6, 6), lengths=(0.5, 0.5, 0.5))
-    probe = analysis.embedding_constant_probe(grid, n_random=2, n_modes=2,
-                                              seed=0)
-    assert probe.uses_volume_exponent
-
-
-def test_structural_constant_estimate_positive():
-    data, cfg = contdep_setup()
-    traj = solver.run(data, cfg)
-    c = analysis.structural_constant_estimate(traj, csh=1.0)
-    assert c > 0.0
-    assert np.isfinite(c)

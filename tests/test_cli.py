@@ -9,7 +9,7 @@ from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
 import chsmc
-from chsmc import cli
+from chsmc import cli, solver
 from chsmc.errors import ConfigError, NewtonError
 from chsmc.grid import Grid, read_snapshot
 
@@ -293,6 +293,8 @@ def test_non_finite_or_malformed_values_exit_2(tmp_path, capsys, config,
 # (base config, old, new, the key the error names): profiles that load_config
 # rejects where they are sampled.  On 32 cells of [0, 1] the cell centers
 # are (k + 1/2)/32, and the datum's ramp overflows on the face x = 1 only.
+# A ramp of slope 1e307 is finite on the cells, but its zero-flux Laplacian
+# at the end cells, 1e307*32, overflows; every run builds that Laplacian.
 PROFILE_REJECTED_CASES = {
     "g-tanh-width-0-at-a-center": (
         NEUMANN_CONFIG, "phi0 =",
@@ -303,6 +305,11 @@ PROFILE_REJECTED_CASES = {
     "phistar-ramp-overflows": (
         NEUMANN_CONFIG, "phi0 =",
         "phistar = ramp slope=1e308 offset=1e308\nphi0 =", "[data] phistar"),
+    **{f"phistar-laplacian-overflows-{kind}": (
+        config, "phi0 =", "phistar = ramp slope=1e307 offset=0\nphi0 =",
+        "[data] phistar")
+       for kind, config in (("neumann", NEUMANN_CONFIG),
+                            ("dirichlet", DIRICHLET_CONFIG))},
     "phi0-extra-mode": (NEUMANN_CONFIG, "mode=1", "mode=1,2", "[data] phi0"),
     "contdep-shape-overflows": (
         NEUMANN_CONFIG, "[solver]",
@@ -523,6 +530,54 @@ def test_config_either_rejected_or_runs_finite(dirichlet, potential,
             for col, val in zip(header, row):
                 if not (col == "sup_G_eps" and not dirichlet):
                     assert np.isfinite(float(val)), (col, text)
+
+
+# g and phistar of the zero-flux property test: zero, or a smooth profile
+_SMOOTH_PROFILES = st.one_of(
+    st.just("constant value=0"),
+    st.builds("cosine amplitude={!r} mode={} offset={!r}".format,
+              st.floats(-1.0, 1.0), st.sampled_from(["1", "2"]),
+              st.floats(-1.0, 1.0)))
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(cells=st.integers(3, 16),
+       potential=st.sampled_from(["regular", "logarithmic\nc1 = {c!r}",
+                                  "obstacle\nc2 = {c!r}"]),
+       c=st.floats(1.0, 3.0, exclude_min=True),
+       rho=st.one_of(st.just(0.0), st.floats(0.0, 5.0)),
+       g=_SMOOTH_PROFILES, phistar=_SMOOTH_PROFILES,
+       values=st.fixed_dictionaries(
+           {k: st.floats(lo, hi) for k, (lo, hi) in _PROPERTY_RANGES.items()
+            if k in ("length", "ctrl_eps", "tau", "amp", "offset", "dt")}),
+       T=st.floats(0.0, 5e-2))
+def test_zero_flux_runs_conserve_mass_and_dissipate_energy(
+        cells, potential, c, rho, g, phistar, values, T):
+    """Criteria 4 and 6 on the config -> run path: every zero-flux run
+    keeps mean phi within 1e-12*(1 + |m0|) of its start, and at rho = 0
+    and g = 0 its regularized free energy rises by at most the bound of
+    verify-all."""
+    text = (PROPERTY_CONFIG.replace("cells = 16", f"cells = {cells}")
+            .format(potential=potential.format(c=c), bc="neumann",
+                    scheme="coupled_neumann", rho=rho, g=g, phistar=phistar,
+                    T=T, **values))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "run.ini")
+        with open(path, "w") as fh:
+            fh.write(text)
+        code = cli.main(["simulate", "--config", path, "--quiet",
+                         "--out", tmp])
+        assert code == cli.EXIT_OK, text
+        with open(os.path.join(tmp, "diagnostics.csv")) as fh:
+            header, *rows = [line.strip().split(",") for line in fh]
+    columns = dict(zip(header, np.array(rows, dtype=float).T))
+    mean_phi = columns["mean_phi"]
+    drift = np.max(np.abs(mean_phi - mean_phi[0]))
+    assert drift <= 1e-12 * (1.0 + abs(mean_phi[0])), text
+    if rho == 0.0 and g == "constant value=0":
+        rise = np.diff(columns["free_energy_reg"])
+        assert np.all(rise <= 10 * solver.NEWTON_TOL + 1e-12), text
 
 
 def _run_python(*args):

@@ -122,23 +122,13 @@ def test_pi_matches_derivative_of_Pi(spec):
     assert np.allclose(num, pot.pi(spec, r), atol=1e-7)
 
 
-def test_pi_lipschitz_values():
-    assert pot.pi_lipschitz(SPECS["regular"]) == 1.0
-    assert pot.pi_lipschitz(SPECS["logarithmic"]) == 3.0
-    assert pot.pi_lipschitz(SPECS["obstacle"]) == 1.0
-    with pytest.raises(ValueError):
-        pot.pi_lipschitz(pot.custom(B=lambda r: 0.0, beta=lambda r: 0.0,
-                                    pi=lambda r: 0.0))
-
-
 def test_custom_without_Pi_raises():
     s = pot.custom(B=lambda r: 0.0, beta=lambda r: 0.0,
-                   pi=lambda r: -r, pi_lipschitz=1.0)
+                   pi=lambda r: -r)
     with pytest.raises(ValueError, match="needs an explicit Pi"):
         pot.Pi(s, 2.0)
     with_Pi = pot.custom(B=lambda r: 0.0, beta=lambda r: 0.0,
-                         pi=lambda r: -r, pi_lipschitz=1.0,
-                         Pi=lambda r: -0.5 * r * r)
+                         pi=lambda r: -r, Pi=lambda r: -0.5 * r * r)
     assert pot.Pi(with_Pi, 2.0) == -2.0
 
 

@@ -19,27 +19,6 @@ def test_sign_eps_values():
         smc.sign_eps(0.0, 1.0)
 
 
-def test_hat_s_eps_piecewise():
-    eps, rho = 0.2, 3.0
-    # quadratic inside the ramp, affine outside, C^1 at the junction
-    assert smc.hat_s_eps(eps, rho, 0.1) == pytest.approx(3.0 * 0.01 / 0.4)
-    assert smc.hat_s_eps(eps, rho, 1.0) == pytest.approx(3.0 * (1.0 - 0.1))
-    assert smc.hat_s_eps(eps, rho, eps) == pytest.approx(
-        smc.hat_s_eps(eps, rho, eps + 1e-15), abs=1e-12)
-    assert smc.hat_s_eps(eps, rho, -0.7) == smc.hat_s_eps(eps, rho, 0.7)
-    with pytest.raises(ParamError):
-        smc.hat_s_eps(eps, 0.0, 1.0)
-
-
-def test_hat_s_derivative_is_rho_sign_eps():
-    eps, rho = 0.3, 2.0
-    r = np.linspace(-1.5, 1.5, 101)
-    h = 1e-7
-    num = (smc.hat_s_eps(eps, rho, r + h)
-           - smc.hat_s_eps(eps, rho, r - h)) / (2.0 * h)
-    assert np.allclose(num, rho * smc.sign_eps(eps, r), atol=1e-5)
-
-
 def test_apply_S_eps_saturates_at_rho():
     params = smc.SmcParams(rho=4.0, eps=1e-3)
     chi = np.linspace(-2, 2, 101)
@@ -84,8 +63,6 @@ def test_closed_form_limit_solution():
 
 def test_sliding_time_and_horizon():
     assert smc.sliding_time(1.0, 1.0, 3.0, 2.0) == pytest.approx(1.0)
-    assert smc.reaching_before_horizon(1.0, 1.0, 3.0, 2.0, T=1.5)
-    assert not smc.reaching_before_horizon(1.0, 1.0, 3.0, 2.0, T=0.5)
 
 
 def test_integrator_matches_zero_start_closed_form():
