@@ -378,14 +378,17 @@ def dual_norm(grid: Grid, psi: np.ndarray, bc: str) -> float:
     """Dual (inverse-Laplacian) norm of psi.
 
     Neumann: sqrt(<psi0, N psi0> + mean(psi)^2) with psi0 = psi - mean(psi)
-    the mean-free part, i.e. sqrt(||grad N psi0||^2 + mean(psi)^2).
+    the mean-free part, i.e. sqrt(||grad N psi0||^2 + mean(psi)^2).  N is
+    applied as its symbol, which is 0 on the constant mode, so the
+    roundoff left in psi0 for a constant psi needs no mean check.
     Dirichlet: sqrt(<psi, D psi>) = ||grad D psi||.
     """
     _check_bc(bc)
     if bc == "neumann":
         m = grid.mean(psi)
         psi0 = psi - m
-        u = inverse_neumann(grid, psi0)
+        u = apply_symbol(grid, psi0, grid.inverse_eigenvalues("neumann"),
+                         "neumann")
         return float(np.sqrt(max(grid.inner(psi0, u), 0.0) + m * m))
     u = inverse_dirichlet(grid, psi)
     return float(np.sqrt(max(grid.inner(psi, u), 0.0)))

@@ -17,9 +17,9 @@ preconditioners, Concus & Golub 1973), so a step takes about as many
 Newton iterations as exact Newton.
 
 ``galerkin_neumann`` projects onto the first n zero-flux cosine modes,
-with the nonlinearities evaluated by collocation; it solves its small
-dense Newton systems directly and is kept as an independent check of the
-finite-difference stepper.
+with the nonlinearities evaluated by collocation, and solves its small
+dense Newton systems directly; it is an independent check of the
+finite-difference stepper, whose Newton iteration :func:`_newton` it runs.
 
 Every stepper takes ``(state, data, cfg, dt=None)`` and returns the next
 :class:`StateSnapshot`, with mu recovered and the Newton iterations
@@ -187,40 +187,38 @@ class Trajectory:
 
 
 # Newton, in every stepper: absolute tolerance on the residual norm and
-# iteration cap.  Inner CG: relative tolerance, and an absolute floor as a
-# fraction of the Newton tolerance so that CG stops before chasing
-# roundoff once the residual is near that tolerance.
+# iteration cap.  Inner CG of the finite-difference stepper: relative
+# tolerance, and an absolute floor in the grid L2 norm as a fraction of
+# the Newton tolerance so that CG stops before chasing roundoff once the
+# residual is near that tolerance.
 NEWTON_TOL = 1e-10
 NEWTON_MAX = 50
 _INNER_RTOL = 1e-6
 _INNER_FLOOR = 0.1
 
 
-def _newton(residual, jacobian, x0, grid, project):
-    """Matrix-free Newton to ``NEWTON_TOL`` on the L2 residual norm; each
-    new iterate is passed through ``project``.
+def _newton(residual, solve, x0, norm, project):
+    """Newton to ``NEWTON_TOL`` on ``norm`` of the residual, the one Newton
+    iteration of every stepper; each new iterate is passed through
+    ``project``.
 
-    ``jacobian(x)`` returns the Jacobian action at the current iterate and
-    a preconditioner built from the same linearization.  Each Newton
-    system is solved by preconditioned CG to a relative tolerance of
-    ``_INNER_RTOL``, or until its residual is below ``_INNER_FLOOR`` times
-    the Newton tolerance in the grid L2 norm, so the outer iteration
-    converges like exact Newton.  A CG breakdown raises
+    ``solve(x, r)`` returns the step dx with J(x) dx = -r, called with the
+    iterate and the residual of the last ``residual`` call.  A non-finite
+    residual norm, a :class:`SolveError` from ``solve`` (a CG breakdown)
+    and ``NEWTON_MAX`` iterations without convergence raise
     :class:`NewtonError`.  The returned iterate is the one of the last
     ``residual`` call, so a caller may reuse what that call computed.
     """
-    floor = _INNER_FLOOR * NEWTON_TOL / np.sqrt(grid.cell_volume)
     x = x0.copy()
     for it in range(NEWTON_MAX):
         r = residual(x)
-        rnorm = grid.l2_norm(r)
+        rnorm = norm(r)
         if not np.isfinite(rnorm):
             raise NewtonError("non-finite residual")
         if rnorm <= NEWTON_TOL:
             return x, it
-        apply_J, precond = jacobian(x)
         try:
-            dx = pcg(apply_J, -r, precond, rtol=_INNER_RTOL, atol=floor)
+            dx = solve(x, r)
         except SolveError as exc:
             raise NewtonError(f"inner solve failed: {exc}") from exc
         x = project(x + dx)
@@ -288,6 +286,15 @@ def _explicit_part(data: ProblemData, X, phi, t):
     return pot.pi(data.spec, phi) + smc.apply_S_eps(data.control, chi)
 
 
+def _snapshot(data: ProblemData, t, phi, mu, xi,
+              newton_iters=0) -> StateSnapshot:
+    """The state at time t, with zeta = rho*sign_eps(phi - phistar(t))."""
+    zeta = smc.apply_S_eps(data.control,
+                           phi - data.phistar(data.grid.meshgrid(), t))
+    return StateSnapshot(t=t, phi=phi, mu=mu, xi=xi, zeta=zeta,
+                         newton_iters=newton_iters)
+
+
 def step_eliminated(state: StateSnapshot, data: ProblemData,
                     cfg: SolverConfig,
                     dt: Optional[float] = None) -> StateSnapshot:
@@ -327,18 +334,18 @@ def step_eliminated(state: StateSnapshot, data: ProblemData,
                 - laplacian_neumann(grid, phi)
                 + P(last["xi"] + fixed))
 
-    def jacobian(d):
-        bprime = pot.beta_eps_prime(data.spec, cfg.eps, phi_n + d)
-        return _jacobian(grid, regime, data.tau, dt, bprime)
+    floor = _INNER_FLOOR * NEWTON_TOL / np.sqrt(grid.cell_volume)
 
-    d, iters = _newton(residual, jacobian, grid.zeros(), grid, P)
-    phi = phi_n + d
+    def solve(d, r):
+        bprime = pot.beta_eps_prime(data.spec, cfg.eps, phi_n + d)
+        apply_J, precond = _jacobian(grid, regime, data.tau, dt, bprime)
+        return pcg(apply_J, -r, precond, rtol=_INNER_RTOL, atol=floor)
+
+    d, iters = _newton(residual, solve, grid.zeros(), grid.l2_norm, P)
     xi = last["xi"]
     rest = xi + expl_g
     mu = mu_H - last["Gd"] / dt + (rest - P(rest))
-    zeta = smc.apply_S_eps(data.control, phi - data.phistar(X, t_new))
-    return StateSnapshot(t=t_new, phi=phi, mu=mu, xi=xi, zeta=zeta,
-                         newton_iters=iters)
+    return _snapshot(data, t_new, phi_n + d, mu, xi, iters)
 
 
 # The scheme names stay bound to the one stepper: configs name them, and
@@ -374,33 +381,28 @@ def step_galerkin_neumann(state: StateSnapshot, data: ProblemData,
     u_n = basis.synthesize(coeffs)
     expl = _explicit_part(data, X, u_n, t_new)
     fixed = basis.project(expl - data.g(X, t_new))
-
-    def F(c):
-        u = basis.synthesize(c)
-        b = basis.project(pot.beta_eps(data.spec, cfg.eps, u))
-        return c - coeffs + dt * scale * (lam * c + b + fixed)
-
-    c = coeffs.copy()
     E = basis.modes.reshape(n, -1)
-    w = grid.cell_volume
-    for it in range(NEWTON_MAX):
-        r = F(c)
-        if np.linalg.norm(r) <= NEWTON_TOL:
-            break
-        u = basis.synthesize(c)
-        bp = pot.beta_eps_prime(data.spec, cfg.eps, u).reshape(-1)
-        B = (E * bp) @ E.T * w
+    last = {}
+
+    def residual(c):
+        last["u"] = basis.synthesize(c)
+        last["xi"] = pot.beta_eps(data.spec, cfg.eps, last["u"])
+        last["b"] = basis.project(last["xi"])
+        return c - coeffs + dt * scale * (lam * c + last["b"] + fixed)
+
+    def solve(c, r):
+        bp = pot.beta_eps_prime(data.spec, cfg.eps, last["u"]).reshape(-1)
+        B = (E * bp) @ E.T * grid.cell_volume
         J = np.eye(n) + dt * scale[:, None] * (np.diag(lam) + B)
-        c = c - np.linalg.solve(J, r)
-    else:
-        raise NewtonError("Galerkin Newton did not converge")
-    phi = basis.synthesize(c)
-    xi = pot.beta_eps(data.spec, cfg.eps, phi)
-    zeta = smc.apply_S_eps(data.control, phi - data.phistar(X, t_new))
-    eta = (data.tau * (c - coeffs) / dt + lam * c + basis.project(xi)
-           + fixed)
-    return StateSnapshot(t=t_new, phi=phi, mu=basis.synthesize(eta), xi=xi,
-                         zeta=zeta, newton_iters=it)
+        return np.linalg.solve(J, -r)
+
+    # the modes are orthonormal, so the Euclidean norm of the coefficients
+    # is the L2 norm of the synthesized residual
+    c, iters = _newton(residual, solve, coeffs, np.linalg.norm,
+                       lambda c: c)
+    eta = data.tau * (c - coeffs) / dt + lam * c + last["b"] + fixed
+    return _snapshot(data, t_new, last["u"], basis.synthesize(eta),
+                     last["xi"], iters)
 
 
 # -- runner ------------------------------------------------------------
@@ -419,15 +421,13 @@ def assemble_G_eps(state: StateSnapshot, data: ProblemData) -> np.ndarray:
 
 def _initial_snapshot(data: ProblemData, cfg: SolverConfig) -> StateSnapshot:
     grid = data.grid
-    X = grid.meshgrid()
     phi = data.phi0.copy()
     if data.bc.kind == "dirichlet":
         mu = harmonic_extension(grid, data.bc.datum, 0.0)
     else:
         mu = grid.zeros()  # placeholder: mu is defined by the first step
     xi = pot.beta_eps(data.spec, cfg.eps, phi)
-    zeta = smc.apply_S_eps(data.control, phi - data.phistar(X, 0.0))
-    return StateSnapshot(t=0.0, phi=phi, mu=mu, xi=xi, zeta=zeta)
+    return _snapshot(data, 0.0, phi, mu, xi)
 
 
 def _record(diag: DiagnosticsSeries, data: ProblemData, cfg: SolverConfig,

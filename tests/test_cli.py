@@ -1,3 +1,4 @@
+import configparser
 import os
 import subprocess
 import sys
@@ -214,6 +215,21 @@ def test_verify_all_passes_on_zero_flux_run(neumann_config, tmp_path,
     assert "control saturation: pass" in out
 
 
+def test_verify_all_does_not_check_energy_decay_of_a_forced_run(
+        tmp_path, capsys):
+    """The energy identity has a +integral of g*phi_t term, so a correct
+    forced run may gain energy: verify-all says it made no check."""
+    path = tmp_path / "forced.ini"
+    path.write_text(NEUMANN_CONFIG.replace(
+        "phi0 =", "g = cosine amplitude=5 mode=1\nphi0 ="))
+    code = cli.main(["verify-all", "--config", str(path),
+                     "--out", str(tmp_path / "v")])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "energy decay: not checked (g is not 0)" in out
+    assert "mass conservation: pass" in out
+
+
 def test_verify_all_quiet_prints_nothing(neumann_config, tmp_path, capsys):
     code = cli.main(["verify-all", "--config", neumann_config, "--quiet",
                      "--out", str(tmp_path / "v")])
@@ -353,22 +369,36 @@ BAD_VALUE_CASES = [
     ("contdep", "contdep", "deltas", "nan"),
     ("contdep", "contdep", "deltas", "1e-2,-1e-2"),
     ("contdep", "contdep", "which", "mu"),
+    ("simulate", "data", "tau", "-1"),
+    ("simulate", "data", "phi0", "constant value=1.5"),
+    ("simulate", "time", "dt", "0"),
+    ("simulate", "time", "T", "-1"),
+    ("simulate", "solver", "scheme", "foo"),
+    ("simulate", "solver", "eps", "0"),
 ]
+
+# sliding-check needs the Dirichlet regime, and a phi0 of 1.5 leaves the
+# domain of the logarithmic potential only
+_BAD_VALUE_BASE = {
+    "experiment": DIRICHLET_CONFIG,
+    "data": NEUMANN_CONFIG.replace("kind = regular",
+                                   "kind = logarithmic\nc1 = 2"),
+}
 
 
 @pytest.mark.parametrize("command,section,key,value", BAD_VALUE_CASES,
                          ids=[f"{k}={v}" for _, _, k, v in BAD_VALUE_CASES])
 def test_bad_value_exits_2_naming_its_key(tmp_path, capsys, command,
                                           section, key, value):
-    if section == "grid":
-        old = next(line for line in NEUMANN_CONFIG.splitlines()
-                   if line.startswith(key + " ="))
-        text = NEUMANN_CONFIG.replace(old, f"{key} = {value}")
-    else:
-        base = DIRICHLET_CONFIG if section == "experiment" else NEUMANN_CONFIG
-        text = base + f"\n[{section}]\n{key} = {value}\n"
+    cp = configparser.ConfigParser(interpolation=None)
+    cp.optionxform = str
+    cp.read_string(_BAD_VALUE_BASE.get(section, NEUMANN_CONFIG))
+    if not cp.has_section(section):
+        cp.add_section(section)
+    cp[section][key] = value  # replaces the value the base sets, if any
     path = tmp_path / "bad.ini"
-    path.write_text(text)
+    with open(path, "w") as fh:
+        cp.write(fh)
     code = cli.main([command, "--config", str(path), "--quiet",
                      "--out", str(tmp_path / "out")])
     assert code == cli.EXIT_CONFIG
@@ -384,6 +414,7 @@ UNKNOWN_KEY_CASES = [
     (NEUMANN_CONFIG, "time", "tt"),
     (NEUMANN_CONFIG, "potential", "c1"),  # read by logarithmic only
     (NEUMANN_CONFIG, "bc", "datum"),  # read by dirichlet only
+    (NEUMANN_CONFIG, "solver", "n_modes"),  # read by galerkin_neumann only
     (DIRICHLET_CONFIG, "data", "phi_0"),
     (DIRICHLET_CONFIG, "experiment", "rho_margn"),
     (NEUMANN_CONFIG, "contdep", "delta"),
@@ -551,16 +582,26 @@ _SMOOTH_PROFILES = st.one_of(
        values=st.fixed_dictionaries(
            {k: st.floats(lo, hi) for k, (lo, hi) in _PROPERTY_RANGES.items()
             if k in ("length", "ctrl_eps", "tau", "amp", "offset", "dt")}),
-       T=st.floats(0.0, 5e-2))
+       T=st.floats(0.0, 5e-2), galerkin=st.booleans(),
+       mode_fraction=st.floats(0.0, 1.0))
 def test_zero_flux_runs_conserve_mass_and_dissipate_energy(
-        cells, potential, c, rho, g, phistar, values, T):
-    """Criteria 4 and 6 on the config -> run path: every zero-flux run
-    keeps mean phi within 1e-12*(1 + |m0|) of its start, and at rho = 0
-    and g = 0 its regularized free energy rises by at most the bound of
-    verify-all."""
+        cells, potential, c, rho, g, phistar, values, T, galerkin,
+        mode_fraction):
+    """Criteria 4 and 6 on the config -> run path: every zero-flux run,
+    finite-difference or Galerkin in 1 .. cells modes, keeps mean phi
+    within 1e-12*(1 + |m0|) of its start, and at rho = 0 and g = 0 its
+    regularized free energy rises by at most the bound of verify-all.
+    Galerkin steps start from the projection of phi0, so the energy bound
+    needs phi0 in the span: two modes hold its mean and its mode-1
+    cosine, while one mode keeps only the mean, whose energy can be
+    higher (a concave potential part on a long box)."""
+    scheme, n_modes = "coupled_neumann", cells
+    if galerkin:
+        n_modes = 1 + round(mode_fraction * (cells - 1))
+        scheme = f"galerkin_neumann\nn_modes = {n_modes}"
     text = (PROPERTY_CONFIG.replace("cells = 16", f"cells = {cells}")
             .format(potential=potential.format(c=c), bc="neumann",
-                    scheme="coupled_neumann", rho=rho, g=g, phistar=phistar,
+                    scheme=scheme, rho=rho, g=g, phistar=phistar,
                     T=T, **values))
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "run.ini")
@@ -575,7 +616,7 @@ def test_zero_flux_runs_conserve_mass_and_dissipate_energy(
     mean_phi = columns["mean_phi"]
     drift = np.max(np.abs(mean_phi - mean_phi[0]))
     assert drift <= 1e-12 * (1.0 + abs(mean_phi[0])), text
-    if rho == 0.0 and g == "constant value=0":
+    if rho == 0.0 and g == "constant value=0" and n_modes >= 2:
         rise = np.diff(columns["free_energy_reg"])
         assert np.all(rise <= 10 * solver.NEWTON_TOL + 1e-12), text
 

@@ -299,6 +299,17 @@ def test_dual_norm_closed_forms(grid1d):
         gr.dual_norm(grid1d, c, "robin")
 
 
+@pytest.mark.parametrize("cells", [3, 6, 7, 10, 12])
+def test_dual_norm_of_a_constant_is_its_size(cells):
+    """A constant leaves only roundoff in its mean-free part, which the
+    zero-flux dual norm takes without a mean check (a one-mode Galerkin
+    run records such a constant at every step)."""
+    grid = Grid(shape=(cells,), lengths=(1.0,))
+    for c in (0.1, 0.3, 1.0 / 3.0, 0.7, 1.1):
+        psi = np.full(grid.shape, c)
+        assert gr.dual_norm(grid, psi, "neumann") == pytest.approx(c)
+
+
 # -- harmonic extension -------------------------------------------------------
 
 

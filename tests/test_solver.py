@@ -5,7 +5,8 @@ from chsmc import potentials as pot
 from chsmc import smc, solver
 from chsmc.errors import (ConfigError, MissingDataError, ModeRangeError,
                           NewtonError)
-from chsmc.grid import Grid, harmonic_extension, laplacian_neumann
+from chsmc.grid import (Grid, harmonic_extension, laplacian_neumann,
+                        pcg)
 
 from conftest import (zero_potential, zero_field, neumann_problem,
                       dirichlet_problem)
@@ -275,11 +276,11 @@ def test_coupled_preconditioner_inverts_constant_coefficient_jacobian(grid2d):
 def test_newton_raises_on_indefinite_jacobian():
     grid = small_grid()
 
-    def jacobian(x):
-        return (lambda v: -v), None
+    def solve(x, r):
+        return pcg(lambda v: -v, -r)
 
     with pytest.raises(NewtonError, match="breakdown"):
-        solver._newton(lambda x: x - 1.0, jacobian, grid.zeros(), grid,
+        solver._newton(lambda x: x - 1.0, solve, grid.zeros(), grid.l2_norm,
                        lambda x: x)
 
 
@@ -319,6 +320,21 @@ def test_step_failing_every_halving_names_its_interval_and_reason():
                            g=lambda X, t: np.full_like(X[0], np.nan))
     cfg = solver.SolverConfig(eps=1e-2, dt=1e-3, T=2e-3,
                               scheme="coupled_neumann")
+    with pytest.warns(UserWarning, match="retrying"):
+        with pytest.raises(NewtonError) as info:
+            solver.run(data, cfg)
+    assert str(info.value) == ("step from t = 0 to 0.001 failed even after "
+                               "halving 8 times: non-finite residual")
+
+
+def test_galerkin_step_stops_at_a_non_finite_residual():
+    """The Galerkin oracle runs the same Newton iteration, so a NaN source
+    fails each attempt at once, with the same reason."""
+    grid = small_grid()
+    data = neumann_problem(grid, pot.regular(), cosine_data(grid),
+                           g=lambda X, t: np.full_like(X[0], np.nan))
+    cfg = solver.SolverConfig(eps=1e-2, dt=1e-3, T=1e-3,
+                              scheme="galerkin_neumann", n_modes=8)
     with pytest.warns(UserWarning, match="retrying"):
         with pytest.raises(NewtonError) as info:
             solver.run(data, cfg)
