@@ -87,22 +87,20 @@ class ComparisonReport:
     tol_cmp: float
 
 
-def check_comparison_bound(traj: Trajectory, M_meas: float,
-                           tol_cmp: Optional[float] = None
-                           ) -> ComparisonReport:
+def check_comparison_bound(traj: Trajectory,
+                           M_meas: float) -> ComparisonReport:
     """sup|chi(t)| <= w(t) + tol_cmp for the affine comparison solution w
     of the run's rho and tau, from its first recorded sup|chi| = w0.
 
-    Default tolerance 5*(dt + eps) absorbs the time-discretization error
-    and the plateau of the regularized dynamics.
+    The tolerance tol_cmp = 5*(dt + eps) absorbs the time-discretization
+    error and the plateau of the regularized dynamics.
     """
     data, diag = traj.data, traj.diagnostics
     if data.bc.kind != "dirichlet":
         raise RegimeError("comparison bound applies to the Dirichlet regime")
     w = smc.ode_w_closed_form(diag.sup_chi[0], M_meas, data.control.rho,
                               data.tau, diag.t)
-    if tol_cmp is None:
-        tol_cmp = 5.0 * (traj.cfg.dt + traj.cfg.eps)
+    tol_cmp = 5.0 * (traj.cfg.dt + traj.cfg.eps)
     worst = float(np.max(np.asarray(diag.sup_chi) - w))
     return ComparisonReport(passed=worst <= tol_cmp, worst_margin=worst,
                             tol_cmp=tol_cmp)

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -312,14 +312,13 @@ def apply_symbol(grid: Grid, u: np.ndarray, symbol: np.ndarray,
 _CG_MAXITER = 20000
 
 
-def pcg(apply_A: Callable, b: np.ndarray,
-        precond: Optional[Callable] = None, rtol: float = 1e-11,
-        atol: float = 0.0) -> np.ndarray:
+def pcg(apply_A: Callable, b: np.ndarray, precond: Callable, rtol: float,
+        atol: float) -> np.ndarray:
     """Preconditioned CG for A x = b, starting from x = 0.
 
     ``apply_A`` must be symmetric positive definite on the subspace that
-    ``b`` lies in and ``precond`` (identity when None) a symmetric positive
-    definite approximation of its inverse there.  Stops once the Euclidean
+    ``b`` lies in and ``precond`` a symmetric positive definite
+    approximation of its inverse there.  Stops once the Euclidean
     residual norm is at most max(rtol*||b||, atol).  A non-positive or
     non-finite curvature p.Ap or r.z is a breakdown and raises
     :class:`SolveError` before it can reach the iterate, as does running
@@ -331,7 +330,7 @@ def pcg(apply_A: Callable, b: np.ndarray,
     stop = max(rtol * bnorm, atol)
     if bnorm <= stop:
         return x
-    z = r if precond is None else precond(r)
+    z = precond(r)
     rz = np.sum(r * z)
     p = z.copy()
     for _ in range(_CG_MAXITER):
@@ -347,7 +346,7 @@ def pcg(apply_A: Callable, b: np.ndarray,
         r -= alpha * Ap
         if np.sqrt(np.sum(r * r)) <= stop:
             return x
-        z = r if precond is None else precond(r)
+        z = precond(r)
         rz_new = np.sum(r * z)
         p = z + (rz_new / rz) * p
         rz = rz_new
@@ -440,20 +439,26 @@ class NeumannEigenbasis:
 
 def neumann_eigenbasis(grid: Grid, n: int) -> NeumannEigenbasis:
     """The n lowest modes of :meth:`Grid.eigenvalues` (ties in index order),
-    products of directly evaluated cosines; e_1 is 1/sqrt(|Omega|)."""
+    products of directly evaluated cosines; e_1 is 1/sqrt(|Omega|).
+    Read-only (cached per n)."""
     if n < 1 or n > grid.ncells:
         raise ModeRangeError(f"n must be in [1, {grid.ncells}]")
-    lam = grid.eigenvalues("neumann").reshape(-1)
-    order = np.argsort(lam, kind="stable")[:n]
-    modes = np.ones((n,) + (1,) * grid.dim)
-    for a, k in enumerate(np.unravel_index(order, grid.shape)):
-        L = grid.lengths[a]
-        v = np.cos(np.pi * k[:, None] * grid.axis_centers(a) / L)
-        v *= np.where(k == 0, 1.0 / np.sqrt(L), np.sqrt(2.0 / L))[:, None]
-        shape = [n] + [1] * grid.dim
-        shape[a + 1] = grid.shape[a]
-        modes = modes * v.reshape(shape)
-    return NeumannEigenbasis(grid=grid, eigenvalues=lam[order], modes=modes)
+
+    def build():
+        lam = grid.eigenvalues("neumann").reshape(-1)
+        order = np.argsort(lam, kind="stable")[:n]
+        modes = np.ones((n,) + (1,) * grid.dim)
+        for a, k in enumerate(np.unravel_index(order, grid.shape)):
+            L = grid.lengths[a]
+            v = np.cos(np.pi * k[:, None] * grid.axis_centers(a) / L)
+            v *= np.where(k == 0, 1.0 / np.sqrt(L),
+                          np.sqrt(2.0 / L))[:, None]
+            shape = [n] + [1] * grid.dim
+            shape[a + 1] = grid.shape[a]
+            modes = modes * v.reshape(shape)
+        return NeumannEigenbasis(grid=grid, eigenvalues=_read_only(lam[order]),
+                                 modes=_read_only(modes))
+    return grid._cached(f"_basis_{n}", build)
 
 
 # -- snapshot file format ----------------------------------------------

@@ -9,9 +9,11 @@ Lipschitz-continuous derivative ``pi``.  The canonical splittings are
     obstacle:     B = indicator of [-1, 1],          pi(r) = -2*c2*r
 
 so that the perturbation is linear in all three families.  On top of the
-exact maps, the module provides the resolvent (I + eps*beta)^{-1}, the
-Yosida approximation beta_eps and the Moreau envelope of B, which are what
-the time steppers actually evaluate.
+exact maps, the module provides the resolvent J_eps = (I + eps*beta)^{-1}
+and the Yosida approximation beta_eps = (I - J_eps)/eps, which are what
+the time steppers actually evaluate.  Once xi = beta_eps(r) is known,
+J_eps(r) = r - eps*xi, so the derivative of beta_eps and the Moreau
+envelope of B take xi and solve nothing.
 """
 
 from __future__ import annotations
@@ -316,14 +318,16 @@ def beta_eps(spec: PotentialSpec, eps: float, r):
     return float(out) if scalar else out
 
 
-def beta_eps_prime(spec: PotentialSpec, eps: float, r):
-    """Derivative of the Yosida approximation (in [0, 1/eps])."""
+def beta_eps_prime(spec: PotentialSpec, eps: float, r, xi):
+    """Derivative of the Yosida approximation (in [0, 1/eps]) at r, from
+    xi = beta_eps(r): 1/eps - 1/(eps*(1 + eps*beta0'(J))) at the resolvent
+    point J = r - eps*xi, clipped like the envelope's; 0 on [-1, 1] and
+    1/eps outside for the obstacle."""
     arr, scalar = _as_array(r)
     if spec.kind == "obstacle":
         out = np.where(np.abs(arr) <= 1.0, 0.0, 1.0 / eps)
     else:
-        s = resolvent(spec, eps, arr)
-        bp = _beta0_prime(spec, s)
+        bp = _beta0_prime(spec, np.clip(arr - eps * xi, spec.lo, spec.hi))
         with np.errstate(all="ignore"):
             jp = 1.0 / (1.0 + eps * bp)
         jp = np.where(np.isfinite(bp), jp, 0.0)
@@ -331,18 +335,15 @@ def beta_eps_prime(spec: PotentialSpec, eps: float, r):
     return float(out) if scalar else out
 
 
-def moreau_envelope(spec: PotentialSpec, eps: float, r, xi=None):
-    """Moreau-Yosida envelope of the convex part.
+def moreau_envelope(spec: PotentialSpec, eps: float, r, xi):
+    """Moreau-Yosida envelope of the convex part at r, from
+    xi = beta_eps(r).
 
-    Equals |r - J|^2/(2 eps) + B_hat(J) at the resolvent point J, is
-    everywhere defined, nonnegative, and dominated by B_hat on its domain.
-    With xi = beta_eps(r), J = r - eps*xi and the envelope is
-    eps*xi^2/2 + B_hat(J); a caller that already holds ``xi`` passes it
-    to skip the resolvent solve.
+    Equals |r - J|^2/(2 eps) + B_hat(J) = eps*xi^2/2 + B_hat(J) at the
+    resolvent point J = r - eps*xi; everywhere defined, nonnegative, and
+    dominated by B_hat on its domain.
     """
     arr, scalar = _as_array(r)
-    if xi is None:
-        xi = beta_eps(spec, eps, arr)
     # r - eps*xi can leave the closure of the domain by an ulp, where
     # B_hat would reject it
     s = np.clip(arr - eps * xi, spec.lo, spec.hi)
@@ -350,18 +351,11 @@ def moreau_envelope(spec: PotentialSpec, eps: float, r, xi=None):
     return float(out) if scalar else out
 
 
-def free_energy(grid, phi: np.ndarray, spec: PotentialSpec,
-                eps: Optional[float] = None,
-                xi: Optional[np.ndarray] = None) -> float:
-    """Quadrature of |grad phi|^2/2 + f(phi) over the grid (diagnostic),
-    with the face-difference gradient energy of :meth:`Grid.gradient_energy`.
-
-    With ``eps`` set, the convex part is replaced by its Moreau envelope so
-    the density is defined for any field values; ``xi = beta_eps(phi)``,
-    when given, spares the envelope its resolvent solve.
-    """
-    if eps is None:
-        dens = B_hat(spec, phi) + Pi(spec, phi)
-    else:
-        dens = moreau_envelope(spec, eps, phi, xi) + Pi(spec, phi)
+def free_energy(grid, phi: np.ndarray, spec: PotentialSpec, eps: float,
+                xi: np.ndarray) -> float:
+    """Regularized free energy: quadrature of |grad phi|^2/2 + the Moreau
+    envelope of the convex part + Pi(phi) over the grid, with
+    xi = beta_eps(phi) and the face-difference gradient energy of
+    :meth:`Grid.gradient_energy`; defined for any field values."""
+    dens = moreau_envelope(spec, eps, phi, xi) + Pi(spec, phi)
     return grid.integral(dens) + 0.5 * grid.gradient_energy(phi)

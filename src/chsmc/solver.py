@@ -21,7 +21,7 @@ with the nonlinearities evaluated by collocation, and solves its small
 dense Newton systems directly; it is an independent check of the
 finite-difference stepper, whose Newton iteration :func:`_newton` it runs.
 
-Every stepper takes ``(state, data, cfg, dt=None)`` and returns the next
+Every stepper takes ``(state, data, cfg, dt)`` and returns the next
 :class:`StateSnapshot`, with mu recovered and the Newton iterations
 counted.
 """
@@ -131,6 +131,12 @@ class SolverConfig:
         if not (0.0 < self.eps < np.inf and 0.0 < self.dt < np.inf
                 and 0.0 <= self.T < np.inf):
             raise ConfigError("need finite eps, dt > 0 and T >= 0")
+        # run carries a time within 1e-9*dt of a step end exactly
+        slack = 1e-9 * self.dt
+        for t in [] if self.output_times is None else self.output_times:
+            if not -slack <= t <= self.T + slack:
+                raise ConfigError(
+                    f"output time {t!r} is not in [0, T] = [0, {self.T!r}]")
 
 
 @dataclass(frozen=True)
@@ -296,8 +302,7 @@ def _snapshot(data: ProblemData, t, phi, mu, xi,
 
 
 def step_eliminated(state: StateSnapshot, data: ProblemData,
-                    cfg: SolverConfig,
-                    dt: Optional[float] = None) -> StateSnapshot:
+                    cfg: SolverConfig, dt: float) -> StateSnapshot:
     """One backward-Euler step of the finite-difference system with the
     potential eliminated through the inverse Laplacian G of its regime.
 
@@ -310,10 +315,10 @@ def step_eliminated(state: StateSnapshot, data: ProblemData,
     mu_H the harmonic extension of the Dirichlet datum (0 for zero flux).
     For zero flux d stays mean-free, so the mean of phi is conserved.
     xi = beta_eps(phi) and G(d) are those of Newton's last residual
-    evaluation, which was at the returned d.
+    evaluation, which was at the returned d; the Jacobian takes
+    beta_eps'(phi) from the xi of that evaluation as well.
     """
     grid = data.grid
-    dt = cfg.dt if dt is None else dt
     t_new = state.t + dt
     X = grid.meshgrid()
     regime = _regime(grid, data.bc.kind)
@@ -337,7 +342,8 @@ def step_eliminated(state: StateSnapshot, data: ProblemData,
     floor = _INNER_FLOOR * NEWTON_TOL / np.sqrt(grid.cell_volume)
 
     def solve(d, r):
-        bprime = pot.beta_eps_prime(data.spec, cfg.eps, phi_n + d)
+        bprime = pot.beta_eps_prime(data.spec, cfg.eps, phi_n + d,
+                                    last["xi"])
         apply_J, precond = _jacobian(grid, regime, data.tau, dt, bprime)
         return pcg(apply_J, -r, precond, rtol=_INNER_RTOL, atol=floor)
 
@@ -355,8 +361,7 @@ step_eliminated_dirichlet = step_eliminated
 
 
 def step_galerkin_neumann(state: StateSnapshot, data: ProblemData,
-                          cfg: SolverConfig,
-                          dt: Optional[float] = None) -> StateSnapshot:
+                          cfg: SolverConfig, dt: float) -> StateSnapshot:
     """One step of the spectral system in the first ``cfg.n_modes``
     zero-flux cosine modes, from the projection of ``state.phi``.
 
@@ -369,11 +374,10 @@ def step_galerkin_neumann(state: StateSnapshot, data: ProblemData,
     (c - c^n)/dt = -A eta holds for its coefficients eta.
     """
     grid = data.grid
-    dt = cfg.dt if dt is None else dt
     t_new = state.t + dt
     X = grid.meshgrid()
     n = cfg.n_modes
-    basis = grid._cached(f"_basis_{n}", lambda: neumann_eigenbasis(grid, n))
+    basis = neumann_eigenbasis(grid, n)
     lam = basis.eigenvalues
     scale = lam / (1.0 + data.tau * lam)
 
@@ -391,7 +395,8 @@ def step_galerkin_neumann(state: StateSnapshot, data: ProblemData,
         return c - coeffs + dt * scale * (lam * c + last["b"] + fixed)
 
     def solve(c, r):
-        bp = pot.beta_eps_prime(data.spec, cfg.eps, last["u"]).reshape(-1)
+        bp = pot.beta_eps_prime(data.spec, cfg.eps, last["u"],
+                                last["xi"]).reshape(-1)
         B = (E * bp) @ E.T * grid.cell_volume
         J = np.eye(n) + dt * scale[:, None] * (np.diag(lam) + B)
         return np.linalg.solve(J, -r)
@@ -420,8 +425,13 @@ def assemble_G_eps(state: StateSnapshot, data: ProblemData) -> np.ndarray:
 
 
 def _initial_snapshot(data: ProblemData, cfg: SolverConfig) -> StateSnapshot:
+    """The state at t = 0: phi0, or for ``galerkin_neumann`` its projection
+    onto the modes, which is where the first step starts."""
     grid = data.grid
     phi = data.phi0.copy()
+    if cfg.scheme == "galerkin_neumann":
+        basis = neumann_eigenbasis(grid, cfg.n_modes)
+        phi = basis.synthesize(basis.project(phi))
     if data.bc.kind == "dirichlet":
         mu = harmonic_extension(grid, data.bc.datum, 0.0)
     else:
@@ -435,7 +445,7 @@ def _record(diag: DiagnosticsSeries, data: ProblemData, cfg: SolverConfig,
     grid = data.grid
     X = grid.meshgrid()
     chi = state.phi - data.phistar(X, state.t)
-    fe = pot.free_energy(grid, state.phi, data.spec, eps=cfg.eps, xi=state.xi)
+    fe = pot.free_energy(grid, state.phi, data.spec, cfg.eps, state.xi)
     if (data.bc.kind == "dirichlet" and data.dphistar_dt is not None
             and data.lap_phistar is not None):
         supG = grid.sup_norm(assemble_G_eps(state, data))
@@ -524,5 +534,8 @@ def run(data: ProblemData, cfg: SolverConfig) -> Trajectory:
             snapshots.append(replace(state, t=t_out)
                              if abs(state.t - t_out) <= 1e-9 * cfg.dt
                              else state)
+    # SolverConfig keeps the output times below T + 1e-9*dt, so any left
+    # are T up to roundoff, past the last step end
+    snapshots += [replace(state, t=t_out) for t_out in remaining]
     return Trajectory(snapshots=snapshots, diagnostics=diag, data=data,
                       cfg=cfg)

@@ -231,9 +231,10 @@ def test_criterion_6_energy_decay():
                                   scheme="coupled_neumann")
         state = solver._initial_snapshot(data, cfg)
         for _ in range(100):
-            new = solver.step_coupled_neumann(state, data, cfg)
-            e_old = pot.free_energy(grid, state.phi, spec, eps=cfg.eps)
-            e_new = pot.free_energy(grid, new.phi, spec, eps=cfg.eps)
+            new = solver.step_coupled_neumann(state, data, cfg, cfg.dt)
+            e_old = pot.free_energy(grid, state.phi, spec, cfg.eps,
+                                    state.xi)
+            e_new = pot.free_energy(grid, new.phi, spec, cfg.eps, new.xi)
             diss = (data.tau / cfg.dt
                     * grid.l2_norm(new.phi - state.phi) ** 2
                     + cfg.dt * grid.gradient_energy(new.mu))

@@ -102,9 +102,7 @@ def test_comparison_bound_pass_and_fail():
     rep = analysis.check_comparison_bound(bad, M)
     assert not rep.passed
     assert rep.worst_margin == pytest.approx(1.0)
-    # explicit tolerance overrides the default
-    rep = analysis.check_comparison_bound(bad, M, tol_cmp=1.0)
-    assert rep.passed
+    assert rep.tol_cmp == 5.0 * (bad.cfg.dt + bad.cfg.eps)
 
 
 @pytest.mark.parametrize("rho,tau,margin", [

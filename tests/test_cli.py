@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
 import chsmc
-from chsmc import cli, solver
+from chsmc import cli, smc, solver
 from chsmc.errors import ConfigError, NewtonError
 from chsmc.grid import Grid, read_snapshot
 
@@ -235,6 +235,38 @@ def test_verify_all_quiet_prints_nothing(neumann_config, tmp_path, capsys):
                      "--out", str(tmp_path / "v")])
     assert code == 0
     assert capsys.readouterr() == ("", "")
+
+
+SLIDING_REFERENCE = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+    "configs", "sliding_reference.ini")
+
+
+def test_sliding_check_achieves_sliding_on_shortened_reference(tmp_path,
+                                                               capsys):
+    """The shipped sliding config, on 32 cells with eps = 1e-2 for both
+    regularizations and T = 0.05, passes; the main run takes the steps
+    that dt_stability_factor caps at 0.3*eps*tau/rho."""
+    with open(SLIDING_REFERENCE) as fh:
+        text = (fh.read().replace("cells = 128", "cells = 32")
+                .replace("eps = 1e-3", "eps = 1e-2")
+                .replace("T = 1.0", "T = 0.05"))
+    path = tmp_path / "sliding.ini"
+    path.write_text(text)
+    out = tmp_path / "s"
+    code = cli.main(["sliding-check", "--config", str(path),
+                     "--out", str(out)])
+    stdout = capsys.readouterr().out
+    assert code == cli.EXIT_OK
+    assert "verdict: achieved" in stdout.splitlines()
+    report = (out / "sliding_report.txt").read_text()
+    assert report.splitlines()[0] == "verdict: achieved"
+    assert "comparison bound: pass" in report
+    rho = float(report.split("rho: ")[1].split()[0])
+    dt = min(2e-4, 0.3 * 1e-2 * 1.0 / rho)
+    assert dt < 2e-4
+    rows = (out / "sliding_diagnostics.csv").read_text().splitlines()[1:]
+    assert len(rows) == 1 + len(smc.step_end_times(0.05, dt))
 
 
 def test_out_naming_a_file_exits_2(neumann_config, tmp_path, capsys):
@@ -590,11 +622,7 @@ def test_zero_flux_runs_conserve_mass_and_dissipate_energy(
     """Criteria 4 and 6 on the config -> run path: every zero-flux run,
     finite-difference or Galerkin in 1 .. cells modes, keeps mean phi
     within 1e-12*(1 + |m0|) of its start, and at rho = 0 and g = 0 its
-    regularized free energy rises by at most the bound of verify-all.
-    Galerkin steps start from the projection of phi0, so the energy bound
-    needs phi0 in the span: two modes hold its mean and its mode-1
-    cosine, while one mode keeps only the mean, whose energy can be
-    higher (a concave potential part on a long box)."""
+    regularized free energy rises by at most the bound of verify-all."""
     scheme, n_modes = "coupled_neumann", cells
     if galerkin:
         n_modes = 1 + round(mode_fraction * (cells - 1))
@@ -616,7 +644,7 @@ def test_zero_flux_runs_conserve_mass_and_dissipate_energy(
     mean_phi = columns["mean_phi"]
     drift = np.max(np.abs(mean_phi - mean_phi[0]))
     assert drift <= 1e-12 * (1.0 + abs(mean_phi[0])), text
-    if rho == 0.0 and g == "constant value=0" and n_modes >= 2:
+    if rho == 0.0 and g == "constant value=0":
         rise = np.diff(columns["free_energy_reg"])
         assert np.all(rise <= 10 * solver.NEWTON_TOL + 1e-12), text
 

@@ -140,12 +140,13 @@ def cg_inverse_neumann(grid, psi):
     solve.  CG stays in the range of the singular operator when started
     from an exactly mean-free right-hand side."""
     u = gr.pcg(lambda v: -gr.laplacian_neumann(grid, v),
-               psi - grid.mean(psi))
+               psi - grid.mean(psi), lambda r: r, rtol=1e-11, atol=0.0)
     return u - grid.mean(u)
 
 
 def cg_inverse_dirichlet(grid, psi):
-    return gr.pcg(lambda v: -gr.laplacian_dirichlet(grid, v), psi)
+    return gr.pcg(lambda v: -gr.laplacian_dirichlet(grid, v), psi,
+                  lambda r: r, rtol=1e-11, atol=0.0)
 
 
 @pytest.mark.parametrize("inverse", [gr.inverse_neumann, cg_inverse_neumann],
@@ -258,8 +259,9 @@ def test_pcg_preconditioned_and_plain_agree():
     A = Q @ np.diag(np.logspace(0, 4, 40)) @ Q.T
     b = rng.standard_normal(40)
     d = np.diag(A)
-    x_plain = gr.pcg(lambda v: A @ v, b)
-    x_jacobi = gr.pcg(lambda v: A @ v, b, precond=lambda r: r / d)
+    x_plain = gr.pcg(lambda v: A @ v, b, lambda r: r, rtol=1e-11, atol=0.0)
+    x_jacobi = gr.pcg(lambda v: A @ v, b, lambda r: r / d, rtol=1e-11,
+                      atol=0.0)
     x_exact = np.linalg.solve(A, b)
     assert np.allclose(x_plain, x_exact, rtol=0.0, atol=1e-9)
     assert np.allclose(x_jacobi, x_exact, rtol=0.0, atol=1e-9)
@@ -275,7 +277,7 @@ def test_pcg_breakdown_raises(diag):
         return np.array(diag) * v
 
     with pytest.raises(SolveError, match="breakdown"):
-        gr.pcg(apply_A, np.ones(3))
+        gr.pcg(apply_A, np.ones(3), lambda r: r, rtol=1e-11, atol=0.0)
     assert len(calls) == 1
 
 

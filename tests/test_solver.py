@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -42,6 +44,27 @@ def test_solver_config_rejects_non_finite(field, value):
     kw[field] = value
     with pytest.raises(ConfigError):
         solver.SolverConfig(**kw)
+
+
+@pytest.mark.parametrize("t_out", [0.02, float("nan"), -1.0])
+def test_solver_config_rejects_output_time_outside_run(t_out):
+    """A time outside [0, T] would get no snapshot; it is refused by
+    value instead."""
+    with pytest.raises(ConfigError, match=re.escape(f"time {t_out!r}")):
+        solver.SolverConfig(eps=1e-2, dt=1e-3, T=0.01,
+                            scheme="coupled_neumann",
+                            output_times=[0.005, t_out])
+
+
+def test_output_time_within_roundoff_past_T_is_kept():
+    grid = small_grid()
+    data = neumann_problem(grid, pot.regular(), cosine_data(grid))
+    t_end = 0.003 + 1e-13  # past T, within 1e-9*dt
+    cfg = solver.SolverConfig(eps=1e-2, dt=1e-3, T=0.003,
+                              scheme="coupled_neumann",
+                              output_times=[0.001, t_end])
+    traj = solver.run(data, cfg)
+    assert [s.t for s in traj.snapshots] == [0.0, 0.001, t_end]
 
 
 def test_problem_data_rejects_non_finite():
@@ -160,7 +183,7 @@ def test_coupled_step_satisfies_flux_equation():
     cfg = solver.SolverConfig(eps=1e-2, dt=1e-3, T=0.0,
                               scheme="coupled_neumann")
     state0 = solver._initial_snapshot(data, cfg)
-    state1 = solver.step_coupled_neumann(state0, data, cfg)
+    state1 = solver.step_coupled_neumann(state0, data, cfg, cfg.dt)
     dphi = (state1.phi - state0.phi) / cfg.dt
     assert np.allclose(dphi, laplacian_neumann(grid, state1.mu), atol=1e-7)
     # exact mean conservation after one step
@@ -174,7 +197,7 @@ def test_coupled_step_satisfies_potential_equation():
     cfg = solver.SolverConfig(eps=1e-2, dt=1e-3, T=0.0,
                               scheme="coupled_neumann")
     state0 = solver._initial_snapshot(data, cfg)
-    state1 = solver.step_coupled_neumann(state0, data, cfg)
+    state1 = solver.step_coupled_neumann(state0, data, cfg, cfg.dt)
     dphi = (state1.phi - state0.phi) / cfg.dt
     lhs = (data.tau * dphi - laplacian_neumann(grid, state1.phi)
            + state1.xi + pot.pi(data.spec, state0.phi))
@@ -190,7 +213,7 @@ def test_galerkin_step_satisfies_both_equations():
     cfg = solver.SolverConfig(eps=1e-2, dt=1e-3, T=0.0,
                               scheme="galerkin_neumann", n_modes=grid.ncells)
     state0 = solver._initial_snapshot(data, cfg)
-    state1 = solver.step_galerkin_neumann(state0, data, cfg)
+    state1 = solver.step_galerkin_neumann(state0, data, cfg, cfg.dt)
     dphi = (state1.phi - state0.phi) / cfg.dt
     assert np.allclose(dphi, laplacian_neumann(grid, state1.mu), atol=1e-7)
     lhs = (data.tau * dphi - laplacian_neumann(grid, state1.phi)
@@ -200,6 +223,24 @@ def test_galerkin_step_satisfies_both_equations():
     assert state1.newton_iters > 0
 
 
+def test_galerkin_run_records_the_projection_it_steps_from():
+    """A Galerkin run records at t = 0 the projection of phi0 onto its
+    modes, where its first step starts: with one mode, the mean of phi0.
+    At rho = 0 and g = 0 the recorded energy then does not rise on the
+    first step, as it did by 0.305 when phi0 itself was recorded."""
+    grid = small_grid(3, L=2.0)
+    x = grid.meshgrid()[0]
+    data = neumann_problem(grid, pot.logarithmic(3.0),
+                           0.6 * np.cos(np.pi * x / 2.0))
+    cfg = solver.SolverConfig(eps=1e-2, dt=1e-4, T=1e-4,
+                              scheme="galerkin_neumann", n_modes=1)
+    traj = solver.run(data, cfg)
+    assert np.allclose(traj.snapshots[0].phi, grid.mean(data.phi0),
+                       rtol=0.0, atol=1e-15)
+    energy = traj.diagnostics.free_energy_reg
+    assert energy[1] <= energy[0] + 10 * solver.NEWTON_TOL
+
+
 def test_dirichlet_step_recovers_potential():
     grid = small_grid()
     data = dirichlet_problem(grid, pot.regular(), cosine_data(grid, k=2),
@@ -207,7 +248,7 @@ def test_dirichlet_step_recovers_potential():
     cfg = solver.SolverConfig(eps=1e-2, dt=1e-3, T=0.0,
                               scheme="eliminated_dirichlet")
     state0 = solver._initial_snapshot(data, cfg)
-    state1 = solver.step_eliminated_dirichlet(state0, data, cfg)
+    state1 = solver.step_eliminated_dirichlet(state0, data, cfg, cfg.dt)
     from chsmc.grid import harmonic_extension, laplacian_dirichlet
     mu_H = harmonic_extension(grid, data.bc.datum, cfg.dt)
     dphi = (state1.phi - state0.phi) / cfg.dt
@@ -232,7 +273,7 @@ def test_step_reuses_newtons_last_evaluation(kind):
         scheme = "eliminated_dirichlet"
     cfg = solver.SolverConfig(eps=1e-2, dt=1e-3, T=0.0, scheme=scheme)
     state0 = solver._initial_snapshot(data, cfg)
-    state1 = solver.step_eliminated(state0, data, cfg)
+    state1 = solver.step_eliminated(state0, data, cfg, cfg.dt)
     assert state1.newton_iters > 0
     assert np.array_equal(state1.xi,
                           pot.beta_eps(data.spec, cfg.eps, state1.phi))
@@ -245,6 +286,34 @@ def test_step_reuses_newtons_last_evaluation(kind):
             + solver._explicit_part(data, X, state0.phi, t) - data.g(X, t))
     mu = mu_H - G((state1.phi - state0.phi) / cfg.dt) + (rest - P(rest))
     assert np.max(np.abs(state1.mu - mu)) <= 1e-13 * np.max(np.abs(mu))
+
+
+@pytest.mark.parametrize("scheme,spec", [
+    ("coupled_neumann", pot.regular()),
+    ("coupled_neumann", pot.logarithmic(2.0)),
+    ("galerkin_neumann", pot.regular())],
+    ids=["regular", "logarithmic", "galerkin"])
+def test_step_solves_one_resolvent_per_residual(monkeypatch, scheme, spec):
+    """The Jacobian takes beta_eps' from the xi of the residual evaluation
+    at the same iterate, so a step solves the resolvent once per residual
+    evaluation: newton_iters + 1 times."""
+    grid = small_grid()
+    data = neumann_problem(grid, spec, cosine_data(grid, amp=0.6), rho=1.0)
+    galerkin = scheme == "galerkin_neumann"
+    cfg = solver.SolverConfig(eps=1e-2, dt=1e-3, T=0.0, scheme=scheme,
+                              n_modes=8 if galerkin else 0)
+    state0 = solver._initial_snapshot(data, cfg)
+    step = solver.step_galerkin_neumann if galerkin else solver.step_eliminated
+    resolvent, calls = pot.resolvent, []
+
+    def counted(*args):
+        calls.append(args)
+        return resolvent(*args)
+
+    monkeypatch.setattr(pot, "resolvent", counted)
+    state1 = step(state0, data, cfg, cfg.dt)
+    assert state1.newton_iters > 0
+    assert len(calls) == state1.newton_iters + 1
 
 
 def test_control_term_saturates():
@@ -277,7 +346,7 @@ def test_newton_raises_on_indefinite_jacobian():
     grid = small_grid()
 
     def solve(x, r):
-        return pcg(lambda v: -v, -r)
+        return pcg(lambda v: -v, -r, lambda v: v, rtol=1e-11, atol=0.0)
 
     with pytest.raises(NewtonError, match="breakdown"):
         solver._newton(lambda x: x - 1.0, solve, grid.zeros(), grid.l2_norm,
@@ -295,7 +364,7 @@ def test_halving_is_reported_and_counts_both_halves(monkeypatch):
     second = step(first, data, cfg, dt=5e-4)
     failed = []
 
-    def fail_once(state, data, cfg, dt=None):
+    def fail_once(state, data, cfg, dt):
         if not failed:
             failed.append(dt)
             raise NewtonError("injected failure")
@@ -353,9 +422,9 @@ def test_convex_splitting_energy_inequality():
                               scheme="coupled_neumann")
     state = solver._initial_snapshot(data, cfg)
     for _ in range(30):
-        new = solver.step_coupled_neumann(state, data, cfg)
-        e_old = pot.free_energy(grid, state.phi, spec, eps=cfg.eps)
-        e_new = pot.free_energy(grid, new.phi, spec, eps=cfg.eps)
+        new = solver.step_coupled_neumann(state, data, cfg, cfg.dt)
+        e_old = pot.free_energy(grid, state.phi, spec, cfg.eps, state.xi)
+        e_new = pot.free_energy(grid, new.phi, spec, cfg.eps, new.xi)
         diss = (data.tau / cfg.dt * grid.l2_norm(new.phi - state.phi) ** 2
                 + cfg.dt * grid.gradient_energy(new.mu))
         assert e_new + diss <= e_old + 10 * solver.NEWTON_TOL
@@ -377,7 +446,8 @@ def test_obstacle_overshoot_records_envelope_free_energy():
     assert len(traj.snapshots) == len(traj.diagnostics.t) == 21
     assert max(grid.sup_norm(s.phi) for s in traj.snapshots) > 1.0
     for snap, fe in zip(traj.snapshots, traj.diagnostics.free_energy_reg):
-        ref = pot.free_energy(grid, snap.phi, spec, eps=cfg.eps)
+        ref = pot.free_energy(grid, snap.phi, spec, cfg.eps,
+                              pot.beta_eps(spec, cfg.eps, snap.phi))
         assert np.isfinite(fe)
         assert fe == pytest.approx(ref, rel=1e-12, abs=1e-12)
 
