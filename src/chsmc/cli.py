@@ -249,6 +249,17 @@ _OPTIONAL_SECTIONS = {
 }
 
 
+# The potential families a config can name: kind -> factory of the
+# [potential] section, which reads the family's own keys.
+_POTENTIALS = {
+    "regular": lambda cp: pot.regular(),
+    "logarithmic": lambda cp: pot.logarithmic(
+        _get(cp, "potential", "c1", float)),
+    "obstacle": lambda cp: pot.double_obstacle(
+        _get(cp, "potential", "c2", float)),
+}
+
+
 def load_config(path):
     """Parse a config file into (ProblemData, SolverConfig, extras).
 
@@ -279,29 +290,20 @@ def load_config(path):
     except ValueError as exc:
         raise ConfigError(f"[grid] {exc}") from exc
 
-    kind = _get(cp, "potential", "kind")
+    kind = _get(cp, "potential", "kind", _one_of(*_POTENTIALS))
     try:
-        if kind == "regular":
-            spec = pot.regular()
-        elif kind == "logarithmic":
-            spec = pot.logarithmic(_get(cp, "potential", "c1", float))
-        elif kind == "obstacle":
-            spec = pot.double_obstacle(_get(cp, "potential", "c2", float))
-        else:
-            raise ConfigError(f"unknown potential kind {kind!r}")
+        spec = _POTENTIALS[kind](cp)
     except ValueError as exc:
         raise ConfigError(f"[potential] {exc}") from exc
 
     X = grid.meshgrid()
     on_cells = _profile_on(lengths, [X])
-    bc_kind = _get(cp, "bc", "kind")
+    bc_kind = _get(cp, "bc", "kind", _one_of("neumann", "dirichlet"))
     if bc_kind == "neumann":
         bc = solver.neumann_bc()
-    elif bc_kind == "dirichlet":
+    else:
         bc = solver.dirichlet_bc(_get(cp, "bc", "datum", _profile_on(
             lengths, [F for _, F, _ in grid.boundary_sides()])))
-    else:
-        raise ConfigError(f"unknown bc kind {bc_kind!r}")
 
     rho = _get(cp, "control", "rho", float, 0.0)
     ctrl_eps = _get(cp, "control", "eps", float)

@@ -8,12 +8,16 @@ Lipschitz-continuous derivative ``pi``.  The canonical splittings are
     logarithmic:  B(r) = (1+r)ln(1+r)+(1-r)ln(1-r),  pi(r) = -2*c1*r
     obstacle:     B = indicator of [-1, 1],          pi(r) = -2*c2*r
 
-so that the perturbation is linear in all three families.  On top of the
-exact maps, the module provides the resolvent J_eps = (I + eps*beta)^{-1}
-and the Yosida approximation beta_eps = (I - J_eps)/eps, which are what
-the time steppers actually evaluate.  Once xi = beta_eps(r) is known,
+so that the perturbation is linear in all three families.  A family is
+its maps: each factory puts them in a :class:`PotentialSpec`, and every
+function below runs one body for every family.  On top of the exact
+maps, the module provides the resolvent J_eps = (I + eps*beta)^{-1} and
+the Yosida approximation beta_eps = (I - J_eps)/eps, which are what the
+time steppers actually evaluate.  Once xi = beta_eps(r) is known,
 J_eps(r) = r - eps*xi, so the derivative of beta_eps and the Moreau
-envelope of B take xi and solve nothing.
+envelope of B take xi and solve nothing.  Where the resolvent point sits
+on a closed endpoint of the domain, the graph of beta is vertical there
+and beta_eps' = 1/eps.
 """
 
 from __future__ import annotations
@@ -31,48 +35,62 @@ _RESOLVENT_MAXITER = 100
 
 @dataclass(frozen=True)
 class PotentialSpec:
-    """One potential family plus its splitting data.
+    """One potential family: its domain and its maps.
 
     ``lo``/``hi`` bound the domain of beta (closure); ``lo_open``/``hi_open``
-    record whether the endpoints are excluded.  The callable slots are only
-    used for kind == "custom".
+    record whether the endpoints are excluded.  The maps act on arrays:
+    ``B`` on the closure of the domain, ``beta`` (the minimal section) on
+    the domain, ``beta_prime`` (its derivative, possibly +inf) at interior
+    points; ``pi`` and ``Pi`` everywhere.  ``resolvent(eps, r)`` is a
+    closed form where the family has one, else None and :func:`resolvent`
+    solves.  ``kind`` only labels the family in messages.
     """
 
-    kind: str  # "regular" | "logarithmic" | "obstacle" | "custom"
-    c1: float = 0.0
-    c2: float = 0.0
+    kind: str
+    B: Callable
+    beta: Callable
+    beta_prime: Callable
+    pi: Callable
+    Pi: Callable
     lo: float = -np.inf
     hi: float = np.inf
     lo_open: bool = False
     hi_open: bool = False
-    B_fn: Optional[Callable] = None
-    beta_fn: Optional[Callable] = None
-    pi_fn: Optional[Callable] = None
-    Pi_fn: Optional[Callable] = None
-
-    def __post_init__(self):
-        if self.kind not in ("regular", "logarithmic", "obstacle", "custom"):
-            raise ValueError(f"unknown potential kind {self.kind!r}")
-        if self.kind == "logarithmic" and not 1.0 < self.c1 < np.inf:
-            raise ValueError("logarithmic potential requires finite c1 > 1")
-        if self.kind == "obstacle" and not 0.0 < self.c2 < np.inf:
-            raise ValueError("obstacle potential requires finite c2 > 0")
+    resolvent: Optional[Callable] = None
 
 
 def regular() -> PotentialSpec:
-    """Quartic double well (r^2-1)^2/4."""
-    return PotentialSpec(kind="regular")
+    """Quartic double well (r^2-1)^2/4, with f(0) = 1/4."""
+    return PotentialSpec(
+        kind="regular", B=lambda r: 0.25 * r**4, beta=lambda r: r**3,
+        beta_prime=lambda s: 3.0 * s**2, pi=lambda r: -r,
+        Pi=lambda r: 0.25 - 0.5 * r**2, resolvent=_resolvent_regular)
 
 
 def logarithmic(c1: float) -> PotentialSpec:
-    """Logarithmic double well on (-1, 1); requires c1 > 1."""
-    return PotentialSpec(kind="logarithmic", c1=c1,
-                         lo=-1.0, hi=1.0, lo_open=True, hi_open=True)
+    """Logarithmic double well on (-1, 1) with f(0) = 0; requires c1 > 1."""
+    if not 1.0 < c1 < np.inf:
+        raise ValueError("logarithmic potential requires finite c1 > 1")
+    return PotentialSpec(
+        kind="logarithmic",
+        B=lambda r: _xlogx(1.0 + r) + _xlogx(1.0 - r),
+        beta=lambda r: np.log((1.0 + r) / (1.0 - r)),
+        beta_prime=lambda s: 2.0 / np.maximum(1.0 - s**2, 1e-300),
+        pi=lambda r: -2.0 * c1 * r, Pi=lambda r: -c1 * r**2,
+        lo=-1.0, hi=1.0, lo_open=True, hi_open=True)
 
 
 def double_obstacle(c2: float) -> PotentialSpec:
-    """Indicator of [-1, 1] plus concave quadratic; requires c2 > 0."""
-    return PotentialSpec(kind="obstacle", c2=c2, lo=-1.0, hi=1.0)
+    """Indicator of [-1, 1] plus concave quadratic, f(r) = c2*(1 - r^2) on
+    [-1, 1]; requires c2 > 0.  The minimal section is 0 on [-1, 1], the
+    endpoints included, and the resolvent is the projection."""
+    if not 0.0 < c2 < np.inf:
+        raise ValueError("obstacle potential requires finite c2 > 0")
+    return PotentialSpec(
+        kind="obstacle", B=np.zeros_like, beta=np.zeros_like,
+        beta_prime=np.zeros_like, pi=lambda r: -2.0 * c2 * r,
+        Pi=lambda r: c2 * (1.0 - r**2), lo=-1.0, hi=1.0,
+        resolvent=lambda eps, r: np.clip(r, -1.0, 1.0))
 
 
 def custom(B, beta, pi, lo=-np.inf, hi=np.inf, lo_open=False, hi_open=False,
@@ -81,11 +99,30 @@ def custom(B, beta, pi, lo=-np.inf, hi=np.inf, lo_open=False, hi_open=False,
 
     ``B``, ``beta`` (minimal section on the closure of the domain) and
     ``pi`` are scalar maps; ``Pi`` (antiderivative of pi) is needed by
-    :func:`Pi` and so by the free energy, which raise without it.
+    :func:`Pi` and so by the free energy, which raise without it.  beta'
+    is a central difference of ``beta``, kept inside the domain.
     """
-    return PotentialSpec(kind="custom", lo=lo, hi=hi,
-                         lo_open=lo_open, hi_open=hi_open,
-                         B_fn=B, beta_fn=beta, pi_fn=pi, Pi_fn=Pi)
+    B, beta, pi = (np.vectorize(f, otypes=[float]) for f in (B, beta, pi))
+    if Pi is None:
+        def Pi(r):
+            raise ValueError("custom potential needs an explicit Pi")
+    else:
+        Pi = np.vectorize(Pi, otypes=[float])
+    h = 1e-6
+    floor = lo + (1e-12 if lo_open else 0.0)
+    ceil = hi - (1e-12 if hi_open else 0.0)
+
+    def beta_prime(s):
+        a = np.maximum(s - h, floor)
+        b = np.minimum(s + h, ceil)
+        with np.errstate(all="ignore"):
+            num = beta(b) - beta(a)
+            den = np.maximum(b - a, 1e-300)
+        return np.maximum(num / den, 0.0)
+
+    return PotentialSpec(kind="custom", B=B, beta=beta,
+                         beta_prime=beta_prime, pi=pi, Pi=Pi, lo=lo, hi=hi,
+                         lo_open=lo_open, hi_open=hi_open)
 
 
 def _as_array(r):
@@ -117,14 +154,7 @@ def B_hat(spec: PotentialSpec, r):
     """Convex part of the potential, on the closure of its domain."""
     arr, scalar = _as_array(r)
     _check_domain(spec, arr, closure=True)
-    if spec.kind == "regular":
-        out = 0.25 * arr**4
-    elif spec.kind == "logarithmic":
-        out = _xlogx(1.0 + arr) + _xlogx(1.0 - arr)
-    elif spec.kind == "obstacle":
-        out = np.zeros_like(arr)
-    else:
-        out = np.vectorize(spec.B_fn)(arr).astype(float)
+    out = spec.B(arr)
     return float(out) if scalar else out
 
 
@@ -132,69 +162,22 @@ def beta0(spec: PotentialSpec, r):
     """Minimal section of the subdifferential of the convex part."""
     arr, scalar = _as_array(r)
     _check_domain(spec, arr, closure=False)
-    if spec.kind == "regular":
-        out = arr**3
-    elif spec.kind == "logarithmic":
-        out = np.log((1.0 + arr) / (1.0 - arr))
-    elif spec.kind == "obstacle":
-        # interior of the obstacle: subdifferential is {0}; at the
-        # endpoints the minimal-modulus element is 0 as well
-        out = np.zeros_like(arr)
-    else:
-        out = np.vectorize(spec.beta_fn)(arr).astype(float)
+    out = spec.beta(arr)
     return float(out) if scalar else out
 
 
 def pi(spec: PotentialSpec, r):
     """Derivative of the smooth perturbation."""
     arr, scalar = _as_array(r)
-    if spec.kind == "regular":
-        out = -arr
-    elif spec.kind == "logarithmic":
-        out = -2.0 * spec.c1 * arr
-    elif spec.kind == "obstacle":
-        out = -2.0 * spec.c2 * arr
-    else:
-        out = np.vectorize(spec.pi_fn)(arr).astype(float)
+    out = spec.pi(arr)
     return float(out) if scalar else out
 
 
 def Pi(spec: PotentialSpec, r):
-    """Smooth perturbation itself, normalized so that f = B_hat + Pi.
-
-    The constants are chosen to reproduce the classical potentials:
-    f(0) = 1/4 for the regular well, f(0) = 0 for the logarithmic one and
-    f(r) = c2*(1 - r^2) on [-1, 1] for the obstacle.
-    """
+    """Smooth perturbation itself, normalized so that f = B_hat + Pi."""
     arr, scalar = _as_array(r)
-    if spec.kind == "regular":
-        out = 0.25 - 0.5 * arr**2
-    elif spec.kind == "logarithmic":
-        out = -spec.c1 * arr**2
-    elif spec.kind == "obstacle":
-        out = spec.c2 * (1.0 - arr**2)
-    elif spec.Pi_fn is not None:
-        out = np.vectorize(spec.Pi_fn)(arr).astype(float)
-    else:
-        raise ValueError("custom potential needs an explicit Pi")
+    out = spec.Pi(arr)
     return float(out) if scalar else out
-
-
-def _beta0_prime(spec: PotentialSpec, s):
-    """Derivative of the minimal section at interior points (may be +inf)."""
-    if spec.kind == "regular":
-        return 3.0 * s**2
-    if spec.kind == "logarithmic":
-        return 2.0 / np.maximum(1.0 - s**2, 1e-300)
-    if spec.kind == "obstacle":
-        return np.zeros_like(s)
-    h = 1e-6
-    lo = np.maximum(s - h, spec.lo + (1e-12 if spec.lo_open else 0.0))
-    hi = np.minimum(s + h, spec.hi - (1e-12 if spec.hi_open else 0.0))
-    with np.errstate(all="ignore"):
-        num = beta0(spec, hi) - beta0(spec, lo)
-        den = np.maximum(hi - lo, 1e-300)
-    return np.maximum(num / den, 0.0)
 
 
 def _solve_monotone(g, gprime, a, b):
@@ -251,7 +234,7 @@ def _resolvent_generic(spec: PotentialSpec, eps: float,
         return s + eps * np.asarray(beta0(spec, s)) - arr
 
     def gp(s):
-        return 1.0 + eps * _beta0_prime(spec, s)
+        return 1.0 + eps * spec.beta_prime(s)
 
     # bracket: finite endpoints (nudged inward when open), or geometric
     # expansion when the domain is unbounded
@@ -294,20 +277,18 @@ def _resolvent_generic(spec: PotentialSpec, eps: float,
 def resolvent(spec: PotentialSpec, eps: float, r):
     """Resolvent J_eps(r) = (I + eps*beta)^{-1} r.
 
-    Closed forms where available (projection for the obstacle, Cardano for
-    the quartic), else the safeguarded Newton/bisection solve of
-    :func:`_resolvent_generic`, which tests also run on the closed-form
-    families as a cross-check.
+    The family's closed form where it has one (projection for the
+    obstacle, Cardano for the quartic), else the safeguarded
+    Newton/bisection solve of :func:`_resolvent_generic`, which tests also
+    run on the closed-form families as a cross-check.
     """
     if not eps > 0.0:
         raise ValueError("eps must be positive")
     arr, scalar = _as_array(r)
-    if spec.kind == "obstacle":
-        out = np.clip(arr, -1.0, 1.0)
-    elif spec.kind == "regular":
-        out = _resolvent_regular(eps, arr)
-    else:
+    if spec.resolvent is None:
         out = _resolvent_generic(spec, eps, arr)
+    else:
+        out = spec.resolvent(eps, arr)
     return float(out) if scalar else out
 
 
@@ -321,17 +302,21 @@ def beta_eps(spec: PotentialSpec, eps: float, r):
 def beta_eps_prime(spec: PotentialSpec, eps: float, r, xi):
     """Derivative of the Yosida approximation (in [0, 1/eps]) at r, from
     xi = beta_eps(r): 1/eps - 1/(eps*(1 + eps*beta0'(J))) at the resolvent
-    point J = r - eps*xi, clipped like the envelope's; 0 on [-1, 1] and
-    1/eps outside for the obstacle."""
+    point J = r - eps*xi, clipped like the envelope's.
+
+    Past a closed endpoint e, that is beyond e + eps*beta0(e) (the test
+    the generic resolvent makes), J sits on e, where the graph of beta is
+    vertical: there J' = 0 and the derivative is 1/eps."""
     arr, scalar = _as_array(r)
-    if spec.kind == "obstacle":
-        out = np.where(np.abs(arr) <= 1.0, 0.0, 1.0 / eps)
-    else:
-        bp = _beta0_prime(spec, np.clip(arr - eps * xi, spec.lo, spec.hi))
-        with np.errstate(all="ignore"):
-            jp = 1.0 / (1.0 + eps * bp)
-        jp = np.where(np.isfinite(bp), jp, 0.0)
-        out = (1.0 - jp) / eps
+    bp = spec.beta_prime(np.clip(arr - eps * xi, spec.lo, spec.hi))
+    with np.errstate(all="ignore"):
+        jp = 1.0 / (1.0 + eps * bp)
+    jp = np.where(np.isfinite(bp), jp, 0.0)
+    if np.isfinite(spec.lo) and not spec.lo_open:
+        jp = np.where(arr < spec.lo + eps * spec.beta(spec.lo), 0.0, jp)
+    if np.isfinite(spec.hi) and not spec.hi_open:
+        jp = np.where(arr > spec.hi + eps * spec.beta(spec.hi), 0.0, jp)
+    out = (1.0 - jp) / eps
     return float(out) if scalar else out
 
 

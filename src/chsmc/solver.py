@@ -363,7 +363,7 @@ step_eliminated_dirichlet = step_eliminated
 def step_galerkin_neumann(state: StateSnapshot, data: ProblemData,
                           cfg: SolverConfig, dt: float) -> StateSnapshot:
     """One step of the spectral system in the first ``cfg.n_modes``
-    zero-flux cosine modes, from the projection of ``state.phi``.
+    zero-flux cosine modes, from ``state.phi``, which lies in their span.
 
     With A = diag(lambda), the combined system reads
     (I + tau*A) c' + A*(A c + P[N(u)] + P[sigma(u)] - P[g]) = 0 where the
@@ -382,8 +382,7 @@ def step_galerkin_neumann(state: StateSnapshot, data: ProblemData,
     scale = lam / (1.0 + data.tau * lam)
 
     coeffs = basis.project(state.phi)
-    u_n = basis.synthesize(coeffs)
-    expl = _explicit_part(data, X, u_n, t_new)
+    expl = _explicit_part(data, X, state.phi, t_new)
     fixed = basis.project(expl - data.g(X, t_new))
     E = basis.modes.reshape(n, -1)
     last = {}

@@ -27,6 +27,13 @@ def zero_potential():
                       pi=lambda r: 0.0, Pi=lambda r: 0.0)
 
 
+def obstacle_as_custom(c2):
+    """The double obstacle's maps, given as a custom potential."""
+    return pot.custom(B=lambda r: 0.0, beta=lambda r: 0.0,
+                      pi=lambda r: -2.0 * c2 * r,
+                      Pi=lambda r: c2 * (1.0 - r * r), lo=-1.0, hi=1.0)
+
+
 def zero_field(X, t):
     return np.zeros_like(X[0])
 

@@ -56,7 +56,7 @@ def test_criterion_1_resolvent_identity():
                 # local stiffness 1 + eps*beta'(J).
                 interior = (J - spec.lo > 1e-9) & (spec.hi - J > 1e-9)
                 Ji, ri = J[interior], r[interior]
-                stiff = 1.0 + eps * pot._beta0_prime(spec, Ji)
+                stiff = 1.0 + eps * spec.beta_prime(Ji)
                 err2 = np.abs(Ji + eps * pot.beta0(spec, Ji) - ri) \
                     / (stiff * (1.0 + np.abs(ri)))
                 worst_defining = max(worst_defining, float(np.max(err2)))

@@ -303,6 +303,24 @@ def test_invalid_values_exit_as_config_errors(tmp_path, capsys, old, new):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("old,new,message", [
+    ("kind = regular", "kind = quartic",
+     "bad value for [potential] kind: need one of regular, logarithmic, "
+     "obstacle, got 'quartic'"),
+    ("kind = neumann", "kind = robin",
+     "bad value for [bc] kind: need one of neumann, dirichlet, "
+     "got 'robin'"),
+], ids=["potential", "bc"])
+def test_unknown_kind_names_its_section_and_key(tmp_path, capsys, old, new,
+                                                message):
+    path = tmp_path / "bad.ini"
+    path.write_text(NEUMANN_CONFIG.replace(old, new))
+    code = cli.main(["simulate", "--config", str(path), "--quiet",
+                     "--out", str(tmp_path / "out")])
+    assert code == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.strip() == f"config error: {message}"
+
+
 REJECTED_CASES = [
     (NEUMANN_CONFIG, "rho = 0", "rho = nan"),
     (NEUMANN_CONFIG, "rho = 0", "rho = inf"),

@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 from chsmc import potentials as pot
 from chsmc.errors import DomainError
 
+from conftest import obstacle_as_custom
+
 SPECS = {
     "regular": pot.regular(),
     "logarithmic": pot.logarithmic(1.5),
@@ -111,8 +113,6 @@ def test_invalid_parameters_rejected():
         pot.logarithmic(1.0)
     with pytest.raises(ValueError):
         pot.double_obstacle(0.0)
-    with pytest.raises(ValueError):
-        pot.PotentialSpec(kind="bogus")
 
 
 def test_pi_matches_derivative_of_Pi(spec):
@@ -210,6 +210,43 @@ def test_beta_eps_prime_matches_finite_difference(spec):
     assert np.allclose(num[mask], ana[mask], rtol=1e-3, atol=1e-4)
     assert np.all(ana >= 0.0)
     assert np.all(ana <= 1.0 / eps + 1e-9)
+
+
+def _around(x, k=5):
+    """x and its k neighbouring floats on either side."""
+    below, above = [x], [x]
+    for _ in range(k):
+        below.append(np.nextafter(below[-1], -np.inf))
+        above.append(np.nextafter(above[-1], np.inf))
+    return below[1:] + above
+
+
+@pytest.mark.parametrize("eps", [1e-1, 1e-2, 1e-3])
+def test_closed_endpoint_rule_is_the_same_for_every_family(eps):
+    """Past a closed endpoint the graph of beta is vertical, so beta_eps'
+    is 1/eps there whatever family supplies the maps: a custom spec with
+    the obstacle's maps has the obstacle's derivative, bit for bit."""
+    r = np.concatenate([np.linspace(-3.0, 3.0, 6001),
+                        _around(-1.0), _around(1.0)])
+    built_in, custom = pot.double_obstacle(5.0), obstacle_as_custom(5.0)
+    xi = pot.beta_eps(built_in, eps, r)
+    assert np.array_equal(pot.beta_eps(custom, eps, r), xi)
+    slope = pot.beta_eps_prime(built_in, eps, r, xi)
+    assert np.array_equal(pot.beta_eps_prime(custom, eps, r, xi), slope)
+    assert np.array_equal(slope, np.where(np.abs(r) > 1.0, 1.0 / eps, 0.0))
+
+
+def test_closed_endpoint_rule_starts_past_the_kink():
+    """With beta0(1) = 2 the resolvent reaches the endpoint 1 only for
+    r >= 1 + 2*eps; below that beta_eps' follows beta0' at J."""
+    eps = 0.1
+    s = pot.custom(B=lambda r: r * r, beta=lambda r: 2.0 * r,
+                   pi=lambda r: 0.0, lo=-1.0, hi=1.0)
+    r = np.array([1.1, 1.15, 1.25, 1.5])
+    slope = pot.beta_eps_prime(s, eps, r, pot.beta_eps(s, eps, r))
+    linear = (1.0 - 1.0 / (1.0 + 2.0 * eps)) / eps
+    assert np.allclose(slope[:2], linear, rtol=1e-6)
+    assert np.array_equal(slope[2:], [1.0 / eps] * 2)
 
 
 def test_moreau_envelope_properties(spec):

@@ -11,7 +11,7 @@ from chsmc.grid import (Grid, harmonic_extension, laplacian_neumann,
                         pcg)
 
 from conftest import (zero_potential, zero_field, neumann_problem,
-                      dirichlet_problem)
+                      dirichlet_problem, obstacle_as_custom)
 
 
 def small_grid(n=32, L=1.0):
@@ -450,6 +450,41 @@ def test_obstacle_overshoot_records_envelope_free_energy():
                               pot.beta_eps(spec, cfg.eps, snap.phi))
         assert np.isfinite(fe)
         assert fe == pytest.approx(ref, rel=1e-12, abs=1e-12)
+
+
+def test_custom_obstacle_takes_the_built_in_newton_path():
+    """A custom spec with the obstacle's maps gets the same beta_eps' past
+    the endpoints, so Newton takes the built-in obstacle's iterations."""
+    grid = Grid(shape=(64,), lengths=(1.0,))
+    phi0 = np.clip(1.5 * np.cos(np.pi * grid.meshgrid()[0]), -1.0, 1.0)
+    cfg = solver.SolverConfig(eps=1e-2, dt=1e-3, T=0.05,
+                              scheme="coupled_neumann")
+    built_in, custom = (
+        solver.run(neumann_problem(grid, spec, phi0), cfg)
+        for spec in (pot.double_obstacle(5.0), obstacle_as_custom(5.0)))
+    assert sum(custom.diagnostics.newton_iters) == \
+        sum(built_in.diagnostics.newton_iters) == 107
+    assert np.array_equal(custom.snapshots[-1].phi,
+                          built_in.snapshots[-1].phi)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "defect: step_eliminated adds the Dirichlet mu datum mu_H to the "
+    "residual with a + sign, but mu = mu_H - G(d)/dt needs -mu_H, so the "
+    "potential equation is off by twice the datum"))
+def test_dirichlet_step_satisfies_potential_equation_with_nonzero_datum():
+    grid = Grid(shape=(64,), lengths=(1.0,))
+    phi0 = 0.3 * np.cos(np.pi * grid.meshgrid()[0])
+    data = dirichlet_problem(grid, pot.regular(), phi0,
+                             datum=lambda X, t: np.full_like(X[0], 0.7))
+    cfg = solver.SolverConfig(eps=1e-2, dt=1e-3, T=0.0,
+                              scheme="eliminated_dirichlet")
+    state0 = solver._initial_snapshot(data, cfg)
+    state1 = solver.step_eliminated(state0, data, cfg, cfg.dt)
+    dphi = (state1.phi - state0.phi) / cfg.dt
+    lhs = (data.tau * dphi - laplacian_neumann(grid, state1.phi)
+           + state1.xi + pot.pi(data.spec, state0.phi))
+    assert np.max(np.abs(lhs - state1.mu)) <= 1e-9
 
 
 # -- cross-scheme agreement ---------------------------------------------------
