@@ -126,10 +126,10 @@ def measure_comparison_drift(traj: Trajectory) -> float:
 def run_sliding_experiment(make_data: Callable[[float], ProblemData],
                            make_cfg: Callable[[float], SolverConfig],
                            T: float, tau: float,
-                           rho_margin: float = 2.0,
-                           tol_slide: Optional[float] = None):
+                           rho_margin: float = 2.0):
     """Calibration run (gain 0) -> measured drift -> designed gain ->
-    main run -> sliding detection and comparison bound.
+    main run -> sliding detection at :func:`default_tol_slide` and
+    comparison bound.
 
     ``make_data(rho)``/``make_cfg(rho)`` build the problem for a given
     gain (the time step may shrink with the gain to keep the explicit
@@ -142,8 +142,7 @@ def run_sliding_experiment(make_data: Callable[[float], ProblemData],
     data = make_data(rho)
     cfg = make_cfg(rho)
     traj = run(data, cfg)
-    if tol_slide is None:
-        tol_slide = default_tol_slide(data.control.eps, M_meas, rho)
+    tol_slide = default_tol_slide(data.control.eps, M_meas, rho)
     t_obs = detect_sliding(traj, tol_slide)
     bound = smc.sliding_time(w0, M_meas, rho, tau)
     verdict = "achieved" if (t_obs is not None and t_obs <= T) else \

@@ -39,8 +39,6 @@ config fully determines a run::
 
     [experiment]                  ; optional, read by sliding-check
     rho_margin = 2.0              ; finite, > 1
-    dt_stability_factor = 0.3     ; finite, > 0
-    tol_slide = auto              ; or a finite number > 0
 
     [contdep]                     ; optional, read by contdep
     which = g                     ; or phi0, or phistar
@@ -48,7 +46,9 @@ config fully determines a run::
     deltas = 1e-1,1e-2,1e-3       ; finite numbers > 0
 
 The values shown in ``[experiment]`` and ``[contdep]`` are the defaults
-that a missing key or section takes.
+that a missing key or section takes.  ``sliding-check`` works out its
+sliding tolerance 10*eps*(1 + M/rho) and its step cap 0.3*eps*tau/rho
+from the run, so ``[experiment]`` sets only the gain margin.
 
 Profiles: ``constant value=``, ``cosine amplitude= mode= offset=``,
 ``sine amplitude= mode= offset=``, ``tanh_front center= width= amplitude=
@@ -59,7 +59,8 @@ and ramp act along the first axis).  Every profile, the
 ``(X, t) -> values`` on coordinate arrays: ``g``, ``phistar``, ``phi0``
 and the shape are evaluated on the cell centers, the mu datum once per
 boundary side on its face centers, with the box lengths of ``[grid]``
-fixing the period of the trigonometric profiles.  A profile that is not
+fixing the period of the trigonometric profiles.  A profile takes only
+the parameters listed for it, each at most once.  A profile that is not
 finite where it is evaluated, a ``phistar`` whose discrete Laplacian is
 not finite, and a key that the run does not read, in any section, are
 config errors.
@@ -107,9 +108,13 @@ def parse_profile(text: str, lengths):
         if "=" not in tok:
             raise ConfigError(f"malformed profile parameter {tok!r}")
         key, val = tok.split("=", 1)
+        if key in params:
+            raise ConfigError(f"profile {name!r} repeats parameter {key!r}")
         params[key] = val
+    read = set()
 
     def fnum(key, default=None):
+        read.add(key)
         if key not in params:
             if default is None:
                 raise ConfigError(
@@ -126,10 +131,11 @@ def parse_profile(text: str, lengths):
 
     if name == "constant":
         c = fnum("value")
-        return lambda X, t: np.full_like(X[0], c)
-    if name in ("cosine", "sine"):
+        profile = lambda X, t: np.full_like(X[0], c)
+    elif name in ("cosine", "sine"):
         amp = fnum("amplitude")
         off = fnum("offset", 0.0)
+        read.add("mode")
         try:
             modes = [int(m) for m in params.get("mode", "1").split(",")]
         except ValueError as exc:
@@ -145,8 +151,7 @@ def parse_profile(text: str, lengths):
             for m, x, length in zip(modes, X, lengths):
                 out = out * trig(np.pi * m * x / length)
             return out + off
-        return profile
-    if name == "tanh_front":
+    elif name == "tanh_front":
         c = fnum("center")
         w = fnum("width")
         if not w > 0.0:
@@ -154,12 +159,18 @@ def parse_profile(text: str, lengths):
                               f"got {params['width']!r}")
         amp = fnum("amplitude", 1.0)
         off = fnum("offset", 0.0)
-        return lambda X, t: amp * np.tanh((X[0] - c) / w) + off
-    if name == "ramp":
+        profile = lambda X, t: amp * np.tanh((X[0] - c) / w) + off
+    elif name == "ramp":
         s = fnum("slope")
         off = fnum("offset", 0.0)
-        return lambda X, t: s * X[0] + off
-    raise ConfigError(f"unknown profile {name!r}")
+        profile = lambda X, t: s * X[0] + off
+    else:
+        raise ConfigError(f"unknown profile {name!r}")
+    unread = [key for key in params if key not in read]
+    if unread:
+        raise ConfigError(f"profile {name!r} takes no parameter "
+                          f"{unread[0]!r}")
+    return profile
 
 
 # -- config loading -------------------------------------------------------
@@ -211,6 +222,17 @@ def _number_above(lo, or_equal=False):
     return cast
 
 
+def _per_axis(cast, dim):
+    """A list of one value, taken for every axis, or of ``dim`` values."""
+    def per_axis(text):
+        vals = _list_of(cast)(text)
+        if len(vals) not in (1, dim):
+            raise ValueError(f"need one value per axis (dim = {dim}) or "
+                             f"one for all, got {len(vals)}")
+        return vals * (dim // len(vals))
+    return per_axis
+
+
 def _one_of(*choices):
     def cast(text):
         if text not in choices:
@@ -218,10 +240,6 @@ def _one_of(*choices):
                              f"got {text!r}")
         return text
     return cast
-
-
-def _tol_slide(text):
-    return None if text == "auto" else _number_above(0.0)(text)
 
 
 def _profile_on(lengths, samples):
@@ -237,12 +255,9 @@ def _profile_on(lengths, samples):
 
 
 # The optional sections: key -> (cast, default text).  The designed gain
-# rho = rho_margin*(M + tau*w0/T) must exceed the drift bound M, and a
-# tol_slide of "auto" (None) leaves the tolerance to the experiment.
+# rho = rho_margin*(M + tau*w0/T) must exceed the drift bound M.
 _OPTIONAL_SECTIONS = {
-    "experiment": {"rho_margin": (_number_above(1.0), "2.0"),
-                   "dt_stability_factor": (_number_above(0.0), "0.3"),
-                   "tol_slide": (_tol_slide, "auto")},
+    "experiment": {"rho_margin": (_number_above(1.0), "2.0")},
     "contdep": {"which": (_one_of("g", "phi0", "phistar"), "g"),
                 "shape": (str, "cosine amplitude=1 mode=1"),
                 "deltas": (_list_of(_number_above(0.0)), "1e-1,1e-2,1e-3")},
@@ -277,14 +292,8 @@ def load_config(path):
         raise ConfigError(f"cannot parse {path}: {exc}") from exc
 
     dim = _get(cp, "grid", "dim", int)
-    cells = _get(cp, "grid", "cells", _list_of(int))
-    lengths = _get(cp, "grid", "lengths", _list_of(float))
-    if len(cells) == 1:
-        cells = cells * dim
-    if len(lengths) == 1:
-        lengths = lengths * dim
-    if len(cells) != dim or len(lengths) != dim:
-        raise ConfigError("cells/lengths do not match dim")
+    cells = _get(cp, "grid", "cells", _per_axis(int, dim))
+    lengths = _get(cp, "grid", "lengths", _per_axis(float, dim))
     try:
         grid = Grid(shape=tuple(cells), lengths=tuple(lengths))
     except ValueError as exc:
@@ -350,10 +359,12 @@ def load_config(path):
             raise ConfigError(f"[solver] n_modes must be in "
                               f"[1, {grid.ncells}] for scheme {scheme}, "
                               f"got {n_modes}")
-    cfg = solver.SolverConfig(
-        eps=_get(cp, "solver", "eps", _number_above(0.0), ctrl_eps),
-        dt=dt, T=T, scheme=scheme, n_modes=n_modes,
-        output_times=output_times)
+    eps = _get(cp, "solver", "eps", _number_above(0.0), ctrl_eps)
+    try:
+        cfg = solver.SolverConfig(eps=eps, dt=dt, T=T, scheme=scheme,
+                                  n_modes=n_modes, output_times=output_times)
+    except ConfigError as exc:  # each value is checked; T/dt is not
+        raise ConfigError(f"bad value for [time] dt: {exc}") from exc
     if solver._SCHEME_BC[scheme] != bc_kind:
         raise ConfigError(f"scheme {scheme!r} incompatible with bc "
                           f"{bc_kind!r}")
@@ -398,13 +409,16 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+# The explicit control term is stable for dt*rho/(tau*eps) up to about 1;
+# sliding-check steps the gain-rho run at most this fraction of that bound.
+_SLIDING_DT_FACTOR = 0.3
+
+
 def cmd_sliding_check(args) -> int:
     data, cfg, extras = load_config(args.config)
     if data.bc.kind != "dirichlet":
         raise RegimeError("sliding check needs the Dirichlet regime")
     out = _outdir(args)
-    experiment = extras["experiment"]
-    stiff_cap = experiment["dt_stability_factor"]
 
     from dataclasses import replace
 
@@ -415,13 +429,13 @@ def cmd_sliding_check(args) -> int:
     def make_cfg(rho):
         dt = cfg.dt
         if rho > 0:
-            dt = min(dt, stiff_cap * data.control.eps * data.tau / rho)
+            dt = min(dt, _SLIDING_DT_FACTOR * data.control.eps * data.tau
+                     / rho)
         return replace(cfg, dt=dt)
 
     report, comparison, traj = analysis.run_sliding_experiment(
         make_data, make_cfg, T=cfg.T, tau=data.tau,
-        rho_margin=experiment["rho_margin"],
-        tol_slide=experiment["tol_slide"])
+        rho_margin=extras["experiment"]["rho_margin"])
     traj.diagnostics.to_csv(os.path.join(out, "sliding_diagnostics.csv"))
     lines = [
         f"verdict: {report.verdict}",

@@ -50,6 +50,9 @@ class Grid:
         object.__setattr__(self, "shape", tuple(int(n) for n in self.shape))
         object.__setattr__(self, "lengths",
                            tuple(float(L) for L in self.lengths))
+        if not all(0.0 < h * h < np.inf for h in self.h):
+            raise ValueError(f"lengths {self.lengths} give a cell width h "
+                             "whose h**2 is 0 or not finite")
         if not _dense_transforms(self.shape):
             # an FFT-path grid pays for the scipy.fft import here, not
             # inside the first solve that needs it

@@ -131,6 +131,9 @@ class SolverConfig:
         if not (0.0 < self.eps < np.inf and 0.0 < self.dt < np.inf
                 and 0.0 <= self.T < np.inf):
             raise ConfigError("need finite eps, dt > 0 and T >= 0")
+        if not self.T / self.dt < np.inf:
+            raise ConfigError(f"T/dt = {self.T / self.dt!r}: the step count "
+                              "overflows")
         # run carries a time within 1e-9*dt of a step end exactly
         slack = 1e-9 * self.dt
         for t in [] if self.output_times is None else self.output_times:

@@ -94,6 +94,47 @@ def test_parse_profile_errors():
         cli.parse_profile("constant", (1.0,))  # missing required parameter
 
 
+# (profile, message): a parameter the profile does not take, or one given
+# twice, for each kind of profile
+PROFILE_PARAMETER_CASES = {
+    "constant-misspelt": ("constant value=0.1 vlaue=3",
+                          "profile 'constant' takes no parameter 'vlaue'"),
+    "cosine-misspelt": ("cosine amplitude=0.3 mdoe=2 offset=0.1",
+                        "profile 'cosine' takes no parameter 'mdoe'"),
+    "sine-misspelt": ("sine amplitude=0.3 mode=1 ofset=0.1",
+                      "profile 'sine' takes no parameter 'ofset'"),
+    "tanh_front-misspelt": ("tanh_front center=0.5 width=0.1 amplitde=0.3",
+                            "profile 'tanh_front' takes no parameter "
+                            "'amplitde'"),
+    "ramp-misspelt": ("ramp slope=0.1 offest=0",
+                      "profile 'ramp' takes no parameter 'offest'"),
+    "constant-repeated": ("constant value=0.1 value=3",
+                          "profile 'constant' repeats parameter 'value'"),
+    "cosine-repeated": ("cosine amplitude=0.3 mode=1 mode=2",
+                        "profile 'cosine' repeats parameter 'mode'"),
+    "sine-repeated": ("sine amplitude=0.3 amplitude=0.1",
+                      "profile 'sine' repeats parameter 'amplitude'"),
+    "tanh_front-repeated": ("tanh_front center=0.5 width=0.1 width=0.2",
+                            "profile 'tanh_front' repeats parameter 'width'"),
+    "ramp-repeated": ("ramp slope=0.1 slope=0.2",
+                      "profile 'ramp' repeats parameter 'slope'"),
+}
+
+
+@pytest.mark.parametrize("profile,message", PROFILE_PARAMETER_CASES.values(),
+                         ids=PROFILE_PARAMETER_CASES.keys())
+def test_profile_parameter_it_does_not_take_or_repeats_exits_2(
+        tmp_path, capsys, profile, message):
+    path = tmp_path / "bad.ini"
+    path.write_text(NEUMANN_CONFIG.replace(
+        "cosine amplitude=0.4 mode=1 offset=0.1", profile))
+    code = cli.main(["simulate", "--config", str(path), "--quiet",
+                     "--out", str(tmp_path / "out")])
+    assert code == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        f"config error: bad value for [data] phi0: {message}\n")
+
+
 def test_parse_profile_leaves_out_axes_without_a_mode():
     """A trigonometric profile has no factor along an axis without a mode
     (a sine used to be sin(0) = 0 there) and rejects extra modes."""
@@ -135,8 +176,7 @@ def test_load_config(neumann_config):
     assert cfg.T == 0.01
     assert len(cfg.output_times) == 3
     assert extras == {
-        "experiment": {"rho_margin": 2.0, "dt_stability_factor": 0.3,
-                       "tol_slide": None},
+        "experiment": {"rho_margin": 2.0},
         "contdep": {"which": "g", "shape": "cosine amplitude=1 mode=1",
                     "deltas": [1e-1, 1e-2, 1e-3]}}
 
@@ -246,7 +286,7 @@ def test_sliding_check_achieves_sliding_on_shortened_reference(tmp_path,
                                                                capsys):
     """The shipped sliding config, on 32 cells with eps = 1e-2 for both
     regularizations and T = 0.05, passes; the main run takes the steps
-    that dt_stability_factor caps at 0.3*eps*tau/rho."""
+    that sliding-check caps at 0.3*eps*tau/rho."""
     with open(SLIDING_REFERENCE) as fh:
         text = (fh.read().replace("cells = 128", "cells = 32")
                 .replace("eps = 1e-3", "eps = 1e-2")
@@ -267,6 +307,29 @@ def test_sliding_check_achieves_sliding_on_shortened_reference(tmp_path,
     assert dt < 2e-4
     rows = (out / "sliding_diagnostics.csv").read_text().splitlines()[1:]
     assert len(rows) == 1 + len(smc.step_end_times(0.05, dt))
+
+
+def test_sliding_check_on_a_zero_flux_config_is_a_regime_error(
+        neumann_config, tmp_path, capsys):
+    code = cli.main(["sliding-check", "--config", neumann_config,
+                     "--out", str(tmp_path / "s")])
+    assert code == cli.EXIT_CONFIG
+    assert capsys.readouterr() == (
+        "", "regime error: sliding check needs the Dirichlet regime\n")
+
+
+def test_verify_all_exits_4_when_a_check_fails(neumann_config, tmp_path,
+                                               capsys, monkeypatch):
+    monkeypatch.setattr(
+        cli.analysis, "check_mass_conservation",
+        lambda traj: cli.analysis.MassReport(passed=False, max_drift=1.0,
+                                             tolerance=1e-12))
+    code = cli.main(["verify-all", "--config", neumann_config,
+                     "--out", str(tmp_path / "v")])
+    assert code == cli.EXIT_VERIFICATION
+    out = capsys.readouterr().out
+    assert "mass conservation: fail (drift 1.000e+00)" in out
+    assert "energy decay: pass" in out
 
 
 def test_out_naming_a_file_exits_2(neumann_config, tmp_path, capsys):
@@ -405,16 +468,15 @@ def test_profiles_rejected_where_sampled_exit_2(tmp_path, capsys, config,
 # (command, section, key, value): the command is the one that reads the key
 BAD_VALUE_CASES = [
     ("simulate", "grid", "cells", "abc"),
+    ("simulate", "grid", "cells", "8,8"),  # two axes with dim = 1
     ("simulate", "grid", "lengths", "x"),
+    # h**2 overflows, or underflows to 0
+    ("simulate", "grid", "lengths", "1e300"),
+    ("simulate", "grid", "lengths", "1e-320"),
     ("sliding-check", "experiment", "rho_margin", "abc"),
     ("sliding-check", "experiment", "rho_margin", "-1"),
     ("sliding-check", "experiment", "rho_margin", "nan"),
     ("sliding-check", "experiment", "rho_margin", "1"),
-    ("sliding-check", "experiment", "dt_stability_factor", "x"),
-    ("sliding-check", "experiment", "dt_stability_factor", "0"),
-    ("sliding-check", "experiment", "tol_slide", "nope"),
-    ("sliding-check", "experiment", "tol_slide", "-1"),
-    ("sliding-check", "experiment", "tol_slide", "inf"),
     ("contdep", "contdep", "deltas", "a,b"),
     ("contdep", "contdep", "deltas", "nan"),
     ("contdep", "contdep", "deltas", "1e-2,-1e-2"),
@@ -422,6 +484,7 @@ BAD_VALUE_CASES = [
     ("simulate", "data", "tau", "-1"),
     ("simulate", "data", "phi0", "constant value=1.5"),
     ("simulate", "time", "dt", "0"),
+    ("simulate", "time", "dt", "1e-320"),  # T/dt overflows
     ("simulate", "time", "T", "-1"),
     ("simulate", "solver", "scheme", "foo"),
     ("simulate", "solver", "eps", "0"),
@@ -467,6 +530,9 @@ UNKNOWN_KEY_CASES = [
     (NEUMANN_CONFIG, "solver", "n_modes"),  # read by galerkin_neumann only
     (DIRICHLET_CONFIG, "data", "phi_0"),
     (DIRICHLET_CONFIG, "experiment", "rho_margn"),
+    # sliding-check works these out from the run
+    (DIRICHLET_CONFIG, "experiment", "dt_stability_factor"),
+    (DIRICHLET_CONFIG, "experiment", "tol_slide"),
     (NEUMANN_CONFIG, "contdep", "delta"),
     (NEUMANN_CONFIG, "experimnt", "rho_margin"),
 ]
@@ -492,12 +558,11 @@ def test_unknown_key_exits_2_naming_it(tmp_path, capsys, config, section,
 def test_load_config_types_experiment_and_contdep_values(tmp_path):
     path = tmp_path / "run.ini"
     path.write_text(DIRICHLET_CONFIG + "\n[experiment]\nrho_margin = 3\n"
-                    "tol_slide = auto\n\n[contdep]\nwhich = phistar\n"
+                    "\n[contdep]\nwhich = phistar\n"
                     "deltas = 1e-1, 1e-2\n")
     _, _, extras = cli.load_config(str(path))
     assert extras == {
-        "experiment": {"rho_margin": 3.0, "dt_stability_factor": 0.3,
-                       "tol_slide": None},
+        "experiment": {"rho_margin": 3.0},
         "contdep": {"which": "phistar", "shape": "cosine amplitude=1 mode=1",
                     "deltas": [1e-1, 1e-2]}}
 

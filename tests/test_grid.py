@@ -22,6 +22,14 @@ def test_grid_validation():
         Grid(shape=(4, 4, 4, 4), lengths=(1.0,) * 4)
 
 
+@pytest.mark.parametrize("length", [1e300, 1e-320])
+def test_grid_rejects_a_length_whose_h_squared_overflows_or_underflows(
+        length):
+    """The Laplacian divides by h**2, which must be finite and not 0."""
+    with pytest.raises(ValueError, match="lengths"):
+        Grid(shape=(32,), lengths=(length,))
+
+
 def test_grid_geometry(grid2d):
     assert grid2d.dim == 2
     assert grid2d.h == (1.0 / 12, 2.0 / 10)

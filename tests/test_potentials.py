@@ -162,6 +162,18 @@ def test_resolvent_generic_matches_closed_form_regular():
     assert np.allclose(Jg, J, atol=1e-12)
 
 
+@pytest.mark.parametrize("shift", [5.0, -5.0])
+def test_generic_resolvent_widens_a_bracket_that_misses(shift):
+    """With beta0 = r^3 + shift at eps = 1, the root of s + beta0(s) = r
+    lies below the starting bracket [min(r, 0) - 1, max(r, 0) + 1] for a
+    shift of 5 and above it for -5, so the bracket has to grow."""
+    spec = pot.custom(B=lambda r: 0.25 * r**4 + shift * r,
+                      beta=lambda r: r**3 + shift, pi=lambda r: 0.0)
+    r = np.linspace(-0.5, 0.5, 11)
+    J = pot.resolvent(spec, 1.0, r)
+    assert np.max(np.abs(J + pot.beta0(spec, J) - r)) <= 1e-12
+
+
 def test_resolvent_logarithmic_stays_in_domain():
     s = SPECS["logarithmic"]
     big = np.array([-50.0, -1.0, 0.0, 1.0, 50.0])
