@@ -477,6 +477,12 @@ BAD_VALUE_CASES = [
     ("sliding-check", "experiment", "rho_margin", "-1"),
     ("sliding-check", "experiment", "rho_margin", "nan"),
     ("sliding-check", "experiment", "rho_margin", "1"),
+    # sliding-check works these out from the run, so every value is refused
+    ("sliding-check", "experiment", "dt_stability_factor", "x"),
+    ("sliding-check", "experiment", "dt_stability_factor", "0"),
+    ("sliding-check", "experiment", "tol_slide", "nope"),
+    ("sliding-check", "experiment", "tol_slide", "-1"),
+    ("sliding-check", "experiment", "tol_slide", "inf"),
     ("contdep", "contdep", "deltas", "a,b"),
     ("contdep", "contdep", "deltas", "nan"),
     ("contdep", "contdep", "deltas", "1e-2,-1e-2"),
