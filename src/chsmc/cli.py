@@ -67,7 +67,9 @@ config errors.
 
 Exit codes: 0 ok, 2 config error (an ``--out`` that cannot be made a
 directory, and ``ode-oracle`` and ``design-rho`` flags that the formulas
-reject, included), 3 numerical failure, 4 verification failure.
+reject, such as a T/dt that overflows, included), 3 numerical failure (an
+eps whose 1/eps**3 overflows in the quartic resolvent, for one), 4
+verification failure.
 """
 
 from __future__ import annotations

@@ -9,11 +9,14 @@ Lipschitz-continuous derivative ``pi``.  The canonical splittings are
     obstacle:     B = indicator of [-1, 1],          pi(r) = -2*c2*r
 
 so that the perturbation is linear in all three families.  A family is
-its maps: each factory puts them in a :class:`PotentialSpec`, and every
-function below runs one body for every family.  On top of the exact
-maps, the module provides the resolvent J_eps = (I + eps*beta)^{-1} and
-the Yosida approximation beta_eps = (I - J_eps)/eps, which are what the
-time steppers actually evaluate.  Once xi = beta_eps(r) is known,
+its maps: each factory puts them in a :class:`PotentialSpec`, and callers
+call them through the spec (``spec.pi``, ``spec.Pi``).  Every function
+below runs one body for every family, takes arrays and returns what
+numpy returns (a 0-d array or numpy scalar for a scalar input).
+:func:`B_hat` and :func:`beta0` are the domain-checked exact maps.  The
+module also provides the resolvent J_eps = (I + eps*beta)^{-1} and the
+Yosida approximation beta_eps = (I - J_eps)/eps, which are what the time
+steppers actually evaluate.  Once xi = beta_eps(r) is known,
 J_eps(r) = r - eps*xi, so the derivative of beta_eps and the Moreau
 envelope of B take xi and solve nothing.  Where the resolvent point sits
 on a closed endpoint of the domain, the graph of beta is vertical there
@@ -27,7 +30,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, ParamError
 
 _RESOLVENT_TOL = 1e-13
 _RESOLVENT_MAXITER = 100
@@ -99,8 +102,8 @@ def custom(B, beta, pi, lo=-np.inf, hi=np.inf, lo_open=False, hi_open=False,
 
     ``B``, ``beta`` (minimal section on the closure of the domain) and
     ``pi`` are scalar maps; ``Pi`` (antiderivative of pi) is needed by
-    :func:`Pi` and so by the free energy, which raise without it.  beta'
-    is a central difference of ``beta``, kept inside the domain.
+    the free energy, which raises without it.  beta' is a central
+    difference of ``beta``, kept inside the domain.
     """
     B, beta, pi = (np.vectorize(f, otypes=[float]) for f in (B, beta, pi))
     if Pi is None:
@@ -125,11 +128,6 @@ def custom(B, beta, pi, lo=-np.inf, hi=np.inf, lo_open=False, hi_open=False,
                          lo_open=lo_open, hi_open=hi_open)
 
 
-def _as_array(r):
-    arr = np.asarray(r, dtype=float)
-    return arr, arr.ndim == 0
-
-
 def _check_domain(spec: PotentialSpec, arr: np.ndarray, closure: bool = True):
     lo, hi = spec.lo, spec.hi
     bad = ~((arr >= lo) & (arr <= hi))  # NaN is outside as well
@@ -152,32 +150,16 @@ def _xlogx(x: np.ndarray) -> np.ndarray:
 
 def B_hat(spec: PotentialSpec, r):
     """Convex part of the potential, on the closure of its domain."""
-    arr, scalar = _as_array(r)
+    arr = np.asarray(r, dtype=float)
     _check_domain(spec, arr, closure=True)
-    out = spec.B(arr)
-    return float(out) if scalar else out
+    return spec.B(arr)
 
 
 def beta0(spec: PotentialSpec, r):
     """Minimal section of the subdifferential of the convex part."""
-    arr, scalar = _as_array(r)
+    arr = np.asarray(r, dtype=float)
     _check_domain(spec, arr, closure=False)
-    out = spec.beta(arr)
-    return float(out) if scalar else out
-
-
-def pi(spec: PotentialSpec, r):
-    """Derivative of the smooth perturbation."""
-    arr, scalar = _as_array(r)
-    out = spec.pi(arr)
-    return float(out) if scalar else out
-
-
-def Pi(spec: PotentialSpec, r):
-    """Smooth perturbation itself, normalized so that f = B_hat + Pi."""
-    arr, scalar = _as_array(r)
-    out = spec.Pi(arr)
-    return float(out) if scalar else out
+    return spec.beta(arr)
 
 
 def _solve_monotone(g, gprime, a, b):
@@ -217,8 +199,13 @@ def _resolvent_regular(eps: float, arr: np.ndarray) -> np.ndarray:
     # Cardano for s^3 + s/eps - r/eps = 0 (unique real root), then two
     # Newton polish steps to recover the last bits
     p = 1.0 / eps
+    try:
+        p3 = p**3
+    except OverflowError:
+        raise ParamError(f"eps = {eps!r} is too small for the quartic "
+                         "resolvent: 1/eps**3 overflows") from None
     q = -arr / eps
-    disc = np.sqrt(q**2 / 4.0 + p**3 / 27.0)
+    disc = np.sqrt(q**2 / 4.0 + p3 / 27.0)
     s = np.cbrt(-q / 2.0 + disc) + np.cbrt(-q / 2.0 - disc)
     for _ in range(2):
         s = s - (s + eps * s**3 - arr) / (1.0 + 3.0 * eps * s**2)
@@ -230,8 +217,9 @@ def _resolvent_generic(spec: PotentialSpec, eps: float,
     if np.isnan(arr).any():
         raise DomainError(f"resolvent input is NaN ({spec.kind})")
 
+    # every iterate lies in the bracket, inside the domain
     def g(s):
-        return s + eps * np.asarray(beta0(spec, s)) - arr
+        return s + eps * spec.beta(s) - arr
 
     def gp(s):
         return 1.0 + eps * spec.beta_prime(s)
@@ -284,19 +272,16 @@ def resolvent(spec: PotentialSpec, eps: float, r):
     """
     if not eps > 0.0:
         raise ValueError("eps must be positive")
-    arr, scalar = _as_array(r)
+    arr = np.asarray(r, dtype=float)
     if spec.resolvent is None:
-        out = _resolvent_generic(spec, eps, arr)
-    else:
-        out = spec.resolvent(eps, arr)
-    return float(out) if scalar else out
+        return _resolvent_generic(spec, eps, arr)
+    return spec.resolvent(eps, arr)
 
 
 def beta_eps(spec: PotentialSpec, eps: float, r):
     """Yosida approximation beta_eps(r) = (r - J_eps(r)) / eps."""
-    arr, scalar = _as_array(r)
-    out = (arr - resolvent(spec, eps, arr)) / eps
-    return float(out) if scalar else out
+    arr = np.asarray(r, dtype=float)
+    return (arr - resolvent(spec, eps, arr)) / eps
 
 
 def beta_eps_prime(spec: PotentialSpec, eps: float, r, xi):
@@ -307,7 +292,7 @@ def beta_eps_prime(spec: PotentialSpec, eps: float, r, xi):
     Past a closed endpoint e, that is beyond e + eps*beta0(e) (the test
     the generic resolvent makes), J sits on e, where the graph of beta is
     vertical: there J' = 0 and the derivative is 1/eps."""
-    arr, scalar = _as_array(r)
+    arr = np.asarray(r, dtype=float)
     bp = spec.beta_prime(np.clip(arr - eps * xi, spec.lo, spec.hi))
     with np.errstate(all="ignore"):
         jp = 1.0 / (1.0 + eps * bp)
@@ -316,8 +301,7 @@ def beta_eps_prime(spec: PotentialSpec, eps: float, r, xi):
         jp = np.where(arr < spec.lo + eps * spec.beta(spec.lo), 0.0, jp)
     if np.isfinite(spec.hi) and not spec.hi_open:
         jp = np.where(arr > spec.hi + eps * spec.beta(spec.hi), 0.0, jp)
-    out = (1.0 - jp) / eps
-    return float(out) if scalar else out
+    return (1.0 - jp) / eps
 
 
 def moreau_envelope(spec: PotentialSpec, eps: float, r, xi):
@@ -326,14 +310,12 @@ def moreau_envelope(spec: PotentialSpec, eps: float, r, xi):
 
     Equals |r - J|^2/(2 eps) + B_hat(J) = eps*xi^2/2 + B_hat(J) at the
     resolvent point J = r - eps*xi; everywhere defined, nonnegative, and
-    dominated by B_hat on its domain.
+    dominated by B_hat on its domain.  The point r - eps*xi can leave the
+    closure of the domain by an ulp, so it is clipped into it and not
+    checked: a NaN r, whose xi is NaN too, gives NaN.
     """
-    arr, scalar = _as_array(r)
-    # r - eps*xi can leave the closure of the domain by an ulp, where
-    # B_hat would reject it
-    s = np.clip(arr - eps * xi, spec.lo, spec.hi)
-    out = 0.5 * eps * xi**2 + B_hat(spec, s)
-    return float(out) if scalar else out
+    s = np.clip(np.asarray(r, dtype=float) - eps * xi, spec.lo, spec.hi)
+    return 0.5 * eps * xi**2 + spec.B(s)
 
 
 def free_energy(grid, phi: np.ndarray, spec: PotentialSpec, eps: float,
@@ -342,5 +324,5 @@ def free_energy(grid, phi: np.ndarray, spec: PotentialSpec, eps: float,
     envelope of the convex part + Pi(phi) over the grid, with
     xi = beta_eps(phi) and the face-difference gradient energy of
     :meth:`Grid.gradient_energy`; defined for any field values."""
-    dens = moreau_envelope(spec, eps, phi, xi) + Pi(spec, phi)
+    dens = moreau_envelope(spec, eps, phi, xi) + spec.Pi(phi)
     return grid.integral(dens) + 0.5 * grid.gradient_energy(phi)

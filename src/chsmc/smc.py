@@ -13,9 +13,10 @@ T* = tau * w0 / (rho - M).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -40,9 +41,7 @@ def sign_eps(eps: float, r):
     """Yosida approximation of sign: clamp(r/eps, -1, 1)."""
     if not eps > 0.0:
         raise ParamError("eps must be positive")
-    arr = np.asarray(r, dtype=float)
-    out = np.clip(arr / eps, -1.0, 1.0)
-    return float(out) if arr.ndim == 0 else out
+    return np.clip(np.asarray(r, dtype=float) / eps, -1.0, 1.0)
 
 
 def apply_S_eps(params: SmcParams, chi: np.ndarray) -> np.ndarray:
@@ -79,14 +78,16 @@ def ode_weps_closed_form_zero(eps: float, M: float, rho: float,
     return float(out) if tt.ndim == 0 else out
 
 
-def step_end_times(T: float, dt: float) -> list:
+def step_end_times(T: float, dt: float) -> Iterator[float]:
     """End times (Python floats) of ceil(T/dt) steps from 0, step n ending
-    at n*dt and the last at T.  A ratio T/dt within 1e-9 (relative,
-    absolute below 1) of a whole number counts as that number, so
-    roundoff adds no sliver of a step and T below 1e-9*dt takes none."""
+    at n*dt and the last at T, yielded one at a time.  A ratio T/dt within
+    1e-9 (relative, absolute below 1) of a whole number counts as that
+    number, so roundoff adds no sliver of a step and T below 1e-9*dt
+    takes none."""
     ratio = T / dt
     nsteps = math.ceil(ratio - 1e-9 * max(ratio, 1.0))
-    return [n * dt for n in range(1, nsteps)] + ([T] if nsteps else [])
+    return itertools.chain((n * dt for n in range(1, nsteps)),
+                           [T] if nsteps else [])
 
 
 def ode_weps_integrate(eps: float, M: float, rho: float, tau: float,
@@ -107,9 +108,14 @@ def ode_weps_integrate(eps: float, M: float, rho: float, tau: float,
         raise ParamError("w0 must be nonnegative")
     if w0 > 0.0 and eps >= w0:
         raise ParamError("need eps in (0, w0) when w0 > 0")
-    times = np.array([0.0] + step_end_times(T, dt))
+    den = 0.5 * eps * tau
+    if not (math.isfinite(T / dt) and den > 0.0
+            and math.isfinite(dt * rho / den)):
+        raise ParamError("need finite T/dt and substep count "
+                         "dt*rho/(0.5*eps*tau)")
+    times = np.array([0.0] + list(step_end_times(T, dt)))
     nout = len(times) - 1
-    nsub = max(1, int(math.ceil(dt * rho / (0.5 * eps * tau))))
+    nsub = max(1, int(math.ceil(dt * rho / den)))
 
     def f(w):
         return (M - rho * min(max(w / eps, -1.0), 1.0)) / tau

@@ -292,7 +292,7 @@ def _jacobian(grid: Grid, regime, tau: float, dt: float, bprime: np.ndarray):
 
 def _explicit_part(data: ProblemData, X, phi, t):
     chi = phi - data.phistar(X, t)
-    return pot.pi(data.spec, phi) + smc.apply_S_eps(data.control, chi)
+    return data.spec.pi(phi) + smc.apply_S_eps(data.control, chi)
 
 
 def _snapshot(data: ProblemData, t, phi, mu, xi,
@@ -421,7 +421,7 @@ def assemble_G_eps(state: StateSnapshot, data: ProblemData) -> np.ndarray:
         raise MissingDataError(
             "assemble_G_eps needs dphistar_dt and lap_phistar")
     X = data.grid.meshgrid()
-    return (state.mu + data.g(X, state.t) - pot.pi(data.spec, state.phi)
+    return (state.mu + data.g(X, state.t) - data.spec.pi(state.phi)
             - data.tau * data.dphistar_dt(X, state.t)
             - data.lap_phistar(X, state.t))
 
@@ -500,10 +500,11 @@ def run(data: ProblemData, cfg: SolverConfig) -> Trajectory:
         raise ConfigError(
             f"scheme {cfg.scheme} incompatible with bc {data.bc.kind}")
     rho, s_eps = data.control.rho, data.control.eps
-    if cfg.dt * rho / (data.tau * s_eps) > 1.0:
+    # no division in the test: tau*eps may underflow to 0
+    if cfg.dt * rho > data.tau * s_eps:
         warnings.warn(
             "explicit control term is stiff: dt*rho/(tau*eps) = "
-            f"{cfg.dt * rho / (data.tau * s_eps):.2f} > 1", stacklevel=2)
+            f"{cfg.dt * rho / data.tau / s_eps:.2f} > 1", stacklevel=2)
 
     out_times = cfg.output_times
     if out_times is None:

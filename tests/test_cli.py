@@ -1,4 +1,6 @@
 import configparser
+import contextlib
+import io
 import os
 import subprocess
 import sys
@@ -6,7 +8,7 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, event, given, settings
+from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
 
 import chsmc
@@ -277,9 +279,24 @@ def test_verify_all_quiet_prints_nothing(neumann_config, tmp_path, capsys):
     assert capsys.readouterr() == ("", "")
 
 
-SLIDING_REFERENCE = os.path.join(
-    os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-    "configs", "sliding_reference.ini")
+CONFIGS = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs")
+SLIDING_REFERENCE = os.path.join(CONFIGS, "sliding_reference.ini")
+
+
+def test_eps_whose_cube_overflows_is_a_numerical_failure(tmp_path, capsys):
+    """neumann_smoke.ini with eps = 1e-300 for both regularizations: the
+    quartic resolvent cannot form 1/eps**3, and says so."""
+    with open(os.path.join(CONFIGS, "neumann_smoke.ini")) as fh:
+        text = fh.read().replace("eps = 1e-2", "eps = 1e-300")
+    path = tmp_path / "eps.ini"
+    path.write_text(text)
+    code = cli.main(["simulate", "--config", str(path), "--quiet",
+                     "--out", str(tmp_path / "out")])
+    assert code == cli.EXIT_NUMERICAL
+    assert capsys.readouterr().err == (
+        "numerical failure: eps = 1e-300 is too small for the quartic "
+        "resolvent: 1/eps**3 overflows\n")
 
 
 def test_sliding_check_achieves_sliding_on_shortened_reference(tmp_path,
@@ -306,7 +323,7 @@ def test_sliding_check_achieves_sliding_on_shortened_reference(tmp_path,
     dt = min(2e-4, 0.3 * 1e-2 * 1.0 / rho)
     assert dt < 2e-4
     rows = (out / "sliding_diagnostics.csv").read_text().splitlines()[1:]
-    assert len(rows) == 1 + len(smc.step_end_times(0.05, dt))
+    assert len(rows) == 1 + len(list(smc.step_end_times(0.05, dt)))
 
 
 def test_sliding_check_on_a_zero_flux_config_is_a_regime_error(
@@ -627,6 +644,22 @@ _PROFILE_TEMPLATES = st.one_of(
     st.just("ramp slope=1.7e308 offset=1.7e308"),
 )
 
+# At most one value is replaced: any key by a non-finite, negative or zero
+# value, or any key but dt and T by an extreme finite one (a finite but
+# huge T/dt would take that many steps).
+_EXTREME_FINITE = [1e-300, 5e-324, 1e300, 1.7e308, -1e300]
+_BAD_VALUE = st.one_of(
+    st.none(),
+    st.tuples(st.sampled_from(sorted(_PROPERTY_RANGES)),
+              st.sampled_from([float("nan"), float("inf"), float("-inf"),
+                               -1.0, 0.0])),
+    st.tuples(st.sampled_from(sorted(set(_PROPERTY_RANGES) - {"dt", "T"})),
+              st.sampled_from(_EXTREME_FINITE)))
+_MIDDLE_VALUES = {k: 0.5 * (lo + hi)
+                  for k, (lo, hi) in _PROPERTY_RANGES.items()}
+_CONSTANT_PROFILES = dict.fromkeys(("g", "phistar", "datum"),
+                                   "constant value={v!r}")
+
 
 @settings(max_examples=100, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
@@ -637,19 +670,22 @@ _PROFILE_TEMPLATES = st.one_of(
            {k: _PROFILE_TEMPLATES for k in ("g", "phistar", "datum")}),
        values=st.fixed_dictionaries(
            {k: st.floats(lo, hi) for k, (lo, hi) in _PROPERTY_RANGES.items()}),
-       bad_key=st.one_of(st.none(), st.sampled_from(sorted(_PROPERTY_RANGES))),
-       bad_value=st.sampled_from([float("nan"), float("inf"), float("-inf"),
-                                  -1.0, 0.0]))
+       bad=_BAD_VALUE)
+@example(dirichlet=False, potential="regular", profiles=_CONSTANT_PROFILES,
+         values=_MIDDLE_VALUES, bad=("tau", 5e-324))
+@example(dirichlet=False, potential="regular", profiles=_CONSTANT_PROFILES,
+         values=_MIDDLE_VALUES, bad=("ctrl_eps", 1e-300))
 def test_config_either_rejected_or_runs_finite(dirichlet, potential,
-                                               profiles, values, bad_key,
-                                               bad_value):
+                                               profiles, values, bad):
     """Every config either exits 2 or runs to exit 0 with finite fields
-    and diagnostics (sup_G_eps is NaN by definition for zero flux).
-    Values come from working ranges, at most one replaced by a non-finite,
-    negative or zero value; g, phistar and the datum are profiles of every
-    kind."""
-    if bad_key is not None:
-        values[bad_key] = bad_value
+    and diagnostics (sup_G_eps is NaN by definition for zero flux); an
+    extreme finite value may also exit 3 as a numerical failure, and none
+    ends in a traceback.  Values come from working ranges, at most one
+    replaced by a non-finite, negative, zero or extreme finite value; g,
+    phistar and the datum are profiles of every kind."""
+    values = dict(values)
+    if bad is not None:
+        values[bad[0]] = bad[1]
     c = values.pop("c")
     for key, template in profiles.items():
         values[key] = template.format(v=values[key])
@@ -666,11 +702,18 @@ def test_config_either_rejected_or_runs_finite(dirichlet, potential,
         with open(path, "w") as fh:
             fh.write(text)
         out = os.path.join(tmp, "out")
-        code = cli.main(["simulate", "--config", path, "--quiet",
-                         "--out", out])
-        assert code in (cli.EXIT_OK, cli.EXIT_CONFIG), text
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = cli.main(["simulate", "--config", path, "--quiet",
+                             "--out", out])
         event(f"exit {code}")
-        if code == cli.EXIT_CONFIG:
+        if code == cli.EXIT_NUMERICAL:
+            # only an extreme finite value may make the numerics fail
+            assert bad is not None and bad[1] in _EXTREME_FINITE, text
+            assert err.getvalue().startswith("numerical failure:"), text
+        else:
+            assert code in (cli.EXIT_OK, cli.EXIT_CONFIG), text
+        if code != cli.EXIT_OK:
             return
         for name in os.listdir(out):
             if name.startswith("snapshot_"):
@@ -834,6 +877,13 @@ def test_numerical_error_exit_code(tmp_path, neumann_config, monkeypatch,
     (["--w0", "1", "--M", "1", "--rho", "inf"], "rho > M"),
     (["--w0", "1", "--M", "1", "--rho", "5", "--dt", "0"], "dt > 0"),
     (["--w0", "1", "--M", "1", "--rho", "5", "--T", "-1"], "T >= 0"),
+    # T/dt and the RK4 substep count overflow
+    (["--w0", "1", "--M", "1", "--rho", "5", "--dt", "1e-320", "--T", "1"],
+     "finite T/dt"),
+    (["--w0", "0", "--M", "1", "--rho", "5", "--eps", "1e-320",
+      "--T", "0.01"], "finite T/dt"),
+    (["--w0", "0", "--M", "1", "--rho", "5", "--eps", "5e-324",
+      "--T", "0.01"], "finite T/dt"),
 ])
 def test_ode_oracle_invalid_flags_exit_2(capsys, flags, message):
     code = cli.main(["ode-oracle"] + flags)

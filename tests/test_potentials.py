@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chsmc import potentials as pot
-from chsmc.errors import DomainError
+from chsmc.errors import DomainError, ParamError
 
 from conftest import obstacle_as_custom
 
@@ -31,10 +31,10 @@ def test_regular_values():
     s = SPECS["regular"]
     assert pot.B_hat(s, 2.0) == pytest.approx(4.0)
     assert pot.beta0(s, 2.0) == pytest.approx(8.0)
-    assert pot.pi(s, 2.0) == pytest.approx(-2.0)
+    assert s.pi(2.0) == pytest.approx(-2.0)
     # full well f = B + Pi equals (r^2 - 1)^2 / 4
     r = np.linspace(-2, 2, 41)
-    f = pot.B_hat(s, r) + pot.Pi(s, r)
+    f = pot.B_hat(s, r) + s.Pi(r)
     assert np.allclose(f, 0.25 * (r**2 - 1.0) ** 2)
 
 
@@ -102,8 +102,8 @@ def test_obstacle_values():
     assert pot.B_hat(s, 1.0) == 0.0
     assert pot.beta0(s, -1.0) == 0.0
     assert pot.beta0(s, 0.3) == 0.0
-    assert pot.pi(s, 0.5) == pytest.approx(-0.5)
-    assert pot.Pi(s, 0.0) == pytest.approx(0.5)
+    assert s.pi(0.5) == pytest.approx(-0.5)
+    assert s.Pi(0.0) == pytest.approx(0.5)
     with pytest.raises(DomainError):
         pot.B_hat(s, 1.0 + 1e-12)
 
@@ -118,21 +118,29 @@ def test_invalid_parameters_rejected():
 def test_pi_matches_derivative_of_Pi(spec):
     r = np.linspace(-0.9, 0.9, 19)
     h = 1e-6
-    num = (pot.Pi(spec, r + h) - pot.Pi(spec, r - h)) / (2.0 * h)
-    assert np.allclose(num, pot.pi(spec, r), atol=1e-7)
+    num = (spec.Pi(r + h) - spec.Pi(r - h)) / (2.0 * h)
+    assert np.allclose(num, spec.pi(r), atol=1e-7)
 
 
-def test_custom_without_Pi_raises():
+def test_custom_without_Pi_raises(grid1d):
     s = pot.custom(B=lambda r: 0.0, beta=lambda r: 0.0,
                    pi=lambda r: -r)
     with pytest.raises(ValueError, match="needs an explicit Pi"):
-        pot.Pi(s, 2.0)
+        s.Pi(2.0)
+    phi = grid1d.zeros()
+    with pytest.raises(ValueError, match="needs an explicit Pi"):
+        pot.free_energy(grid1d, phi, s, 0.1, pot.beta_eps(s, 0.1, phi))
     with_Pi = pot.custom(B=lambda r: 0.0, beta=lambda r: 0.0,
                          pi=lambda r: -r, Pi=lambda r: -0.5 * r * r)
-    assert pot.Pi(with_Pi, 2.0) == -2.0
+    assert with_Pi.Pi(2.0) == -2.0
 
 
 # -- resolvent and Yosida approximation -----------------------------------
+
+
+def test_resolvent_regular_rejects_eps_whose_cube_overflows():
+    with pytest.raises(ParamError, match="1/eps\\*\\*3 overflows"):
+        pot.beta_eps(SPECS["regular"], 1e-120, 0.5)
 
 
 def test_resolvent_regular_solves_cubic():
@@ -271,6 +279,17 @@ def test_moreau_envelope_properties(spec):
     env2 = pot.moreau_envelope(spec, eps / 10.0, r,
                                pot.beta_eps(spec, eps / 10.0, r))
     assert np.all(env2 >= env - 1e-14)
+
+
+@pytest.mark.parametrize("kind", ["regular", "logarithmic", "obstacle"])
+def test_moreau_envelope_of_nan_is_nan(kind):
+    """The envelope does not check its input: a NaN r, whose xi is NaN
+    too, gives NaN, alone or inside an array, and no DomainError."""
+    s = SPECS[kind]
+    assert np.isnan(pot.moreau_envelope(s, 0.1, np.nan, np.nan))
+    env = pot.moreau_envelope(s, 0.1, np.array([0.5, np.nan]),
+                              np.array([pot.beta_eps(s, 0.1, 0.5), np.nan]))
+    assert np.isfinite(env[0]) and np.isnan(env[1])
 
 
 def test_moreau_envelope_obstacle_outside_is_quadratic_distance():

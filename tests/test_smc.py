@@ -1,3 +1,6 @@
+import itertools
+from collections.abc import Iterator
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -92,6 +95,17 @@ def test_integrator_ends_at_T():
     # a whole-number ratio keeps its count
     times, _ = smc.ode_weps_integrate(eps, M, rho, tau, w0, 1e-3, 0.1)
     assert len(times) == 101 and times[-1] == 0.1
+
+
+def test_step_end_times_are_lazy():
+    """The step ends come one at a time, so a finite but huge T/dt costs
+    nothing until the steps are taken."""
+    ends = smc.step_end_times(1.0, 0.25)
+    assert isinstance(ends, Iterator)
+    assert list(ends) == [0.25, 0.5, 0.75, 1.0]
+    assert list(smc.step_end_times(0.0, 0.25)) == []
+    ends = smc.step_end_times(0.01, 1e-310)
+    assert list(itertools.islice(ends, 3)) == [1e-310, 2e-310, 3e-310]
 
 
 def test_integrator_parameter_validation():

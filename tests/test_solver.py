@@ -128,6 +128,18 @@ def test_stiffness_warning():
         solver.run(data, cfg)
 
 
+def test_stiffness_warning_when_tau_eps_underflows():
+    """tau*eps underflows to 0 here; the warning reports an infinite
+    ratio instead of dividing by zero."""
+    grid = small_grid()
+    data = neumann_problem(grid, pot.regular(), grid.zeros(), rho=1.0,
+                           eps=1e-2, tau=5e-324)
+    cfg = solver.SolverConfig(eps=1e-2, dt=1e-3, T=0.0,
+                              scheme="coupled_neumann")
+    with pytest.warns(UserWarning, match="= inf > 1"):
+        solver.run(data, cfg)
+
+
 # -- linear exactness -----------------------------------------------------
 
 
@@ -160,7 +172,7 @@ def test_constant_state_is_stationary():
     last = traj.snapshots[-1]
     assert np.allclose(last.phi, m, atol=1e-12)
     # the potential settles at the constant beta_eps(m) + pi(m)
-    mu_exact = pot.beta_eps(pot.regular(), 1e-2, m) + pot.pi(pot.regular(), m)
+    mu_exact = pot.beta_eps(pot.regular(), 1e-2, m) + pot.regular().pi(m)
     assert np.allclose(last.mu, mu_exact, atol=1e-10)
 
 
@@ -207,7 +219,7 @@ def test_coupled_step_satisfies_potential_equation():
     state1 = solver.step_coupled_neumann(state0, data, cfg, cfg.dt)
     dphi = (state1.phi - state0.phi) / cfg.dt
     lhs = (data.tau * dphi - laplacian_neumann(grid, state1.phi)
-           + state1.xi + pot.pi(data.spec, state0.phi))
+           + state1.xi + data.spec.pi(state0.phi))
     assert np.allclose(lhs, state1.mu, atol=1e-8)
 
 
@@ -224,7 +236,7 @@ def test_galerkin_step_satisfies_both_equations():
     dphi = (state1.phi - state0.phi) / cfg.dt
     assert np.allclose(dphi, laplacian_neumann(grid, state1.mu), atol=1e-7)
     lhs = (data.tau * dphi - laplacian_neumann(grid, state1.phi)
-           + state1.xi + pot.pi(data.spec, state0.phi)
+           + state1.xi + data.spec.pi(state0.phi)
            + smc.apply_S_eps(data.control, state0.phi))
     assert np.allclose(lhs, state1.mu, atol=1e-8)
     assert state1.newton_iters > 0
@@ -504,7 +516,7 @@ def test_dirichlet_step_satisfies_potential_equation_with_nonzero_datum():
     state1 = solver.step_eliminated(state0, data, cfg, cfg.dt)
     dphi = (state1.phi - state0.phi) / cfg.dt
     lhs = (data.tau * dphi - laplacian_neumann(grid, state1.phi)
-           + state1.xi + pot.pi(data.spec, state0.phi))
+           + state1.xi + data.spec.pi(state0.phi))
     assert np.max(np.abs(lhs - state1.mu)) <= 1e-9
 
 
@@ -596,7 +608,7 @@ def _manufactured_error(bc_kind, cells, dt):
         phi_t = -k**2 * b(t) * np.cos(k * X[0])
         lap_phi = -k**2 * A(t) * np.cos(k * X[0])
         return (tau * phi_t - lap_phi + pot.beta_eps(spec, MMS["eps"], p)
-                + pot.pi(spec, p) + smc.apply_S_eps(control, p - phistar(X, t))
+                + spec.pi(p) + smc.apply_S_eps(control, p - phistar(X, t))
                 - mu(X, t))
 
     grid = small_grid(cells, MMS["L"])
