@@ -494,11 +494,11 @@ def cmd_ode_oracle(args) -> int:
     stride = max(1, len(times) // 20)
     for k in list(range(0, len(times) - 1, stride)) + [len(times) - 1]:
         t = float(times[k])
-        w_lim = smc.ode_w_closed_form(args.w0, args.M, args.rho, args.tau,
-                                      t)
+        w_lim = float(smc.ode_w_closed_form(args.w0, args.M, args.rho,
+                                            args.tau, t))
         row = f"{t!r},{float(w_num[k])!r},{w_lim!r}"
         if args.w0 == 0:
-            row += f",{smc.ode_weps_closed_form_zero(args.eps, args.M, args.rho, args.tau, t)!r}"
+            row += f",{float(smc.ode_weps_closed_form_zero(args.eps, args.M, args.rho, args.tau, t))!r}"
         print(row)
     return EXIT_OK
 

@@ -2,17 +2,17 @@
 
 Second-order finite differences with ghost cells: mirrored ghosts give the
 zero-flux (Neumann) Laplacian, odd-reflection ghosts the homogeneous
-Dirichlet one.  Both operators are diagonalized exactly by tensor-product
-DCT-II / DST-II bases, which provides the fast inversion path on these
-uniform grids.  On small grids the transforms are applied as dense
-per-axis matrices (the fast diagonalization method of Lynch, Rice &
-Thomas, 1964), because there a matrix product costs less than the
-per-call overhead of ``scipy.fft``; larger grids, where the O(n log n)
-transform wins, use ``scipy.fft``.  The choice depends on the grid shape
-alone (:func:`_dense_transforms`).  The dense matrices are built in closed
-form with numpy, so only a grid whose shape takes the FFT path loads
-``scipy.fft``, and it does so when the grid is constructed, before any
-time is spent stepping.
+Dirichlet one, of which the module provides only the inverse.  Both
+operators are diagonalized exactly by tensor-product DCT-II / DST-II
+bases, which provides the fast inversion path on these uniform grids.  On
+small grids the transforms are applied as dense per-axis matrices (the
+fast diagonalization method of Lynch, Rice & Thomas, 1964), because there
+a matrix product costs less than the per-call overhead of ``scipy.fft``;
+larger grids, where the O(n log n) transform wins, use ``scipy.fft``.  The
+choice depends on the grid shape alone (:func:`_dense_transforms`).  The
+dense matrices are built in closed form with numpy, so only a grid whose
+shape takes the FFT path loads ``scipy.fft``, and it does so when the grid
+is constructed, before any time is spent stepping.
 
 The module also holds the package's one preconditioned CG loop, which the
 time stepper runs on its Newton systems, preconditioned by a DCT diagonal
@@ -222,17 +222,13 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 # -- Laplacians --------------------------------------------------------
 
 
-def _second_difference(u: np.ndarray, h: float, axis: int,
-                       bc: str) -> np.ndarray:
+def _second_difference(u: np.ndarray, h: float, axis: int) -> np.ndarray:
     v = u.swapaxes(0, axis)
     d = np.empty_like(v)
     d[1:-1] = v[2:] - 2.0 * v[1:-1] + v[:-2]
-    if bc == "neumann":  # mirrored ghost equals the edge cell
-        d[0] = v[1] - v[0]
-        d[-1] = v[-2] - v[-1]
-    else:  # odd reflection: ghost equals minus the edge cell
-        d[0] = v[1] - 3.0 * v[0]
-        d[-1] = v[-2] - 3.0 * v[-1]
+    # mirrored ghost equals the edge cell
+    d[0] = v[1] - v[0]
+    d[-1] = v[-2] - v[-1]
     return d.swapaxes(0, axis) / h**2
 
 
@@ -240,15 +236,7 @@ def laplacian_neumann(grid: Grid, u: np.ndarray) -> np.ndarray:
     """Zero-flux Laplacian; its discrete integral telescopes to zero."""
     out = np.zeros_like(u)
     for axis in range(grid.dim):
-        out += _second_difference(u, grid.h[axis], axis, "neumann")
-    return out
-
-
-def laplacian_dirichlet(grid: Grid, u: np.ndarray) -> np.ndarray:
-    """Homogeneous Dirichlet Laplacian (value zero on the boundary faces)."""
-    out = np.zeros_like(u)
-    for axis in range(grid.dim):
-        out += _second_difference(u, grid.h[axis], axis, "dirichlet")
+        out += _second_difference(u, grid.h[axis], axis)
     return out
 
 

@@ -16,11 +16,14 @@ numpy returns (a 0-d array or numpy scalar for a scalar input).
 :func:`B_hat` and :func:`beta0` are the domain-checked exact maps.  The
 module also provides the resolvent J_eps = (I + eps*beta)^{-1} and the
 Yosida approximation beta_eps = (I - J_eps)/eps, which are what the time
-steppers actually evaluate.  Once xi = beta_eps(r) is known,
-J_eps(r) = r - eps*xi, so the derivative of beta_eps and the Moreau
-envelope of B take xi and solve nothing.  Where the resolvent point sits
-on a closed endpoint of the domain, the graph of beta is vertical there
-and beta_eps' = 1/eps.
+steppers actually evaluate.  Each built-in family supplies its own
+resolvent (Cardano for the quartic, a bracket-free Newton for the
+logarithm, the projection for the obstacle); only a custom splitting
+takes the bracketed Newton/bisection solve.  Once xi = beta_eps(r) is
+known, J_eps(r) = r - eps*xi, so the derivative of beta_eps and the
+Moreau envelope of B take xi and solve nothing.  Where the resolvent
+point sits on a closed endpoint of the domain, the graph of beta is
+vertical there and beta_eps' = 1/eps.
 """
 
 from __future__ import annotations
@@ -44,9 +47,10 @@ class PotentialSpec:
     record whether the endpoints are excluded.  The maps act on arrays:
     ``B`` on the closure of the domain, ``beta`` (the minimal section) on
     the domain, ``beta_prime`` (its derivative, possibly +inf) at interior
-    points; ``pi`` and ``Pi`` everywhere.  ``resolvent(eps, r)`` is a
-    closed form where the family has one, else None and :func:`resolvent`
-    solves.  ``kind`` only labels the family in messages.
+    points; ``pi`` and ``Pi`` everywhere.  ``resolvent(eps, r)`` is the
+    family's own solve of s + eps*beta(s) = r; every built-in family has
+    one, and a custom spec leaves it None for the bracketed solve of
+    :func:`resolvent`.  ``kind`` only labels the family in messages.
     """
 
     kind: str
@@ -80,7 +84,8 @@ def logarithmic(c1: float) -> PotentialSpec:
         beta=lambda r: np.log((1.0 + r) / (1.0 - r)),
         beta_prime=lambda s: 2.0 / np.maximum(1.0 - s**2, 1e-300),
         pi=lambda r: -2.0 * c1 * r, Pi=lambda r: -c1 * r**2,
-        lo=-1.0, hi=1.0, lo_open=True, hi_open=True)
+        lo=-1.0, hi=1.0, lo_open=True, hi_open=True,
+        resolvent=_resolvent_logarithmic)
 
 
 def double_obstacle(c2: float) -> PotentialSpec:
@@ -202,14 +207,47 @@ def _resolvent_regular(eps: float, arr: np.ndarray) -> np.ndarray:
     try:
         p3 = p**3
     except OverflowError:
+        p3 = np.inf
+    if not np.isfinite(p3):
         raise ParamError(f"eps = {eps!r} is too small for the quartic "
-                         "resolvent: 1/eps**3 overflows") from None
+                         "resolvent: 1/eps**3 overflows")
     q = -arr / eps
     disc = np.sqrt(q**2 / 4.0 + p3 / 27.0)
     s = np.cbrt(-q / 2.0 + disc) + np.cbrt(-q / 2.0 - disc)
     for _ in range(2):
         s = s - (s + eps * s**3 - arr) / (1.0 + 3.0 * eps * s**2)
     return s
+
+
+def _resolvent_logarithmic(eps: float, arr: np.ndarray) -> np.ndarray:
+    """Solve s + eps*ln((1+s)/(1-s)) = r by Newton in y, with s = tanh(y).
+
+    For |r| the equation becomes h(y) = (tanh(y) - |r|)/2 + eps*y = 0
+    (halved, so that 2*eps cannot overflow), increasing and concave on
+    y >= 0.  As tanh(y) <= min(y, 1), the start max(|r|/(1 + 2 eps),
+    (|r| - 1)/(2 eps)) lies below the root, and Newton rises from there to
+    the root without overshooting it: no bracket is needed.  Where tanh(y)
+    rounds to 1 the root does too, and the iterate (possibly an overflowed
+    start) stays put.  Iteration stops once no step moves s by more than
+    the tolerance; s is kept strictly inside (-1, 1).
+    """
+    if np.isnan(arr).any():
+        raise DomainError("resolvent input is NaN (logarithmic)")
+    a = np.abs(arr)
+    with np.errstate(over="ignore"):
+        y = np.maximum(0.5 * a / (0.5 + eps), (0.5 * a - 0.5) / eps)
+    with np.errstate(all="ignore"):
+        for _ in range(_RESOLVENT_MAXITER):
+            t = np.tanh(y)
+            half_sech2 = 0.5 - 0.5 * t * t
+            step = np.where(t < 1.0, (0.5 * (a - t) - eps * y)
+                            / (half_sech2 + eps), 0.0)
+            y += step
+            if np.all(half_sech2 * np.abs(step) <= 0.5 * _RESOLVENT_TOL):
+                break
+        else:
+            raise ConvergenceError("logarithmic resolvent did not converge")
+    return np.copysign(np.minimum(np.tanh(y), np.nextafter(1.0, 0.0)), arr)
 
 
 def _resolvent_generic(spec: PotentialSpec, eps: float,
@@ -265,10 +303,11 @@ def _resolvent_generic(spec: PotentialSpec, eps: float,
 def resolvent(spec: PotentialSpec, eps: float, r):
     """Resolvent J_eps(r) = (I + eps*beta)^{-1} r.
 
-    The family's closed form where it has one (projection for the
-    obstacle, Cardano for the quartic), else the safeguarded
+    The family's own map where it has one: the projection for the
+    obstacle, Cardano for the quartic and a bracket-free Newton in
+    s = tanh(y) for the logarithm.  A custom family takes the safeguarded
     Newton/bisection solve of :func:`_resolvent_generic`, which tests also
-    run on the closed-form families as a cross-check.
+    run on the built-in families as a cross-check.
     """
     if not eps > 0.0:
         raise ValueError("eps must be positive")

@@ -299,6 +299,21 @@ def test_eps_whose_cube_overflows_is_a_numerical_failure(tmp_path, capsys):
         "resolvent: 1/eps**3 overflows\n")
 
 
+def test_eps_whose_reciprocal_overflows_is_a_numerical_failure(tmp_path,
+                                                              capsys):
+    """At eps = 5e-324, 1/eps is already inf: the quartic resolvent names
+    eps at once instead of leaving the step to halve on a NaN."""
+    with open(os.path.join(CONFIGS, "neumann_smoke.ini")) as fh:
+        text = fh.read().replace("eps = 1e-2", "eps = 5e-324")
+    path = tmp_path / "eps.ini"
+    path.write_text(text)
+    code = cli.main(["simulate", "--config", str(path), "--quiet",
+                     "--out", str(tmp_path / "out")])
+    assert code == cli.EXIT_NUMERICAL
+    assert capsys.readouterr().err.startswith(
+        "numerical failure: eps = 5e-324 is too small")
+
+
 def test_sliding_check_achieves_sliding_on_shortened_reference(tmp_path,
                                                                capsys):
     """The shipped sliding config, on 32 cells with eps = 1e-2 for both
@@ -884,6 +899,11 @@ def test_numerical_error_exit_code(tmp_path, neumann_config, monkeypatch,
       "--T", "0.01"], "finite T/dt"),
     (["--w0", "0", "--M", "1", "--rho", "5", "--eps", "5e-324",
       "--T", "0.01"], "finite T/dt"),
+    # finite, but more RK4 substeps or output steps than the cap
+    (["--w0", "0", "--M", "1", "--rho", "5", "--eps", "1e-300"],
+     "substeps in all"),
+    (["--w0", "1", "--M", "1", "--rho", "5", "--dt", "1e-300", "--T", "1"],
+     "substeps in all"),
 ])
 def test_ode_oracle_invalid_flags_exit_2(capsys, flags, message):
     code = cli.main(["ode-oracle"] + flags)
@@ -909,6 +929,9 @@ def test_ode_oracle_output(capsys):
     assert out.startswith("T* = ")
     header = out.splitlines()[1]
     assert header == "t,w_numeric,w_limit_closed_form,w_eps_closed_form"
+    # every value is the repr of a Python float
+    for row in out.splitlines()[2:]:
+        assert all(repr(float(v)) == v for v in row.split(","))
 
 
 def test_design_rho_output(capsys):

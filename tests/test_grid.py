@@ -7,6 +7,8 @@ from chsmc import grid as gr
 from chsmc.errors import MeanError, ModeRangeError, SolveError
 from chsmc.grid import Grid
 
+from conftest import laplacian_dirichlet
+
 
 # -- construction and quadrature -------------------------------------------
 
@@ -111,7 +113,7 @@ def test_laplacian_symmetry(grid2d, bc):
     rng = np.random.default_rng(4)
     u = rng.standard_normal(grid2d.shape)
     v = rng.standard_normal(grid2d.shape)
-    op = gr.laplacian_neumann if bc == "neumann" else gr.laplacian_dirichlet
+    op = gr.laplacian_neumann if bc == "neumann" else laplacian_dirichlet
     assert grid2d.inner(op(grid2d, u), v) == pytest.approx(
         grid2d.inner(u, op(grid2d, v)), rel=1e-12)
 
@@ -127,7 +129,7 @@ def test_discrete_eigenpairs_1d(grid1d):
     m = 2
     lam_d = grid1d.axis_eigenvalues(0, "dirichlet")[m - 1]
     w = np.sin(np.pi * m * x / L)
-    assert np.allclose(-gr.laplacian_dirichlet(grid1d, w), lam_d * w,
+    assert np.allclose(-laplacian_dirichlet(grid1d, w), lam_d * w,
                        atol=1e-10)
 
 
@@ -153,7 +155,7 @@ def cg_inverse_neumann(grid, psi):
 
 
 def cg_inverse_dirichlet(grid, psi):
-    return gr.pcg(lambda v: -gr.laplacian_dirichlet(grid, v), psi,
+    return gr.pcg(lambda v: -laplacian_dirichlet(grid, v), psi,
                   lambda r: r, rtol=1e-11, atol=0.0)
 
 
@@ -189,7 +191,7 @@ def test_inverse_dirichlet_solves(grid2d, inverse):
     rng = np.random.default_rng(7)
     psi = rng.standard_normal(grid2d.shape)
     u = inverse(grid2d, psi)
-    assert np.allclose(-gr.laplacian_dirichlet(grid2d, u), psi, atol=1e-8)
+    assert np.allclose(-laplacian_dirichlet(grid2d, u), psi, atol=1e-8)
 
 
 # Shapes on both sides of the dense/FFT selection; the tier-1 fixture grids

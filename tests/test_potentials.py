@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chsmc import potentials as pot
-from chsmc.errors import DomainError, ParamError
+from chsmc.errors import ConvergenceError, DomainError, ParamError
 
 from conftest import obstacle_as_custom
 
@@ -92,6 +92,9 @@ def test_nan_is_outside_every_domain(kind):
 def test_generic_resolvent_names_nan_input():
     with pytest.raises(DomainError, match="NaN"):
         pot.resolvent(SPECS["logarithmic"], 0.1, np.array([0.2, np.nan]))
+    with pytest.raises(DomainError, match="NaN"):
+        pot._resolvent_generic(SPECS["logarithmic"], 0.1,
+                               np.array([0.2, np.nan]))
     # the Cardano path still passes NaN through, so that Newton sees a
     # non-finite residual and the step is halved
     assert np.isnan(pot.resolvent(SPECS["regular"], 0.1, np.nan))
@@ -141,6 +144,13 @@ def test_custom_without_Pi_raises(grid1d):
 def test_resolvent_regular_rejects_eps_whose_cube_overflows():
     with pytest.raises(ParamError, match="1/eps\\*\\*3 overflows"):
         pot.beta_eps(SPECS["regular"], 1e-120, 0.5)
+
+
+def test_resolvent_regular_rejects_eps_whose_reciprocal_overflows():
+    """At eps = 5e-324, 1/eps is already inf, so p**3 raises nothing;
+    the quartic resolvent names eps all the same."""
+    with pytest.raises(ParamError, match="eps = 5e-324 is too small"):
+        pot.resolvent(SPECS["regular"], 5e-324, 0.5)
 
 
 def test_resolvent_regular_solves_cubic():
@@ -193,6 +203,40 @@ def test_resolvent_logarithmic_stays_in_domain():
     for eps in (1e-1, 1e-4):
         J = pot.resolvent(s, eps, r)
         assert np.allclose(J + eps * pot.beta0(s, J), r, atol=1e-10)
+
+
+@pytest.mark.parametrize("eps", [1e-1, 1e-2, 1e-3, 1e-4])
+def test_resolvent_logarithmic_matches_generic(eps):
+    """The bracket-free Newton in s = tanh(y) lands within the tolerance
+    of the bracketed solve, on both sides of the endpoints too."""
+    s = SPECS["logarithmic"]
+    r = np.concatenate([np.linspace(-3.0, 3.0, 6001),
+                        _around(-1.0), _around(1.0)])
+    J = pot.resolvent(s, eps, r)
+    assert np.max(np.abs(J - pot._resolvent_generic(s, eps, r))) <= 1e-13
+    assert np.array_equal(pot.resolvent(s, eps, -r), -J)
+    assert np.all(np.abs(J) < 1.0)
+
+
+@pytest.mark.parametrize("eps", [1e-300, 5e-324])
+def test_resolvent_logarithmic_finite_at_extreme_eps(eps):
+    """J(r) is r to the tolerance where |r| <= 1.  Where (|r| - 1)/(2 eps)
+    overflows, the start is inf, tanh of it rounds to 1, and J is the
+    float next to the endpoint."""
+    s = SPECS["logarithmic"]
+    r = np.array([0.0, 1e-300, 0.5, np.nextafter(1.0, 0.0), 1.0, 1.5,
+                  1e300])
+    J = pot.resolvent(s, eps, np.concatenate([r, -r]))
+    assert np.all(np.isfinite(J)) and np.all(np.abs(J) < 1.0)
+    assert np.array_equal(J[:7], -J[7:])
+    assert np.all(np.abs(J[:5] - r[:5]) <= 1e-13)
+    assert np.array_equal(J[5:7], [np.nextafter(1.0, 0.0)] * 2)
+
+
+def test_resolvent_logarithmic_raises_when_newton_stalls(monkeypatch):
+    monkeypatch.setattr(pot, "_RESOLVENT_MAXITER", 2)
+    with pytest.raises(ConvergenceError, match="logarithmic"):
+        pot.resolvent(SPECS["logarithmic"], 1e-4, np.array([0.5, 0.999]))
 
 
 def test_resolvent_rejects_nonpositive_eps(spec):

@@ -64,6 +64,17 @@ def test_closed_form_limit_solution():
         smc.ode_w_closed_form(-1.0, 0.0, 1.0, 1.0, 0.0)
 
 
+def test_closed_forms_return_what_numpy_returns():
+    """A scalar t gives a numpy scalar, not a Python float; an array t
+    gives an array of its shape."""
+    for fn, args in ((smc.ode_w_closed_form, (1.0, 1.0, 3.0, 2.0)),
+                     (smc.ode_weps_closed_form_zero, (1e-2, 1.0, 3.0, 2.0))):
+        w = fn(*args, 0.25)
+        assert type(w) is np.float64
+        assert w == fn(*args, np.array([0.25]))[0]
+        assert fn(*args, np.zeros((2, 3))).shape == (2, 3)
+
+
 def test_sliding_time_and_horizon():
     assert smc.sliding_time(1.0, 1.0, 3.0, 2.0) == pytest.approx(1.0)
 
@@ -116,6 +127,25 @@ def test_integrator_parameter_validation():
         smc.ode_weps_integrate(0.5, 1.0, 5.0, 1.0, 0.2, 1e-3, 0.1)
     with pytest.raises(ParamError):
         smc.ode_weps_integrate(1e-2, 1.0, 0.5, 1.0, 1.0, 1e-3, 0.1)
+
+
+def test_integrator_caps_its_work(monkeypatch):
+    """A finite but huge substep or output-step count is refused before
+    any list is built; the cap counts at least one substep per output
+    step."""
+    with pytest.raises(ParamError, match="substeps in all"):
+        smc.ode_weps_integrate(1e-300, 1.0, 5.0, 1.0, 0.0, 1e-3, 1.0)
+    with pytest.raises(ParamError, match="substeps in all"):
+        smc.ode_weps_integrate(1e-2, 1.0, 5.0, 1.0, 1.0, 1e-300, 1.0)
+    # one substep per output step at dt*rho/(0.5*eps*tau) = 1
+    monkeypatch.setattr(smc, "_ODE_MAX_SUBSTEPS", 100)
+    times, _ = smc.ode_weps_integrate(1e-2, 1.0, 5.0, 1.0, 0.0, 1e-3, 0.1)
+    assert len(times) == 101
+    with pytest.raises(ParamError, match="substeps in all"):
+        smc.ode_weps_integrate(1e-2, 1.0, 5.0, 1.0, 0.0, 1e-3, 0.101)
+    # two substeps per output step
+    with pytest.raises(ParamError, match="substeps in all"):
+        smc.ode_weps_integrate(1e-2, 1.0, 10.0, 1.0, 0.0, 1e-3, 0.1)
 
 
 def test_integrator_distance_to_limit_shrinks_with_eps():

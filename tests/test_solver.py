@@ -11,7 +11,8 @@ from chsmc.grid import (Grid, harmonic_extension, laplacian_neumann,
                         pcg)
 
 from conftest import (zero_potential, zero_field, neumann_problem,
-                      dirichlet_problem, obstacle_as_custom)
+                      dirichlet_problem, obstacle_as_custom,
+                      laplacian_dirichlet)
 
 
 def small_grid(n=32, L=1.0):
@@ -268,7 +269,6 @@ def test_dirichlet_step_recovers_potential():
                               scheme="eliminated_dirichlet")
     state0 = solver._initial_snapshot(data, cfg)
     state1 = solver.step_eliminated_dirichlet(state0, data, cfg, cfg.dt)
-    from chsmc.grid import harmonic_extension, laplacian_dirichlet
     mu_H = harmonic_extension(grid, data.bc.datum, cfg.dt)
     dphi = (state1.phi - state0.phi) / cfg.dt
     # mu - mu_H = -D(dphi/dt), i.e. Lap_D (mu - mu_H) = dphi/dt
