@@ -15,18 +15,15 @@ time while it runs.
 import importlib
 import sys
 
-from .errors import (ChsmcError, ConfigError, ConvergenceError, DomainError,
-                     MeanError, MissingDataError, ModeRangeError,
-                     NewtonError, ParamError, RegimeError, SolveError,
-                     VolumeError)
+from .errors import (ChsmcError, ConfigError, NewtonError, ParamError,
+                     RegimeError, SolveError)
 
 _SUBMODULES = ("analysis", "cli", "grid", "potentials", "smc", "solver")
 
 __all__ = [
     *_SUBMODULES,
-    "ChsmcError", "ConfigError", "ConvergenceError", "DomainError",
-    "MeanError", "MissingDataError", "ModeRangeError", "NewtonError",
-    "ParamError", "RegimeError", "SolveError", "VolumeError",
+    "ChsmcError", "ConfigError", "NewtonError", "ParamError", "RegimeError",
+    "SolveError",
 ]
 
 __version__ = "0.1.0"

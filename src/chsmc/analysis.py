@@ -17,7 +17,7 @@ import numpy as np
 
 from . import potentials as pot
 from . import smc
-from .errors import MeanError, MissingDataError, RegimeError
+from .errors import ConfigError, ParamError, RegimeError
 # inverse_dirichlet is unused here: bench/tracing.py wraps it by this name
 from .grid import Grid, inverse_dirichlet
 from .solver import ProblemData, SolverConfig, Trajectory, run
@@ -112,8 +112,8 @@ def measure_comparison_drift(traj: Trajectory) -> float:
     data = traj.data
     supG = np.asarray(traj.diagnostics.sup_G_eps)
     if len(supG) == 0 or np.all(np.isnan(supG)):
-        raise MissingDataError("trajectory has no drift diagnostics; "
-                               "supply dphistar_dt and lap_phistar")
+        raise ConfigError("trajectory has no drift diagnostics; "
+                          "supply dphistar_dt and lap_phistar")
     X = data.grid.meshgrid()
     betastar = 0.0
     for snap in traj.snapshots:
@@ -183,7 +183,7 @@ def _paired_outputs(traj1: Trajectory, traj2: Trajectory):
     snaps1, snaps2 = traj1.snapshots, traj2.snapshots
     times = [s.t for s in snaps1]
     if times != [s.t for s in snaps2]:
-        raise ValueError(f"trajectories differ in their output times: "
+        raise ParamError(f"trajectories differ in their output times: "
                          f"{times} vs {[s.t for s in snaps2]}")
     return [(snaps1[k].phi - snaps2[k].phi, times[k] - times[k - 1])
             for k in range(1, len(times))]
@@ -213,14 +213,14 @@ def contdep_experiment(base: ProblemData, cfg: SolverConfig, which: str,
     perturbations.
     """
     if which not in ("g", "phi0", "phistar"):
-        raise ValueError(f"unknown perturbation target {which!r}")
+        raise ParamError(f"unknown perturbation target {which!r}")
     grid = base.grid
     X = grid.meshgrid()
     if which == "phi0" and base.bc.kind == "neumann":
         pert0 = shape(X, 0.0)
         if abs(grid.mean(pert0)) > 1e-10 * max(grid.l2_norm(pert0), 1e-300):
-            raise MeanError("zero-flux regime: phi0 perturbations must be "
-                            "mean-free")
+            raise ConfigError("zero-flux regime: phi0 perturbations must be "
+                              "mean-free")
     base_traj = run(base, cfg)
     times = [s.t for s in base_traj.snapshots]
     report = ContdepReport(which=which)

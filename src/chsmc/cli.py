@@ -66,10 +66,13 @@ not finite, and a key that the run does not read, in any section, are
 config errors.
 
 Exit codes: 0 ok, 2 config error (an ``--out`` that cannot be made a
-directory, and ``ode-oracle`` and ``design-rho`` flags that the formulas
-reject, such as a T/dt that overflows, included), 3 numerical failure (an
-eps whose 1/eps**3 overflows in the quartic resolvent, for one), 4
-verification failure.
+directory, a ``contdep`` phi0 perturbation that is not mean-free in the
+zero-flux regime, a ``sliding-check`` phistar where beta0 is not defined,
+and ``ode-oracle`` and ``design-rho`` flags that the formulas reject, such
+as a T/dt that overflows, included), 3 numerical failure (an eps whose
+1/eps**3 overflows in the quartic resolvent, for one), 4 verification
+failure.  A bad argument to the library raises a ``ParamError``, which is
+also a ``ValueError`` (see :mod:`chsmc.errors`).
 """
 
 from __future__ import annotations
@@ -82,8 +85,7 @@ import sys
 import numpy as np
 
 from . import analysis, potentials as pot, smc, solver
-from .errors import (ChsmcError, ConfigError, ParamError, RegimeError,
-                     VolumeError)
+from .errors import ChsmcError, ConfigError, ParamError, RegimeError
 from .grid import Grid, write_snapshot
 
 EXIT_OK = 0
@@ -420,6 +422,11 @@ def cmd_sliding_check(args) -> int:
     data, cfg, extras = load_config(args.config)
     if data.bc.kind != "dirichlet":
         raise RegimeError("sliding check needs the Dirichlet regime")
+    # the design needs beta0 bounded at the target; profiles ignore t
+    try:
+        pot.beta0(data.spec, data.phistar(data.grid.meshgrid(), 0.0))
+    except ParamError as exc:
+        raise ConfigError(f"bad value for [data] phistar: {exc}") from exc
     out = _outdir(args)
 
     from dataclasses import replace
@@ -509,7 +516,7 @@ def cmd_design_rho(args) -> int:
                                        args.tau, args.w0, args.T, args.vol)
         rho = 2.0 * design.rhostar
         design.choose_rho(rho)
-    except (ParamError, VolumeError) as exc:
+    except ParamError as exc:
         raise ConfigError(f"invalid flags: {exc}") from exc
     print(f"deltastar = {design.deltastar!r}")
     print(f"rhostar = {design.rhostar!r}")

@@ -28,7 +28,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import MeanError, ModeRangeError, SolveError
+from .errors import ParamError, SolveError
 
 
 @dataclass(frozen=True)
@@ -40,18 +40,18 @@ class Grid:
 
     def __post_init__(self):
         if not 1 <= len(self.shape) <= 3:
-            raise ValueError("dimension must be 1, 2 or 3")
+            raise ParamError("dimension must be 1, 2 or 3")
         if len(self.lengths) != len(self.shape):
-            raise ValueError("shape and lengths must agree in dimension")
+            raise ParamError("shape and lengths must agree in dimension")
         if any(n < 3 for n in self.shape):
-            raise ValueError("need at least 3 cells per axis")
+            raise ParamError("need at least 3 cells per axis")
         if not all(0 < L < np.inf for L in self.lengths):
-            raise ValueError("lengths must be positive and finite")
+            raise ParamError("lengths must be positive and finite")
         object.__setattr__(self, "shape", tuple(int(n) for n in self.shape))
         object.__setattr__(self, "lengths",
                            tuple(float(L) for L in self.lengths))
         if not all(0.0 < h * h < np.inf for h in self.h):
-            raise ValueError(f"lengths {self.lengths} give a cell width h "
+            raise ParamError(f"lengths {self.lengths} give a cell width h "
                              "whose h**2 is 0 or not finite")
         if not _dense_transforms(self.shape):
             # an FFT-path grid pays for the scipy.fft import here, not
@@ -211,7 +211,7 @@ def _transform_matrix(n: int, bc: str) -> np.ndarray:
 
 def _check_bc(bc: str) -> None:
     if bc not in ("neumann", "dirichlet"):
-        raise ValueError(f"unknown bc {bc!r}")
+        raise ParamError(f"unknown bc {bc!r}")
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -353,7 +353,7 @@ def inverse_neumann(grid: Grid, psi: np.ndarray) -> np.ndarray:
     diagonalization; requires mean(psi) = 0."""
     nrm = grid.l2_norm(psi)
     if abs(grid.mean(psi)) > 1e-10 * max(nrm, 1e-300):
-        raise MeanError("inverse_neumann needs a mean-free right-hand side")
+        raise ParamError("inverse_neumann needs a mean-free right-hand side")
     return apply_symbol(grid, psi, grid.inverse_eigenvalues("neumann"),
                         "neumann")
 
@@ -433,7 +433,7 @@ def neumann_eigenbasis(grid: Grid, n: int) -> NeumannEigenbasis:
     products of directly evaluated cosines; e_1 is 1/sqrt(|Omega|).
     Read-only (cached per n)."""
     if n < 1 or n > grid.ncells:
-        raise ModeRangeError(f"n must be in [1, {grid.ncells}]")
+        raise ParamError(f"n must be in [1, {grid.ncells}]")
 
     def build():
         lam = grid.eigenvalues("neumann").reshape(-1)
@@ -473,7 +473,7 @@ def read_snapshot(path):
     with open(path, "rb") as fh:
         header = fh.readline().decode("ascii").split()
         if not header or header[0] != "CHSMC1":
-            raise ValueError("not a CHSMC1 snapshot file")
+            raise ParamError("not a CHSMC1 snapshot file")
         dim = int(header[1])
         shape = tuple(int(v) for v in header[2:2 + dim])
         lengths = tuple(float(v) for v in header[2 + dim:2 + 2 * dim])

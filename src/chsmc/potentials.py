@@ -33,7 +33,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, ParamError
+from .errors import ParamError, SolveError
 
 _RESOLVENT_TOL = 1e-13
 _RESOLVENT_MAXITER = 100
@@ -77,7 +77,7 @@ def regular() -> PotentialSpec:
 def logarithmic(c1: float) -> PotentialSpec:
     """Logarithmic double well on (-1, 1) with f(0) = 0; requires c1 > 1."""
     if not 1.0 < c1 < np.inf:
-        raise ValueError("logarithmic potential requires finite c1 > 1")
+        raise ParamError("logarithmic potential requires finite c1 > 1")
     return PotentialSpec(
         kind="logarithmic",
         B=lambda r: _xlogx(1.0 + r) + _xlogx(1.0 - r),
@@ -93,7 +93,7 @@ def double_obstacle(c2: float) -> PotentialSpec:
     [-1, 1]; requires c2 > 0.  The minimal section is 0 on [-1, 1], the
     endpoints included, and the resolvent is the projection."""
     if not 0.0 < c2 < np.inf:
-        raise ValueError("obstacle potential requires finite c2 > 0")
+        raise ParamError("obstacle potential requires finite c2 > 0")
     return PotentialSpec(
         kind="obstacle", B=np.zeros_like, beta=np.zeros_like,
         beta_prime=np.zeros_like, pi=lambda r: -2.0 * c2 * r,
@@ -113,7 +113,7 @@ def custom(B, beta, pi, lo=-np.inf, hi=np.inf, lo_open=False, hi_open=False,
     B, beta, pi = (np.vectorize(f, otypes=[float]) for f in (B, beta, pi))
     if Pi is None:
         def Pi(r):
-            raise ValueError("custom potential needs an explicit Pi")
+            raise ParamError("custom potential needs an explicit Pi")
     else:
         Pi = np.vectorize(Pi, otypes=[float])
     h = 1e-6
@@ -142,7 +142,7 @@ def _check_domain(spec: PotentialSpec, arr: np.ndarray, closure: bool = True):
         if spec.hi_open:
             bad |= arr == hi
     if np.any(bad):
-        raise DomainError(
+        raise ParamError(
             f"value outside domain [{lo}, {hi}] of beta ({spec.kind})")
 
 
@@ -196,7 +196,7 @@ def _solve_monotone(g, gprime, a, b):
         x = np.where(done, x, np.where(inside, xn, 0.5 * (a + b)))
     else:
         if np.any(~done & (b - a > 1e-9)):
-            raise ConvergenceError("scalar resolvent solve did not converge")
+            raise SolveError("scalar resolvent solve did not converge")
     return np.clip(x, a, b)
 
 
@@ -232,7 +232,7 @@ def _resolvent_logarithmic(eps: float, arr: np.ndarray) -> np.ndarray:
     the tolerance; s is kept strictly inside (-1, 1).
     """
     if np.isnan(arr).any():
-        raise DomainError("resolvent input is NaN (logarithmic)")
+        raise ParamError("resolvent input is NaN (logarithmic)")
     a = np.abs(arr)
     with np.errstate(over="ignore"):
         y = np.maximum(0.5 * a / (0.5 + eps), (0.5 * a - 0.5) / eps)
@@ -246,14 +246,14 @@ def _resolvent_logarithmic(eps: float, arr: np.ndarray) -> np.ndarray:
             if np.all(half_sech2 * np.abs(step) <= 0.5 * _RESOLVENT_TOL):
                 break
         else:
-            raise ConvergenceError("logarithmic resolvent did not converge")
+            raise SolveError("logarithmic resolvent did not converge")
     return np.copysign(np.minimum(np.tanh(y), np.nextafter(1.0, 0.0)), arr)
 
 
 def _resolvent_generic(spec: PotentialSpec, eps: float,
                        arr: np.ndarray) -> np.ndarray:
     if np.isnan(arr).any():
-        raise DomainError(f"resolvent input is NaN ({spec.kind})")
+        raise ParamError(f"resolvent input is NaN ({spec.kind})")
 
     # every iterate lies in the bracket, inside the domain
     def g(s):
@@ -310,7 +310,7 @@ def resolvent(spec: PotentialSpec, eps: float, r):
     run on the built-in families as a cross-check.
     """
     if not eps > 0.0:
-        raise ValueError("eps must be positive")
+        raise ParamError("eps must be positive")
     arr = np.asarray(r, dtype=float)
     if spec.resolvent is None:
         return _resolvent_generic(spec, eps, arr)

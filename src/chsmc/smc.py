@@ -20,7 +20,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .errors import ParamError, VolumeError
+from .errors import ParamError
 
 
 @dataclass(frozen=True)
@@ -203,7 +203,7 @@ def design_parameters(Chat: float, Cstr: float, betastar: float, tau: float,
         raise ParamError("need Chat, betastar, w0 >= 0 and vol > 0")
     deltastar = abs((math.sqrt(1.0 + 4.0 / Cstr) - 1.0) / 2.0) ** 1.5
     if vol >= deltastar:
-        raise VolumeError(
+        raise ParamError(
             f"vol = {vol} >= deltastar = {deltastar}: gain design undefined")
     shape_factor = Cstr * vol ** (2.0 / 3.0) * (vol ** (2.0 / 3.0) + 1.0)
     rhostar = (Chat + betastar + tau * w0 / T) / (1.0 - shape_factor)

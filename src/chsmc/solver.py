@@ -36,7 +36,7 @@ import numpy as np
 
 from . import potentials as pot
 from . import smc
-from .errors import ConfigError, MissingDataError, NewtonError, SolveError
+from .errors import ConfigError, NewtonError, SolveError
 from .grid import (Grid, apply_symbol, harmonic_extension,
                    inverse_dirichlet, inverse_neumann, laplacian_neumann,
                    neumann_eigenbasis, pcg)
@@ -418,7 +418,7 @@ def step_galerkin_neumann(state: StateSnapshot, data: ProblemData,
 def assemble_G_eps(state: StateSnapshot, data: ProblemData) -> np.ndarray:
     """Comparison drift G = mu + g - pi(phi) - tau*d_t phistar - Lap phistar."""
     if data.dphistar_dt is None or data.lap_phistar is None:
-        raise MissingDataError(
+        raise ConfigError(
             "assemble_G_eps needs dphistar_dt and lap_phistar")
     X = data.grid.meshgrid()
     return (state.mu + data.g(X, state.t) - data.spec.pi(state.phi)
@@ -504,7 +504,7 @@ def run(data: ProblemData, cfg: SolverConfig) -> Trajectory:
     if cfg.dt * rho > data.tau * s_eps:
         warnings.warn(
             "explicit control term is stiff: dt*rho/(tau*eps) = "
-            f"{cfg.dt * rho / data.tau / s_eps:.2f} > 1", stacklevel=2)
+            f"{cfg.dt * rho / data.tau / s_eps:.3g} > 1", stacklevel=2)
 
     out_times = cfg.output_times
     if out_times is None:

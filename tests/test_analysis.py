@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from chsmc import analysis, potentials as pot, solver
-from chsmc.errors import MeanError, MissingDataError, ParamError, RegimeError
+from chsmc.errors import ConfigError, ParamError, RegimeError
 from chsmc.grid import Grid
 
 from conftest import neumann_problem, dirichlet_problem
@@ -118,7 +118,7 @@ def test_comparison_bound_reads_rho_and_tau_from_the_run(rho, tau, margin):
 
 def test_measure_drift_requires_diagnostics():
     traj = synthetic_trajectory([0.0, 0.1], [1.0, 0.9])
-    with pytest.raises(MissingDataError):
+    with pytest.raises(ConfigError, match="no drift diagnostics"):
         analysis.measure_comparison_drift(traj)
 
 
@@ -167,7 +167,7 @@ def test_contdep_rejects_unknown_target():
 def test_contdep_rejects_non_mean_free_phi0():
     data, cfg = contdep_setup()
     shape = lambda X, t: np.ones_like(X[0])
-    with pytest.raises(MeanError):
+    with pytest.raises(ConfigError, match="must be mean-free"):
         analysis.contdep_experiment(data, cfg, "phi0", shape, [0.1])
 
 

@@ -314,17 +314,21 @@ def test_eps_whose_reciprocal_overflows_is_a_numerical_failure(tmp_path,
         "numerical failure: eps = 5e-324 is too small")
 
 
-def test_sliding_check_achieves_sliding_on_shortened_reference(tmp_path,
-                                                               capsys):
-    """The shipped sliding config, on 32 cells with eps = 1e-2 for both
-    regularizations and T = 0.05, passes; the main run takes the steps
-    that sliding-check caps at 0.3*eps*tau/rho."""
+def shortened_sliding_reference():
+    """The shipped sliding config on 32 cells, with eps = 1e-2 for both
+    regularizations and T = 0.05."""
     with open(SLIDING_REFERENCE) as fh:
-        text = (fh.read().replace("cells = 128", "cells = 32")
+        return (fh.read().replace("cells = 128", "cells = 32")
                 .replace("eps = 1e-3", "eps = 1e-2")
                 .replace("T = 1.0", "T = 0.05"))
+
+
+def test_sliding_check_achieves_sliding_on_shortened_reference(tmp_path,
+                                                               capsys):
+    """The shortened reference passes; the main run takes the steps that
+    sliding-check caps at 0.3*eps*tau/rho."""
     path = tmp_path / "sliding.ini"
-    path.write_text(text)
+    path.write_text(shortened_sliding_reference())
     out = tmp_path / "s"
     code = cli.main(["sliding-check", "--config", str(path),
                      "--out", str(out)])
@@ -348,6 +352,42 @@ def test_sliding_check_on_a_zero_flux_config_is_a_regime_error(
     assert code == cli.EXIT_CONFIG
     assert capsys.readouterr() == (
         "", "regime error: sliding check needs the Dirichlet regime\n")
+
+
+def test_sliding_check_rejects_a_target_outside_the_domain_of_beta0(
+        tmp_path, capsys, monkeypatch):
+    """beta0 of the logarithmic potential is unbounded at phistar = 1, so
+    the gain design is undefined: exit 2 before the calibration run, with
+    no output written."""
+    text = (shortened_sliding_reference()
+            .replace("kind = regular", "kind = logarithmic\nc1 = 1.5")
+            .replace("phistar = constant value=0.2",
+                     "phistar = constant value=1"))
+    path = tmp_path / "sliding.ini"
+    path.write_text(text)
+    monkeypatch.setattr(cli.analysis, "run_sliding_experiment",
+                        lambda *a, **kw: pytest.fail("calibration ran"))
+    code = cli.main(["sliding-check", "--config", str(path),
+                     "--out", str(tmp_path / "s")])
+    assert code == cli.EXIT_CONFIG
+    assert capsys.readouterr() == (
+        "", "config error: bad value for [data] phistar: value outside "
+        "domain [-1.0, 1.0] of beta (logarithmic)\n")
+    assert not (tmp_path / "s").exists()
+
+
+def test_sliding_check_accepts_a_target_on_a_closed_endpoint(tmp_path):
+    """beta0 of the obstacle potential is 0 on [-1, 1], endpoints
+    included, so phistar = 1 is a valid target."""
+    text = (shortened_sliding_reference()
+            .replace("kind = regular", "kind = obstacle\nc2 = 0.5")
+            .replace("phistar = constant value=0.2",
+                     "phistar = constant value=1"))
+    path = tmp_path / "sliding.ini"
+    path.write_text(text)
+    code = cli.main(["sliding-check", "--config", str(path), "--quiet",
+                     "--out", str(tmp_path / "s")])
+    assert code == cli.EXIT_OK
 
 
 def test_verify_all_exits_4_when_a_check_fails(neumann_config, tmp_path,
@@ -962,3 +1002,21 @@ def test_contdep_command(tmp_path, neumann_config, capsys):
     lines = (out / "contdep.csv").read_text().splitlines()
     assert lines[0] == "delta,lhs,rhs,ratio"
     assert len(lines) == 3
+
+
+def test_contdep_phi0_perturbation_that_is_not_mean_free_exits_2(tmp_path,
+                                                                 capsys):
+    """A zero-flux run conserves the mean, so a phi0 perturbation with a
+    mean is a config error, not a numerical failure."""
+    with open(os.path.join(CONFIGS, "contdep_g.ini")) as fh:
+        text = (fh.read().replace("which = g", "which = phi0")
+                .replace("shape = cosine amplitude=1 mode=1",
+                         "shape = constant value=1"))
+    path = tmp_path / "cd.ini"
+    path.write_text(text)
+    code = cli.main(["contdep", "--config", str(path), "--quiet",
+                     "--out", str(tmp_path / "cdout")])
+    assert code == cli.EXIT_CONFIG
+    assert capsys.readouterr() == (
+        "", "config error: zero-flux regime: phi0 perturbations must be "
+        "mean-free\n")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from chsmc import grid as gr
-from chsmc.errors import MeanError, ModeRangeError, SolveError
+from chsmc.errors import ParamError, SolveError
 from chsmc.grid import Grid
 
 from conftest import laplacian_dirichlet
@@ -180,7 +180,7 @@ def test_inverse_neumann_paths_agree(grid1d):
 
 
 def test_inverse_neumann_rejects_nonzero_mean(grid1d):
-    with pytest.raises(MeanError):
+    with pytest.raises(ParamError, match="mean-free right-hand side"):
         gr.inverse_neumann(grid1d, np.ones(grid1d.shape))
 
 
@@ -453,9 +453,9 @@ def test_neumann_eigenbasis_roundtrip(grid1d):
 
 
 def test_neumann_eigenbasis_range_checks(grid1d):
-    with pytest.raises(ModeRangeError):
+    with pytest.raises(ParamError, match=r"n must be in \[1, "):
         gr.neumann_eigenbasis(grid1d, 0)
-    with pytest.raises(ModeRangeError):
+    with pytest.raises(ParamError, match=r"n must be in \[1, "):
         gr.neumann_eigenbasis(grid1d, grid1d.ncells + 1)
 
 

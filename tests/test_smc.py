@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chsmc import smc
-from chsmc.errors import ParamError, VolumeError
+from chsmc.errors import ParamError
 
 
 # -- sign nonlinearity -----------------------------------------------------
@@ -162,7 +162,7 @@ def test_integrator_distance_to_limit_shrinks_with_eps():
 
 
 def test_design_rejects_large_volume():
-    with pytest.raises(VolumeError):
+    with pytest.raises(ParamError, match="gain design undefined"):
         smc.design_parameters(Chat=1.0, Cstr=1.0, betastar=0.0, tau=1.0,
                               w0=1.0, T=1.0, vol=1.0)
 

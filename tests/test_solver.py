@@ -5,8 +5,7 @@ import pytest
 
 from chsmc import potentials as pot
 from chsmc import smc, solver
-from chsmc.errors import (ConfigError, MissingDataError, ModeRangeError,
-                          NewtonError)
+from chsmc.errors import ConfigError, NewtonError, ParamError
 from chsmc.grid import (Grid, harmonic_extension, laplacian_neumann,
                         pcg)
 
@@ -115,7 +114,7 @@ def test_galerkin_needs_modes():
     data = neumann_problem(grid, pot.regular(), grid.zeros())
     cfg = solver.SolverConfig(eps=1e-2, dt=1e-3, T=1e-3,
                               scheme="galerkin_neumann")
-    with pytest.raises(ModeRangeError):
+    with pytest.raises(ParamError, match=r"n must be in \[1, "):
         solver.run(data, cfg)
 
 
@@ -139,6 +138,19 @@ def test_stiffness_warning_when_tau_eps_underflows():
                               scheme="coupled_neumann")
     with pytest.warns(UserWarning, match="= inf > 1"):
         solver.run(data, cfg)
+
+
+def test_stiffness_warning_prints_a_huge_ratio_in_three_digits():
+    """A ratio of about 1.2e298 prints as 1.2e+298, not as its 299
+    digits."""
+    grid = small_grid()
+    data = neumann_problem(grid, pot.regular(), grid.zeros(), rho=1.2e299,
+                           eps=1e-2)
+    cfg = solver.SolverConfig(eps=1e-2, dt=1e-3, T=0.0,
+                              scheme="coupled_neumann")
+    with pytest.warns(UserWarning, match=r"= 1\.2e\+298 > 1$") as record:
+        solver.run(data, cfg)
+    assert len(str(record[0].message)) < 100
 
 
 # -- linear exactness -----------------------------------------------------
@@ -705,7 +717,8 @@ def test_assemble_G_eps_requires_target_derivatives():
     cfg = solver.SolverConfig(eps=1e-2, dt=1e-3, T=0.0,
                               scheme="coupled_neumann")
     state = solver._initial_snapshot(data, cfg)
-    with pytest.raises(MissingDataError):
+    with pytest.raises(ConfigError,
+                       match="needs dphistar_dt and lap_phistar"):
         solver.assemble_G_eps(state, data)
 
 
