@@ -991,6 +991,37 @@ def test_design_rho_volume_failure(capsys):
     assert "vol = 50.0 >= deltastar" in err
 
 
+_README_DESIGN = ["--Chat", "0.5", "--Cstr", "0.7", "--betastar", "0.2",
+                  "--w0", "1", "--vol", "0.1"]
+
+
+def _flags(**changed):
+    flags = list(_README_DESIGN)
+    for key, val in changed.items():
+        flags[flags.index(f"--{key}") + 1] = val
+    return flags
+
+
+@pytest.mark.parametrize("flags,code,out,err", [
+    (_README_DESIGN, 0,
+     "deltastar = 0.7096425623889668\n"
+     "rhostar = 2.081551642820257\n"
+     "example rho = 2*rhostar = 4.163103285640514: "
+     "M = 1.4631032856405144, T* = 0.37037037037037035\n", ""),
+    # rhostar = 0 admits no gain rho > rhostar with T* < T
+    (_flags(Chat="0", betastar="0", w0="0"), 2, "",
+     "config error: invalid flags: need rho > rhostar = 0.0\n"),
+    (_flags(vol="50"), 2, "",
+     "config error: invalid flags: vol = 50.0 >= deltastar = "
+     "0.7096425623889668: gain design undefined\n"),
+    (_flags(Cstr="0"), 2, "",
+     "config error: invalid flags: need Cstr, tau, T > 0\n"),
+], ids=["readme", "rhostar-0", "vol-50", "Cstr-0"])
+def test_design_rho_prints_exactly(capsys, flags, code, out, err):
+    assert cli.main(["design-rho"] + flags) == code
+    assert capsys.readouterr() == (out, err)
+
+
 def test_contdep_command(tmp_path, neumann_config, capsys):
     path = tmp_path / "cd.ini"
     path.write_text(NEUMANN_CONFIG + "\n[contdep]\nwhich = g\n"
