@@ -126,9 +126,10 @@ def measure_comparison_drift(traj: Trajectory) -> float:
 def run_sliding_experiment(make_data: Callable[[float], ProblemData],
                            make_cfg: Callable[[float], SolverConfig],
                            T: float, tau: float,
-                           rho_margin: float = 2.0):
-    """Calibration run (gain 0) -> measured drift -> designed gain ->
-    main run -> sliding detection at :func:`default_tol_slide` and
+                           rho_margin: float = smc.RHO_MARGIN):
+    """Calibration run (gain 0) -> measured drift M -> designed gain
+    rho = rho_margin*(M + tau*w0/T), ``smc.RHO_MARGIN`` times by default
+    -> main run -> sliding detection at :func:`default_tol_slide` and
     comparison bound.
 
     ``make_data(rho)``/``make_cfg(rho)`` build the problem for a given
@@ -201,6 +202,19 @@ def _solution_distance(traj1: Trajectory, traj2: Trajectory) -> float:
     return sup_h + float(np.sqrt(acc))
 
 
+def check_perturbation(base: ProblemData, which: str, shape: Callable):
+    """Reject an unknown target (ParamError) and, as a zero-flux run keeps
+    its mean, a zero-flux phi0 perturbation with a mean (ConfigError)."""
+    grid = base.grid
+    if which not in ("g", "phi0", "phistar"):
+        raise ParamError(f"unknown perturbation target {which!r}")
+    if which == "phi0" and base.bc.kind == "neumann":
+        pert0 = shape(grid.meshgrid(), 0.0)
+        if abs(grid.mean(pert0)) > 1e-10 * max(grid.l2_norm(pert0), 1e-300):
+            raise ConfigError("zero-flux regime: phi0 perturbations must be "
+                              "mean-free")
+
+
 def contdep_experiment(base: ProblemData, cfg: SolverConfig, which: str,
                        shape: Callable, deltas: Sequence[float]
                        ) -> ContdepReport:
@@ -209,18 +223,10 @@ def contdep_experiment(base: ProblemData, cfg: SolverConfig, which: str,
     ``which`` is "g", "phi0" or "phistar"; ``shape`` maps (X, t) to the
     unit perturbation field.  The right-hand side uses the L2(0,T;L2)
     norm for g, the L2 norm for phi0 and the square root of the
-    L2(0,T;L2) norm for phistar.  Zero-flux runs require mean-free phi0
-    perturbations.
+    L2(0,T;L2) norm for phistar; :func:`check_perturbation` applies.
     """
-    if which not in ("g", "phi0", "phistar"):
-        raise ParamError(f"unknown perturbation target {which!r}")
+    check_perturbation(base, which, shape)
     grid = base.grid
-    X = grid.meshgrid()
-    if which == "phi0" and base.bc.kind == "neumann":
-        pert0 = shape(X, 0.0)
-        if abs(grid.mean(pert0)) > 1e-10 * max(grid.l2_norm(pert0), 1e-300):
-            raise ConfigError("zero-flux regime: phi0 perturbations must be "
-                              "mean-free")
     base_traj = run(base, cfg)
     times = [s.t for s in base_traj.snapshots]
     report = ContdepReport(which=which)

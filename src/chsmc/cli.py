@@ -258,12 +258,14 @@ def _profile_on(lengths, samples):
     return cast
 
 
-# The optional sections: key -> (cast, default text).  The designed gain
+# The optional sections: key -> (cast, default text; None casts to a
+# profile on the cells).  The designed gain
 # rho = rho_margin*(M + tau*w0/T) must exceed the drift bound M.
 _OPTIONAL_SECTIONS = {
-    "experiment": {"rho_margin": (_number_above(1.0), "2.0")},
+    "experiment": {"rho_margin": (_number_above(1.0),
+                                  repr(smc.RHO_MARGIN))},
     "contdep": {"which": (_one_of("g", "phi0", "phistar"), "g"),
-                "shape": (str, "cosine amplitude=1 mode=1"),
+                "shape": (None, "cosine amplitude=1 mode=1"),
                 "deltas": (_list_of(_number_above(0.0)), "1e-1,1e-2,1e-3")},
 }
 
@@ -283,9 +285,10 @@ def load_config(path):
     """Parse a config file into (ProblemData, SolverConfig, extras).
 
     ``extras`` maps "experiment" and "contdep" to every key of that
-    optional section, cast and checked, a key the config does not set
-    taking its default.  A key that the run does not read (a misspelt
-    name, a ``c1`` for a regular potential) is a config error.
+    optional section, cast and checked (the contdep ``shape`` to its
+    profile), a key the config does not set taking its default.  A key
+    that the run does not read (a misspelt name, a ``c1`` for a regular
+    potential) is a config error.
     """
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
@@ -373,11 +376,9 @@ def load_config(path):
         raise ConfigError(f"scheme {scheme!r} incompatible with bc "
                           f"{bc_kind!r}")
 
-    extras = {section: {key: _get(cp, section, key, cast, default)
-                        for key, (cast, default) in keys.items()}
+    extras = {section: {key: _get(cp, section, key, cast or on_cells, dflt)
+                        for key, (cast, dflt) in keys.items()}
               for section, keys in _OPTIONAL_SECTIONS.items()}
-    # extras keep the text of the shape; check its profile like the others
-    _get(cp, "contdep", "shape", on_cells, extras["contdep"]["shape"])
     cp.check_all_read()
     return data, cfg, extras
 
@@ -469,11 +470,11 @@ def cmd_sliding_check(args) -> int:
 
 def cmd_contdep(args) -> int:
     data, cfg, extras = load_config(args.config)
-    out = _outdir(args)
     cd = extras["contdep"]
     which = cd["which"]
-    shape = parse_profile(cd["shape"], data.grid.lengths)
-    report = analysis.contdep_experiment(data, cfg, which, shape,
+    analysis.check_perturbation(data, which, cd["shape"])
+    out = _outdir(args)
+    report = analysis.contdep_experiment(data, cfg, which, cd["shape"],
                                          cd["deltas"])
     path = os.path.join(out, "contdep.csv")
     with open(path, "w") as fh:
@@ -514,14 +515,12 @@ def cmd_design_rho(args) -> int:
     try:
         design = smc.design_parameters(args.Chat, args.Cstr, args.betastar,
                                        args.tau, args.w0, args.T, args.vol)
-        rho = 2.0 * design.rhostar
-        design.choose_rho(rho)
     except ParamError as exc:
         raise ConfigError(f"invalid flags: {exc}") from exc
     print(f"deltastar = {design.deltastar!r}")
     print(f"rhostar = {design.rhostar!r}")
-    print(f"example rho = 2*rhostar = {rho!r}: M = {design.M!r}, "
-          f"T* = {design.Tstar!r}")
+    print(f"example rho = {smc.RHO_MARGIN:g}*rhostar = {design.rho!r}: "
+          f"M = {design.M!r}, T* = {design.Tstar!r}")
     return EXIT_OK
 
 

@@ -8,7 +8,8 @@ comparison problem
 
 dominates the sup-distance to the target; its limit solution is the affine
 decay (w0 - (rho - M) t / tau)^+ which vanishes after
-T* = tau * w0 / (rho - M).
+T* = tau * w0 / (rho - M).  The gain design is one pure function,
+:func:`design_parameters`, with a frozen :class:`SlidingDesign` result.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator
 
 import numpy as np
 
@@ -151,51 +152,32 @@ def sliding_time(w0: float, M: float, rho: float, tau: float) -> float:
     return tau * w0 / (rho - M)
 
 
-@dataclass
+# Designed gain over its threshold (rhostar, or M + tau*w0/T by default)
+RHO_MARGIN = 2.0
+
+
+@dataclass(frozen=True)
 class SlidingDesign:
-    """Parameter ledger of the gain-design procedure.
+    """Volume threshold, minimal gain, design gain RHO_MARGIN*rhostar,
+    and the drift M and reaching-time bound Tstar at the design gain."""
 
-    ``M`` depends on the eventually chosen gain; call :meth:`choose_rho`
-    to fill in ``rho``, ``M`` and ``Tstar``.
-    """
-
-    Chat: float
-    Cstr: float
-    betastar: float
-    tau: float
-    w0: float
-    T: float
-    vol: float
     deltastar: float
     rhostar: float
-    shape_factor: float  # Cstr * vol^{2/3} * (vol^{2/3} + 1)
-    rho: Optional[float] = None
-    M: Optional[float] = None
-    Tstar: Optional[float] = None
-
-    def M_of(self, rho: float) -> float:
-        """Comparison drift for gain rho."""
-        return self.shape_factor * rho + self.Chat + self.betastar
-
-    def choose_rho(self, rho: float) -> "SlidingDesign":
-        """Fix the gain; requires rho > rhostar so that T* < T."""
-        if not rho > self.rhostar:
-            raise ParamError(f"need rho > rhostar = {self.rhostar}")
-        M = self.M_of(rho)
-        self.rho = rho
-        self.M = M
-        self.Tstar = sliding_time(self.w0, M, rho, self.tau)
-        return self
+    rho: float
+    M: float
+    Tstar: float
 
 
 def design_parameters(Chat: float, Cstr: float, betastar: float, tau: float,
                       w0: float, T: float, vol: float) -> SlidingDesign:
-    """Volume threshold, minimal gain and drift law for the sliding design.
+    """The sliding design at gain rho = RHO_MARGIN*rhostar.
 
     deltastar = |(sqrt(1 + 4/Cstr) - 1)/2|^{3/2} is the largest admissible
-    volume; below it the denominator 1 - Cstr*vol^{2/3}(vol^{2/3}+1) is
-    positive and rhostar = (Chat + betastar + tau*w0/T) / denominator.
-    Any rho > rhostar then satisfies rho > M(rho) + tau*w0/T.
+    volume; below it the shape factor s = Cstr*vol^{2/3}(vol^{2/3} + 1) is
+    below 1 and rhostar = (Chat + betastar + tau*w0/T) / (1 - s).  Any
+    rho > rhostar satisfies rho > M + tau*w0/T for the drift
+    M = s*rho + Chat + betastar, so T* = tau*w0/(rho - M) < T.  There is
+    no such rho when rhostar is 0 or not finite: ParamError.
     """
     if not Cstr > 0.0 or not tau > 0.0 or not T > 0.0:
         raise ParamError("need Cstr, tau, T > 0")
@@ -207,6 +189,9 @@ def design_parameters(Chat: float, Cstr: float, betastar: float, tau: float,
             f"vol = {vol} >= deltastar = {deltastar}: gain design undefined")
     shape_factor = Cstr * vol ** (2.0 / 3.0) * (vol ** (2.0 / 3.0) + 1.0)
     rhostar = (Chat + betastar + tau * w0 / T) / (1.0 - shape_factor)
-    return SlidingDesign(Chat=Chat, Cstr=Cstr, betastar=betastar, tau=tau,
-                         w0=w0, T=T, vol=vol, deltastar=deltastar,
-                         rhostar=rhostar, shape_factor=shape_factor)
+    rho = RHO_MARGIN * rhostar
+    if not rho > rhostar:
+        raise ParamError(f"need rho > rhostar = {rhostar}")
+    M = shape_factor * rho + Chat + betastar
+    return SlidingDesign(deltastar=deltastar, rhostar=rhostar, rho=rho, M=M,
+                         Tstar=sliding_time(w0, M, rho, tau))

@@ -500,11 +500,16 @@ def run(data: ProblemData, cfg: SolverConfig) -> Trajectory:
         raise ConfigError(
             f"scheme {cfg.scheme} incompatible with bc {data.bc.kind}")
     rho, s_eps = data.control.rho, data.control.eps
-    # no division in the test: tau*eps may underflow to 0
-    if cfg.dt * rho > data.tau * s_eps:
-        warnings.warn(
-            "explicit control term is stiff: dt*rho/(tau*eps) = "
-            f"{cfg.dt * rho / data.tau / s_eps:.3g} > 1", stacklevel=2)
+    # no division in the test: tau*eps may underflow to 0.  stiff/scale
+    # rounds above 1 where scale > 0; print the fewest digits, from 3,
+    # that still read above 1
+    stiff, scale = cfg.dt * rho, data.tau * s_eps
+    if stiff > scale:
+        ratio = stiff / scale if scale > 0.0 else stiff / data.tau / s_eps
+        text = next(t for t in (f"{ratio:.{p}g}" for p in range(3, 18))
+                    if float(t) > 1.0)
+        warnings.warn("explicit control term is stiff: dt*rho/(tau*eps) = "
+                      f"{text} > 1", stacklevel=2)
 
     out_times = cfg.output_times
     if out_times is None:

@@ -177,10 +177,13 @@ def test_load_config(neumann_config):
     assert cfg.scheme == "coupled_neumann"
     assert cfg.T == 0.01
     assert len(cfg.output_times) == 3
+    # the default shape, cosine amplitude=1 mode=1, cast to its profile
+    X = data.grid.meshgrid()
+    shape = extras["contdep"].pop("shape")
+    np.testing.assert_allclose(shape(X, 0.0), np.cos(np.pi * X[0]))
     assert extras == {
         "experiment": {"rho_margin": 2.0},
-        "contdep": {"which": "g", "shape": "cosine amplitude=1 mode=1",
-                    "deltas": [1e-1, 1e-2, 1e-3]}}
+        "contdep": {"which": "g", "deltas": [1e-1, 1e-2, 1e-3]}}
 
 
 def test_load_config_missing_key_names_it(tmp_path):
@@ -637,12 +640,15 @@ def test_load_config_types_experiment_and_contdep_values(tmp_path):
     path = tmp_path / "run.ini"
     path.write_text(DIRICHLET_CONFIG + "\n[experiment]\nrho_margin = 3\n"
                     "\n[contdep]\nwhich = phistar\n"
+                    "shape = ramp slope=2 offset=1\n"
                     "deltas = 1e-1, 1e-2\n")
-    _, _, extras = cli.load_config(str(path))
+    data, _, extras = cli.load_config(str(path))
+    X = data.grid.meshgrid()
+    shape = extras["contdep"].pop("shape")
+    np.testing.assert_array_equal(shape(X, 0.0), 2.0 * X[0] + 1.0)
     assert extras == {
         "experiment": {"rho_margin": 3.0},
-        "contdep": {"which": "phistar", "shape": "cosine amplitude=1 mode=1",
-                    "deltas": [1e-1, 1e-2]}}
+        "contdep": {"which": "phistar", "deltas": [1e-1, 1e-2]}}
 
 
 PROPERTY_CONFIG = """\
@@ -974,23 +980,6 @@ def test_ode_oracle_output(capsys):
         assert all(repr(float(v)) == v for v in row.split(","))
 
 
-def test_design_rho_output(capsys):
-    code = cli.main(["design-rho", "--Chat", "0.5", "--Cstr", "0.7",
-                     "--betastar", "0.2", "--w0", "1", "--vol", "0.1"])
-    assert code == 0
-    out = capsys.readouterr().out
-    assert "rhostar" in out and "deltastar" in out
-
-
-def test_design_rho_volume_failure(capsys):
-    code = cli.main(["design-rho", "--Chat", "0.5", "--Cstr", "0.7",
-                     "--betastar", "0.2", "--w0", "1", "--vol", "50"])
-    assert code == cli.EXIT_CONFIG
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert "vol = 50.0 >= deltastar" in err
-
-
 _README_DESIGN = ["--Chat", "0.5", "--Cstr", "0.7", "--betastar", "0.2",
                   "--w0", "1", "--vol", "0.1"]
 
@@ -1051,3 +1040,5 @@ def test_contdep_phi0_perturbation_that_is_not_mean_free_exits_2(tmp_path,
     assert capsys.readouterr() == (
         "", "config error: zero-flux regime: phi0 perturbations must be "
         "mean-free\n")
+    # the check comes before the output directory is made
+    assert not (tmp_path / "cdout").exists()

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 from collections.abc import Iterator
 
@@ -176,17 +177,27 @@ def test_design_volume_threshold_formula():
 
 
 def test_design_gain_satisfies_reaching_condition():
+    Chat, Cstr, betastar, tau, w0, T, vol = 0.5, 0.7, 0.2, 1.0, 1.0, 2.0, 0.1
+    design = smc.design_parameters(Chat=Chat, Cstr=Cstr, betastar=betastar,
+                                   tau=tau, w0=w0, T=T, vol=vol)
+    assert vol < design.deltastar
+    assert design.rho == smc.RHO_MARGIN * design.rhostar > design.rhostar
+    # the design gain dominates the drift plus the horizon requirement
+    assert design.rho > design.M + tau * w0 / T
+    assert design.Tstar < T
+    v23 = vol ** (2.0 / 3.0)
+    assert design.M == pytest.approx(Cstr * v23 * (v23 + 1.0) * design.rho
+                                     + Chat + betastar)
+    assert design.Tstar == smc.sliding_time(w0, design.M, design.rho, tau)
+
+
+def test_design_is_a_frozen_result_of_five_numbers():
     design = smc.design_parameters(Chat=0.5, Cstr=0.7, betastar=0.2,
                                    tau=1.0, w0=1.0, T=2.0, vol=0.1)
-    assert design.vol < design.deltastar
-    rho = 2.0 * design.rhostar
-    design.choose_rho(rho)
-    # the chosen gain dominates the drift plus the horizon requirement
-    assert rho > design.M + design.tau * design.w0 / design.T
-    assert design.Tstar < design.T
-    assert design.M == pytest.approx(design.M_of(rho))
-    with pytest.raises(ParamError):
-        design.choose_rho(0.5 * design.rhostar)
+    assert [f.name for f in dataclasses.fields(design)] == [
+        "deltastar", "rhostar", "rho", "M", "Tstar"]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        design.rho = 1.0
 
 
 def test_design_parameter_validation():
@@ -196,3 +207,7 @@ def test_design_parameter_validation():
     with pytest.raises(ParamError):
         smc.design_parameters(Chat=-1.0, Cstr=1.0, betastar=0.0, tau=1.0,
                               w0=1.0, T=1.0, vol=0.1)
+    # rhostar = 0: no gain rho > rhostar exists
+    with pytest.raises(ParamError, match="need rho > rhostar = 0.0"):
+        smc.design_parameters(Chat=0.0, Cstr=0.7, betastar=0.0, tau=1.0,
+                              w0=0.0, T=1.0, vol=0.1)

@@ -140,6 +140,17 @@ def test_stiffness_warning_when_tau_eps_underflows():
         solver.run(data, cfg)
 
 
+def test_stiffness_warning_never_prints_a_ratio_at_or_below_1():
+    """A ratio of 1.0004 takes five digits: three would read 1 > 1."""
+    grid = small_grid()
+    data = neumann_problem(grid, pot.regular(), grid.zeros(), rho=1.0004,
+                           eps=1e-3)
+    cfg = solver.SolverConfig(eps=1e-2, dt=1e-3, T=0.0,
+                              scheme="coupled_neumann")
+    with pytest.warns(UserWarning, match=r"= 1\.0004 > 1$"):
+        solver.run(data, cfg)
+
+
 def test_stiffness_warning_prints_a_huge_ratio_in_three_digits():
     """A ratio of about 1.2e298 prints as 1.2e+298, not as its 299
     digits."""
