@@ -22,6 +22,7 @@ transform basis).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
@@ -126,20 +127,23 @@ class Grid:
 
     # -- quadrature and norms ------------------------------------------
 
+    # The reductions here and in pcg are ndarray methods: the same ufunc
+    # reduce as np.sum and np.max, without their Python wrappers.
+
     def mean(self, u: np.ndarray) -> float:
-        return float(np.sum(u)) * self.cell_volume / self.volume
+        return float(u.sum()) * self.cell_volume / self.volume
 
     def integral(self, u: np.ndarray) -> float:
-        return float(np.sum(u)) * self.cell_volume
+        return float(u.sum()) * self.cell_volume
 
     def l2_norm(self, u: np.ndarray) -> float:
-        return float(np.sqrt(np.sum(u * u) * self.cell_volume))
+        return math.sqrt((u * u).sum() * self.cell_volume)
 
     def inner(self, u: np.ndarray, v: np.ndarray) -> float:
-        return float(np.sum(u * v) * self.cell_volume)
+        return float((u * v).sum() * self.cell_volume)
 
     def sup_norm(self, u: np.ndarray) -> float:
-        return float(np.max(np.abs(u)))
+        return float(np.abs(u).max())
 
     def gradient_energy(self, u: np.ndarray) -> float:
         """Integral of |grad u|^2 by interior face differences: the exact
@@ -149,7 +153,7 @@ class Grid:
             h = self.h[axis]
             v = np.moveaxis(u, axis, 0)
             d = (v[1:] - v[:-1]) / h
-            total += float(np.sum(d * d))
+            total += float((d * d).sum())
         return total * self.cell_volume
 
     # -- spectral data -------------------------------------------------
@@ -234,8 +238,8 @@ def _second_difference(u: np.ndarray, h: float, axis: int) -> np.ndarray:
 
 def laplacian_neumann(grid: Grid, u: np.ndarray) -> np.ndarray:
     """Zero-flux Laplacian; its discrete integral telescopes to zero."""
-    out = np.zeros_like(u)
-    for axis in range(grid.dim):
+    out = _second_difference(u, grid.h[0], 0)
+    for axis in range(1, grid.dim):
         out += _second_difference(u, grid.h[axis], axis)
     return out
 
@@ -317,28 +321,28 @@ def pcg(apply_A: Callable, b: np.ndarray, precond: Callable, rtol: float,
     """
     x = np.zeros_like(b)
     r = b.copy()
-    bnorm = np.sqrt(np.sum(b * b))
+    bnorm = math.sqrt((b * b).sum())
     stop = max(rtol * bnorm, atol)
     if bnorm <= stop:
         return x
     z = precond(r)
-    rz = np.sum(r * z)
+    rz = (r * z).sum()
     p = z.copy()
     for _ in range(_CG_MAXITER):
         if not (np.isfinite(rz) and rz > 0.0):
             raise SolveError(f"CG breakdown: r.z = {rz:.3e}")
         Ap = apply_A(p)
-        pAp = np.sum(p * Ap)
+        pAp = (p * Ap).sum()
         if not (np.isfinite(pAp) and pAp > 0.0):
             raise SolveError(f"CG breakdown: p.Ap = {pAp:.3e}; the "
                              "operator is not positive definite")
         alpha = rz / pAp
         x += alpha * p
         r -= alpha * Ap
-        if np.sqrt(np.sum(r * r)) <= stop:
+        if math.sqrt((r * r).sum()) <= stop:
             return x
         z = precond(r)
-        rz_new = np.sum(r * z)
+        rz_new = (r * z).sum()
         p = z + (rz_new / rz) * p
         rz = rz_new
     raise SolveError(
@@ -395,11 +399,21 @@ def harmonic_extension(grid: Grid, datum: Callable, t: float) -> np.ndarray:
     values broadcastable to ``X[0]``.  Each face enters the cell next to
     it through the odd-reflection ghost as 2*datum/h^2.  Satisfies the
     discrete maximum principle: values lie within the range of the datum.
+
+    The grid keeps the bytes of the last right-hand side and its solve,
+    so a datum that gives the same boundary values as the previous call
+    (one that ignores t, say) is not solved again; the result is
+    read-only.
     """
     rhs = grid.zeros()
     for axis, X, cells in grid.boundary_sides():
         rhs[cells] += 2.0 * datum(X, t) / grid.h[axis] ** 2
-    return inverse_dirichlet(grid, rhs)
+    key = rhs.tobytes()
+    last = grid.__dict__.get("_harmonic")
+    if last is None or last[0] != key:
+        last = grid.__dict__["_harmonic"] = (
+            key, _read_only(inverse_dirichlet(grid, rhs)))
+    return last[1]
 
 
 # -- Neumann eigenbasis ------------------------------------------------

@@ -323,6 +323,14 @@ def beta_eps(spec: PotentialSpec, eps: float, r):
     return (arr - resolvent(spec, eps, arr)) / eps
 
 
+def _clip_to_domain(spec: PotentialSpec, s: np.ndarray) -> np.ndarray:
+    """s clipped into the closure of the domain; on the whole line, where
+    clipping changes nothing, s itself."""
+    if spec.lo == -np.inf and spec.hi == np.inf:
+        return s
+    return np.clip(s, spec.lo, spec.hi)
+
+
 def beta_eps_prime(spec: PotentialSpec, eps: float, r, xi):
     """Derivative of the Yosida approximation (in [0, 1/eps]) at r, from
     xi = beta_eps(r): 1/eps - 1/(eps*(1 + eps*beta0'(J))) at the resolvent
@@ -332,7 +340,7 @@ def beta_eps_prime(spec: PotentialSpec, eps: float, r, xi):
     the generic resolvent makes), J sits on e, where the graph of beta is
     vertical: there J' = 0 and the derivative is 1/eps."""
     arr = np.asarray(r, dtype=float)
-    bp = spec.beta_prime(np.clip(arr - eps * xi, spec.lo, spec.hi))
+    bp = spec.beta_prime(_clip_to_domain(spec, arr - eps * xi))
     with np.errstate(all="ignore"):
         jp = 1.0 / (1.0 + eps * bp)
     jp = np.where(np.isfinite(bp), jp, 0.0)
@@ -353,7 +361,7 @@ def moreau_envelope(spec: PotentialSpec, eps: float, r, xi):
     closure of the domain by an ulp, so it is clipped into it and not
     checked: a NaN r, whose xi is NaN too, gives NaN.
     """
-    s = np.clip(np.asarray(r, dtype=float) - eps * xi, spec.lo, spec.hi)
+    s = _clip_to_domain(spec, np.asarray(r, dtype=float) - eps * xi)
     return 0.5 * eps * xi**2 + spec.B(s)
 
 

@@ -177,8 +177,14 @@ def design_parameters(Chat: float, Cstr: float, betastar: float, tau: float,
     below 1 and rhostar = (Chat + betastar + tau*w0/T) / (1 - s).  Any
     rho > rhostar satisfies rho > M + tau*w0/T for the drift
     M = s*rho + Chat + betastar, so T* = tau*w0/(rho - M) < T.  There is
-    no such rho when rhostar is 0 or not finite: ParamError.
+    no such rho when rhostar is 0 or not finite: ParamError.  A non-finite
+    input is a ParamError that names it.
     """
+    for name, value in (("Chat", Chat), ("Cstr", Cstr),
+                        ("betastar", betastar), ("tau", tau), ("w0", w0),
+                        ("T", T), ("vol", vol)):
+        if not math.isfinite(value):
+            raise ParamError(f"{name} = {value!r} is not finite")
     if not Cstr > 0.0 or not tau > 0.0 or not T > 0.0:
         raise ParamError("need Cstr, tau, T > 0")
     if min(Chat, betastar, w0) < 0.0 or not vol > 0.0:

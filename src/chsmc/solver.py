@@ -145,7 +145,13 @@ class SolverConfig:
 @dataclass(frozen=True)
 class StateSnapshot:
     """(t, phi, mu, xi, zeta) with the regularized selections
-    xi = beta_eps(phi) and zeta = rho*sign_eps(phi - phistar)."""
+    xi = beta_eps(phi) and zeta = rho*sign_eps(phi - phistar).
+
+    xi is exactly ``beta_eps(spec, cfg.eps, phi)`` for the run's potential
+    and eps, as :func:`_initial_snapshot` and every stepper compute it;
+    :func:`step_eliminated` starts Newton from it without solving the
+    resolvent again.
+    """
 
     t: float
     phi: np.ndarray
@@ -206,10 +212,11 @@ _INNER_RTOL = 1e-6
 _INNER_FLOOR = 0.1
 
 
-def _newton(residual, solve, x0, norm, project):
+def _newton(residual, solve, x0, norm, project, r0=None):
     """Newton to ``NEWTON_TOL`` on ``norm`` of the residual, the one Newton
     iteration of every stepper; each new iterate is passed through
-    ``project``.
+    ``project``.  ``r0``, when given, is the residual at ``x0``, which is
+    then not evaluated again; it is dropped once it has been used.
 
     ``solve(x, r)`` returns the step dx with J(x) dx = -r, called with the
     iterate and the residual of the last ``residual`` call.  A non-finite
@@ -220,7 +227,10 @@ def _newton(residual, solve, x0, norm, project):
     """
     x = x0.copy()
     for it in range(NEWTON_MAX):
-        r = residual(x)
+        if r0 is None:
+            r = residual(x)
+        else:
+            r, r0 = r0, None
         rnorm = norm(r)
         if not np.isfinite(rnorm):
             raise NewtonError("non-finite residual")
@@ -319,7 +329,10 @@ def step_eliminated(state: StateSnapshot, data: ProblemData,
     For zero flux d stays mean-free, so the mean of phi is conserved.
     xi = beta_eps(phi) and G(d) are those of Newton's last residual
     evaluation, which was at the returned d; the Jacobian takes
-    beta_eps'(phi) from the xi of that evaluation as well.
+    beta_eps'(phi) from the xi of that evaluation as well.  The first
+    residual, at d = 0, takes ``state.xi`` and G(0) = 0, so ``state.xi``
+    must be beta_eps(phi^n) with ``cfg.eps`` (the :class:`StateSnapshot`
+    contract); a step solves the resolvent once per Newton iteration.
     """
     grid = data.grid
     t_new = state.t + dt
@@ -331,7 +344,7 @@ def step_eliminated(state: StateSnapshot, data: ProblemData,
     phi_n = state.phi
     expl_g = _explicit_part(data, X, phi_n, t_new) - data.g(X, t_new)
     fixed = expl_g + mu_H
-    last = {}
+    last = {"xi": state.xi, "Gd": 0.0}
 
     def residual(d):
         phi = phi_n + d
@@ -350,7 +363,11 @@ def step_eliminated(state: StateSnapshot, data: ProblemData,
         apply_J, precond = _jacobian(grid, regime, data.tau, dt, bprime)
         return pcg(apply_J, -r, precond, rtol=_INNER_RTOL, atol=floor)
 
-    d, iters = _newton(residual, solve, grid.zeros(), grid.l2_norm, P)
+    # the residual at d = 0, where phi = phi^n and G(0) = 0; 0.0 - Lap
+    # gives the bits of the full sum, whose first two terms are +0.0
+    d, iters = _newton(residual, solve, grid.zeros(), grid.l2_norm, P,
+                       0.0 - laplacian_neumann(grid, phi_n)
+                       + P(state.xi + fixed))
     xi = last["xi"]
     rest = xi + expl_g
     mu = mu_H - last["Gd"] / dt + (rest - P(rest))

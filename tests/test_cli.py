@@ -1011,6 +1011,18 @@ def test_design_rho_prints_exactly(capsys, flags, code, out, err):
     assert capsys.readouterr() == (out, err)
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("flag", ["Chat", "Cstr", "betastar", "tau", "w0",
+                                  "T", "vol"])
+def test_design_rho_names_a_flag_that_is_not_finite(capsys, flag, value):
+    flags = (_README_DESIGN + [f"--{flag}", value]
+             if flag in ("tau", "T") else _flags(**{flag: value}))
+    assert cli.main(["design-rho"] + flags) == cli.EXIT_CONFIG
+    assert capsys.readouterr() == (
+        "", f"config error: invalid flags: {flag} = {float(value)!r} is "
+        "not finite\n")
+
+
 def test_contdep_command(tmp_path, neumann_config, capsys):
     path = tmp_path / "cd.ini"
     path.write_text(NEUMANN_CONFIG + "\n[contdep]\nwhich = g\n"

@@ -342,6 +342,55 @@ def test_harmonic_extension_maximum_principle(grid2d):
     assert np.max(u) <= max(vals) + 1e-10
 
 
+def _counted_inverse(monkeypatch):
+    inverse, calls = gr.inverse_dirichlet, []
+
+    def counted(grid, psi):
+        calls.append(grid)
+        return inverse(grid, psi)
+
+    monkeypatch.setattr(gr, "inverse_dirichlet", counted)
+    return calls
+
+
+def test_harmonic_extension_solves_a_fixed_datum_once_per_grid(monkeypatch):
+    datum = lambda X, t: np.sin(3.0 * X[0]) * np.cos(X[1])
+    grid = Grid(shape=(12, 10), lengths=(1.0, 2.0))
+    calls = _counted_inverse(monkeypatch)
+    results = [gr.harmonic_extension(grid, datum, t)
+               for t in (0.0, 0.1, 0.2, 0.1)]
+    assert len(calls) == 1 and calls[0] is grid
+    fresh = gr.harmonic_extension(Grid(shape=(12, 10), lengths=(1.0, 2.0)),
+                                  datum, 0.3)
+    assert len(calls) == 2
+    for u in results:
+        assert u.tobytes() == fresh.tobytes()
+
+
+def test_harmonic_extension_solves_a_changed_datum_again(monkeypatch):
+    datum = lambda X, t: 0.2 + X[0] * t
+    grid = Grid(shape=(17,), lengths=(0.8,))
+    calls = _counted_inverse(monkeypatch)
+    for t in (0.3, 0.7, 0.3):
+        u = gr.harmonic_extension(grid, datum, t)
+        fresh = gr.harmonic_extension(Grid(shape=(17,), lengths=(0.8,)),
+                                      datum, t)
+        assert u.tobytes() == fresh.tobytes()
+    assert sum(g is grid for g in calls) == 3
+
+
+def test_harmonic_extension_result_cannot_be_written(grid1d):
+    datum = lambda X, t: 1.0 + X[0]
+    u = gr.harmonic_extension(grid1d, datum, 0.0)
+    expected = u.copy()
+    with pytest.raises(ValueError):
+        u[0] = 5.0
+    with pytest.raises(ValueError):
+        u += 1.0
+    assert gr.harmonic_extension(grid1d, datum, 0.0).tobytes() == (
+        expected.tobytes())
+
+
 def test_boundary_faces_count(grid2d):
     sides = grid2d.boundary_sides()
     n0, n1 = grid2d.shape

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import re
 from collections.abc import Iterator
 
 import numpy as np
@@ -198,6 +199,18 @@ def test_design_is_a_frozen_result_of_five_numbers():
         "deltastar", "rhostar", "rho", "M", "Tstar"]
     with pytest.raises(dataclasses.FrozenInstanceError):
         design.rho = 1.0
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("name", ["Chat", "Cstr", "betastar", "tau", "w0",
+                                  "T", "vol"])
+def test_design_names_an_input_that_is_not_finite(name, value):
+    inputs = dict(Chat=0.5, Cstr=0.7, betastar=0.2, tau=1.0, w0=1.0, T=2.0,
+                  vol=0.1)
+    inputs[name] = value
+    with pytest.raises(ParamError, match=re.escape(
+            f"{name} = {value!r} is not finite")):
+        smc.design_parameters(**inputs)
 
 
 def test_design_parameter_validation():

@@ -338,7 +338,10 @@ def test_step_reuses_newtons_last_evaluation(kind):
 def test_step_solves_one_resolvent_per_residual(monkeypatch, scheme, spec):
     """The Jacobian takes beta_eps' from the xi of the residual evaluation
     at the same iterate, so a step solves the resolvent once per residual
-    evaluation: newton_iters + 1 times."""
+    evaluation it makes.  The finite-difference step takes its first
+    residual, at d = 0, from the state's xi: newton_iters solves.  The
+    Galerkin step starts from a projection and evaluates it:
+    newton_iters + 1."""
     grid = small_grid()
     data = neumann_problem(grid, spec, cosine_data(grid, amp=0.6), rho=1.0)
     galerkin = scheme == "galerkin_neumann"
@@ -355,7 +358,75 @@ def test_step_solves_one_resolvent_per_residual(monkeypatch, scheme, spec):
     monkeypatch.setattr(pot, "resolvent", counted)
     state1 = step(state0, data, cfg, cfg.dt)
     assert state1.newton_iters > 0
-    assert len(calls) == state1.newton_iters + 1
+    assert len(calls) == state1.newton_iters + (1 if galerkin else 0)
+
+
+@pytest.mark.parametrize("moving", [True, False], ids=["moving", "at_rest"])
+def test_dirichlet_run_solves_one_resolvent_per_newton_iteration(
+        monkeypatch, moving):
+    """A run solves the resolvent once for the initial snapshot and once
+    per Newton iteration after it; a state at rest takes no iteration, so
+    its whole run solves it once."""
+    grid = small_grid()
+    if moving:
+        data = dirichlet_problem(grid, pot.regular(),
+                                 cosine_data(grid, amp=0.6), rho=1.0,
+                                 datum=lambda X, t: 0.2 + X[0] * t)
+    else:
+        data = dirichlet_problem(grid, pot.regular(), grid.zeros())
+    cfg = solver.SolverConfig(eps=1e-2, dt=1e-3, T=1e-2,
+                              scheme="eliminated_dirichlet")
+    resolvent, calls = pot.resolvent, []
+
+    def counted(*args):
+        calls.append(args)
+        return resolvent(*args)
+
+    monkeypatch.setattr(pot, "resolvent", counted)
+    traj = solver.run(data, cfg)
+    iters = sum(traj.diagnostics.newton_iters)
+    assert (iters > 0) == moving
+    assert len(calls) == iters + 1
+
+
+@pytest.mark.parametrize("spec", [
+    pot.regular(), pot.logarithmic(2.0), pot.double_obstacle(1.0)],
+    ids=["regular", "logarithmic", "obstacle"])
+@pytest.mark.parametrize("kind", ["neumann", "dirichlet"])
+def test_run_keeps_xi_the_beta_eps_of_phi(monkeypatch, kind, spec):
+    """Every state a step starts from, the first half of a halved step
+    included, and every snapshot has xi = beta_eps(phi) exactly: the
+    contract that lets a step take its first residual from state.xi."""
+    grid = small_grid()
+    phi0 = cosine_data(grid, amp=0.6, offset=0.1)
+    if kind == "neumann":
+        data = neumann_problem(grid, spec, phi0, rho=1.0)
+        scheme, name = "coupled_neumann", "step_coupled_neumann"
+    else:
+        data = dirichlet_problem(grid, spec, phi0, rho=1.0,
+                                 datum=lambda X, t: 0.2 + X[0] * t)
+        scheme, name = "eliminated_dirichlet", "step_eliminated_dirichlet"
+    T = 5e-3
+    cfg = solver.SolverConfig(eps=1e-2, dt=1e-3, T=T, scheme=scheme,
+                              output_times=list(np.linspace(0.0, T, 6)))
+    step, starts, failed = getattr(solver, name), [], []
+
+    def fail_second(state, data, cfg, dt):
+        starts.append(state)
+        if state.t > 0.0 and not failed:
+            failed.append(dt)
+            raise NewtonError("injected failure")
+        return step(state, data, cfg, dt=dt)
+
+    monkeypatch.setattr(solver, name, fail_second)
+    with pytest.warns(UserWarning, match="retrying"):
+        traj = solver.run(data, cfg)
+    assert failed == [cfg.dt]
+    assert len(starts) == 7 and len(traj.snapshots) == 6
+    assert sum(s.newton_iters for s in traj.snapshots) > 0
+    for state in starts + traj.snapshots:
+        assert np.array_equal(state.xi,
+                              pot.beta_eps(spec, cfg.eps, state.phi))
 
 
 def test_control_term_saturates():
