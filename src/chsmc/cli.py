@@ -558,6 +558,41 @@ def cmd_verify_all(args) -> int:
     return EXIT_OK if not failures else EXIT_VERIFICATION
 
 
+# The float flags of the flag-driven commands and their defaults (None:
+# the flag is required).
+_FLOAT_FLAGS = {
+    "ode-oracle": {"w0": None, "M": None, "rho": None, "tau": 1.0,
+                   "eps": 1e-3, "dt": 1e-3, "T": 1.0},
+    "design-rho": {"Chat": None, "Cstr": None, "betastar": None,
+                   "tau": 1.0, "w0": None, "T": 1.0, "vol": None},
+}
+
+
+def _is_float(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+def _join_float_values(argv: list) -> list:
+    """``argv`` with each float flag of a flag-driven command joined to
+    the number after it (``--Chat -1e-3`` becomes ``--Chat=-1e-3``).
+    argparse takes a separate -1e-3, -inf or -nan for an option name, so
+    such a value would never reach the command's own check; anything that
+    is not a number is left for argparse to judge."""
+    command = argv[0] if argv else None
+    flags = {f"--{flag}" for flag in _FLOAT_FLAGS.get(command, ())}
+    out = []
+    for arg in argv:
+        if out and out[-1] in flags and _is_float(arg):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="chsmc",
@@ -579,25 +614,13 @@ def build_parser() -> argparse.ArgumentParser:
     with_config(sub.add_parser("verify-all",
                                help="run the property checks on a config"))
 
-    ode = sub.add_parser("ode-oracle",
-                         help="comparison ODE: closed forms vs integration")
-    ode.add_argument("--w0", type=float, required=True)
-    ode.add_argument("--M", type=float, required=True)
-    ode.add_argument("--rho", type=float, required=True)
-    ode.add_argument("--tau", type=float, default=1.0)
-    ode.add_argument("--eps", type=float, default=1e-3)
-    ode.add_argument("--dt", type=float, default=1e-3)
-    ode.add_argument("--T", type=float, default=1.0)
-
-    des = sub.add_parser("design-rho",
-                         help="volume threshold and minimal gain")
-    des.add_argument("--Chat", type=float, required=True)
-    des.add_argument("--Cstr", type=float, required=True)
-    des.add_argument("--betastar", type=float, required=True)
-    des.add_argument("--tau", type=float, default=1.0)
-    des.add_argument("--w0", type=float, required=True)
-    des.add_argument("--T", type=float, default=1.0)
-    des.add_argument("--vol", type=float, required=True)
+    for command, text in (
+            ("ode-oracle", "comparison ODE: closed forms vs integration"),
+            ("design-rho", "volume threshold and minimal gain")):
+        sp = sub.add_parser(command, help=text)
+        for flag, default in _FLOAT_FLAGS[command].items():
+            sp.add_argument(f"--{flag}", type=float, default=default,
+                            required=default is None)
     return p
 
 
@@ -613,7 +636,8 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(
+        _join_float_values(sys.argv[1:] if argv is None else list(argv)))
     try:
         return _COMMANDS[args.command](args)
     except ConfigError as exc:

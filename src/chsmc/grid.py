@@ -9,10 +9,12 @@ small grids the transforms are applied as dense per-axis matrices (the
 fast diagonalization method of Lynch, Rice & Thomas, 1964), because there
 a matrix product costs less than the per-call overhead of ``scipy.fft``;
 larger grids, where the O(n log n) transform wins, use ``scipy.fft``.  The
-choice depends on the grid shape alone (:func:`_dense_transforms`).  The
-dense matrices are built in closed form with numpy, so only a grid whose
-shape takes the FFT path loads ``scipy.fft``, and it does so when the grid
-is constructed, before any time is spent stepping.
+choice depends on the grid shape alone (:func:`_dense_transforms`).  On a
+1-D grid that takes the dense path, the inverse Laplacians fold the
+transform pair and the symbol into one cached matrix and apply it as one
+product.  The dense matrices are built in closed form with numpy, so only
+a grid whose shape takes the FFT path loads ``scipy.fft``, and it does so
+when the grid is constructed, before any time is spent stepping.
 
 The module also holds the package's one preconditioned CG loop, which the
 time stepper runs on its Newton systems, preconditioned by a DCT diagonal
@@ -151,7 +153,7 @@ class Grid:
         total = 0.0
         for axis in range(self.dim):
             h = self.h[axis]
-            v = np.moveaxis(u, axis, 0)
+            v = u.swapaxes(0, axis)
             d = (v[1:] - v[:-1]) / h
             total += float((d * d).sum())
         return total * self.cell_volume
@@ -196,6 +198,21 @@ class Grid:
             return tuple(_read_only(_transform_matrix(n, bc))
                          for n in self.shape)
         return self._cached("_mat_" + bc, build)
+
+    def inverse_matrix(self, bc: str) -> np.ndarray:
+        """(-Lap)^{-1} of a 1-D grid as one dense matrix,
+        A.T @ diag(inverse_eigenvalues(bc)) @ A with A the DCT-II
+        ("neumann") or DST-II ("dirichlet") matrix; read-only (cached).
+        A itself is not kept, so a Dirichlet grid holds one n x n matrix."""
+        if self.dim != 1:
+            raise ParamError("inverse_matrix needs a 1-D grid")
+
+        def build():
+            _check_bc(bc)
+            A = _transform_matrix(self.shape[0], bc)
+            return _read_only(A.T @ (self.inverse_eigenvalues(bc)[:, None]
+                                     * A))
+        return self._cached("_inv_mat_" + bc, build)
 
 
 def _transform_matrix(n: int, bc: str) -> np.ndarray:
@@ -352,20 +369,29 @@ def pcg(apply_A: Callable, b: np.ndarray, precond: Callable, rtol: float,
 # -- inverse operators -------------------------------------------------
 
 
+def _apply_inverse(grid: Grid, psi: np.ndarray, bc: str) -> np.ndarray:
+    """(-Lap)^{-1} psi through the symbol :meth:`Grid.inverse_eigenvalues`:
+    on a 1-D grid that takes the dense path, one product with the folded
+    :meth:`Grid.inverse_matrix` (ncells^2 entries, so only there);
+    elsewhere :func:`apply_symbol`."""
+    if grid.dim == 1 and _dense_transforms(grid.shape):
+        return grid.inverse_matrix(bc) @ psi
+    return apply_symbol(grid, psi, grid.inverse_eigenvalues(bc), bc)
+
+
 def inverse_neumann(grid: Grid, psi: np.ndarray) -> np.ndarray:
     """Mean-free solution u of -Lap_N u = psi by the exact cosine
-    diagonalization; requires mean(psi) = 0."""
+    diagonalization (:func:`_apply_inverse`); requires mean(psi) = 0."""
     nrm = grid.l2_norm(psi)
     if abs(grid.mean(psi)) > 1e-10 * max(nrm, 1e-300):
         raise ParamError("inverse_neumann needs a mean-free right-hand side")
-    return apply_symbol(grid, psi, grid.inverse_eigenvalues("neumann"),
-                        "neumann")
+    return _apply_inverse(grid, psi, "neumann")
 
 
 def inverse_dirichlet(grid: Grid, psi: np.ndarray) -> np.ndarray:
-    """Solution u of -Lap_D u = psi by the exact sine diagonalization."""
-    return apply_symbol(grid, psi, grid.inverse_eigenvalues("dirichlet"),
-                        "dirichlet")
+    """Solution u of -Lap_D u = psi by the exact sine diagonalization
+    (:func:`_apply_inverse`)."""
+    return _apply_inverse(grid, psi, "dirichlet")
 
 
 def dual_norm(grid: Grid, psi: np.ndarray, bc: str) -> float:
@@ -381,8 +407,7 @@ def dual_norm(grid: Grid, psi: np.ndarray, bc: str) -> float:
     if bc == "neumann":
         m = grid.mean(psi)
         psi0 = psi - m
-        u = apply_symbol(grid, psi0, grid.inverse_eigenvalues("neumann"),
-                         "neumann")
+        u = _apply_inverse(grid, psi0, "neumann")
         return float(np.sqrt(max(grid.inner(psi0, u), 0.0) + m * m))
     u = inverse_dirichlet(grid, psi)
     return float(np.sqrt(max(grid.inner(psi, u), 0.0)))

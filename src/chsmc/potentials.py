@@ -69,7 +69,8 @@ class PotentialSpec:
 def regular() -> PotentialSpec:
     """Quartic double well (r^2-1)^2/4, with f(0) = 1/4."""
     return PotentialSpec(
-        kind="regular", B=lambda r: 0.25 * r**4, beta=lambda r: r**3,
+        kind="regular", B=lambda r: 0.25 * ((r * r) * (r * r)),
+        beta=lambda r: r * r * r,
         beta_prime=lambda s: 3.0 * s**2, pi=lambda r: -r,
         Pi=lambda r: 0.25 - 0.5 * r**2, resolvent=_resolvent_regular)
 
@@ -202,7 +203,9 @@ def _solve_monotone(g, gprime, a, b):
 
 def _resolvent_regular(eps: float, arr: np.ndarray) -> np.ndarray:
     # Cardano for s^3 + s/eps - r/eps = 0 (unique real root), then two
-    # Newton polish steps to recover the last bits
+    # Newton polish steps to recover the last bits.  Cubes and fourth
+    # powers are products here and in regular(): numpy sends x**3 and x**4
+    # to libm pow, several times slower than x*x*x (x**2 has a fast path)
     p = 1.0 / eps
     try:
         p3 = p**3
@@ -215,7 +218,8 @@ def _resolvent_regular(eps: float, arr: np.ndarray) -> np.ndarray:
     disc = np.sqrt(q**2 / 4.0 + p3 / 27.0)
     s = np.cbrt(-q / 2.0 + disc) + np.cbrt(-q / 2.0 - disc)
     for _ in range(2):
-        s = s - (s + eps * s**3 - arr) / (1.0 + 3.0 * eps * s**2)
+        s2 = s * s
+        s = s - (s + eps * (s2 * s) - arr) / (1.0 + 3.0 * eps * s2)
     return s
 
 
@@ -224,19 +228,25 @@ def _resolvent_logarithmic(eps: float, arr: np.ndarray) -> np.ndarray:
 
     For |r| the equation becomes h(y) = (tanh(y) - |r|)/2 + eps*y = 0
     (halved, so that 2*eps cannot overflow), increasing and concave on
-    y >= 0.  As tanh(y) <= min(y, 1), the start max(|r|/(1 + 2 eps),
-    (|r| - 1)/(2 eps)) lies below the root, and Newton rises from there to
-    the root without overshooting it: no bracket is needed.  Where tanh(y)
-    rounds to 1 the root does too, and the iterate (possibly an overflowed
-    start) stays put.  Iteration stops once no step moves s by more than
-    the tolerance; s is kept strictly inside (-1, 1).
+    y >= 0.  As tanh(y) <= min(y, 1), the starts |r|/(1 + 2 eps) and
+    (|r| - 1)/(2 eps) lie below the root; for |r| < 1 so does
+    atanh(|r| - 2 eps atanh|r|), as tanh(y*) = |r| - 2 eps y* and
+    y* <= atanh|r|.  Newton rises from the largest start to the root
+    without overshooting it (up to the rounding of the start): no bracket
+    is needed.  Where tanh(y) rounds to 1 the root does too, and the
+    iterate (possibly an overflowed start) stays put.  Iteration stops
+    once no step moves s by more than the tolerance; s is kept strictly
+    inside (-1, 1).
     """
     if np.isnan(arr).any():
         raise ParamError("resolvent input is NaN (logarithmic)")
     a = np.abs(arr)
-    with np.errstate(over="ignore"):
-        y = np.maximum(0.5 * a / (0.5 + eps), (0.5 * a - 0.5) / eps)
     with np.errstate(all="ignore"):
+        y = np.maximum(0.5 * a / (0.5 + eps), (0.5 * a - 0.5) / eps)
+        # an argument that is not positive (or NaN, where |r| >= 1) gives
+        # no start
+        arg = 2.0 * (0.5 * a - eps * np.arctanh(a))
+        y = np.maximum(y, np.where(arg > 0.0, np.arctanh(arg), 0.0))
         for _ in range(_RESOLVENT_MAXITER):
             t = np.tanh(y)
             half_sech2 = 0.5 - 0.5 * t * t

@@ -150,7 +150,9 @@ class StateSnapshot:
     xi is exactly ``beta_eps(spec, cfg.eps, phi)`` for the run's potential
     and eps, as :func:`_initial_snapshot` and every stepper compute it;
     :func:`step_eliminated` starts Newton from it without solving the
-    resolvent again.
+    resolvent again.  A step that leaves phi unchanged returns its start's
+    phi and xi arrays, so consecutive snapshots may share them; no code
+    writes into a snapshot's arrays.
     """
 
     t: float
@@ -332,7 +334,9 @@ def step_eliminated(state: StateSnapshot, data: ProblemData,
     beta_eps'(phi) from the xi of that evaluation as well.  The first
     residual, at d = 0, takes ``state.xi`` and G(0) = 0, so ``state.xi``
     must be beta_eps(phi^n) with ``cfg.eps`` (the :class:`StateSnapshot`
-    contract); a step solves the resolvent once per Newton iteration.
+    contract); a step solves the resolvent once per Newton iteration.  A
+    step that converges there, with 0 Newton iterations, returns
+    ``state.phi`` and ``state.xi`` themselves, not copies.
     """
     grid = data.grid
     t_new = state.t + dt
@@ -371,7 +375,8 @@ def step_eliminated(state: StateSnapshot, data: ProblemData,
     xi = last["xi"]
     rest = xi + expl_g
     mu = mu_H - last["Gd"] / dt + (rest - P(rest))
-    return _snapshot(data, t_new, phi_n + d, mu, xi, iters)
+    return _snapshot(data, t_new, phi_n if iters == 0 else phi_n + d, mu,
+                     xi, iters)
 
 
 # The scheme names stay bound to the one stepper: configs name them, and
@@ -461,16 +466,26 @@ def _initial_snapshot(data: ProblemData, cfg: SolverConfig) -> StateSnapshot:
 
 def _record(diag: DiagnosticsSeries, data: ProblemData, cfg: SolverConfig,
             state: StateSnapshot, prev_phi: Optional[np.ndarray], dt: float):
+    """Append the diagnostics row of ``state``, which a step of length dt
+    reached from a state with phi ``prev_phi`` (None for t = 0).
+
+    A state whose phi is ``prev_phi`` itself came from a step that left
+    (phi, xi) unchanged (:func:`step_eliminated`): its free energy is the
+    previous row's, and the dual norm of its zero increment is 0.0, which
+    are the bits that evaluating them again would give.
+    """
     grid = data.grid
     X = grid.meshgrid()
     chi = state.phi - data.phistar(X, state.t)
-    fe = pot.free_energy(grid, state.phi, data.spec, cfg.eps, state.xi)
+    unmoved = state.phi is prev_phi
+    fe = (diag.free_energy_reg[-1] if unmoved else
+          pot.free_energy(grid, state.phi, data.spec, cfg.eps, state.xi))
     if (data.bc.kind == "dirichlet" and data.dphistar_dt is not None
             and data.lap_phistar is not None):
         supG = grid.sup_norm(assemble_G_eps(state, data))
     else:
         supG = float("nan")
-    if prev_phi is None:
+    if prev_phi is None or unmoved:
         dn = 0.0
     else:
         # imported here: the benchmark tracer patches chsmc.grid.dual_norm,

@@ -1023,6 +1023,36 @@ def test_design_rho_names_a_flag_that_is_not_finite(capsys, flag, value):
         "not finite\n")
 
 
+_ODE_ORACLE = ["--w0", "1", "--M", "1", "--rho", "5"]
+
+
+@pytest.mark.parametrize("value", ["-1e-3", "-inf", "-nan"])
+@pytest.mark.parametrize("command, flag", [
+    (command, flag) for command, flags in cli._FLOAT_FLAGS.items()
+    for flag in flags])
+def test_float_flags_take_negative_numbers_in_any_form(capsys, command, flag,
+                                                       value):
+    """A separate value such as -1e-3, -inf or -nan reaches the command's
+    own check as the joined --flag=value does; argparse alone would take
+    it for an option name and stop with 'expected one argument'."""
+    base = [command] + (_README_DESIGN if command == "design-rho"
+                        else _ODE_ORACLE)
+    code = cli.main(base + [f"--{flag}", value])
+    separate = capsys.readouterr()
+    assert code == cli.main(base + [f"--{flag}={value}"])
+    assert separate == capsys.readouterr()
+    if command == "design-rho":
+        assert code == cli.EXIT_CONFIG
+        assert separate.err.startswith("config error: invalid flags: ")
+
+
+def test_float_flag_followed_by_a_flag_still_misses_its_value(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["design-rho", "--Chat", "--Cstr", "0.7"])
+    assert exc.value.code == 2
+    assert "argument --Chat: expected one argument" in capsys.readouterr().err
+
+
 def test_contdep_command(tmp_path, neumann_config, capsys):
     path = tmp_path / "cd.ini"
     path.write_text(NEUMANN_CONFIG + "\n[contdep]\nwhich = g\n"

@@ -222,7 +222,12 @@ def test_dense_and_fft_transforms_agree(shape, dense, bc):
                            if bc == "neumann" else
                            (gr.inverse_dirichlet, cg_inverse_dirichlet))
     u = inverse(grid, psi)
-    assert np.array_equal(u, u_dense if dense else u_fft)
+    if dense and grid.dim == 1:
+        # the 1-D dense path applies the folded matrix, not the transforms
+        assert np.array_equal(u, grid.inverse_matrix(bc) @ psi)
+        assert np.max(np.abs(u - u_dense)) <= 1e-13 * scale
+    else:
+        assert np.array_equal(u, u_dense if dense else u_fft)
     u_cg = cg_inverse(grid, psi)
     assert np.max(np.abs(u_cg - u)) <= 1e-9 * scale
 
@@ -258,6 +263,65 @@ def test_transform_data_cached_read_only(grid2d):
                      lambda bc: grid2d.axis_eigenvalues(0, bc)):
         with pytest.raises(ValueError):
             spectral("robin")
+
+
+@pytest.mark.parametrize("n", [3, 64, 128, 256])
+@pytest.mark.parametrize("bc", ["neumann", "dirichlet"])
+def test_1d_dense_inverse_is_one_folded_matrix(n, bc):
+    """A 1-D dense-path grid applies (-Lap)^{-1} as one cached, read-only
+    matrix: bitwise its product, within 1e-13 of the transform pair, and a
+    solve of the stencil.  The per-axis matrix is not kept, so a
+    Dirichlet grid holds only the folded one."""
+    grid = Grid(shape=(n,), lengths=(0.7,))
+    assert gr._dense_transforms(grid.shape)
+    rng = np.random.default_rng(n)
+    psi = rng.standard_normal(grid.shape)
+    psi -= grid.mean(psi)
+    if bc == "neumann":
+        u, lap = gr.inverse_neumann(grid, psi), gr.laplacian_neumann
+    else:
+        u, lap = gr.inverse_dirichlet(grid, psi), laplacian_dirichlet
+    D = grid.inverse_matrix(bc)
+    assert D is grid.inverse_matrix(bc) and not D.flags.writeable
+    assert np.array_equal(u, D @ psi)
+    if bc == "dirichlet":
+        assert "_mat_dirichlet" not in grid.__dict__
+    scale = np.max(np.abs(u))
+    u_dense = gr._symbol_dense(grid, psi, grid.inverse_eigenvalues(bc), bc)
+    assert np.max(np.abs(u - u_dense)) <= 1e-13 * scale
+    assert np.max(np.abs(-lap(grid, u) - psi)) <= 1e-10 * np.max(np.abs(psi))
+
+
+@pytest.mark.parametrize("bc", ["neumann", "dirichlet"])
+def test_inverse_folds_only_on_the_1d_dense_path(bc):
+    """The 1-D FFT-path grid (1024 cells) and the 2-D and 3-D grids, where
+    the folded matrix would have ncells^2 entries, keep the transforms."""
+    for shape in [(1024,), (12, 10), (6, 7, 5)]:
+        grid = Grid(shape=shape, lengths=(1.0,) * len(shape))
+        psi = np.random.default_rng(1).standard_normal(shape)
+        psi -= grid.mean(psi)
+        inverse = (gr.inverse_neumann if bc == "neumann"
+                   else gr.inverse_dirichlet)
+        u = inverse(grid, psi)
+        symbol = grid.inverse_eigenvalues(bc)
+        assert np.array_equal(u, gr.apply_symbol(grid, psi, symbol, bc))
+        gr.dual_norm(grid, psi, bc)
+        assert "_inv_mat_" + bc not in grid.__dict__
+    with pytest.raises(ParamError, match="1-D"):
+        Grid(shape=(12, 10), lengths=(1.0, 1.0)).inverse_matrix(bc)
+
+
+@pytest.mark.parametrize("shape", [(64,), (12, 10), (6, 7, 5)])
+def test_gradient_energy_bits_of_the_moveaxis_form(shape):
+    """swapaxes gives the bits that np.moveaxis gave."""
+    grid = Grid(shape=shape, lengths=(1.0, 2.0, 0.5)[:len(shape)])
+    u = np.random.default_rng(4).standard_normal(shape)
+    total = 0.0
+    for axis in range(grid.dim):
+        v = np.moveaxis(u, axis, 0)
+        d = (v[1:] - v[:-1]) / grid.h[axis]
+        total += float(np.sum(d * d))
+    assert grid.gradient_energy(u) == total * grid.cell_volume
 
 
 # -- conjugate gradients -----------------------------------------------------

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -162,6 +164,44 @@ def test_resolvent_regular_solves_cubic():
         assert np.allclose(J + eps * J**3, r, rtol=0, atol=1e-11 * (1 + np.abs(r)))
 
 
+def _ulps(a, b):
+    return np.max(np.abs(a - b) / np.spacing(np.maximum(np.abs(a),
+                                                        np.abs(b))))
+
+
+def _resolvent_regular_by_power(eps, r):
+    """The quartic resolvent with its cubes through np.power."""
+    q = -r / eps
+    disc = np.sqrt(q**2 / 4.0 + (1.0 / eps) ** 3 / 27.0)
+    s = np.cbrt(-q / 2.0 + disc) + np.cbrt(-q / 2.0 - disc)
+    for _ in range(2):
+        s = s - ((s + eps * np.power(s, 3) - r)
+                 / (1.0 + 3.0 * eps * s**2))
+    return s
+
+
+def test_quartic_maps_are_products_within_two_ulp_of_power():
+    """B and beta of the quartic are the products (r*r)*(r*r)/4 and r*r*r,
+    not libm pow; they and the resolvent stay within 2 ulp of the
+    np.power forms, and the resolvent solves its cubic to roundoff."""
+    s = SPECS["regular"]
+    rng = np.random.default_rng(3)
+    r = np.concatenate([np.linspace(-10.0, 10.0, 20001),
+                        rng.uniform(-1e3, 1e3, 2000),
+                        1e-3 * rng.standard_normal(2000),
+                        10.0 ** np.arange(-300, 77)])
+    assert np.array_equal(s.B(r), 0.25 * ((r * r) * (r * r)))
+    assert np.array_equal(s.beta(r), r * r * r)
+    assert _ulps(s.B(r), 0.25 * np.power(r, 4)) <= 2.0
+    assert _ulps(s.beta(r), np.power(r, 3)) <= 2.0
+    for eps in (1e-1, 1e-3, 1e-6):
+        J = pot.resolvent(s, eps, r)
+        assert _ulps(J, _resolvent_regular_by_power(eps, r)) <= 2.0
+        scale = np.abs(J) + eps * np.abs(J) ** 3 + np.abs(r)
+        assert np.all(np.abs(J + eps * J**3 - r)
+                      <= 4.0 * np.finfo(float).eps * scale)
+
+
 def test_resolvent_obstacle_is_projection():
     s = SPECS["obstacle"]
     r = np.linspace(-3, 3, 101)
@@ -231,6 +271,41 @@ def test_resolvent_logarithmic_finite_at_extreme_eps(eps):
     assert np.array_equal(J[:7], -J[7:])
     assert np.all(np.abs(J[:5] - r[:5]) <= 1e-13)
     assert np.array_equal(J[5:7], [np.nextafter(1.0, 0.0)] * 2)
+
+
+@pytest.mark.parametrize("eps, digits, most", [(1e-6, 6, 5),
+                                                (1e-300, 12, 2)])
+def test_resolvent_logarithmic_starts_near_the_root(monkeypatch, eps,
+                                                    digits, most):
+    """For |r| < 1 the start atanh(|r| - 2 eps atanh|r|) lies just below
+    the root when eps is small, so Newton stops after a few steps even
+    for |r| within 10**-digits of 1, where it took 15 to 30 from the
+    linear starts.  Counted in tanh calls, one per step plus the last
+    one that maps y back to s."""
+    calls = []
+    tanh = np.tanh
+    monkeypatch.setattr(np, "tanh", lambda y: calls.append(1) or tanh(y))
+    r = np.concatenate([[0.0, 0.5],
+                        1.0 - 10.0 ** -np.arange(1.0, digits + 1.0)])
+    J = pot.resolvent(SPECS["logarithmic"], eps, np.concatenate([r, -r]))
+    assert len(calls) <= most
+    monkeypatch.undo()
+    assert np.array_equal(J[:len(r)], -J[len(r):])
+    assert np.all(np.abs(J[:len(r)] + eps * pot.beta0(SPECS["logarithmic"],
+                                                      J[:len(r)]) - r)
+                  <= 2e-16)
+
+
+@pytest.mark.parametrize("eps", [1e-2, 1e300, 1.7e308])
+def test_resolvent_logarithmic_start_gives_no_nan(eps):
+    """Where |r| >= 1 (atanh|r| is inf or NaN) or where |r| - 2 eps atanh|r|
+    is negative or overflows, the extra start is left out, not NaN."""
+    r = np.array([0.0, 0.3, 0.999, 1.0, 1.5, 1e300])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        J = pot.resolvent(SPECS["logarithmic"], eps, np.concatenate([r, -r]))
+    assert np.all(np.isfinite(J)) and np.all(np.abs(J) < 1.0)
+    assert np.array_equal(J[:6], -J[6:])
 
 
 def test_resolvent_logarithmic_raises_when_newton_stalls(monkeypatch):

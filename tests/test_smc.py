@@ -15,6 +15,18 @@ from chsmc.errors import ParamError
 # -- sign nonlinearity -----------------------------------------------------
 
 
+@pytest.mark.parametrize("shape", [(40,), (5, 8), (2, 4, 5)])
+def test_sign_eps_bits_of_np_clip(shape):
+    """np.minimum/np.maximum give np.clip's bits, NaN and the sign of
+    zero included."""
+    r = np.concatenate([[np.nan, -0.0, 0.0, np.inf, -np.inf, 1e-300],
+                        np.random.default_rng(2).normal(0.0, 0.02, 34)])
+    r = r.reshape(shape)
+    out = smc.sign_eps(0.01, r)
+    assert out.shape == shape
+    assert out.tobytes() == np.clip(r / 0.01, -1.0, 1.0).tobytes()
+
+
 def test_sign_eps_values():
     assert smc.sign_eps(0.5, 0.25) == pytest.approx(0.5)
     assert smc.sign_eps(0.5, 5.0) == 1.0

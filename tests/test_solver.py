@@ -6,8 +6,8 @@ import pytest
 from chsmc import potentials as pot
 from chsmc import smc, solver
 from chsmc.errors import ConfigError, NewtonError, ParamError
-from chsmc.grid import (Grid, harmonic_extension, laplacian_neumann,
-                        pcg)
+from chsmc.grid import (Grid, dual_norm, harmonic_extension,
+                        laplacian_neumann, pcg)
 
 from conftest import (zero_potential, zero_field, neumann_problem,
                       dirichlet_problem, obstacle_as_custom,
@@ -427,6 +427,54 @@ def test_run_keeps_xi_the_beta_eps_of_phi(monkeypatch, kind, spec):
     for state in starts + traj.snapshots:
         assert np.array_equal(state.xi,
                               pot.beta_eps(spec, cfg.eps, state.phi))
+
+
+@pytest.mark.parametrize("halve", [False, True], ids=["whole", "halved"])
+def test_a_step_at_rest_shares_phi_and_repeats_its_diagnostics(monkeypatch,
+                                                                halve):
+    """A Dirichlet run whose control freezes phi on a plateau: every step
+    with 0 Newton iterations returns its start's phi and xi arrays, the
+    two halves of a halved step at rest included, and its diagnostics row
+    holds the bits of a fresh free energy and dual norm of its state."""
+    grid = small_grid(16)
+    spec = pot.regular()
+    data = dirichlet_problem(grid, spec, cosine_data(grid, amp=0.05,
+                                                     offset=0.0), rho=1.0)
+    T, dt = 0.3, 1e-2
+    cfg = solver.SolverConfig(eps=1e-2, dt=dt, T=T,
+                              scheme="eliminated_dirichlet",
+                              output_times=[k * dt for k in range(31)])
+    if halve:
+        step, failed = solver.step_eliminated_dirichlet, []
+
+        def fail_once_at_rest(state, data, cfg, dt):
+            if state.t > 0.2 and not failed:
+                failed.append(state.t)
+                raise NewtonError("injected failure")
+            return step(state, data, cfg, dt=dt)
+
+        monkeypatch.setattr(solver, "step_eliminated_dirichlet",
+                            fail_once_at_rest)
+        with pytest.warns(UserWarning, match="retrying"):
+            traj = solver.run(data, cfg)
+        assert len(failed) == 1
+    else:
+        traj = solver.run(data, cfg)
+    diag, snaps = traj.diagnostics, traj.snapshots
+    assert len(snaps) == 31
+    first_rest = diag.newton_iters.index(0, 1)
+    assert 1 < first_rest < 20 and not any(diag.newton_iters[first_rest:])
+    for k in range(1, len(snaps)):
+        prev, state = snaps[k - 1], snaps[k]
+        at_rest = diag.newton_iters[k] == 0
+        assert (state.phi is prev.phi) == at_rest
+        assert (state.xi is prev.xi) == at_rest
+        fe = pot.free_energy(grid, state.phi, spec, cfg.eps, state.xi)
+        dn = dual_norm(grid, (state.phi - prev.phi) / (diag.t[k]
+                                                      - diag.t[k - 1]),
+                       "dirichlet")
+        assert diag.free_energy_reg[k] == fe
+        assert diag.dual_norm_dphi[k] == dn
 
 
 def test_control_term_saturates():
