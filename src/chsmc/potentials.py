@@ -16,10 +16,9 @@ numpy returns (a 0-d array or numpy scalar for a scalar input).
 :func:`B_hat` and :func:`beta0` are the domain-checked exact maps.  The
 module also provides the resolvent J_eps = (I + eps*beta)^{-1} and the
 Yosida approximation beta_eps = (I - J_eps)/eps, which are what the time
-steppers actually evaluate.  Each built-in family supplies its own
-resolvent (Cardano for the quartic, a bracket-free Newton for the
-logarithm, the projection for the obstacle); only a custom splitting
-takes the bracketed Newton/bisection solve.  Once xi = beta_eps(r) is
+steppers actually evaluate.  Each family supplies its own resolvent
+(Cardano for the quartic, a bracket-free Newton for the logarithm, the
+projection for the obstacle).  Once xi = beta_eps(r) is
 known, J_eps(r) = r - eps*xi, so the derivative of beta_eps and the
 Moreau envelope of B take xi and solve nothing.  Where the resolvent
 point sits on a closed endpoint of the domain, the graph of beta is
@@ -28,8 +27,9 @@ vertical there and beta_eps' = 1/eps.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -48,9 +48,8 @@ class PotentialSpec:
     ``B`` on the closure of the domain, ``beta`` (the minimal section) on
     the domain, ``beta_prime`` (its derivative, possibly +inf) at interior
     points; ``pi`` and ``Pi`` everywhere.  ``resolvent(eps, r)`` is the
-    family's own solve of s + eps*beta(s) = r; every built-in family has
-    one, and a custom spec leaves it None for the bracketed solve of
-    :func:`resolvent`.  ``kind`` only labels the family in messages.
+    family's own solve of s + eps*beta(s) = r.  ``kind`` only labels the
+    family in messages.
     """
 
     kind: str
@@ -59,11 +58,11 @@ class PotentialSpec:
     beta_prime: Callable
     pi: Callable
     Pi: Callable
+    resolvent: Callable
     lo: float = -np.inf
     hi: float = np.inf
     lo_open: bool = False
     hi_open: bool = False
-    resolvent: Optional[Callable] = None
 
 
 def regular() -> PotentialSpec:
@@ -102,38 +101,6 @@ def double_obstacle(c2: float) -> PotentialSpec:
         resolvent=lambda eps, r: np.clip(r, -1.0, 1.0))
 
 
-def custom(B, beta, pi, lo=-np.inf, hi=np.inf, lo_open=False, hi_open=False,
-           Pi=None) -> PotentialSpec:
-    """User-supplied splitting.
-
-    ``B``, ``beta`` (minimal section on the closure of the domain) and
-    ``pi`` are scalar maps; ``Pi`` (antiderivative of pi) is needed by
-    the free energy, which raises without it.  beta' is a central
-    difference of ``beta``, kept inside the domain.
-    """
-    B, beta, pi = (np.vectorize(f, otypes=[float]) for f in (B, beta, pi))
-    if Pi is None:
-        def Pi(r):
-            raise ParamError("custom potential needs an explicit Pi")
-    else:
-        Pi = np.vectorize(Pi, otypes=[float])
-    h = 1e-6
-    floor = lo + (1e-12 if lo_open else 0.0)
-    ceil = hi - (1e-12 if hi_open else 0.0)
-
-    def beta_prime(s):
-        a = np.maximum(s - h, floor)
-        b = np.minimum(s + h, ceil)
-        with np.errstate(all="ignore"):
-            num = beta(b) - beta(a)
-            den = np.maximum(b - a, 1e-300)
-        return np.maximum(num / den, 0.0)
-
-    return PotentialSpec(kind="custom", B=B, beta=beta,
-                         beta_prime=beta_prime, pi=pi, Pi=Pi, lo=lo, hi=hi,
-                         lo_open=lo_open, hi_open=hi_open)
-
-
 def _check_domain(spec: PotentialSpec, arr: np.ndarray, closure: bool = True):
     lo, hi = spec.lo, spec.hi
     bad = ~((arr >= lo) & (arr <= hi))  # NaN is outside as well
@@ -168,39 +135,6 @@ def beta0(spec: PotentialSpec, r):
     return spec.beta(arr)
 
 
-def _solve_monotone(g, gprime, a, b):
-    """Vectorized safeguarded Newton for a nondecreasing g.
-
-    Keeps a bracket per component and falls back to bisection whenever the
-    Newton step leaves it.  Absolute tolerance 1e-13 on the argument; an
-    exactly vanishing residual also counts as converged.
-    """
-    a = a.copy()
-    b = b.copy()
-    x = 0.5 * (a + b)
-    done = np.zeros(x.shape, dtype=bool)
-    for _ in range(_RESOLVENT_MAXITER):
-        with np.errstate(all="ignore"):
-            gx = g(x)
-        neg = (gx < 0.0) & ~done
-        pos = (gx > 0.0) & ~done
-        a = np.where(neg, x, a)
-        b = np.where(pos, x, b)
-        done |= (b - a <= _RESOLVENT_TOL) | (gx == 0.0)
-        if np.all(done):
-            break
-        with np.errstate(all="ignore"):
-            gp = gprime(x)
-            xn = np.where(gp > 0.0, x - gx / np.where(gp > 0.0, gp, 1.0),
-                          np.inf)
-        inside = (xn > a) & (xn < b) & np.isfinite(xn)
-        x = np.where(done, x, np.where(inside, xn, 0.5 * (a + b)))
-    else:
-        if np.any(~done & (b - a > 1e-9)):
-            raise SolveError("scalar resolvent solve did not converge")
-    return np.clip(x, a, b)
-
-
 def _resolvent_regular(eps: float, arr: np.ndarray) -> np.ndarray:
     # Cardano for s^3 + s/eps - r/eps = 0 (unique real root), then two
     # Newton polish steps to recover the last bits.  Cubes and fourth
@@ -231,22 +165,29 @@ def _resolvent_logarithmic(eps: float, arr: np.ndarray) -> np.ndarray:
     y >= 0.  As tanh(y) <= min(y, 1), the starts |r|/(1 + 2 eps) and
     (|r| - 1)/(2 eps) lie below the root; for |r| < 1 so does
     atanh(|r| - 2 eps atanh|r|), as tanh(y*) = |r| - 2 eps y* and
-    y* <= atanh|r|.  Newton rises from the largest start to the root
-    without overshooting it (up to the rounding of the start): no bracket
-    is needed.  Where tanh(y) rounds to 1 the root does too, and the
-    iterate (possibly an overflowed start) stays put.  Iteration stops
-    once no step moves s by more than the tolerance; s is kept strictly
-    inside (-1, 1).
+    y* <= atanh|r|.  For |r| >= 1 and eps < 1/e so does (L - ln L)/2
+    with L = -ln eps: 2 eps y* = |r| - tanh(y*) >= 1 - tanh(y*) >=
+    exp(-2 y*), so y* >= W(1/eps)/2 >= (L - ln L)/2, as the Lambert W
+    has W(x) >= ln x - ln ln x for x >= e.  Newton rises from the largest
+    start to the root without overshooting it (up to the rounding of the
+    start): no bracket is needed.  Where tanh(y) rounds to 1 the root does
+    too, and the iterate (possibly an overflowed start) stays put.
+    Iteration stops once no step moves s by more than the tolerance; s is
+    kept strictly inside (-1, 1).
     """
     if np.isnan(arr).any():
         raise ParamError("resolvent input is NaN (logarithmic)")
     a = np.abs(arr)
     with np.errstate(all="ignore"):
         y = np.maximum(0.5 * a / (0.5 + eps), (0.5 * a - 0.5) / eps)
-        # an argument that is not positive (or NaN, where |r| >= 1) gives
-        # no start
+        # for |r| < 1 an argument that is not positive (or NaN) gives no
+        # start; for |r| >= 1, L is -ln eps, not ln(1/eps), which is inf
+        # at eps = 5e-324
         arg = 2.0 * (0.5 * a - eps * np.arctanh(a))
-        y = np.maximum(y, np.where(arg > 0.0, np.arctanh(arg), 0.0))
+        L = -math.log(eps)
+        past_one = 0.5 * (L - math.log(L)) if L > 1.0 else 0.0
+        y = np.maximum(y, np.where(a < 1.0, np.arctanh(np.fmax(arg, 0.0)),
+                                   past_one))
         for _ in range(_RESOLVENT_MAXITER):
             t = np.tanh(y)
             half_sech2 = 0.5 - 0.5 * t * t
@@ -260,71 +201,16 @@ def _resolvent_logarithmic(eps: float, arr: np.ndarray) -> np.ndarray:
     return np.copysign(np.minimum(np.tanh(y), np.nextafter(1.0, 0.0)), arr)
 
 
-def _resolvent_generic(spec: PotentialSpec, eps: float,
-                       arr: np.ndarray) -> np.ndarray:
-    if np.isnan(arr).any():
-        raise ParamError(f"resolvent input is NaN ({spec.kind})")
-
-    # every iterate lies in the bracket, inside the domain
-    def g(s):
-        return s + eps * spec.beta(s) - arr
-
-    def gp(s):
-        return 1.0 + eps * spec.beta_prime(s)
-
-    # bracket: finite endpoints (nudged inward when open), or geometric
-    # expansion when the domain is unbounded
-    if np.isfinite(spec.lo):
-        a = np.full_like(arr, spec.lo)
-        if spec.lo_open:
-            a = np.nextafter(a, spec.hi)
-    else:
-        a = np.minimum(arr, 0.0) - 1.0
-        for _ in range(200):
-            mask = g(a) > 0.0
-            if not np.any(mask):
-                break
-            a = np.where(mask, 2.0 * a - 1.0, a)
-    if np.isfinite(spec.hi):
-        b = np.full_like(arr, spec.hi)
-        if spec.hi_open:
-            b = np.nextafter(b, spec.lo)
-    else:
-        b = np.maximum(arr, 0.0) + 1.0
-        for _ in range(200):
-            mask = g(b) < 0.0
-            if not np.any(mask):
-                break
-            b = np.where(mask, 2.0 * b + 1.0, b)
-
-    with np.errstate(all="ignore"):
-        ga = g(a)
-        gb = g(b)
-    out = _solve_monotone(g, gp, a, b)
-    # no interior sign change: the resolvent sits on a (closed) endpoint,
-    # where the vertical part of the graph absorbs the remainder
-    if np.isfinite(spec.lo) and not spec.lo_open:
-        out = np.where(ga >= 0.0, spec.lo, out)
-    if np.isfinite(spec.hi) and not spec.hi_open:
-        out = np.where(gb <= 0.0, spec.hi, out)
-    return out
-
-
 def resolvent(spec: PotentialSpec, eps: float, r):
     """Resolvent J_eps(r) = (I + eps*beta)^{-1} r.
 
-    The family's own map where it has one: the projection for the
-    obstacle, Cardano for the quartic and a bracket-free Newton in
-    s = tanh(y) for the logarithm.  A custom family takes the safeguarded
-    Newton/bisection solve of :func:`_resolvent_generic`, which tests also
-    run on the built-in families as a cross-check.
+    The family's own map: the projection for the obstacle, Cardano for
+    the quartic and a bracket-free Newton in s = tanh(y) for the
+    logarithm.
     """
     if not eps > 0.0:
         raise ParamError("eps must be positive")
-    arr = np.asarray(r, dtype=float)
-    if spec.resolvent is None:
-        return _resolvent_generic(spec, eps, arr)
-    return spec.resolvent(eps, arr)
+    return spec.resolvent(eps, np.asarray(r, dtype=float))
 
 
 def beta_eps(spec: PotentialSpec, eps: float, r):
@@ -346,9 +232,9 @@ def beta_eps_prime(spec: PotentialSpec, eps: float, r, xi):
     xi = beta_eps(r): 1/eps - 1/(eps*(1 + eps*beta0'(J))) at the resolvent
     point J = r - eps*xi, clipped like the envelope's.
 
-    Past a closed endpoint e, that is beyond e + eps*beta0(e) (the test
-    the generic resolvent makes), J sits on e, where the graph of beta is
-    vertical: there J' = 0 and the derivative is 1/eps."""
+    Past a closed endpoint e, that is beyond e + eps*beta0(e), J sits on
+    e, where the graph of beta is vertical: there J' = 0 and the
+    derivative is 1/eps."""
     arr = np.asarray(r, dtype=float)
     bp = spec.beta_prime(_clip_to_domain(spec, arr - eps * xi))
     with np.errstate(all="ignore"):

@@ -59,11 +59,21 @@ def _check_drift(M: float, rho: float):
         raise ParamError(f"need finite rho > M (got rho={rho}, M={M})")
 
 
+def _check_ode(**args: float):
+    """Require finite w0 >= 0 and finite tau, eps > 0 of the arguments
+    given, naming the first that is not."""
+    for name, value in args.items():
+        low = 0.0 <= value if name == "w0" else 0.0 < value
+        if not (low and value < math.inf):
+            bound = ">=" if name == "w0" else ">"
+            raise ParamError(f"need finite {name} {bound} 0 "
+                             f"(got {name}={value})")
+
+
 def ode_w_closed_form(w0: float, M: float, rho: float, tau: float, t):
     """Limit comparison solution (w0 - (rho-M) t / tau)^+."""
     _check_drift(M, rho)
-    if w0 < 0.0 or not tau > 0.0:
-        raise ParamError("need w0 >= 0 and tau > 0")
+    _check_ode(w0=w0, tau=tau)
     tt = np.asarray(t, dtype=float)
     return np.maximum(w0 - (rho - M) / tau * tt, 0.0)
 
@@ -73,8 +83,7 @@ def ode_weps_closed_form_zero(eps: float, M: float, rho: float,
     """Regularized comparison solution for w0 = 0:
     (eps*M/rho) * (1 - exp(-rho t / (eps tau)))."""
     _check_drift(M, rho)
-    if not eps > 0.0 or not tau > 0.0:
-        raise ParamError("need eps > 0 and tau > 0")
+    _check_ode(eps=eps, tau=tau)
     tt = np.asarray(t, dtype=float)
     return (eps * M / rho) * (1.0 - np.exp(-rho * tt / (eps * tau)))
 
@@ -107,12 +116,11 @@ def ode_weps_integrate(eps: float, M: float, rho: float, tau: float,
     ``_ODE_MAX_SUBSTEPS`` substeps in all is a :class:`ParamError`.
     """
     _check_drift(M, rho)
-    if not eps > 0.0 or not tau > 0.0 or not 0.0 < dt < math.inf:
-        raise ParamError("need eps, tau > 0 and finite dt > 0")
+    _check_ode(eps=eps, tau=tau, w0=w0)
+    if not 0.0 < dt < math.inf:
+        raise ParamError("need finite dt > 0")
     if not 0.0 <= T < math.inf:
         raise ParamError("need finite T >= 0")
-    if w0 < 0.0:
-        raise ParamError("w0 must be nonnegative")
     if w0 > 0.0 and eps >= w0:
         raise ParamError("need eps in (0, w0) when w0 > 0")
     den = 0.5 * eps * tau
@@ -149,8 +157,7 @@ def ode_weps_integrate(eps: float, M: float, rho: float, tau: float,
 def sliding_time(w0: float, M: float, rho: float, tau: float) -> float:
     """Bound T* = tau*w0/(rho - M) on the reaching time."""
     _check_drift(M, rho)
-    if w0 < 0.0 or not tau > 0.0:
-        raise ParamError("need w0 >= 0 and tau > 0")
+    _check_ode(w0=w0, tau=tau)
     return tau * w0 / (rho - M)
 
 

@@ -3,6 +3,7 @@ import pytest
 
 from chsmc import potentials as pot
 from chsmc import smc, solver
+from chsmc.errors import ParamError, SolveError
 from chsmc.grid import Grid
 
 
@@ -21,17 +22,122 @@ def grid3d():
     return Grid(shape=(8, 8, 8), lengths=(0.4, 0.4, 0.4))
 
 
+# The reference solve of s + eps*beta(s) = r that the families' own
+# resolvents are checked against: safeguarded Newton/bisection in a
+# bracket, for any monotone beta with its derivative.
+_REFERENCE_TOL = 1e-13
+_REFERENCE_MAXITER = 100
+
+
+def _solve_monotone(g, gprime, a, b):
+    """Vectorized safeguarded Newton for a nondecreasing g.
+
+    Keeps a bracket per component and falls back to bisection whenever the
+    Newton step leaves it.  Absolute tolerance 1e-13 on the argument; an
+    exactly vanishing residual also counts as converged.
+    """
+    a = a.copy()
+    b = b.copy()
+    x = 0.5 * (a + b)
+    done = np.zeros(x.shape, dtype=bool)
+    for _ in range(_REFERENCE_MAXITER):
+        with np.errstate(all="ignore"):
+            gx = g(x)
+        neg = (gx < 0.0) & ~done
+        pos = (gx > 0.0) & ~done
+        a = np.where(neg, x, a)
+        b = np.where(pos, x, b)
+        done |= (b - a <= _REFERENCE_TOL) | (gx == 0.0)
+        if np.all(done):
+            break
+        with np.errstate(all="ignore"):
+            gp = gprime(x)
+            xn = np.where(gp > 0.0, x - gx / np.where(gp > 0.0, gp, 1.0),
+                          np.inf)
+        inside = (xn > a) & (xn < b) & np.isfinite(xn)
+        x = np.where(done, x, np.where(inside, xn, 0.5 * (a + b)))
+    else:
+        if np.any(~done & (b - a > 1e-9)):
+            raise SolveError("scalar resolvent solve did not converge")
+    return np.clip(x, a, b)
+
+
+def resolvent_generic(spec, eps, r):
+    """J_eps(r) for any family, by :func:`_solve_monotone` on spec.beta and
+    spec.beta_prime over its domain."""
+    arr = np.asarray(r, dtype=float)
+    if np.isnan(arr).any():
+        raise ParamError(f"resolvent input is NaN ({spec.kind})")
+
+    # every iterate lies in the bracket, inside the domain
+    def g(s):
+        return s + eps * spec.beta(s) - arr
+
+    def gp(s):
+        return 1.0 + eps * spec.beta_prime(s)
+
+    # bracket: finite endpoints (nudged inward when open), or geometric
+    # expansion when the domain is unbounded
+    if np.isfinite(spec.lo):
+        a = np.full_like(arr, spec.lo)
+        if spec.lo_open:
+            a = np.nextafter(a, spec.hi)
+    else:
+        a = np.minimum(arr, 0.0) - 1.0
+        for _ in range(200):
+            mask = g(a) > 0.0
+            if not np.any(mask):
+                break
+            a = np.where(mask, 2.0 * a - 1.0, a)
+    if np.isfinite(spec.hi):
+        b = np.full_like(arr, spec.hi)
+        if spec.hi_open:
+            b = np.nextafter(b, spec.lo)
+    else:
+        b = np.maximum(arr, 0.0) + 1.0
+        for _ in range(200):
+            mask = g(b) < 0.0
+            if not np.any(mask):
+                break
+            b = np.where(mask, 2.0 * b + 1.0, b)
+
+    with np.errstate(all="ignore"):
+        ga = g(a)
+        gb = g(b)
+    out = _solve_monotone(g, gp, a, b)
+    # no interior sign change: the resolvent sits on a (closed) endpoint,
+    # where the vertical part of the graph absorbs the remainder
+    if np.isfinite(spec.lo) and not spec.lo_open:
+        out = np.where(ga >= 0.0, spec.lo, out)
+    if np.isfinite(spec.hi) and not spec.hi_open:
+        out = np.where(gb <= 0.0, spec.hi, out)
+    return out
+
+
+def generic_spec(**maps):
+    """A PotentialSpec of the given maps and domain whose resolvent is the
+    reference solve on itself."""
+    spec = pot.PotentialSpec(
+        resolvent=lambda eps, r: resolvent_generic(spec, eps, r), **maps)
+    return spec
+
+
 def zero_potential():
-    """Potential with B = beta = pi = 0 (linearizes the flow)."""
-    return pot.custom(B=lambda r: 0.0, beta=lambda r: 0.0,
-                      pi=lambda r: 0.0, Pi=lambda r: 0.0)
+    """Potential with B = beta = pi = 0 (linearizes the flow), whose
+    resolvent is the identity."""
+    return pot.PotentialSpec(
+        kind="zero", B=np.zeros_like, beta=np.zeros_like,
+        beta_prime=np.zeros_like, pi=np.zeros_like, Pi=np.zeros_like,
+        resolvent=lambda eps, r: r)
 
 
 def obstacle_as_custom(c2):
-    """The double obstacle's maps, given as a custom potential."""
-    return pot.custom(B=lambda r: 0.0, beta=lambda r: 0.0,
-                      pi=lambda r: -2.0 * c2 * r,
-                      Pi=lambda r: c2 * (1.0 - r * r), lo=-1.0, hi=1.0)
+    """The double obstacle's maps with the reference solve in place of its
+    projection."""
+    return generic_spec(
+        kind="obstacle", B=np.zeros_like, beta=np.zeros_like,
+        beta_prime=np.zeros_like, pi=lambda r: -2.0 * c2 * r,
+        Pi=lambda r: c2 * (1.0 - r * r), lo=-1.0, hi=1.0)
 
 
 def laplacian_dirichlet(grid, u):

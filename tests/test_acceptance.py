@@ -17,7 +17,8 @@ from chsmc import analysis, potentials as pot, smc, solver
 from chsmc.errors import ConfigError
 from chsmc.grid import Grid
 
-from conftest import zero_potential, neumann_problem, dirichlet_problem
+from conftest import (zero_potential, neumann_problem, dirichlet_problem,
+                      resolvent_generic)
 
 
 def _verdict(num, name, ok, detail=""):
@@ -60,12 +61,12 @@ def test_criterion_1_resolvent_identity():
                 err2 = np.abs(Ji + eps * pot.beta0(spec, Ji) - ri) \
                     / (stiff * (1.0 + np.abs(ri)))
                 worst_defining = max(worst_defining, float(np.max(err2)))
-    # obstacle: closed-form projection vs the generic iterative path
+    # obstacle: closed-form projection vs the reference iterative solve
     spec = pot.double_obstacle(0.5)
     r = rng.uniform(-3.0, 3.0, size=2000)
     exact_match = all(
         np.array_equal(pot.resolvent(spec, eps, r),
-                       pot._resolvent_generic(spec, eps, r))
+                       resolvent_generic(spec, eps, r))
         for eps in eps_values)
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-12 and worst_defining <= 1e-11 and exact_match \

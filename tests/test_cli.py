@@ -950,6 +950,13 @@ def test_numerical_error_exit_code(tmp_path, neumann_config, monkeypatch,
      "substeps in all"),
     (["--w0", "1", "--M", "1", "--rho", "5", "--dt", "1e-300", "--T", "1"],
      "substeps in all"),
+    # non-finite w0, tau and eps are named, not printed as NaN rows
+    (["--w0", "nan", "--M", "1", "--rho", "5"], "finite w0 >= 0"),
+    (["--w0", "inf", "--M", "1", "--rho", "5"], "finite w0 >= 0"),
+    (["--w0", "0", "--M", "1", "--rho", "5", "--tau", "inf"],
+     "finite tau > 0"),
+    (["--w0", "0", "--M", "1", "--rho", "5", "--eps", "inf"],
+     "finite eps > 0"),
 ])
 def test_ode_oracle_invalid_flags_exit_2(capsys, flags, message):
     code = cli.main(["ode-oracle"] + flags)
@@ -1041,9 +1048,8 @@ def test_float_flags_take_negative_numbers_in_any_form(capsys, command, flag,
     separate = capsys.readouterr()
     assert code == cli.main(base + [f"--{flag}={value}"])
     assert separate == capsys.readouterr()
-    if command == "design-rho":
-        assert code == cli.EXIT_CONFIG
-        assert separate.err.startswith("config error: invalid flags: ")
+    assert code == cli.EXIT_CONFIG
+    assert separate.err.startswith("config error: invalid flags: ")
 
 
 def test_float_flag_followed_by_a_flag_still_misses_its_value(capsys):

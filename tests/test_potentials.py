@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from chsmc import potentials as pot
 from chsmc.errors import ParamError, SolveError
 
-from conftest import obstacle_as_custom
+from conftest import generic_spec, obstacle_as_custom, resolvent_generic
 
 SPECS = {
     "regular": pot.regular(),
@@ -95,8 +95,8 @@ def test_generic_resolvent_names_nan_input():
     with pytest.raises(ParamError, match="NaN"):
         pot.resolvent(SPECS["logarithmic"], 0.1, np.array([0.2, np.nan]))
     with pytest.raises(ParamError, match="NaN"):
-        pot._resolvent_generic(SPECS["logarithmic"], 0.1,
-                               np.array([0.2, np.nan]))
+        resolvent_generic(SPECS["logarithmic"], 0.1,
+                          np.array([0.2, np.nan]))
     # the Cardano path still passes NaN through, so that Newton sees a
     # non-finite residual and the step is halved
     assert np.isnan(pot.resolvent(SPECS["regular"], 0.1, np.nan))
@@ -113,6 +113,16 @@ def test_obstacle_values():
         pot.B_hat(s, 1.0 + 1e-12)
 
 
+def test_every_family_brings_its_resolvent(spec):
+    """Each factory fills the required resolvent field; a spec without
+    one cannot be built."""
+    assert callable(spec.resolvent)
+    maps = {name: getattr(spec, name)
+            for name in ("kind", "B", "beta", "beta_prime", "pi", "Pi")}
+    with pytest.raises(TypeError, match="resolvent"):
+        pot.PotentialSpec(**maps)
+
+
 def test_invalid_parameters_rejected():
     with pytest.raises(ValueError):
         pot.logarithmic(1.0)
@@ -125,19 +135,6 @@ def test_pi_matches_derivative_of_Pi(spec):
     h = 1e-6
     num = (spec.Pi(r + h) - spec.Pi(r - h)) / (2.0 * h)
     assert np.allclose(num, spec.pi(r), atol=1e-7)
-
-
-def test_custom_without_Pi_raises(grid1d):
-    s = pot.custom(B=lambda r: 0.0, beta=lambda r: 0.0,
-                   pi=lambda r: -r)
-    with pytest.raises(ValueError, match="needs an explicit Pi"):
-        s.Pi(2.0)
-    phi = grid1d.zeros()
-    with pytest.raises(ValueError, match="needs an explicit Pi"):
-        pot.free_energy(grid1d, phi, s, 0.1, pot.beta_eps(s, 0.1, phi))
-    with_Pi = pot.custom(B=lambda r: 0.0, beta=lambda r: 0.0,
-                         pi=lambda r: -r, Pi=lambda r: -0.5 * r * r)
-    assert with_Pi.Pi(2.0) == -2.0
 
 
 # -- resolvent and Yosida approximation -----------------------------------
@@ -207,8 +204,8 @@ def test_resolvent_obstacle_is_projection():
     r = np.linspace(-3, 3, 101)
     J = pot.resolvent(s, 0.01, r)
     assert np.array_equal(J, np.clip(r, -1.0, 1.0))
-    # generic Newton/bisection path lands on exactly the same values
-    Jg = pot._resolvent_generic(s, 0.01, r)
+    # the reference Newton/bisection solve lands on exactly the same values
+    Jg = resolvent_generic(s, 0.01, r)
     assert np.array_equal(Jg, J)
 
 
@@ -216,7 +213,7 @@ def test_resolvent_generic_matches_closed_form_regular():
     s = SPECS["regular"]
     r = np.linspace(-4, 4, 57)
     J = pot.resolvent(s, 0.05, r)
-    Jg = pot._resolvent_generic(s, 0.05, r)
+    Jg = resolvent_generic(s, 0.05, r)
     assert np.allclose(Jg, J, atol=1e-12)
 
 
@@ -225,8 +222,10 @@ def test_generic_resolvent_widens_a_bracket_that_misses(shift):
     """With beta0 = r^3 + shift at eps = 1, the root of s + beta0(s) = r
     lies below the starting bracket [min(r, 0) - 1, max(r, 0) + 1] for a
     shift of 5 and above it for -5, so the bracket has to grow."""
-    spec = pot.custom(B=lambda r: 0.25 * r**4 + shift * r,
-                      beta=lambda r: r**3 + shift, pi=lambda r: 0.0)
+    spec = generic_spec(kind="shifted", B=lambda r: 0.25 * r**4 + shift * r,
+                        beta=lambda r: r**3 + shift,
+                        beta_prime=lambda r: 3.0 * r**2, pi=np.zeros_like,
+                        Pi=np.zeros_like)
     r = np.linspace(-0.5, 0.5, 11)
     J = pot.resolvent(spec, 1.0, r)
     assert np.max(np.abs(J + pot.beta0(spec, J) - r)) <= 1e-12
@@ -248,12 +247,13 @@ def test_resolvent_logarithmic_stays_in_domain():
 @pytest.mark.parametrize("eps", [1e-1, 1e-2, 1e-3, 1e-4])
 def test_resolvent_logarithmic_matches_generic(eps):
     """The bracket-free Newton in s = tanh(y) lands within the tolerance
-    of the bracketed solve, on both sides of the endpoints too."""
+    of the bracketed reference solve, on both sides of the endpoints
+    too."""
     s = SPECS["logarithmic"]
     r = np.concatenate([np.linspace(-3.0, 3.0, 6001),
                         _around(-1.0), _around(1.0)])
     J = pot.resolvent(s, eps, r)
-    assert np.max(np.abs(J - pot._resolvent_generic(s, eps, r))) <= 1e-13
+    assert np.max(np.abs(J - resolvent_generic(s, eps, r))) <= 1e-13
     assert np.array_equal(pot.resolvent(s, eps, -r), -J)
     assert np.all(np.abs(J) < 1.0)
 
@@ -294,6 +294,29 @@ def test_resolvent_logarithmic_starts_near_the_root(monkeypatch, eps,
     assert np.all(np.abs(J[:len(r)] + eps * pot.beta0(SPECS["logarithmic"],
                                                       J[:len(r)]) - r)
                   <= 2e-16)
+
+
+@pytest.mark.parametrize("eps, most", [(1e-6, 7), (1e-300, 2)])
+def test_resolvent_logarithmic_starts_near_the_root_past_one(monkeypatch,
+                                                             eps, most):
+    """For |r| >= 1 the start (L - ln L)/2, L = -ln eps, lies below the
+    root, so Newton stops after a few steps at |r| = 1 and just past it,
+    where it took 15 (eps = 1e-6) and 30 (eps = 1e-300) from the linear
+    starts.  Counted in tanh calls, one per step plus the last one."""
+    calls = []
+    tanh = np.tanh
+    monkeypatch.setattr(np, "tanh", lambda y: calls.append(1) or tanh(y))
+    r = np.array([1.0, 1.0 + 1e-15])
+    J = pot.resolvent(SPECS["logarithmic"], eps, np.concatenate([r, -r]))
+    assert len(calls) <= most
+    monkeypatch.undo()
+    assert np.array_equal(J[:2], -J[2:])
+    if eps == 1e-300:
+        # the root is within rounding of 1: the float next to it
+        assert np.array_equal(J[:2], [np.nextafter(1.0, 0.0)] * 2)
+    else:
+        assert np.all(np.abs(J[:2] + eps * pot.beta0(SPECS["logarithmic"],
+                                                     J[:2]) - r) <= 2e-16)
 
 
 @pytest.mark.parametrize("eps", [1e-2, 1e300, 1.7e308])
@@ -364,15 +387,15 @@ def _around(x, k=5):
 @pytest.mark.parametrize("eps", [1e-1, 1e-2, 1e-3])
 def test_closed_endpoint_rule_is_the_same_for_every_family(eps):
     """Past a closed endpoint the graph of beta is vertical, so beta_eps'
-    is 1/eps there whatever family supplies the maps: a custom spec with
-    the obstacle's maps has the obstacle's derivative, bit for bit."""
+    is 1/eps there whatever solves the resolvent: the obstacle's maps with
+    the reference solve have the obstacle's derivative, bit for bit."""
     r = np.concatenate([np.linspace(-3.0, 3.0, 6001),
                         _around(-1.0), _around(1.0)])
-    built_in, custom = pot.double_obstacle(5.0), obstacle_as_custom(5.0)
+    built_in, reference = pot.double_obstacle(5.0), obstacle_as_custom(5.0)
     xi = pot.beta_eps(built_in, eps, r)
-    assert np.array_equal(pot.beta_eps(custom, eps, r), xi)
+    assert np.array_equal(pot.beta_eps(reference, eps, r), xi)
     slope = pot.beta_eps_prime(built_in, eps, r, xi)
-    assert np.array_equal(pot.beta_eps_prime(custom, eps, r, xi), slope)
+    assert np.array_equal(pot.beta_eps_prime(reference, eps, r, xi), slope)
     assert np.array_equal(slope, np.where(np.abs(r) > 1.0, 1.0 / eps, 0.0))
 
 
@@ -380,8 +403,10 @@ def test_closed_endpoint_rule_starts_past_the_kink():
     """With beta0(1) = 2 the resolvent reaches the endpoint 1 only for
     r >= 1 + 2*eps; below that beta_eps' follows beta0' at J."""
     eps = 0.1
-    s = pot.custom(B=lambda r: r * r, beta=lambda r: 2.0 * r,
-                   pi=lambda r: 0.0, lo=-1.0, hi=1.0)
+    s = generic_spec(kind="linear", B=lambda r: r * r,
+                     beta=lambda r: 2.0 * r,
+                     beta_prime=lambda r: np.full_like(r, 2.0),
+                     pi=np.zeros_like, Pi=np.zeros_like, lo=-1.0, hi=1.0)
     r = np.array([1.1, 1.15, 1.25, 1.5])
     slope = pot.beta_eps_prime(s, eps, r, pot.beta_eps(s, eps, r))
     linear = (1.0 - 1.0 / (1.0 + 2.0 * eps)) / eps

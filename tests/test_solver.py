@@ -628,18 +628,19 @@ def test_obstacle_overshoot_records_envelope_free_energy():
 
 
 def test_custom_obstacle_takes_the_built_in_newton_path():
-    """A custom spec with the obstacle's maps gets the same beta_eps' past
-    the endpoints, so Newton takes the built-in obstacle's iterations."""
+    """The obstacle's maps with the reference resolvent solve get the same
+    beta_eps' past the endpoints, so Newton takes the built-in obstacle's
+    iterations."""
     grid = Grid(shape=(64,), lengths=(1.0,))
     phi0 = np.clip(1.5 * np.cos(np.pi * grid.meshgrid()[0]), -1.0, 1.0)
     cfg = solver.SolverConfig(eps=1e-2, dt=1e-3, T=0.05,
                               scheme="coupled_neumann")
-    built_in, custom = (
+    built_in, reference = (
         solver.run(neumann_problem(grid, spec, phi0), cfg)
         for spec in (pot.double_obstacle(5.0), obstacle_as_custom(5.0)))
-    assert sum(custom.diagnostics.newton_iters) == \
+    assert sum(reference.diagnostics.newton_iters) == \
         sum(built_in.diagnostics.newton_iters) == 107
-    assert np.array_equal(custom.snapshots[-1].phi,
+    assert np.array_equal(reference.snapshots[-1].phi,
                           built_in.snapshots[-1].phi)
 
 
