@@ -6,15 +6,17 @@ Dirichlet one, of which the module provides only the inverse.  Both
 operators are diagonalized exactly by tensor-product DCT-II / DST-II
 bases, which provides the fast inversion path on these uniform grids.  On
 small grids the transforms are applied as dense per-axis matrices (the
-fast diagonalization method of Lynch, Rice & Thomas, 1964), because there
-a matrix product costs less than the per-call overhead of ``scipy.fft``;
-larger grids, where the O(n log n) transform wins, use ``scipy.fft``.  The
-choice depends on the grid shape alone (:func:`_dense_transforms`).  On a
-1-D grid that takes the dense path, the inverse Laplacians fold the
-transform pair and the symbol into one cached matrix and apply it as one
-product.  The dense matrices are built in closed form with numpy, so only
-a grid whose shape takes the FFT path loads ``scipy.fft``, and it does so
-when the grid is constructed, before any time is spent stepping.
+fast diagonalization method of Lynch, Rice & Thomas, 1964); larger grids,
+where the O(n log n) transform wins, use ``scipy.fft``.  The bound between
+the two weighs a dense apply against an FFT apply plus the one-off import
+of ``scipy.fft`` (about 0.3 s), so 2-D grids up to 128^2 stay dense even
+though an FFT pair is slightly faster there.  The choice depends on the
+grid shape alone (:func:`_dense_transforms`).  On a 1-D grid that takes
+the dense path, the inverse Laplacians fold the transform pair and the
+symbol into one cached matrix and apply it as one product.  The dense
+matrices are built in closed form with numpy, so only a grid whose shape
+takes the FFT path loads ``scipy.fft``, and it does so when the grid is
+constructed, before any time is spent stepping.
 
 The module also holds the package's one preconditioned CG loop, which the
 time stepper runs on its Newton systems, preconditioned by a DCT diagonal
@@ -265,19 +267,28 @@ def laplacian_neumann(grid: Grid, u: np.ndarray) -> np.ndarray:
 
 
 # Largest sum(shape), per dimension, at which the dense transforms win.
-_DENSE_MAX_SUM = {1: 256, 2: 224, 3: 288}
+_DENSE_MAX_SUM = {1: 256, 2: 256, 3: 288}
 
 
 def _dense_transforms(shape: tuple) -> bool:
-    """Whether per-axis matrix products beat ``scipy.fft`` on this shape.
+    """Whether per-axis matrix products beat ``scipy.fft`` on this shape,
+    counting the one-off import of ``scipy.fft`` that the FFT path costs.
 
     A dense transform costs about ncells*sum(shape) multiply-adds against
     the FFT's O(ncells*log n) plus a fixed per-call overhead of tens of
-    microseconds, which dominates on small grids.  The bounds come from a
-    single-threaded sweep of one Dirichlet inverse per shape (best of 7,
-    2-core Xeon, numpy 2.4, scipy 1.17): the FFT took over between 256
-    and 320 cells in 1-D, 112^2 and 120^2 in 2-D, and 96^3 and 100^3 in
-    3-D, where the dense path still won at 85^3 (35 against 53 ms).
+    microseconds, which dominates on small grids; the FFT path also pays
+    0.24-0.36 s once per process to import ``scipy.fft``.  The bounds
+    weigh the two on single-threaded sweeps (2-core Xeon, numpy 2.4,
+    scipy 1.17).  In 1-D the FFT took over between 256 and 320 cells, and
+    in 3-D between 96^3 and 100^3, where the dense path still won at 85^3
+    (35 against 53 ms): one Dirichlet inverse per shape, best of 7.  In
+    2-D the FFT pair is the faster from 112^2 (median of 10 alternating
+    sets of 20 applies of an inverse symbol, DCT and DST alike), but by
+    little: 0.28 against 0.25-0.27 ms at 112^2, 0.39-0.41 against
+    0.31-0.40 ms at 128^2, 0.52 against 0.33-0.35 ms at 144^2 and
+    0.86-0.96 against 0.58-0.72 ms at 160^2.  At 128^2 the import repays
+    itself only after about 3,500 applies, more than a spinodal-size run
+    makes, so 2-D grids take the dense path up to 128^2 (sum 256).
     """
     return sum(shape) <= _DENSE_MAX_SUM[len(shape)]
 

@@ -208,8 +208,8 @@ def resolvent(spec: PotentialSpec, eps: float, r):
     the quartic and a bracket-free Newton in s = tanh(y) for the
     logarithm.
     """
-    if not eps > 0.0:
-        raise ParamError("eps must be positive")
+    if not 0.0 < eps < math.inf:
+        raise ParamError(f"eps must be positive and finite, got {eps!r}")
     return spec.resolvent(eps, np.asarray(r, dtype=float))
 
 

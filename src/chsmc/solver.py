@@ -10,11 +10,12 @@ potential through the inverse Laplacian of its boundary regime: the
 mean-free Neumann inverse N, which conserves the mean of the order
 parameter exactly, or the Dirichlet inverse D after the harmonic
 extension of the datum is subtracted.  Each step solves one equation for
-the increment of phi by matrix-free Newton; each Newton system is solved
-tightly by conjugate gradients preconditioned with the DCT-II inverse of
-the Jacobian's constant-coefficient part (fast direct solvers as
-preconditioners, Concus & Golub 1973), so a step takes about as many
-Newton iterations as exact Newton.
+the increment of phi by matrix-free Newton, whose linear part, the step
+operator of :func:`_regime`, is one cosine symbol for zero flux.  Each
+Newton system is solved tightly by conjugate gradients preconditioned
+with the DCT-II inverse of the Jacobian's constant-coefficient part (fast
+direct solvers as preconditioners, Concus & Golub 1973), so a step takes
+about as many Newton iterations as exact Newton.
 
 ``galerkin_neumann`` projects onto the first n zero-flux cosine modes,
 with the nonlinearities evaluated by collocation, and solves its small
@@ -261,14 +262,20 @@ def _cosine_preconditioner(grid: Grid, shift: float, dt: float,
     return lambda r: apply_symbol(grid, r, symbol, "neumann")
 
 
-def _regime(grid: Grid, bc_kind: str):
-    """(G, P, offset) of the potential's boundary regime: the inverse
-    Laplacian G, the projection P and the preconditioner offset.
+def _regime(grid: Grid, bc_kind: str, tau: float, dt: float):
+    """(K, G, P, offset) of the potential's boundary regime for one step
+    of length dt: the step operator K(v) = tau*v/dt + G(v)/dt - Lap_N v,
+    the inverse Laplacian G, the projection P and the preconditioner
+    offset.
 
-    Zero flux: G = N o P, P the mean-free projection, offset 0.
-    Dirichlet: G = D = (-Lap_D)^{-1}, P = I, offset lam_D,min.  D is
-    diagonal in the DST basis, so the DCT symbol 1/(lam_N + lam_D,min)
-    only stands in for it; the mismatch is small next to tau/dt.
+    Zero flux: G = N o P, P the mean-free projection, offset 0.  The
+    DCT-II diagonalizes Lap_N exactly and G is its mean-free inverse, so
+    K is one cosine symbol, tau/dt + 1/(dt*lam) + lam with the zero mode's
+    1/lam read as 0, applied by one transform pair.
+    Dirichlet: G = D = (-Lap_D)^{-1}, P = I, offset lam_D,min, and K is
+    the sum, as D is diagonal in the DST basis and Lap_N in the DCT one.
+    The DCT symbol 1/(lam_N + lam_D,min) only stands in for D in the
+    preconditioner; the mismatch is small next to tau/dt.
     """
     if bc_kind == "neumann":
         def P(u):
@@ -276,24 +283,30 @@ def _regime(grid: Grid, bc_kind: str):
 
         def G(u):
             return inverse_neumann(grid, P(u))
-        return G, P, 0.0
+
+        symbol = (tau / dt + grid.inverse_eigenvalues("neumann") / dt
+                  + grid.eigenvalues("neumann"))
+
+        def K(v):
+            return apply_symbol(grid, v, symbol, "neumann")
+        return K, G, P, 0.0
 
     def G(u):
         return inverse_dirichlet(grid, u)
-    return G, (lambda u: u), float(grid.eigenvalues("dirichlet").flat[0])
+
+    def K(v):
+        return tau * v / dt + G(v) / dt - laplacian_neumann(grid, v)
+    return K, G, (lambda u: u), float(grid.eigenvalues("dirichlet").flat[0])
 
 
 def _jacobian(grid: Grid, regime, tau: float, dt: float, bprime: np.ndarray):
-    """Jacobian action of the eliminated residual and its preconditioner
-    (exact for zero flux when ``bprime`` is constant), for the ``_regime``
-    the stepper built."""
-    G, P, offset = regime
+    """Jacobian action K(v) + P(bprime*v) of the eliminated residual and
+    its preconditioner (exact for zero flux when ``bprime`` is constant),
+    for the ``_regime`` the stepper built with the same tau and dt."""
+    K, _, P, offset = regime
 
     def apply_J(v):
-        return (tau * v / dt
-                + G(v) / dt
-                - laplacian_neumann(grid, v)
-                + P(bprime * v))
+        return K(v) + P(bprime * v)
 
     shift = tau / dt + grid.mean(bprime)
     return apply_J, _cosine_preconditioner(grid, shift, dt, offset)
@@ -323,41 +336,40 @@ def step_eliminated(state: StateSnapshot, data: ProblemData,
 
     Solves for the increment d = phi - phi^n, starting from 0,
 
-        tau d/dt + G(d)/dt - Lap_N phi + P[beta_eps(phi) + explicit - g
-                                           + mu_H] = 0,
+        K(d) - Lap_N phi^n + P[beta_eps(phi) + explicit - g + mu_H] = 0,
 
-    and recovers mu = mu_H - G(d)/dt + (I - P)[xi + explicit - g], with
-    mu_H the harmonic extension of the Dirichlet datum (0 for zero flux).
-    For zero flux d stays mean-free, so the mean of phi is conserved.
-    xi = beta_eps(phi) and G(d) are those of Newton's last residual
-    evaluation, which was at the returned d; the Jacobian takes
-    beta_eps'(phi) from the xi of that evaluation as well.  The first
-    residual, at d = 0, takes ``state.xi`` and G(0) = 0, so ``state.xi``
-    must be beta_eps(phi^n) with ``cfg.eps`` (the :class:`StateSnapshot`
-    contract); a step solves the resolvent once per Newton iteration.  A
-    step that converges there, with 0 Newton iterations, returns
+    with K(d) = tau d/dt + G(d)/dt - Lap_N d the step operator of
+    :func:`_regime`, and recovers mu = mu_H - G(d)/dt + (I - P)[xi +
+    explicit - g], with mu_H the harmonic extension of the Dirichlet
+    datum (0 for zero flux).  For zero flux d stays mean-free, so the
+    mean of phi is conserved, and K is one cosine symbol: a step applies
+    the Laplacian once, to phi^n, however many Newton and CG iterations
+    it takes, and G once, for mu.  xi = beta_eps(phi) is that of Newton's
+    last residual evaluation, which was at the returned d; the Jacobian
+    K + P beta_eps'(phi) takes beta_eps'(phi) from the xi of that
+    evaluation as well.  The first residual, at d = 0, takes
+    ``state.xi`` and K(0) = 0, so ``state.xi`` must be beta_eps(phi^n)
+    with ``cfg.eps`` (the :class:`StateSnapshot` contract); a step solves
+    the resolvent once per Newton iteration.  A step that converges
+    there, with 0 Newton iterations, applies no G and returns
     ``state.phi`` and ``state.xi`` themselves, not copies.
     """
     grid = data.grid
     t_new = state.t + dt
     X = grid.meshgrid()
-    regime = _regime(grid, data.bc.kind)
-    G, P, _ = regime
+    regime = _regime(grid, data.bc.kind, data.tau, dt)
+    K, G, P, _ = regime
     mu_H = (harmonic_extension(grid, data.bc.datum, t_new)
             if data.bc.kind == "dirichlet" else 0.0)
     phi_n = state.phi
     expl_g = _explicit_part(data, X, phi_n, t_new) - data.g(X, t_new)
     fixed = expl_g + mu_H
-    last = {"xi": state.xi, "Gd": 0.0}
+    lap_n = laplacian_neumann(grid, phi_n)
+    last = {"xi": state.xi}
 
     def residual(d):
-        phi = phi_n + d
-        last["xi"] = pot.beta_eps(data.spec, cfg.eps, phi)
-        last["Gd"] = G(d)
-        return (data.tau * d / dt
-                + last["Gd"] / dt
-                - laplacian_neumann(grid, phi)
-                + P(last["xi"] + fixed))
+        last["xi"] = pot.beta_eps(data.spec, cfg.eps, phi_n + d)
+        return K(d) - lap_n + P(last["xi"] + fixed)
 
     floor = _INNER_FLOOR * NEWTON_TOL / np.sqrt(grid.cell_volume)
 
@@ -367,14 +379,13 @@ def step_eliminated(state: StateSnapshot, data: ProblemData,
         apply_J, precond = _jacobian(grid, regime, data.tau, dt, bprime)
         return pcg(apply_J, -r, precond, rtol=_INNER_RTOL, atol=floor)
 
-    # the residual at d = 0, where phi = phi^n and G(0) = 0; 0.0 - Lap
-    # gives the bits of the full sum, whose first two terms are +0.0
+    # the residual at d = 0, where phi = phi^n and K(0) = 0
     d, iters = _newton(residual, solve, grid.zeros(), grid.l2_norm, P,
-                       0.0 - laplacian_neumann(grid, phi_n)
-                       + P(state.xi + fixed))
+                       P(state.xi + fixed) - lap_n)
     xi = last["xi"]
     rest = xi + expl_g
-    mu = mu_H - last["Gd"] / dt + (rest - P(rest))
+    Gd = G(d) if iters else 0.0
+    mu = mu_H - Gd / dt + (rest - P(rest))
     return _snapshot(data, t_new, phi_n if iters == 0 else phi_n + d, mu,
                      xi, iters)
 
@@ -552,6 +563,10 @@ def run(data: ProblemData, cfg: SolverConfig) -> Trajectory:
     snapshots = [state]
     diag = DiagnosticsSeries()
     _record(diag, data, cfg, state, None, cfg.dt)
+    if not np.isfinite(diag.free_energy_reg[0]):
+        # a finite phi0 far outside the domain overflows the quartic
+        # envelope or the gradient energy
+        raise ConfigError("phi0 has a free energy that is not finite")
     prev_phi = state.phi
     for end in smc.step_end_times(cfg.T, cfg.dt):
         # the end time minus the start time is exact (Sterbenz), so the

@@ -860,7 +860,7 @@ def test_cli_import_loads_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
-@pytest.mark.parametrize("dim,cells", [(1, 128), (3, 24)])
+@pytest.mark.parametrize("dim,cells", [(1, 128), (2, 128), (3, 24)])
 def test_dense_path_simulate_loads_no_scipy(tmp_path, dim, cells):
     """A run on a grid that takes the dense transforms needs only numpy."""
     config = tmp_path / "run.ini"
@@ -881,7 +881,7 @@ def test_dense_path_simulate_loads_no_scipy(tmp_path, dim, cells):
 def test_fft_path_grid_loads_scipy_fft_when_built():
     """scipy.fft is imported by the Grid constructor, before any run."""
     out = _run_python("-c", "import sys; from chsmc.grid import Grid; "
-                            "Grid(shape=(128, 128), lengths=(1.0, 1.0)); "
+                            "Grid(shape=(129, 128), lengths=(1.0, 1.0)); "
                             "print('scipy.fft' in sys.modules)")
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "True"
@@ -912,6 +912,21 @@ def test_module_entry_point_runs_without_runtime_warning():
                       "--help")
     assert out.returncode == 0, out.stderr
     assert "usage: chsmc" in out.stdout
+
+
+@pytest.mark.parametrize("T", ["0", "0.01"])
+def test_phi0_whose_free_energy_overflows_exits_2(tmp_path, capsys, T):
+    """A finite phi0 of 1e300 overflows the quartic energy: at T = 0 the
+    run used to exit 0 with a NaN free energy, and at T > 0 exit 3."""
+    config = tmp_path / "run.ini"
+    config.write_text(NEUMANN_CONFIG
+                      .replace("amplitude=0.4", "amplitude=1e300")
+                      .replace("T = 0.01", f"T = {T}"))
+    code = cli.main(["simulate", "--config", str(config), "--quiet",
+                     "--out", str(tmp_path / "out")])
+    assert code == cli.EXIT_CONFIG
+    assert "phi0 has a free energy that is not finite" in (
+        capsys.readouterr().err)
 
 
 def test_numerical_error_exit_code(tmp_path, neumann_config, monkeypatch,

@@ -197,7 +197,8 @@ def test_inverse_dirichlet_solves(grid2d, inverse):
 # Shapes on both sides of the dense/FFT selection; the tier-1 fixture grids
 # (64, 12x10, 8^3) are all on the dense side.
 TRANSFORM_SHAPES = [((64,), True), ((256,), True), ((1024,), False),
-                    ((12, 10), True), ((96, 96), True), ((128, 128), False),
+                    ((12, 10), True), ((96, 96), True), ((128, 128), True),
+                    ((129, 128), False),
                     ((8, 8, 8), True), ((6, 7, 5), True),
                     ((24, 24, 24), True), ((32, 32, 32), True),
                     ((282, 3, 3), True), ((283, 3, 3), False)]

@@ -343,6 +343,14 @@ def test_resolvent_rejects_nonpositive_eps(spec):
         pot.resolvent(spec, 0.0, 0.5)
 
 
+@pytest.mark.parametrize("eps", [np.inf, np.nan])
+def test_resolvent_rejects_non_finite_eps(spec, eps):
+    """inf would give NaN for the quartic and a SolveError for the
+    logarithm; both reach the eps check first."""
+    with pytest.raises(ParamError, match="eps must be positive and finite"):
+        pot.resolvent(spec, eps, np.array([0.0, 0.5, 2.0]))
+
+
 def test_beta_eps_identity(spec):
     r = np.linspace(-2.5, 2.5, 41)
     eps = 0.01

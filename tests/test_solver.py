@@ -319,7 +319,7 @@ def test_step_reuses_newtons_last_evaluation(kind):
     assert state1.newton_iters > 0
     assert np.array_equal(state1.xi,
                           pot.beta_eps(data.spec, cfg.eps, state1.phi))
-    G, P, _ = solver._regime(grid, kind)
+    _, G, P, _ = solver._regime(grid, kind, data.tau, cfg.dt)
     X = grid.meshgrid()
     t = cfg.dt
     mu_H = (harmonic_extension(grid, data.bc.datum, t)
@@ -498,9 +498,47 @@ def test_coupled_preconditioner_inverts_constant_coefficient_jacobian(grid2d):
     v -= grid2d.mean(v)
     bprime = np.full(grid2d.shape, 3.7)
     apply_J, precond = solver._jacobian(
-        grid2d, solver._regime(grid2d, "neumann"), 0.7, 1e-3, bprime)
+        grid2d, solver._regime(grid2d, "neumann", 0.7, 1e-3), 0.7, 1e-3,
+        bprime)
     w = precond(apply_J(v))
     assert grid2d.l2_norm(w - v) <= 1e-12 * grid2d.l2_norm(v)
+
+
+@pytest.mark.parametrize("shape", [(64,), (12, 10), (128, 128), (129, 128),
+                                   (8, 8, 8)], ids=str)
+def test_zero_flux_step_operator_is_one_cosine_symbol(shape):
+    """The zero-flux K, one symbol on the dense or the FFT path, is the
+    sum tau*v/dt + G(v)/dt - Lap_N v, for v with a nonzero mean too."""
+    grid = Grid(shape=shape,
+                lengths=tuple(0.5 + 0.25 * a for a in range(len(shape))))
+    tau, dt = 0.7, 1e-3
+    K, G, _, _ = solver._regime(grid, "neumann", tau, dt)
+    v = np.random.default_rng(13).standard_normal(shape) + 0.3
+    expected = tau * v / dt + G(v) / dt - laplacian_neumann(grid, v)
+    scale = np.max(np.abs(expected))
+    assert np.max(np.abs(K(v) - expected)) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("spec", [pot.regular(), pot.logarithmic(2.0)],
+                         ids=["regular", "logarithmic"])
+def test_zero_flux_step_applies_the_laplacian_once(monkeypatch, spec):
+    """K carries -Lap_N in its symbol, so a zero-flux step applies the
+    Laplacian only to phi^n, whatever its Newton and CG counts."""
+    calls = []
+
+    def counting(grid, u):
+        calls.append(1)
+        return laplacian_neumann(grid, u)
+
+    monkeypatch.setattr(solver, "laplacian_neumann", counting)
+    grid = Grid(shape=(12, 10), lengths=(1.0, 0.75))
+    data = neumann_problem(grid, spec, cosine_data(grid, amp=0.6), rho=1.0)
+    cfg = solver.SolverConfig(eps=1e-2, dt=1e-3, T=0.0,
+                              scheme="coupled_neumann")
+    state = solver.step_eliminated(solver._initial_snapshot(data, cfg), data,
+                                   cfg, cfg.dt)
+    assert state.newton_iters >= 2
+    assert len(calls) == 1
 
 
 def test_newton_raises_on_indefinite_jacobian():
