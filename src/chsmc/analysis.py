@@ -135,11 +135,22 @@ def run_sliding_experiment(make_data: Callable[[float], ProblemData],
     ``make_data(rho)``/``make_cfg(rho)`` build the problem for a given
     gain (the time step may shrink with the gain to keep the explicit
     control term stable).  Returns (report, comparison, trajectory).
+    A T that is not positive is a :class:`ParamError`.  A calibration
+    that leaves no gain above the drift (rho <= M, as when phi0 = phistar
+    and nothing drives them apart) is a :class:`ConfigError`, raised
+    before the main run.
     """
+    if not T > 0.0:
+        raise ParamError(f"the sliding experiment needs T > 0, got {T!r}")
     calib = run(make_data(0.0), make_cfg(0.0))
     M_meas = measure_comparison_drift(calib)
     w0 = calib.diagnostics.sup_chi[0]  # sup|phi0 - phistar(0)|
     rho = rho_margin * (M_meas + tau * w0 / T)
+    if not rho > M_meas:
+        raise ConfigError(
+            f"the designed gain rho = {rho!r} does not exceed the measured "
+            f"drift M_meas = {M_meas!r} (w0 = {w0!r}): there is nothing "
+            "for the control to slide onto")
     data = make_data(rho)
     cfg = make_cfg(rho)
     traj = run(data, cfg)

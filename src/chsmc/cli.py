@@ -67,12 +67,14 @@ config errors.
 
 Exit codes: 0 ok, 2 config error (an ``--out`` that cannot be made a
 directory, a ``contdep`` phi0 perturbation that is not mean-free in the
-zero-flux regime, a ``sliding-check`` phistar where beta0 is not defined,
-and ``ode-oracle`` and ``design-rho`` flags that the formulas reject, such
-as a T/dt that overflows, included), 3 numerical failure (an eps whose
-1/eps**3 overflows in the quartic resolvent, for one), 4 verification
-failure.  A bad argument to the library raises a ``ParamError``, which is
-also a ``ValueError`` (see :mod:`chsmc.errors`).
+zero-flux regime, a ``contdep`` run with fewer than two output times, a
+``sliding-check`` phistar where beta0 is not defined, a ``sliding-check``
+T of 0, a ``sliding-check`` calibration that leaves no gain above the
+measured drift, and ``ode-oracle`` and ``design-rho`` flags that the
+formulas reject, such as a T/dt that overflows, included), 3 numerical
+failure (an eps whose 1/eps**3 overflows in the quartic resolvent, for
+one), 4 verification failure.  A bad argument to the library raises a
+``ParamError``, which is also a ``ValueError`` (see :mod:`chsmc.errors`).
 """
 
 from __future__ import annotations
@@ -423,6 +425,9 @@ def cmd_sliding_check(args) -> int:
     data, cfg, extras = load_config(args.config)
     if data.bc.kind != "dirichlet":
         raise RegimeError("sliding check needs the Dirichlet regime")
+    if not cfg.T > 0.0:
+        raise ConfigError("bad value for [time] T: the sliding check needs "
+                          f"T > 0, got {cfg.T!r}")
     # the design needs beta0 bounded at the target; profiles ignore t
     try:
         pot.beta0(data.spec, data.phistar(data.grid.meshgrid(), 0.0))
@@ -470,6 +475,10 @@ def cmd_sliding_check(args) -> int:
 
 def cmd_contdep(args) -> int:
     data, cfg, extras = load_config(args.config)
+    if len(cfg.output_times) < 2:
+        raise ConfigError("bad values in [time]: contdep compares the runs "
+                          "at two or more output times, so it needs T > 0 "
+                          f"and outputs >= 2, got {len(cfg.output_times)}")
     cd = extras["contdep"]
     which = cd["which"]
     analysis.check_perturbation(data, which, cd["shape"])

@@ -13,9 +13,11 @@ extension of the datum is subtracted.  Each step solves one equation for
 the increment of phi by matrix-free Newton, whose linear part, the step
 operator of :func:`_regime`, is one cosine symbol for zero flux.  Each
 Newton system is solved tightly by conjugate gradients preconditioned
-with the DCT-II inverse of the Jacobian's constant-coefficient part (fast
-direct solvers as preconditioners, Concus & Golub 1973), so a step takes
-about as many Newton iterations as exact Newton.
+with the inverse of the regime's DCT-II step symbol, shifted by the mean
+of the Jacobian's diagonal (fast direct solvers as preconditioners,
+Concus & Golub 1973); for zero flux and a constant diagonal it is the
+exact inverse, so a step takes about as many Newton iterations as exact
+Newton.
 
 ``galerkin_neumann`` projects onto the first n zero-flux cosine modes,
 with the nonlinearities evaluated by collocation, and solves its small
@@ -215,68 +217,51 @@ _INNER_RTOL = 1e-6
 _INNER_FLOOR = 0.1
 
 
-def _newton(residual, solve, x0, norm, project, r0=None):
+def _newton(residual, solve, x0, norm, project, first):
     """Newton to ``NEWTON_TOL`` on ``norm`` of the residual, the one Newton
     iteration of every stepper; each new iterate is passed through
-    ``project``.  ``r0``, when given, is the residual at ``x0``, which is
-    then not evaluated again; it is dropped once it has been used.
-
-    ``solve(x, r)`` returns the step dx with J(x) dx = -r, called with the
-    iterate and the residual of the last ``residual`` call.  A non-finite
-    residual norm, a :class:`SolveError` from ``solve`` (a CG breakdown)
-    and ``NEWTON_MAX`` iterations without convergence raise
-    :class:`NewtonError`.  The returned iterate is the one of the last
-    ``residual`` call, so a caller may reuse what that call computed.
+    ``project``.  ``residual(x)`` returns ``(r, ev)``, ``ev`` being what
+    the evaluation computed that the step reuses, and ``first`` is that
+    pair at ``x0``.  ``solve(x, r, ev)`` returns the step dx with
+    J(x) dx = -r.  Returns ``(x, iters, ev)`` at the converged iterate.
+    A non-finite residual norm, a :class:`SolveError` from ``solve`` (a
+    CG breakdown) and ``NEWTON_MAX`` residual evaluations, ``first``
+    included, without convergence raise :class:`NewtonError`.
     """
-    x = x0.copy()
+    x, (r, ev) = x0, first
     for it in range(NEWTON_MAX):
-        if r0 is None:
-            r = residual(x)
-        else:
-            r, r0 = r0, None
+        if it:
+            r, ev = residual(x)
         rnorm = norm(r)
         if not np.isfinite(rnorm):
             raise NewtonError("non-finite residual")
         if rnorm <= NEWTON_TOL:
-            return x, it
+            return x, it, ev
         try:
-            dx = solve(x, r)
+            dx = solve(x, r, ev)
         except SolveError as exc:
             raise NewtonError(f"inner solve failed: {exc}") from exc
         x = project(x + dx)
     raise NewtonError(f"Newton did not converge (residual {rnorm:.3e})")
 
 
-def _cosine_preconditioner(grid: Grid, shift: float, dt: float,
-                           offset: float):
-    """Exact inverse of shift - Lap_N + (dt*(offset - Lap_N))^+ in the
-    DCT-II basis, as a preconditioner.
+def _regime(grid: Grid, bc_kind: str, tau: float, dt: float):
+    """(K, G, P, precondition) of the potential's boundary regime for one
+    step of length dt: the step operator K(v) = tau*v/dt + G(v)/dt -
+    Lap_N v, the inverse Laplacian G, the projection P, and
+    ``precondition(shift)``, which applies 1/(symbol + shift) in the
+    DCT-II basis, ``symbol`` being the regime's DCT symbol of K.
 
-    The symbol 1/(shift + lam + 1/(dt*(lam + offset))) is written as
-    k/(k*(shift + lam) + 1) with k = dt*(lam + offset), so for offset 0
-    the zero mode is removed without a division by zero.
+    Zero flux: G = N o P, P the mean-free projection.  The DCT-II
+    diagonalizes Lap_N exactly and G is its mean-free inverse, so K is
+    one cosine symbol, tau/dt + 1/(dt*lam) + lam with the zero mode's
+    1/lam read as 0; the preconditioner drops that mode.
+    Dirichlet: G = D = (-Lap_D)^{-1}, P = I, and K is the sum, as D is
+    diagonal in the DST basis and Lap_N in the DCT one.  The symbol
+    stands in 1/(dt*(lam + lam_D,min)) for D/dt, a mismatch that is
+    small next to tau/dt.
     """
     lam = grid.eigenvalues("neumann")
-    k = dt * (lam + offset)
-    symbol = k / (k * (shift + lam) + 1.0)
-    return lambda r: apply_symbol(grid, r, symbol, "neumann")
-
-
-def _regime(grid: Grid, bc_kind: str, tau: float, dt: float):
-    """(K, G, P, offset) of the potential's boundary regime for one step
-    of length dt: the step operator K(v) = tau*v/dt + G(v)/dt - Lap_N v,
-    the inverse Laplacian G, the projection P and the preconditioner
-    offset.
-
-    Zero flux: G = N o P, P the mean-free projection, offset 0.  The
-    DCT-II diagonalizes Lap_N exactly and G is its mean-free inverse, so
-    K is one cosine symbol, tau/dt + 1/(dt*lam) + lam with the zero mode's
-    1/lam read as 0, applied by one transform pair.
-    Dirichlet: G = D = (-Lap_D)^{-1}, P = I, offset lam_D,min, and K is
-    the sum, as D is diagonal in the DST basis and Lap_N in the DCT one.
-    The DCT symbol 1/(lam_N + lam_D,min) only stands in for D in the
-    preconditioner; the mismatch is small next to tau/dt.
-    """
     if bc_kind == "neumann":
         def P(u):
             return u - grid.mean(u)
@@ -284,32 +269,28 @@ def _regime(grid: Grid, bc_kind: str, tau: float, dt: float):
         def G(u):
             return inverse_neumann(grid, P(u))
 
-        symbol = (tau / dt + grid.inverse_eigenvalues("neumann") / dt
-                  + grid.eigenvalues("neumann"))
+        symbol = tau / dt + grid.inverse_eigenvalues("neumann") / dt + lam
 
         def K(v):
             return apply_symbol(grid, v, symbol, "neumann")
-        return K, G, P, 0.0
+    else:
+        def P(u):
+            return u
 
-    def G(u):
-        return inverse_dirichlet(grid, u)
+        def G(u):
+            return inverse_dirichlet(grid, u)
 
-    def K(v):
-        return tau * v / dt + G(v) / dt - laplacian_neumann(grid, v)
-    return K, G, (lambda u: u), float(grid.eigenvalues("dirichlet").flat[0])
+        def K(v):
+            return tau * v / dt + G(v) / dt - laplacian_neumann(grid, v)
+        lam_d = grid.eigenvalues("dirichlet").flat[0]
+        symbol = tau / dt + lam + 1.0 / (dt * (lam + lam_d))
 
-
-def _jacobian(grid: Grid, regime, tau: float, dt: float, bprime: np.ndarray):
-    """Jacobian action K(v) + P(bprime*v) of the eliminated residual and
-    its preconditioner (exact for zero flux when ``bprime`` is constant),
-    for the ``_regime`` the stepper built with the same tau and dt."""
-    K, _, P, offset = regime
-
-    def apply_J(v):
-        return K(v) + P(bprime * v)
-
-    shift = tau / dt + grid.mean(bprime)
-    return apply_J, _cosine_preconditioner(grid, shift, dt, offset)
+    def precondition(shift):
+        inverse = 1.0 / (symbol + shift)
+        if bc_kind == "neumann":
+            inverse.flat[0] = 0.0  # lam = 0: K acts on mean-free d
+        return lambda r: apply_symbol(grid, r, inverse, "neumann")
+    return K, G, P, precondition
 
 
 # -- steppers ----------------------------------------------------------
@@ -344,45 +325,44 @@ def step_eliminated(state: StateSnapshot, data: ProblemData,
     datum (0 for zero flux).  For zero flux d stays mean-free, so the
     mean of phi is conserved, and K is one cosine symbol: a step applies
     the Laplacian once, to phi^n, however many Newton and CG iterations
-    it takes, and G once, for mu.  xi = beta_eps(phi) is that of Newton's
-    last residual evaluation, which was at the returned d; the Jacobian
-    K + P beta_eps'(phi) takes beta_eps'(phi) from the xi of that
-    evaluation as well.  The first residual, at d = 0, takes
-    ``state.xi`` and K(0) = 0, so ``state.xi`` must be beta_eps(phi^n)
-    with ``cfg.eps`` (the :class:`StateSnapshot` contract); a step solves
-    the resolvent once per Newton iteration.  A step that converges
-    there, with 0 Newton iterations, applies no G and returns
-    ``state.phi`` and ``state.xi`` themselves, not copies.
+    it takes, and G once, for mu.  Each residual evaluation hands its
+    xi = beta_eps(phi) to :func:`_newton`, which passes it to the linear
+    solve at the same iterate and returns it with the converged d; the
+    Jacobian K + P beta_eps'(phi) takes beta_eps'(phi) from it, and CG is
+    preconditioned by the regime's step symbol shifted by the mean of
+    beta_eps'(phi).  The first residual, at d = 0, takes ``state.xi``
+    and K(0) = 0, so ``state.xi`` must be beta_eps(phi^n) with
+    ``cfg.eps`` (the :class:`StateSnapshot` contract); a step solves the
+    resolvent once per Newton iteration.  A step that converges there,
+    with 0 Newton iterations, applies no G and returns ``state.phi`` and
+    ``state.xi`` themselves, not copies.
     """
     grid = data.grid
     t_new = state.t + dt
     X = grid.meshgrid()
-    regime = _regime(grid, data.bc.kind, data.tau, dt)
-    K, G, P, _ = regime
+    K, G, P, precondition = _regime(grid, data.bc.kind, data.tau, dt)
     mu_H = (harmonic_extension(grid, data.bc.datum, t_new)
             if data.bc.kind == "dirichlet" else 0.0)
     phi_n = state.phi
     expl_g = _explicit_part(data, X, phi_n, t_new) - data.g(X, t_new)
     fixed = expl_g + mu_H
     lap_n = laplacian_neumann(grid, phi_n)
-    last = {"xi": state.xi}
 
     def residual(d):
-        last["xi"] = pot.beta_eps(data.spec, cfg.eps, phi_n + d)
-        return K(d) - lap_n + P(last["xi"] + fixed)
+        xi = pot.beta_eps(data.spec, cfg.eps, phi_n + d)
+        return K(d) - lap_n + P(xi + fixed), xi
 
     floor = _INNER_FLOOR * NEWTON_TOL / np.sqrt(grid.cell_volume)
 
-    def solve(d, r):
-        bprime = pot.beta_eps_prime(data.spec, cfg.eps, phi_n + d,
-                                    last["xi"])
-        apply_J, precond = _jacobian(grid, regime, data.tau, dt, bprime)
-        return pcg(apply_J, -r, precond, rtol=_INNER_RTOL, atol=floor)
+    def solve(d, r, xi):
+        bprime = pot.beta_eps_prime(data.spec, cfg.eps, phi_n + d, xi)
+        return pcg(lambda v: K(v) + P(bprime * v), -r,
+                   precondition(grid.mean(bprime)), rtol=_INNER_RTOL,
+                   atol=floor)
 
     # the residual at d = 0, where phi = phi^n and K(0) = 0
-    d, iters = _newton(residual, solve, grid.zeros(), grid.l2_norm, P,
-                       P(state.xi + fixed) - lap_n)
-    xi = last["xi"]
+    d, iters, xi = _newton(residual, solve, grid.zeros(), grid.l2_norm, P,
+                           (P(state.xi + fixed) - lap_n, state.xi))
     rest = xi + expl_g
     Gd = G(d) if iters else 0.0
     mu = mu_H - Gd / dt + (rest - P(rest))
@@ -421,28 +401,26 @@ def step_galerkin_neumann(state: StateSnapshot, data: ProblemData,
     expl = _explicit_part(data, X, state.phi, t_new)
     fixed = basis.project(expl - data.g(X, t_new))
     E = basis.modes.reshape(n, -1)
-    last = {}
 
     def residual(c):
-        last["u"] = basis.synthesize(c)
-        last["xi"] = pot.beta_eps(data.spec, cfg.eps, last["u"])
-        last["b"] = basis.project(last["xi"])
-        return c - coeffs + dt * scale * (lam * c + last["b"] + fixed)
+        u = basis.synthesize(c)
+        xi = pot.beta_eps(data.spec, cfg.eps, u)
+        b = basis.project(xi)
+        return c - coeffs + dt * scale * (lam * c + b + fixed), (u, xi, b)
 
-    def solve(c, r):
-        bp = pot.beta_eps_prime(data.spec, cfg.eps, last["u"],
-                                last["xi"]).reshape(-1)
+    def solve(c, r, ev):
+        u, xi, _ = ev
+        bp = pot.beta_eps_prime(data.spec, cfg.eps, u, xi).reshape(-1)
         B = (E * bp) @ E.T * grid.cell_volume
         J = np.eye(n) + dt * scale[:, None] * (np.diag(lam) + B)
         return np.linalg.solve(J, -r)
 
     # the modes are orthonormal, so the Euclidean norm of the coefficients
     # is the L2 norm of the synthesized residual
-    c, iters = _newton(residual, solve, coeffs, np.linalg.norm,
-                       lambda c: c)
-    eta = data.tau * (c - coeffs) / dt + lam * c + last["b"] + fixed
-    return _snapshot(data, t_new, last["u"], basis.synthesize(eta),
-                     last["xi"], iters)
+    c, iters, (u, xi, b) = _newton(residual, solve, coeffs, np.linalg.norm,
+                                   lambda c: c, residual(coeffs))
+    eta = data.tau * (c - coeffs) / dt + lam * c + b + fixed
+    return _snapshot(data, t_new, u, basis.synthesize(eta), xi, iters)
 
 
 # -- runner ------------------------------------------------------------

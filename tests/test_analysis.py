@@ -229,3 +229,13 @@ def test_yosida_study_rejects_mismatched_times(monkeypatch):
     monkeypatch.setattr(analysis, "run", run_shifting_later_runs)
     with pytest.raises(ValueError, match="output times"):
         analysis.yosida_convergence_study(data, cfg, [1e-1, 1e-2])
+
+
+def test_sliding_experiment_rejects_a_horizon_that_is_not_positive():
+    """The designed gain divides by T: T = 0 is a ParamError before the
+    calibration run."""
+    def make(rho):
+        pytest.fail("calibration ran")
+
+    with pytest.raises(ParamError, match="needs T > 0, got 0.0"):
+        analysis.run_sliding_experiment(make, make, T=0.0, tau=1.0)

@@ -379,6 +379,55 @@ def test_sliding_check_rejects_a_target_outside_the_domain_of_beta0(
     assert not (tmp_path / "s").exists()
 
 
+def test_sliding_check_with_T_0_exits_2_before_calibration(tmp_path, capsys,
+                                                           monkeypatch):
+    """The gain design divides by T: T = 0 is a config error, raised
+    before the calibration run and before the output directory is made."""
+    path = tmp_path / "sliding.ini"
+    path.write_text(shortened_sliding_reference().replace("T = 0.05",
+                                                          "T = 0"))
+    monkeypatch.setattr(cli.analysis, "run_sliding_experiment",
+                        lambda *a, **kw: pytest.fail("calibration ran"))
+    code = cli.main(["sliding-check", "--config", str(path),
+                     "--out", str(tmp_path / "s")])
+    assert code == cli.EXIT_CONFIG
+    assert capsys.readouterr() == (
+        "", "config error: bad value for [time] T: the sliding check needs "
+        "T > 0, got 0.0\n")
+    assert not (tmp_path / "s").exists()
+
+
+def test_sliding_check_without_drift_exits_2_before_the_controlled_run(
+        tmp_path, capsys, monkeypatch):
+    """phi0 = phistar = 0 with a zero datum: the calibration measures
+    M = 0 and w0 = 0, so the designed gain is 0 and does not exceed M.
+    That is a config error, and only the calibration runs."""
+    text = (shortened_sliding_reference()
+            .replace("cells = 32", "cells = 16")
+            .replace("T = 0.05", "T = 0.01")
+            .replace("phi0 = cosine amplitude=0.5 mode=1 offset=0.2",
+                     "phi0 = constant value=0")
+            .replace("phistar = constant value=0.2",
+                     "phistar = constant value=0"))
+    path = tmp_path / "sliding.ini"
+    path.write_text(text)
+    run, gains = cli.analysis.run, []
+
+    def counted(data, cfg):
+        gains.append(data.control.rho)
+        return run(data, cfg)
+
+    monkeypatch.setattr(cli.analysis, "run", counted)
+    code = cli.main(["sliding-check", "--config", str(path),
+                     "--out", str(tmp_path / "s")])
+    assert code == cli.EXIT_CONFIG
+    assert capsys.readouterr() == (
+        "", "config error: the designed gain rho = 0.0 does not exceed the "
+        "measured drift M_meas = 0.0 (w0 = 0.0): there is nothing for the "
+        "control to slide onto\n")
+    assert gains == [0.0]
+
+
 def test_sliding_check_accepts_a_target_on_a_closed_endpoint(tmp_path):
     """beta0 of the obstacle potential is 0 on [-1, 1], endpoints
     included, so phistar = 1 is a valid target."""
@@ -1104,4 +1153,28 @@ def test_contdep_phi0_perturbation_that_is_not_mean_free_exits_2(tmp_path,
         "", "config error: zero-flux regime: phi0 perturbations must be "
         "mean-free\n")
     # the check comes before the output directory is made
+    assert not (tmp_path / "cdout").exists()
+
+
+@pytest.mark.parametrize("old,new", [("outputs = 11", "outputs = 1"),
+                                     ("T = 0.1", "T = 0")],
+                         ids=["outputs=1", "T=0"])
+def test_contdep_with_fewer_than_two_output_times_exits_2(tmp_path, capsys,
+                                                          monkeypatch, old,
+                                                          new):
+    """Without an output time after t = 0 every distance is 0 and the
+    ratios say nothing: a config error naming [time], before any run and
+    before the output directory is made."""
+    with open(os.path.join(CONFIGS, "contdep_g.ini")) as fh:
+        text = fh.read()
+    assert old in text
+    path = tmp_path / "cd.ini"
+    path.write_text(text.replace(old, new))
+    monkeypatch.setattr(cli.analysis, "run",
+                        lambda *a, **kw: pytest.fail("a run started"))
+    code = cli.main(["contdep", "--config", str(path), "--quiet",
+                     "--out", str(tmp_path / "cdout")])
+    assert code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: bad values in [time]: ")
     assert not (tmp_path / "cdout").exists()

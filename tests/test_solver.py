@@ -392,22 +392,26 @@ def test_dirichlet_run_solves_one_resolvent_per_newton_iteration(
 @pytest.mark.parametrize("spec", [
     pot.regular(), pot.logarithmic(2.0), pot.double_obstacle(1.0)],
     ids=["regular", "logarithmic", "obstacle"])
-@pytest.mark.parametrize("kind", ["neumann", "dirichlet"])
+@pytest.mark.parametrize("kind", ["neumann", "dirichlet", "galerkin"])
 def test_run_keeps_xi_the_beta_eps_of_phi(monkeypatch, kind, spec):
     """Every state a step starts from, the first half of a halved step
     included, and every snapshot has xi = beta_eps(phi) exactly: the
-    contract that lets a step take its first residual from state.xi."""
+    contract that lets a step take its first residual from state.xi.
+    Each stepper takes xi from the evaluation that Newton returns."""
     grid = small_grid()
     phi0 = cosine_data(grid, amp=0.6, offset=0.1)
-    if kind == "neumann":
-        data = neumann_problem(grid, spec, phi0, rho=1.0)
-        scheme, name = "coupled_neumann", "step_coupled_neumann"
-    else:
+    if kind == "dirichlet":
         data = dirichlet_problem(grid, spec, phi0, rho=1.0,
                                  datum=lambda X, t: 0.2 + X[0] * t)
-        scheme, name = "eliminated_dirichlet", "step_eliminated_dirichlet"
+        scheme = "eliminated_dirichlet"
+    else:
+        data = neumann_problem(grid, spec, phi0, rho=1.0)
+        scheme = "coupled_neumann" if kind == "neumann" else \
+            "galerkin_neumann"
+    name = "step_" + scheme
     T = 5e-3
     cfg = solver.SolverConfig(eps=1e-2, dt=1e-3, T=T, scheme=scheme,
+                              n_modes=8 if kind == "galerkin" else 0,
                               output_times=list(np.linspace(0.0, T, 6)))
     step, starts, failed = getattr(solver, name), [], []
 
@@ -424,6 +428,9 @@ def test_run_keeps_xi_the_beta_eps_of_phi(monkeypatch, kind, spec):
     assert failed == [cfg.dt]
     assert len(starts) == 7 and len(traj.snapshots) == 6
     assert sum(s.newton_iters for s in traj.snapshots) > 0
+    # phi moves by about 0.03; a step that handed on a stale evaluation
+    # would keep xi = beta_eps(phi) but leave phi in place
+    assert grid.sup_norm(traj.snapshots[-1].phi - traj.snapshots[0].phi) > 1e-3
     for state in starts + traj.snapshots:
         assert np.array_equal(state.xi,
                               pot.beta_eps(spec, cfg.eps, state.phi))
@@ -497,10 +504,8 @@ def test_coupled_preconditioner_inverts_constant_coefficient_jacobian(grid2d):
     v = rng.standard_normal(grid2d.shape)
     v -= grid2d.mean(v)
     bprime = np.full(grid2d.shape, 3.7)
-    apply_J, precond = solver._jacobian(
-        grid2d, solver._regime(grid2d, "neumann", 0.7, 1e-3), 0.7, 1e-3,
-        bprime)
-    w = precond(apply_J(v))
+    K, _, P, precondition = solver._regime(grid2d, "neumann", 0.7, 1e-3)
+    w = precondition(3.7)(K(v) + P(bprime * v))
     assert grid2d.l2_norm(w - v) <= 1e-12 * grid2d.l2_norm(v)
 
 
@@ -544,12 +549,15 @@ def test_zero_flux_step_applies_the_laplacian_once(monkeypatch, spec):
 def test_newton_raises_on_indefinite_jacobian():
     grid = small_grid()
 
-    def solve(x, r):
+    def solve(x, r, ev):
         return pcg(lambda v: -v, -r, lambda v: v, rtol=1e-11, atol=0.0)
 
+    def residual(x):
+        return x - 1.0, None
+
     with pytest.raises(NewtonError, match="breakdown"):
-        solver._newton(lambda x: x - 1.0, solve, grid.zeros(), grid.l2_norm,
-                       lambda x: x)
+        solver._newton(residual, solve, grid.zeros(), grid.l2_norm,
+                       lambda x: x, residual(grid.zeros()))
 
 
 def test_newton_raises_after_its_iteration_cap():
@@ -557,12 +565,14 @@ def test_newton_raises_after_its_iteration_cap():
 
     def residual(x):
         calls.append(x)
-        return np.ones_like(x)
+        return np.ones_like(x), None
 
+    x0 = np.zeros(1)
     with pytest.raises(NewtonError, match=re.escape(
             "Newton did not converge (residual 1.000e+00)")):
-        solver._newton(residual, lambda x, r: np.zeros_like(x), np.zeros(1),
-                       np.linalg.norm, lambda x: x)
+        solver._newton(residual, lambda x, r, ev: np.zeros_like(x), x0,
+                       np.linalg.norm, lambda x: x, residual(x0))
+    # the caller's first evaluation counts
     assert len(calls) == solver.NEWTON_MAX
 
 
