@@ -10,7 +10,7 @@ of beta at the target.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from typing import Callable, List, Optional, Sequence
 
 import numpy as np
@@ -136,9 +136,9 @@ def run_sliding_experiment(make_data: Callable[[float], ProblemData],
     gain (the time step may shrink with the gain to keep the explicit
     control term stable).  Returns (report, comparison, trajectory).
     A T that is not positive is a :class:`ParamError`.  A calibration
-    that leaves no gain above the drift (rho <= M, as when phi0 = phistar
-    and nothing drives them apart) is a :class:`ConfigError`, raised
-    before the main run.
+    that leaves no finite gain above the drift (rho <= M, as when phi0 =
+    phistar and nothing drives them apart, or a tau*w0/T that overflows)
+    is a :class:`ConfigError`, raised before the main run.
     """
     if not T > 0.0:
         raise ParamError(f"the sliding experiment needs T > 0, got {T!r}")
@@ -146,6 +146,9 @@ def run_sliding_experiment(make_data: Callable[[float], ProblemData],
     M_meas = measure_comparison_drift(calib)
     w0 = calib.diagnostics.sup_chi[0]  # sup|phi0 - phistar(0)|
     rho = rho_margin * (M_meas + tau * w0 / T)
+    if not rho < np.inf:
+        raise ConfigError(f"the designed gain rho = {rho!r} is not finite: "
+                          f"T = {T!r} is too short for w0 = {w0!r}")
     if not rho > M_meas:
         raise ConfigError(
             f"the designed gain rho = {rho!r} does not exceed the measured "
@@ -234,9 +237,13 @@ def contdep_experiment(base: ProblemData, cfg: SolverConfig, which: str,
     ``which`` is "g", "phi0" or "phistar"; ``shape`` maps (X, t) to the
     unit perturbation field.  The right-hand side uses the L2(0,T;L2)
     norm for g, the L2 norm for phi0 and the square root of the
-    L2(0,T;L2) norm for phistar; :func:`check_perturbation` applies.
+    L2(0,T;L2) norm for phistar; :func:`check_perturbation` applies, and
+    a ``cfg`` without an output time after t = 0 is a ParamError.
     """
     check_perturbation(base, which, shape)
+    out_times = [cfg.T] if cfg.output_times is None else cfg.output_times
+    if not any(t > 0.0 for t in out_times):
+        raise ParamError(f"no output time after t = 0 in {out_times}")
     grid = base.grid
     base_traj = run(base, cfg)
     times = [s.t for s in base_traj.snapshots]
@@ -254,7 +261,6 @@ def contdep_experiment(base: ProblemData, cfg: SolverConfig, which: str,
 
 def _perturbed(base: ProblemData, which: str, shape, delta: float
                ) -> ProblemData:
-    from dataclasses import replace
     if which == "g":
         g0 = base.g
         return replace(base,
@@ -300,24 +306,17 @@ def yosida_convergence_study(data: ProblemData, cfg: SolverConfig,
     asserted, only the observed Cauchy behavior (and, for constrained
     potentials, the decay of the overshoot beyond the domain).
     """
-    from dataclasses import replace
     trajs = []
     overshoots = []
     grid = data.grid
     lo, hi = data.spec.lo, data.spec.hi
     for eps in eps_list:
-        d = replace(data, control=smc.SmcParams(rho=data.control.rho,
-                                                eps=eps))
-        c = replace(cfg, eps=eps)
-        traj = run(d, c)
+        control = smc.SmcParams(rho=data.control.rho, eps=eps)
+        traj = run(replace(data, control=control), replace(cfg, eps=eps))
         trajs.append(traj)
-        over = 0.0
-        for snap in traj.snapshots:
-            over = max(over,
-                       float(np.max(np.maximum(snap.phi - hi, 0.0)
-                                    + np.maximum(lo - snap.phi, 0.0),
-                                    initial=0.0)))
-        overshoots.append(over)
+        overshoots.append(max(float(np.max(np.maximum(s.phi - hi, 0.0)
+                                           + np.maximum(lo - s.phi, 0.0)))
+                              for s in traj.snapshots))
     rows = []
     for k in range(len(eps_list) - 1):
         dist = sum(grid.l2_norm(d) ** 2 * dt_out

@@ -32,10 +32,10 @@ config fully determines a run::
     T = 1.0
     outputs = 21
 
-    [solver]
-    scheme = eliminated_dirichlet ; or coupled_neumann, or galerkin_neumann
-    eps = 1e-3                    ; n_modes = 1 .. number of cells is read
-                                  ; with galerkin_neumann only
+    [solver]                      ; optional, as are both its keys
+    scheme = eliminated_dirichlet ; the default for dirichlet;
+                                  ; coupled_neumann for neumann
+    eps = 1e-3                    ; defaults to [control] eps
 
     [experiment]                  ; optional, read by sliding-check
     rho_margin = 2.0              ; finite, > 1
@@ -65,16 +65,19 @@ finite where it is evaluated, a ``phistar`` whose discrete Laplacian is
 not finite, and a key that the run does not read, in any section, are
 config errors.
 
-Exit codes: 0 ok, 2 config error (an ``--out`` that cannot be made a
-directory, a ``contdep`` phi0 perturbation that is not mean-free in the
-zero-flux regime, a ``contdep`` run with fewer than two output times, a
-``sliding-check`` phistar where beta0 is not defined, a ``sliding-check``
-T of 0, a ``sliding-check`` calibration that leaves no gain above the
-measured drift, and ``ode-oracle`` and ``design-rho`` flags that the
-formulas reject, such as a T/dt that overflows, included), 3 numerical
-failure (an eps whose 1/eps**3 overflows in the quartic resolvent, for
-one), 4 verification failure.  A bad argument to the library raises a
-``ParamError``, which is also a ``ValueError`` (see :mod:`chsmc.errors`).
+Exit codes: 0 ok, 2 config error (a ``[solver] scheme`` other than the
+one of ``[bc] kind``, such as the library's spectral Galerkin oracle,
+an ``--out`` that cannot be made a directory, a ``contdep`` phi0
+perturbation that is not mean-free in the zero-flux regime or run with
+fewer than two output times, a ``sliding-check`` phistar where beta0 is
+not defined, T of 0 or so short that tau*w0/T overflows, or calibration
+that leaves no gain above the measured drift, and ``ode-oracle`` and
+``design-rho`` flags that the formulas reject, such as a T/dt that
+overflows, included), 3 numerical failure (an eps whose 1/eps**3
+overflows in the quartic resolvent, for one), 4 verification failure.
+A failed command removes an ``--out`` directory that it made and left
+empty.  A bad argument to the library raises a ``ParamError``, which is
+also a ``ValueError`` (see :mod:`chsmc.errors`).
 """
 
 from __future__ import annotations
@@ -83,6 +86,7 @@ import argparse
 import configparser
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -151,8 +155,7 @@ def parse_profile(text: str, lengths):
                               f"a {len(lengths)}-D grid")
         trig = np.cos if name == "cosine" else np.sin
 
-        def profile(X, t, amp=amp, off=off, modes=modes, trig=trig,
-                    lengths=lengths):
+        def profile(X, t):
             out = np.full_like(X[0], amp)
             for m, x, length in zip(modes, X, lengths):
                 out = out * trig(np.pi * m * x / length)
@@ -283,6 +286,10 @@ _POTENTIALS = {
 }
 
 
+# [bc] kind -> the one value, and the default, of [solver] scheme
+_SCHEMES = {"neumann": "coupled_neumann", "dirichlet": "eliminated_dirichlet"}
+
+
 def load_config(path):
     """Parse a config file into (ProblemData, SolverConfig, extras).
 
@@ -316,7 +323,7 @@ def load_config(path):
 
     X = grid.meshgrid()
     on_cells = _profile_on(lengths, [X])
-    bc_kind = _get(cp, "bc", "kind", _one_of("neumann", "dirichlet"))
+    bc_kind = _get(cp, "bc", "kind", _one_of(*_SCHEMES))
     if bc_kind == "neumann":
         bc = solver.neumann_bc()
     else:
@@ -336,21 +343,19 @@ def load_config(path):
 
     # the profiles are static, so d_t phistar = 0, and Lap phistar is the
     # discrete zero-flux Laplacian of the sampled target, taken once
-    dphistar_dt = lambda X, t: np.zeros_like(X[0])
     from .grid import laplacian_neumann
     with np.errstate(all="ignore"):
         lap_target = laplacian_neumann(grid, phistar(X, 0.0))
     if not np.isfinite(lap_target).all():
         raise ConfigError("bad value for [data] phistar: its discrete "
                           "Laplacian is not finite")
-    lap_phistar = lambda X, t: lap_target
 
     try:
-        data = solver.ProblemData(grid=grid, spec=spec, phi0=phi0, g=g,
-                                  phistar=phistar, bc=bc, tau=tau,
-                                  control=control,
-                                  dphistar_dt=dphistar_dt,
-                                  lap_phistar=lap_phistar)
+        data = solver.ProblemData(
+            grid=grid, spec=spec, phi0=phi0, g=g, phistar=phistar, bc=bc,
+            tau=tau, control=control,
+            dphistar_dt=lambda X, t: np.zeros_like(X[0]),
+            lap_phistar=lambda X, t: lap_target)
     except ConfigError as exc:
         raise ConfigError(f"[data] {exc}") from exc
 
@@ -360,21 +365,15 @@ def load_config(path):
     if n_out < 0:
         raise ConfigError("[time] outputs must be nonnegative")
     output_times = list(np.linspace(0.0, T, n_out)) if T > 0.0 else []
-    scheme = _get(cp, "solver", "scheme", _one_of(*solver._SCHEME_BC))
-    n_modes = 0
-    if scheme == "galerkin_neumann":
-        n_modes = _get(cp, "solver", "n_modes", int)
-        if not 1 <= n_modes <= grid.ncells:
-            raise ConfigError(f"[solver] n_modes must be in "
-                              f"[1, {grid.ncells}] for scheme {scheme}, "
-                              f"got {n_modes}")
+    scheme = _get(cp, "solver", "scheme", _one_of(*_SCHEMES.values()),
+                  _SCHEMES[bc_kind])
     eps = _get(cp, "solver", "eps", _number_above(0.0), ctrl_eps)
     try:
         cfg = solver.SolverConfig(eps=eps, dt=dt, T=T, scheme=scheme,
-                                  n_modes=n_modes, output_times=output_times)
+                                  output_times=output_times)
     except ConfigError as exc:  # each value is checked; T/dt is not
         raise ConfigError(f"bad value for [time] dt: {exc}") from exc
-    if solver._SCHEME_BC[scheme] != bc_kind:
+    if _SCHEMES[bc_kind] != scheme:
         raise ConfigError(f"scheme {scheme!r} incompatible with bc "
                           f"{bc_kind!r}")
 
@@ -395,11 +394,13 @@ def _say(args, text):
 
 def _outdir(args):
     out = args.out or "chsmc-out"
+    made = not os.path.isdir(out)
     try:
         os.makedirs(out, exist_ok=True)
     except OSError as exc:  # a file of that name, or no permission
         raise ConfigError(f"cannot make output directory {out}: "
                           f"{exc.strerror}") from exc
+    args.made_out = out if made else None  # for main to remove if empty
     return out
 
 
@@ -434,8 +435,6 @@ def cmd_sliding_check(args) -> int:
     except ParamError as exc:
         raise ConfigError(f"bad value for [data] phistar: {exc}") from exc
     out = _outdir(args)
-
-    from dataclasses import replace
 
     def make_data(rho):
         return replace(data, control=smc.SmcParams(
@@ -481,7 +480,6 @@ def cmd_contdep(args) -> int:
                           f"and outputs >= 2, got {len(cfg.output_times)}")
     cd = extras["contdep"]
     which = cd["which"]
-    analysis.check_perturbation(data, which, cd["shape"])
     out = _outdir(args)
     report = analysis.contdep_experiment(data, cfg, which, cd["shape"],
                                          cd["deltas"])
@@ -658,6 +656,9 @@ def main(argv=None) -> int:
     except ChsmcError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    finally:  # every command that succeeds writes into its --out
+        if getattr(args, "made_out", None) and not os.listdir(args.made_out):
+            os.rmdir(args.made_out)
 
 
 if __name__ == "__main__":

@@ -171,6 +171,20 @@ def test_contdep_rejects_non_mean_free_phi0():
         analysis.contdep_experiment(data, cfg, "phi0", shape, [0.1])
 
 
+@pytest.mark.parametrize("output_times,T", [([0.0], 0.02), (None, 0.0)])
+def test_contdep_without_an_output_time_after_0_runs_nothing(monkeypatch,
+                                                             output_times, T):
+    """With no output time after t = 0 there is nothing to compare: a
+    ParamError before the base run."""
+    data, cfg = contdep_setup()
+    cfg = replace(cfg, output_times=output_times, T=T)
+    monkeypatch.setattr(analysis, "run",
+                        lambda *a: pytest.fail("a run was started"))
+    shape = lambda X, t: np.cos(np.pi * X[0])
+    with pytest.raises(ParamError, match="after t = 0"):
+        analysis.contdep_experiment(data, cfg, "g", shape, [1e-1])
+
+
 def test_contdep_g_ratios_are_stable():
     data, cfg = contdep_setup()
     shape = lambda X, t: np.cos(np.pi * X[0])

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -198,18 +199,48 @@ def test_load_config_missing_file():
         cli.load_config("/nonexistent/run.ini")
 
 
-@pytest.mark.parametrize("n_modes,code", [
-    ("0", cli.EXIT_CONFIG), ("-3", cli.EXIT_CONFIG), ("33", cli.EXIT_CONFIG),
-    ("100000", cli.EXIT_CONFIG), ("1", cli.EXIT_OK), ("32", cli.EXIT_OK)])
-def test_galerkin_mode_count_is_validated(tmp_path, capsys, n_modes, code):
+def test_galerkin_scheme_is_not_a_config_scheme(tmp_path, capsys):
+    """The spectral stepper is a library oracle: a config that names it
+    exits 2, naming [solver] scheme, and leaves no output directory."""
     path = tmp_path / "run.ini"
-    path.write_text(NEUMANN_CONFIG.replace(
-        "coupled_neumann", f"galerkin_neumann\nn_modes = {n_modes}"))
+    path.write_text(NEUMANN_CONFIG.replace("coupled_neumann",
+                                           "galerkin_neumann"))
     assert cli.main(["simulate", "--config", str(path), "--quiet",
-                     "--out", str(tmp_path / "out")]) == code
-    if code == cli.EXIT_CONFIG:
-        assert ("config error: [solver] n_modes must be in [1, 32]"
-                in capsys.readouterr().err)
+                     "--out", str(tmp_path / "out")]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "config error: bad value for [solver] scheme: need one of "
+        "coupled_neumann, eliminated_dirichlet, got 'galerkin_neumann'\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("config,scheme", [
+    (NEUMANN_CONFIG, "coupled_neumann"),
+    (DIRICHLET_CONFIG, "eliminated_dirichlet")], ids=["neumann", "dirichlet"])
+def test_scheme_defaults_to_the_one_of_the_boundary_regime(tmp_path, config,
+                                                          scheme):
+    """Without [solver] scheme a config runs the scheme of its [bc] kind,
+    and writes the bytes of the config that names it; as [solver] eps
+    defaults to [control] eps, it needs no [solver] section."""
+    named = tmp_path / "named.ini"
+    named.write_text(config)
+    bare = tmp_path / "bare.ini"
+    bare.write_text(config.replace(f"scheme = {scheme}\n", ""))
+    no_section = tmp_path / "no_section.ini"
+    no_section.write_text(config.split("[solver]")[0])
+    cfg = cli.load_config(str(bare))[1]
+    assert cfg.scheme == scheme
+    assert cli.load_config(str(no_section))[1] == cfg
+    outs = []
+    for path in (named, bare):
+        out = tmp_path / path.stem
+        assert cli.main(["simulate", "--config", str(path), "--quiet",
+                         "--out", str(out)]) == cli.EXIT_OK
+        outs.append(out)
+    names = sorted(p.name for p in outs[0].iterdir())
+    assert names == sorted(p.name for p in outs[1].iterdir())
+    assert "diagnostics.csv" in names and "snapshot_0002.bin" in names
+    for name in names:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
 def test_load_config_rejects_scheme_bc_mismatch(tmp_path):
@@ -300,6 +331,22 @@ def test_eps_whose_cube_overflows_is_a_numerical_failure(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "numerical failure: eps = 1e-300 is too small for the quartic "
         "resolvent: 1/eps**3 overflows\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_failed_command_keeps_an_out_directory_it_did_not_make(tmp_path):
+    """Only an output directory that the command made goes when the
+    command fails before writing into it."""
+    with open(os.path.join(CONFIGS, "neumann_smoke.ini")) as fh:
+        text = fh.read().replace("eps = 1e-2", "eps = 1e-300")
+    path = tmp_path / "eps.ini"
+    path.write_text(text)
+    out = tmp_path / "out"
+    out.mkdir()
+    code = cli.main(["simulate", "--config", str(path), "--quiet",
+                     "--out", str(out)])
+    assert code == cli.EXIT_NUMERICAL
+    assert out.is_dir() and not any(out.iterdir())
 
 
 def test_eps_whose_reciprocal_overflows_is_a_numerical_failure(tmp_path,
@@ -401,7 +448,8 @@ def test_sliding_check_without_drift_exits_2_before_the_controlled_run(
         tmp_path, capsys, monkeypatch):
     """phi0 = phistar = 0 with a zero datum: the calibration measures
     M = 0 and w0 = 0, so the designed gain is 0 and does not exceed M.
-    That is a config error, and only the calibration runs."""
+    That is a config error, only the calibration runs, and the output
+    directory it made is gone."""
     text = (shortened_sliding_reference()
             .replace("cells = 32", "cells = 16")
             .replace("T = 0.05", "T = 0.01")
@@ -426,6 +474,25 @@ def test_sliding_check_without_drift_exits_2_before_the_controlled_run(
         "measured drift M_meas = 0.0 (w0 = 0.0): there is nothing for the "
         "control to slide onto\n")
     assert gains == [0.0]
+    assert not (tmp_path / "s").exists()
+
+
+def test_sliding_check_whose_designed_gain_overflows_exits_2(tmp_path,
+                                                             capsys):
+    """At T = 1e-310, tau*w0/T overflows: the designed gain is not finite,
+    a config error naming T and w0 before the controlled run."""
+    text = (shortened_sliding_reference()
+            .replace("cells = 32", "cells = 16")
+            .replace("T = 0.05", "T = 1e-310"))
+    path = tmp_path / "sliding.ini"
+    path.write_text(text)
+    code = cli.main(["sliding-check", "--config", str(path), "--quiet",
+                     "--out", str(tmp_path / "s")])
+    assert code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: the designed gain rho = inf is "
+                          "not finite: T = 1e-310 is too short for w0 = ")
+    assert not (tmp_path / "s").exists()
 
 
 def test_sliding_check_accepts_a_target_on_a_closed_endpoint(tmp_path):
@@ -657,7 +724,8 @@ UNKNOWN_KEY_CASES = [
     (NEUMANN_CONFIG, "time", "tt"),
     (NEUMANN_CONFIG, "potential", "c1"),  # read by logarithmic only
     (NEUMANN_CONFIG, "bc", "datum"),  # read by dirichlet only
-    (NEUMANN_CONFIG, "solver", "n_modes"),  # read by galerkin_neumann only
+    # the spectral stepper's mode count is a library setting only
+    (NEUMANN_CONFIG, "solver", "n_modes"),
     (DIRICHLET_CONFIG, "data", "phi_0"),
     (DIRICHLET_CONFIG, "experiment", "rho_margn"),
     # sliding-check works these out from the run
@@ -864,25 +932,31 @@ def test_zero_flux_runs_conserve_mass_and_dissipate_energy(
     """Criteria 4 and 6 on the config -> run path: every zero-flux run,
     finite-difference or Galerkin in 1 .. cells modes, keeps mean phi
     within 1e-12*(1 + |m0|) of its start, and at rho = 0 and g = 0 its
-    regularized free energy rises by at most the bound of verify-all."""
-    scheme, n_modes = "coupled_neumann", cells
-    if galerkin:
-        n_modes = 1 + round(mode_fraction * (cells - 1))
-        scheme = f"galerkin_neumann\nn_modes = {n_modes}"
+    regularized free energy rises by at most the bound of verify-all.
+    The Galerkin stepper is a library oracle, so its draws run the loaded
+    config through solver.run."""
     text = (PROPERTY_CONFIG.replace("cells = 16", f"cells = {cells}")
             .format(potential=potential.format(c=c), bc="neumann",
-                    scheme=scheme, rho=rho, g=g, phistar=phistar,
-                    T=T, **values))
+                    scheme="coupled_neumann", rho=rho, g=g,
+                    phistar=phistar, T=T, **values))
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "run.ini")
         with open(path, "w") as fh:
             fh.write(text)
-        code = cli.main(["simulate", "--config", path, "--quiet",
-                         "--out", tmp])
-        assert code == cli.EXIT_OK, text
-        with open(os.path.join(tmp, "diagnostics.csv")) as fh:
-            header, *rows = [line.strip().split(",") for line in fh]
-    columns = dict(zip(header, np.array(rows, dtype=float).T))
+        if galerkin:
+            data, cfg, _ = cli.load_config(path)
+            n_modes = 1 + round(mode_fraction * (cells - 1))
+            diag = solver.run(data, replace(cfg, scheme="galerkin_neumann",
+                                            n_modes=n_modes)).diagnostics
+            columns = {col: np.array(getattr(diag, col), dtype=float)
+                       for col in diag.COLUMNS}
+        else:
+            code = cli.main(["simulate", "--config", path, "--quiet",
+                             "--out", tmp])
+            assert code == cli.EXIT_OK, text
+            with open(os.path.join(tmp, "diagnostics.csv")) as fh:
+                header, *rows = [line.strip().split(",") for line in fh]
+            columns = dict(zip(header, np.array(rows, dtype=float).T))
     mean_phi = columns["mean_phi"]
     drift = np.max(np.abs(mean_phi - mean_phi[0]))
     assert drift <= 1e-12 * (1.0 + abs(mean_phi[0])), text
@@ -1152,7 +1226,7 @@ def test_contdep_phi0_perturbation_that_is_not_mean_free_exits_2(tmp_path,
     assert capsys.readouterr() == (
         "", "config error: zero-flux regime: phi0 perturbations must be "
         "mean-free\n")
-    # the check comes before the output directory is made
+    # the check comes before any run, and leaves no output directory
     assert not (tmp_path / "cdout").exists()
 
 

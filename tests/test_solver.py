@@ -284,6 +284,27 @@ def test_galerkin_run_records_the_projection_it_steps_from():
     assert energy[1] <= energy[0] + 10 * solver.NEWTON_TOL
 
 
+def test_galerkin_one_mode_keeps_phi_constant():
+    """One mode on 7 cells, with a last step cut short at T: phi stays at
+    the constant it starts from, and every dual norm of its increment is
+    finite."""
+    grid = small_grid(7)
+    x = grid.meshgrid()[0]
+    data = neumann_problem(grid, pot.regular(),
+                           0.1 + 0.3 * np.cos(np.pi * x))
+    cfg = solver.SolverConfig(eps=1e-2, dt=0.00586, T=0.03125,
+                              scheme="galerkin_neumann", n_modes=1,
+                              output_times=list(np.linspace(0.0, 0.03125,
+                                                            6)))
+    traj = solver.run(data, cfg)
+    phi0 = traj.snapshots[0].phi
+    assert np.ptp(phi0) == 0.0
+    for snap in traj.snapshots[1:]:
+        assert np.allclose(snap.phi, phi0, rtol=0.0, atol=1e-15)
+    assert len(traj.diagnostics.dual_norm_dphi) == 7
+    assert np.all(np.isfinite(traj.diagnostics.dual_norm_dphi))
+
+
 def test_dirichlet_step_recovers_potential():
     grid = small_grid()
     data = dirichlet_problem(grid, pot.regular(), cosine_data(grid, k=2),
