@@ -67,17 +67,24 @@ config errors.
 
 Exit codes: 0 ok, 2 config error (a ``[solver] scheme`` other than the
 one of ``[bc] kind``, such as the library's spectral Galerkin oracle,
-an ``--out`` that cannot be made a directory, a ``contdep`` phi0
+a ``[bc] datum`` so large that its harmonic extension overflows, an
+``--out`` that cannot be made a directory, a ``contdep`` phi0
 perturbation that is not mean-free in the zero-flux regime or run with
 fewer than two output times, a ``sliding-check`` phistar where beta0 is
 not defined, T of 0 or so short that tau*w0/T overflows, or calibration
 that leaves no gain above the measured drift, and ``ode-oracle`` and
 ``design-rho`` flags that the formulas reject, such as a T/dt that
 overflows, included), 3 numerical failure (an eps whose 1/eps**3
-overflows in the quartic resolvent, for one), 4 verification failure.
-A failed command removes an ``--out`` directory that it made and left
-empty.  A bad argument to the library raises a ``ParamError``, which is
-also a ``ValueError`` (see :mod:`chsmc.errors`).
+overflows in the quartic resolvent, for one, or a Newton failure in a
+step after ``simulate`` has written some snapshots), 4 verification
+failure.  ``simulate`` writes each snapshot when the run reaches it; if
+the run then fails, it removes every file it wrote (one that overwrote
+an older file of the same name included), and the other files of an
+existing ``--out`` stay.  A failed command removes the ``--out``
+directories that it made (``nest/a/b`` may make three) while they are
+empty, so it leaves no trace.  A bad argument to the library raises a
+``ParamError``, which is also a ``ValueError`` (see
+:mod:`chsmc.errors`).
 """
 
 from __future__ import annotations
@@ -394,26 +401,40 @@ def _say(args, text):
 
 def _outdir(args):
     out = args.out or "chsmc-out"
-    made = not os.path.isdir(out)
+    # the directories that makedirs is about to make, from the leaf up,
+    # for main to remove while empty
+    args.made_out, head = [], out
+    while head and not os.path.exists(head):
+        args.made_out.append(head)
+        head = os.path.dirname(head.rstrip(os.sep))
     try:
         os.makedirs(out, exist_ok=True)
     except OSError as exc:  # a file of that name, or no permission
         raise ConfigError(f"cannot make output directory {out}: "
                           f"{exc.strerror}") from exc
-    args.made_out = out if made else None  # for main to remove if empty
     return out
 
 
 def cmd_simulate(args) -> int:
     data, cfg, _ = load_config(args.config)
     out = _outdir(args)
-    traj = solver.run(data, cfg)
-    traj.diagnostics.to_csv(os.path.join(out, "diagnostics.csv"))
-    for k, snap in enumerate(traj.snapshots):
-        write_snapshot(os.path.join(out, f"snapshot_{k:04d}.bin"),
-                       data.grid, snap.t, snap.phi)
-    _say(args, f"wrote {len(traj.snapshots)} snapshots and diagnostics to "
-               f"{out}")
+    written = []  # every file the run writes, for a failure to remove
+
+    def write(snap):
+        written.append(os.path.join(out, f"snapshot_{len(written):04d}.bin"))
+        write_snapshot(written[-1], data.grid, snap.t, snap.phi)
+
+    try:
+        traj = solver.run(data, cfg, on_output=write)
+        count = len(written)
+        written.append(os.path.join(out, "diagnostics.csv"))
+        traj.diagnostics.to_csv(written[-1])
+    except BaseException:
+        for path in written:
+            if os.path.exists(path):
+                os.remove(path)
+        raise
+    _say(args, f"wrote {count} snapshots and diagnostics to {out}")
     return EXIT_OK
 
 
@@ -657,8 +678,11 @@ def main(argv=None) -> int:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     finally:  # every command that succeeds writes into its --out
-        if getattr(args, "made_out", None) and not os.listdir(args.made_out):
-            os.rmdir(args.made_out)
+        for path in getattr(args, "made_out", ()):
+            if os.path.isdir(path):  # makedirs may have failed below it
+                if os.listdir(path):
+                    break
+                os.rmdir(path)
 
 
 if __name__ == "__main__":

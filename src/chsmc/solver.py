@@ -195,7 +195,9 @@ class DiagnosticsSeries:
 @dataclass
 class Trajectory:
     """Snapshots at the requested output times plus per-step diagnostics,
-    with the problem and config of the run that produced them."""
+    with the problem and config of the run that produced them.  A run
+    given an ``on_output`` hook passes its snapshots to the hook instead,
+    and ``snapshots`` is empty (see :func:`run`)."""
 
     snapshots: List[StateSnapshot]
     diagnostics: DiagnosticsSeries
@@ -513,10 +515,18 @@ def _advance(state, data, cfg, dt, depth=0):
         return replace(second, newton_iters=iters)
 
 
-def run(data: ProblemData, cfg: SolverConfig) -> Trajectory:
+def run(data: ProblemData, cfg: SolverConfig,
+        on_output: Optional[Callable[[StateSnapshot], None]] = None
+        ) -> Trajectory:
     """Integrate from 0 to T in the steps of :func:`smc.step_end_times`;
     snapshots at the requested output times (t = 0 always included),
-    diagnostics at every step."""
+    diagnostics at every step.
+
+    Each snapshot goes, as the run reaches it, to ``on_output`` when one
+    is given, and ``Trajectory.snapshots`` is then empty; without a hook
+    they are kept there.  A step that fails after the hook got some
+    snapshots still raises.
+    """
     if _SCHEME_BC[cfg.scheme] != data.bc.kind:
         raise ConfigError(
             f"scheme {cfg.scheme} incompatible with bc {data.bc.kind}")
@@ -538,13 +548,19 @@ def run(data: ProblemData, cfg: SolverConfig) -> Trajectory:
     remaining = sorted(t for t in out_times if t > 0.0)
 
     state = _initial_snapshot(data, cfg)
-    snapshots = [state]
+    snapshots = []
+    keep = snapshots.append if on_output is None else on_output
     diag = DiagnosticsSeries()
     _record(diag, data, cfg, state, None, cfg.dt)
     if not np.isfinite(diag.free_energy_reg[0]):
         # a finite phi0 far outside the domain overflows the quartic
         # envelope or the gradient energy
         raise ConfigError("phi0 has a free energy that is not finite")
+    if not np.isfinite(state.mu).all():
+        # a finite datum whose boundary term 2*datum/h**2 overflows
+        raise ConfigError("the mu datum has a harmonic extension that is "
+                          "not finite")
+    keep(state)
     prev_phi = state.phi
     for end in smc.step_end_times(cfg.T, cfg.dt):
         # the end time minus the start time is exact (Sterbenz), so the
@@ -564,11 +580,11 @@ def run(data: ProblemData, cfg: SolverConfig) -> Trajectory:
         next_dt = min(cfg.dt, cfg.T - state.t)
         while remaining and state.t >= remaining[0] - 0.5 * next_dt:
             t_out = remaining.pop(0)
-            snapshots.append(replace(state, t=t_out)
-                             if abs(state.t - t_out) <= 1e-9 * cfg.dt
-                             else state)
+            keep(replace(state, t=t_out)
+                 if abs(state.t - t_out) <= 1e-9 * cfg.dt else state)
     # SolverConfig keeps the output times below T + 1e-9*dt, so any left
     # are T up to roundoff, past the last step end
-    snapshots += [replace(state, t=t_out) for t_out in remaining]
+    for t_out in remaining:
+        keep(replace(state, t=t_out))
     return Trajectory(snapshots=snapshots, diagnostics=diag, data=data,
                       cfg=cfg)

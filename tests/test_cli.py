@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 import chsmc
 from chsmc import cli, smc, solver
 from chsmc.errors import ConfigError, NewtonError
-from chsmc.grid import Grid, read_snapshot
+from chsmc.grid import Grid, read_snapshot, write_snapshot
 
 NEUMANN_CONFIG = """\
 [grid]
@@ -349,6 +350,96 @@ def test_failed_command_keeps_an_out_directory_it_did_not_make(tmp_path):
     assert out.is_dir() and not any(out.iterdir())
 
 
+@pytest.mark.parametrize("existing, left", [
+    (None, ["eps.ini"]), ("nest", ["eps.ini", "nest"])])
+def test_failed_command_removes_every_directory_it_made(tmp_path, existing,
+                                                        left):
+    """``--out nest/a/b`` may make three directories: a failed command
+    removes each one it made, and nothing above them."""
+    with open(os.path.join(CONFIGS, "neumann_smoke.ini")) as fh:
+        text = fh.read().replace("eps = 1e-2", "eps = 1e-300")
+    path = tmp_path / "eps.ini"
+    path.write_text(text)
+    if existing:
+        (tmp_path / existing).mkdir()
+    code = cli.main(["simulate", "--config", str(path), "--quiet",
+                     "--out", str(tmp_path / "nest" / "a" / "b")])
+    assert code == cli.EXIT_NUMERICAL
+    assert sorted(os.listdir(tmp_path)) == left
+    if existing:
+        assert not any((tmp_path / existing).iterdir())
+
+
+@pytest.mark.parametrize("existing", [False, True])
+def test_simulate_failing_after_some_outputs_removes_what_it_wrote(
+        tmp_path, neumann_config, monkeypatch, existing):
+    """Snapshots are written as the run reaches them; a step that fails
+    after two of them leaves no snapshot behind, and an existing --out
+    keeps only the files it held before."""
+    step = solver.step_coupled_neumann
+
+    def fail_late(state, data, cfg, dt):
+        if state.t + dt > 0.006:
+            raise NewtonError("Newton did not converge")
+        return step(state, data, cfg, dt=dt)
+
+    writes = []
+
+    def counted_write(path, *args):
+        writes.append(path)
+        return write_snapshot(path, *args)
+
+    monkeypatch.setattr(solver, "step_coupled_neumann", fail_late)
+    monkeypatch.setattr(cli, "write_snapshot", counted_write)
+    out = tmp_path / "out"
+    if existing:
+        out.mkdir()
+        (out / "notes.txt").write_text("kept")
+    with pytest.warns(UserWarning, match="retrying"):
+        code = cli.main(["simulate", "--config", neumann_config, "--quiet",
+                         "--out", str(out)])
+    assert code == cli.EXIT_NUMERICAL
+    assert [os.path.basename(p) for p in writes] == [
+        "snapshot_0000.bin", "snapshot_0001.bin"]
+    if existing:
+        assert os.listdir(out) == ["notes.txt"]
+        assert (out / "notes.txt").read_text() == "kept"
+    else:
+        assert not out.exists()
+
+
+def test_simulate_memory_does_not_grow_with_outputs(tmp_path):
+    """Each snapshot is written when the run reaches it and then dropped:
+    the traced peak of a 3-D run with 50 outputs is that of the same run
+    with 5, within two grid fields (keeping them would add about 45 times
+    four)."""
+    cells = 16
+    field_bytes = cells ** 3 * 8
+    base = (DIRICHLET_CONFIG.replace("dim = 1", "dim = 3")
+            .replace("cells = 32", f"cells = {cells}")
+            .replace("T = 0.01", "T = 0.05"))
+
+    def simulate(outputs, name):
+        path = tmp_path / f"{name}.ini"
+        path.write_text(base.replace("outputs = 3", f"outputs = {outputs}"))
+        out = tmp_path / name
+        assert cli.main(["simulate", "--config", str(path), "--quiet",
+                         "--out", str(out)]) == 0
+        assert len(list(out.glob("snapshot_*.bin"))) == outputs
+
+    def traced_peak(outputs):
+        tracemalloc.start()
+        try:
+            simulate(outputs, f"traced{outputs}")
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    simulate(5, "warm")  # fills the caches that the traced runs reuse
+    growth = traced_peak(50) - traced_peak(5)
+    assert growth < 2 * field_bytes, growth
+
+
 def test_eps_whose_reciprocal_overflows_is_a_numerical_failure(tmp_path,
                                                               capsys):
     """At eps = 5e-324, 1/eps is already inf: the quartic resolvent names
@@ -590,6 +681,9 @@ REJECTED_CASES = [
     (NEUMANN_CONFIG, "kind = regular", "kind = obstacle\nc2 = inf"),
     (DIRICHLET_CONFIG, "value=0.1", "value=nan"),
     (DIRICHLET_CONFIG, "amplitude=0.4", "amplitude=nan"),
+    # a finite datum whose boundary term 2*datum/h**2 overflows in the
+    # harmonic extension that mu starts from
+    (DIRICHLET_CONFIG, "value=0.1", "value=1.7e308"),
     # files configparser cannot read: a duplicate key, no section header,
     # a bare % (interpolation syntax)
     (NEUMANN_CONFIG, "dim = 1", "dim = 1\ndim = 2"),
@@ -853,6 +947,8 @@ _CONSTANT_PROFILES = dict.fromkeys(("g", "phistar", "datum"),
          values=_MIDDLE_VALUES, bad=("tau", 5e-324))
 @example(dirichlet=False, potential="regular", profiles=_CONSTANT_PROFILES,
          values=_MIDDLE_VALUES, bad=("ctrl_eps", 1e-300))
+@example(dirichlet=True, potential="regular", profiles=_CONSTANT_PROFILES,
+         values=dict(_MIDDLE_VALUES, T=0.0), bad=("datum", 1.7e308))
 def test_config_either_rejected_or_runs_finite(dirichlet, potential,
                                                profiles, values, bad):
     """Every config either exits 2 or runs to exit 0 with finite fields

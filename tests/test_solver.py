@@ -873,6 +873,36 @@ def test_output_times_and_diagnostics(tmp_path):
     assert len(lines) == 12
 
 
+@pytest.mark.parametrize("kind, scheme", [
+    ("neumann", "coupled_neumann"), ("dirichlet", "eliminated_dirichlet")])
+def test_output_hook_receives_the_snapshots_run_returns(kind, scheme):
+    """``on_output`` gets, in order, the snapshots that ``run`` returns
+    without it, to the bit, the one past the last step end included, and
+    the returned trajectory then keeps none."""
+    grid = small_grid()
+    phi0 = cosine_data(grid)
+    if kind == "neumann":
+        data = neumann_problem(grid, pot.regular(), phi0, rho=0.5)
+    else:
+        data = dirichlet_problem(grid, pot.regular(), phi0, rho=0.5,
+                                 phistar=lambda X, t: np.full_like(X[0], 0.1),
+                                 datum=lambda x, t: 0.05)
+    T = 0.004
+    cfg = solver.SolverConfig(eps=1e-2, dt=1e-3, T=T, scheme=scheme,
+                              output_times=[0.0, 0.0013, 0.002, T + 1e-13])
+    kept = solver.run(data, cfg)
+    passed = []
+    hooked = solver.run(data, cfg, on_output=passed.append)
+    assert hooked.snapshots == []
+    assert [s.t for s in passed] == [0.0, 0.001, 0.002, T + 1e-13]
+    assert len(passed) == len(kept.snapshots)
+    for a, b in zip(passed, kept.snapshots):
+        assert a.t == b.t and a.newton_iters == b.newton_iters
+        for name in ("phi", "mu", "xi", "zeta"):
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+    np.testing.assert_equal(vars(hooked.diagnostics), vars(kept.diagnostics))
+
+
 def test_output_times_are_exact():
     """Step n ends at n*dt, not at a running sum of step lengths, and a
     snapshot requested at the end of a step carries the requested time."""
