@@ -80,7 +80,9 @@ step after ``simulate`` has written some snapshots), 4 verification
 failure.  ``simulate`` writes each snapshot when the run reaches it; if
 the run then fails, it removes every file it wrote (one that overwrote
 an older file of the same name included), and the other files of an
-existing ``--out`` stay.  A failed command removes the ``--out``
+existing ``--out`` stay.  A run that succeeds removes the snapshot files
+of an earlier run there that it did not overwrite, so the snapshots in
+``--out`` are exactly its own.  A failed command removes the ``--out``
 directories that it made (``nest/a/b`` may make three) while they are
 empty, so it leaves no trace.  A bad argument to the library raises a
 ``ParamError``, which is also a ``ValueError`` (see
@@ -92,6 +94,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import os
+import re
 import sys
 from dataclasses import replace
 
@@ -415,6 +418,10 @@ def _outdir(args):
     return out
 
 
+# the names cmd_simulate gives its snapshot files
+_SNAPSHOT_NAME = re.compile(r"snapshot_[0-9]{4,}\.bin")
+
+
 def cmd_simulate(args) -> int:
     data, cfg, _ = load_config(args.config)
     out = _outdir(args)
@@ -434,6 +441,12 @@ def cmd_simulate(args) -> int:
             if os.path.exists(path):
                 os.remove(path)
         raise
+    # an earlier run's snapshots past this run's count would read as part
+    # of this run; the other files of --out stay
+    own = {os.path.basename(path) for path in written}
+    for name in os.listdir(out):
+        if _SNAPSHOT_NAME.fullmatch(name) and name not in own:
+            os.remove(os.path.join(out, name))
     _say(args, f"wrote {count} snapshots and diagnostics to {out}")
     return EXIT_OK
 
@@ -556,7 +569,16 @@ def cmd_verify_all(args) -> int:
     data, cfg, _ = load_config(args.config)
     out = _outdir(args)
     failures = []
-    traj = solver.run(data, cfg)
+    # the saturation check needs only the largest sup|zeta| over the
+    # snapshots, so none is kept; np.maximum carries a NaN on, so a NaN
+    # in any snapshot fails the check
+    sup_zeta = -np.inf
+
+    def saturation(snap):
+        nonlocal sup_zeta
+        sup_zeta = float(np.maximum(sup_zeta, data.grid.sup_norm(snap.zeta)))
+
+    traj = solver.run(data, cfg, on_output=saturation)
     traj.diagnostics.to_csv(os.path.join(out, "verify_diagnostics.csv"))
     if data.bc.kind == "neumann":
         mass = analysis.check_mass_conservation(traj)
@@ -577,7 +599,6 @@ def cmd_verify_all(args) -> int:
             _say(args, f"energy decay: {'pass' if diss_ok else 'fail'}")
             if not diss_ok:
                 failures.append("energy")
-    sup_zeta = max(data.grid.sup_norm(s.zeta) for s in traj.snapshots)
     zeta_ok = sup_zeta <= data.control.rho + 1e-12
     _say(args, f"control saturation: {'pass' if zeta_ok else 'fail'} "
                f"(sup |zeta| = {sup_zeta:.3e}, rho = {data.control.rho})")

@@ -18,10 +18,12 @@ matrices are built in closed form with numpy, so only a grid whose shape
 takes the FFT path loads ``scipy.fft``, and it does so when the grid is
 constructed, before any time is spent stepping.
 
-The module also holds the package's one preconditioned CG loop, which the
-time stepper runs on its Newton systems, preconditioned by a DCT diagonal
-(:func:`apply_symbol`, which applies any operator diagonal in either
-transform basis).
+The transforms come in halves, :func:`forward_transform` to orthonormal
+coefficients and :func:`inverse_transform` back, so that a caller can
+work in coefficients; :func:`apply_symbol` is the pair around a product
+with any operator diagonal in either basis.  The module also holds the
+package's one preconditioned CG loop, which the time stepper runs on its
+Newton systems in DCT-II coefficients.
 """
 
 from __future__ import annotations
@@ -293,40 +295,70 @@ def _dense_transforms(shape: tuple) -> bool:
     return sum(shape) <= _DENSE_MAX_SUM[len(shape)]
 
 
-def _symbol_dense(grid: Grid, u: np.ndarray, symbol: np.ndarray,
-                  bc: str) -> np.ndarray:
+def _forward_dense(grid: Grid, u: np.ndarray, bc: str) -> np.ndarray:
     M = grid.transform_matrices(bc)
     if grid.dim == 1:
         (A,) = M
-        return A.T @ (symbol * (A @ u))
+        return A @ u
     if grid.dim == 2:
         A, B = M
-        return A.T @ (symbol * (A @ u @ B.T)) @ B
+        return A @ u @ B.T
     # 3-D: axes 1 and 2 as a stack of 2-D products, then axis 0 on the
     # (n0, n1*n2) reshape
     A, B, C = M
-    n0 = grid.shape[0]
-    coeff = (A @ (B @ u @ C.T).reshape(n0, -1)).reshape(grid.shape)
-    return (A.T @ (B.T @ (symbol * coeff) @ C).reshape(n0, -1)).reshape(
+    return (A @ (B @ u @ C.T).reshape(grid.shape[0], -1)).reshape(grid.shape)
+
+
+def _inverse_dense(grid: Grid, coeffs: np.ndarray, bc: str) -> np.ndarray:
+    M = grid.transform_matrices(bc)
+    if grid.dim == 1:
+        (A,) = M
+        return A.T @ coeffs
+    if grid.dim == 2:
+        A, B = M
+        return A.T @ coeffs @ B
+    A, B, C = M
+    return (A.T @ (B.T @ coeffs @ C).reshape(grid.shape[0], -1)).reshape(
         grid.shape)
 
 
-def _symbol_fft(u: np.ndarray, symbol: np.ndarray, bc: str) -> np.ndarray:
-    from scipy.fft import dctn, dstn, idctn, idstn
-    forward, inverse = (dctn, idctn) if bc == "neumann" else (dstn, idstn)
-    return inverse(forward(u, type=2, norm="ortho") * symbol, type=2,
-                   norm="ortho")
+def _forward_fft(u: np.ndarray, bc: str) -> np.ndarray:
+    from scipy.fft import dctn, dstn
+    return (dctn if bc == "neumann" else dstn)(u, type=2, norm="ortho")
+
+
+def _inverse_fft(coeffs: np.ndarray, bc: str) -> np.ndarray:
+    from scipy.fft import idctn, idstn
+    return (idctn if bc == "neumann" else idstn)(coeffs, type=2,
+                                                  norm="ortho")
+
+
+def forward_transform(grid: Grid, u: np.ndarray, bc: str) -> np.ndarray:
+    """Coefficients of ``u`` in the orthonormal DCT-II ("neumann") or
+    DST-II ("dirichlet") basis, grid-shaped; dense or FFT transforms as
+    :func:`_dense_transforms` selects.  Orthonormal, so the Euclidean
+    norm and inner product of coefficients are those of the values."""
+    if _dense_transforms(grid.shape):
+        return _forward_dense(grid, u, bc)
+    return _forward_fft(u, bc)
+
+
+def inverse_transform(grid: Grid, coeffs: np.ndarray, bc: str) -> np.ndarray:
+    """Values of the field with the orthonormal DCT-II ("neumann") or
+    DST-II ("dirichlet") coefficients ``coeffs``: the inverse of
+    :func:`forward_transform`, on the same path."""
+    if _dense_transforms(grid.shape):
+        return _inverse_dense(grid, coeffs, bc)
+    return _inverse_fft(coeffs, bc)
 
 
 def apply_symbol(grid: Grid, u: np.ndarray, symbol: np.ndarray,
                  bc: str) -> np.ndarray:
     """Operator diagonal in the orthonormal DCT-II ("neumann") or DST-II
     ("dirichlet") basis: multiply the coefficients of ``u`` by the
-    grid-shaped ``symbol`` and transform back; dense or FFT transforms as
-    :func:`_dense_transforms` selects."""
-    if _dense_transforms(grid.shape):
-        return _symbol_dense(grid, u, symbol, bc)
-    return _symbol_fft(u, symbol, bc)
+    grid-shaped ``symbol`` and transform back."""
+    return inverse_transform(grid, symbol * forward_transform(grid, u, bc),
+                             bc)
 
 
 # -- conjugate gradients -----------------------------------------------

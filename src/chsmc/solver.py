@@ -10,14 +10,18 @@ potential through the inverse Laplacian of its boundary regime: the
 mean-free Neumann inverse N, which conserves the mean of the order
 parameter exactly, or the Dirichlet inverse D after the harmonic
 extension of the datum is subtracted.  Each step solves one equation for
-the increment of phi by matrix-free Newton, whose linear part, the step
-operator of :func:`_regime`, is one cosine symbol for zero flux.  Each
-Newton system is solved tightly by conjugate gradients preconditioned
-with the inverse of the regime's DCT-II step symbol, shifted by the mean
-of the Jacobian's diagonal (fast direct solvers as preconditioners,
-Concus & Golub 1973); for zero flux and a constant diagonal it is the
-exact inverse, so a step takes about as many Newton iterations as exact
-Newton.
+the increment of phi by matrix-free Newton.  Its linear algebra lives in
+orthonormal DCT-II coefficients, where the Laplacian and the mean-free
+projection are diagonal: the increment, the residual and the conjugate
+gradient iterates are coefficient arrays, the step operator of
+:func:`_regime` is one cosine symbol for zero flux (plus the Dirichlet
+inverse, applied on the grid values, for prescribed values), and the
+preconditioner is an elementwise product.  Each Newton system is solved
+tightly by conjugate gradients preconditioned with the inverse of the
+regime's DCT-II step symbol, shifted by the mean of the Jacobian's
+diagonal (fast direct solvers as preconditioners, Concus & Golub 1973);
+for zero flux and a constant diagonal it is the exact inverse, so a step
+takes about as many Newton iterations as exact Newton.
 
 ``galerkin_neumann`` projects onto the first n zero-flux cosine modes,
 with the nonlinearities evaluated by collocation, and solves its small
@@ -40,9 +44,11 @@ import numpy as np
 from . import potentials as pot
 from . import smc
 from .errors import ConfigError, NewtonError, SolveError
-from .grid import (Grid, apply_symbol, harmonic_extension,
-                   inverse_dirichlet, inverse_neumann, laplacian_neumann,
-                   neumann_eigenbasis, pcg)
+# inverse_neumann is not called here, but bench/tracing.py wraps it
+# under this module's name too
+from .grid import (Grid, forward_transform, harmonic_extension,  # noqa: F401
+                   inverse_dirichlet, inverse_neumann, inverse_transform,
+                   laplacian_neumann, neumann_eigenbasis, pcg)
 
 
 @dataclass(frozen=True)
@@ -247,52 +253,80 @@ def _newton(residual, solve, x0, norm, project, first):
     raise NewtonError(f"Newton did not converge (residual {rnorm:.3e})")
 
 
-def _regime(grid: Grid, bc_kind: str, tau: float, dt: float):
-    """(K, G, P, precondition) of the potential's boundary regime for one
-    step of length dt: the step operator K(v) = tau*v/dt + G(v)/dt -
-    Lap_N v, the inverse Laplacian G, the projection P, and
-    ``precondition(shift)``, which applies 1/(symbol + shift) in the
-    DCT-II basis, ``symbol`` being the regime's DCT symbol of K.
+def _regime(grid: Grid, bc_kind: str, tau: float, dt: float) -> np.ndarray:
+    """The step symbol of the potential's boundary regime for one step of
+    length dt: the part of the step operator K(v) = tau*v/dt + G(v)/dt -
+    Lap_N v that is diagonal in the DCT-II basis, as a grid-shaped array
+    of mode factors.
 
-    Zero flux: G = N o P, P the mean-free projection.  The DCT-II
-    diagonalizes Lap_N exactly and G is its mean-free inverse, so K is
-    one cosine symbol, tau/dt + 1/(dt*lam) + lam with the zero mode's
-    1/lam read as 0; the preconditioner drops that mode.
-    Dirichlet: G = D = (-Lap_D)^{-1}, P = I, and K is the sum, as D is
-    diagonal in the DST basis and Lap_N in the DCT one.  The symbol
-    stands in 1/(dt*(lam + lam_D,min)) for D/dt, a mismatch that is
-    small next to tau/dt.
+    Zero flux: G = N o P, N the mean-free inverse Laplacian and P the
+    mean-free projection, which sets mode 0 to zero.  The DCT-II
+    diagonalizes Lap_N exactly and G is its mean-free inverse, so all of
+    K is the symbol tau/dt + lam + 1/(dt*lam), with the zero mode's 1/lam
+    read as 0.
+    Dirichlet: G = D = (-Lap_D)^{-1}, P = I.  D is diagonal in the DST
+    basis, not the DCT one, so the symbol is tau/dt + lam and
+    :func:`_step_operator` applies D on the grid values.
     """
-    lam = grid.eigenvalues("neumann")
+    symbol = tau / dt + grid.eigenvalues("neumann")
     if bc_kind == "neumann":
-        def P(u):
-            return u - grid.mean(u)
+        symbol += grid.inverse_eigenvalues("neumann") / dt
+    return symbol
 
-        def G(u):
-            return inverse_neumann(grid, P(u))
 
-        symbol = tau / dt + grid.inverse_eigenvalues("neumann") / dt + lam
+def _step_operator(grid: Grid, bc_kind: str, symbol: np.ndarray, dt: float,
+                   v_hat, v, w: np.ndarray):
+    """(coefficients of K(v) + P(w), G(v)/dt) in the DCT-II basis, for the
+    step operator K, the inverse Laplacian G and the projection P of
+    :func:`_regime` with its ``symbol``; the one definition of K, which
+    the residual and the Jacobian of :func:`step_eliminated` share.
 
-        def K(v):
-            return apply_symbol(grid, v, symbol, "neumann")
-    else:
-        def P(u):
-            return u
+    v is given by its coefficients ``v_hat`` and, for Dirichlet, by its
+    grid values ``v`` (None with v_hat = 0 for v = 0).  G(v)/dt is D v/dt
+    for Dirichlet, None for zero flux and for v = 0.  ``w`` holds grid
+    values and is overwritten.  One forward transform, plus the DST pair
+    of D for Dirichlet.
+    """
+    Gv = None
+    if bc_kind == "dirichlet" and v is not None:
+        Gv = inverse_dirichlet(grid, v)
+        Gv /= dt
+        w += Gv
+    out = forward_transform(grid, w, "neumann")
+    if bc_kind == "neumann":
+        out.flat[0] = 0.0  # P
+    out += symbol * v_hat
+    return out, Gv
 
-        def G(u):
-            return inverse_dirichlet(grid, u)
 
-        def K(v):
-            return tau * v / dt + G(v) / dt - laplacian_neumann(grid, v)
-        lam_d = grid.eigenvalues("dirichlet").flat[0]
-        symbol = tau / dt + lam + 1.0 / (dt * (lam + lam_d))
+def _jacobian(grid: Grid, bc_kind: str, symbol: np.ndarray, dt: float,
+              bprime: np.ndarray):
+    """The Newton Jacobian K + P beta_eps' as a map of DCT-II coefficients:
+    one inverse transform, then :func:`_step_operator`."""
+    def apply(v_hat):
+        v = inverse_transform(grid, v_hat, "neumann")
+        return _step_operator(grid, bc_kind, symbol, dt, v_hat, v,
+                              bprime * v)[0]
+    return apply
 
-    def precondition(shift):
+
+def _preconditioner(grid: Grid, bc_kind: str, symbol: np.ndarray, dt: float,
+                    shift: float) -> np.ndarray:
+    """The CG preconditioner as DCT-II mode factors: 1/(S + shift), S the
+    regime's DCT symbol of all of K (fast direct solvers as
+    preconditioners, Concus & Golub 1973).
+
+    Zero flux: S is the step symbol itself, and mode 0 is dropped, as K
+    acts on mean-free d.  Dirichlet: S stands in 1/(dt*(lam +
+    lam_D,min)) for D/dt, a mismatch that is small next to tau/dt.
+    """
+    if bc_kind == "neumann":
         inverse = 1.0 / (symbol + shift)
-        if bc_kind == "neumann":
-            inverse.flat[0] = 0.0  # lam = 0: K acts on mean-free d
-        return lambda r: apply_symbol(grid, r, inverse, "neumann")
-    return K, G, P, precondition
+        inverse.flat[0] = 0.0
+        return inverse
+    lam = grid.eigenvalues("neumann")
+    lam_d = grid.eigenvalues("dirichlet").flat[0]
+    return 1.0 / (symbol + 1.0 / (dt * (lam + lam_d)) + shift)
 
 
 # -- steppers ----------------------------------------------------------
@@ -324,52 +358,79 @@ def step_eliminated(state: StateSnapshot, data: ProblemData,
     with K(d) = tau d/dt + G(d)/dt - Lap_N d the step operator of
     :func:`_regime`, and recovers mu = mu_H - G(d)/dt + (I - P)[xi +
     explicit - g], with mu_H the harmonic extension of the Dirichlet
-    datum (0 for zero flux).  For zero flux d stays mean-free, so the
-    mean of phi is conserved, and K is one cosine symbol: a step applies
-    the Laplacian once, to phi^n, however many Newton and CG iterations
-    it takes, and G once, for mu.  Each residual evaluation hands its
-    xi = beta_eps(phi) to :func:`_newton`, which passes it to the linear
-    solve at the same iterate and returns it with the converged d; the
-    Jacobian K + P beta_eps'(phi) takes beta_eps'(phi) from it, and CG is
-    preconditioned by the regime's step symbol shifted by the mean of
-    beta_eps'(phi).  The first residual, at d = 0, takes ``state.xi``
-    and K(0) = 0, so ``state.xi`` must be beta_eps(phi^n) with
-    ``cfg.eps`` (the :class:`StateSnapshot` contract); a step solves the
-    resolvent once per Newton iteration.  A step that converges there,
-    with 0 Newton iterations, applies no G and returns ``state.phi`` and
-    ``state.xi`` themselves, not copies.
+    datum (0 for zero flux).
+
+    Newton's unknown, the residual and the CG iterates are the DCT-II
+    coefficient arrays of the module docstring; by Parseval their norms
+    are those of the grid values, so the tolerances keep their meaning.
+    A residual evaluation is one inverse transform to phi = phi^n + d,
+    beta_eps(phi), and :func:`_step_operator`; a CG iteration is one
+    inverse transform, beta_eps' v, and :func:`_step_operator`.  For zero
+    flux P sets mode 0 to zero, so d stays mean-free and the mean of phi
+    is conserved.  A step applies the stencil Laplacian once, to phi^n,
+    and takes G(d) for mu from the converged coefficients: one inverse
+    transform of d_hat/lam for zero flux, the D d of the last residual
+    for Dirichlet.
+
+    Each residual evaluation hands its (phi, xi = beta_eps(phi), G(d)/dt)
+    to :func:`_newton`, which passes them to the linear solve at the same
+    iterate and returns them with the converged d; the Jacobian
+    K + P beta_eps'(phi) takes beta_eps'(phi) from phi and xi.  The first
+    residual, at d = 0, takes ``state.xi`` and K(0) = 0, so ``state.xi``
+    must be beta_eps(phi^n) with ``cfg.eps`` (the :class:`StateSnapshot`
+    contract); a step solves the resolvent once per Newton iteration.  A
+    step that converges there, with 0 Newton iterations, applies no G
+    and returns ``state.phi`` and ``state.xi`` themselves, not copies.
     """
     grid = data.grid
+    kind = data.bc.kind
     t_new = state.t + dt
     X = grid.meshgrid()
-    K, G, P, precondition = _regime(grid, data.bc.kind, data.tau, dt)
+    symbol = _regime(grid, kind, data.tau, dt)
     mu_H = (harmonic_extension(grid, data.bc.datum, t_new)
-            if data.bc.kind == "dirichlet" else 0.0)
+            if kind == "dirichlet" else 0.0)
     phi_n = state.phi
-    expl_g = _explicit_part(data, X, phi_n, t_new) - data.g(X, t_new)
-    fixed = expl_g + mu_H
-    lap_n = laplacian_neumann(grid, phi_n)
+    # fixed = explicit - g + mu_H - Lap_N phi^n, built in place; only the
+    # mean of explicit - g is kept, (I - P) of it for zero-flux mu
+    fixed = _explicit_part(data, X, phi_n, t_new) - data.g(X, t_new)
+    mean_explicit = grid.mean(fixed)
+    fixed += mu_H
+    fixed -= laplacian_neumann(grid, phi_n)
 
-    def residual(d):
-        xi = pot.beta_eps(data.spec, cfg.eps, phi_n + d)
-        return K(d) - lap_n + P(xi + fixed), xi
+    def residual(d_hat):
+        d = inverse_transform(grid, d_hat, "neumann")
+        phi = phi_n + d
+        xi = pot.beta_eps(data.spec, cfg.eps, phi)
+        r, Gd = _step_operator(grid, kind, symbol, dt, d_hat, d, xi + fixed)
+        return r, (phi, xi, Gd)
 
     floor = _INNER_FLOOR * NEWTON_TOL / np.sqrt(grid.cell_volume)
 
-    def solve(d, r, xi):
-        bprime = pot.beta_eps_prime(data.spec, cfg.eps, phi_n + d, xi)
-        return pcg(lambda v: K(v) + P(bprime * v), -r,
-                   precondition(grid.mean(bprime)), rtol=_INNER_RTOL,
-                   atol=floor)
+    def solve(d_hat, r, ev):
+        phi, xi, _ = ev
+        bprime = pot.beta_eps_prime(data.spec, cfg.eps, phi, xi)
+        inverse = _preconditioner(grid, kind, symbol, dt, grid.mean(bprime))
+        return pcg(_jacobian(grid, kind, symbol, dt, bprime), -r,
+                   lambda r: inverse * r, rtol=_INNER_RTOL, atol=floor)
 
-    # the residual at d = 0, where phi = phi^n and K(0) = 0
-    d, iters, xi = _newton(residual, solve, grid.zeros(), grid.l2_norm, P,
-                           (P(state.xi + fixed) - lap_n, state.xi))
-    rest = xi + expl_g
-    Gd = G(d) if iters else 0.0
-    mu = mu_H - Gd / dt + (rest - P(rest))
-    return _snapshot(data, t_new, phi_n if iters == 0 else phi_n + d, mu,
-                     xi, iters)
+    # the residual at d = 0, where phi = phi^n and K(0) = 0.  For zero flux
+    # the preconditioner zeroes mode 0, so every CG iterate, and with it
+    # every Newton iterate, keeps that mode exactly 0: Newton's projection
+    # is the identity
+    first, _ = _step_operator(grid, kind, symbol, dt, 0.0, None,
+                              state.xi + fixed)
+    d_hat, iters, (phi, xi, Gd) = _newton(
+        residual, solve, grid.zeros(), grid.l2_norm, lambda c: c,
+        (first, (phi_n, state.xi, 0.0)))
+    if kind == "dirichlet":
+        mu = mu_H - Gd
+    else:
+        mu = np.full(grid.shape, grid.mean(xi) + mean_explicit)
+        if iters:
+            mu -= inverse_transform(
+                grid, grid.inverse_eigenvalues("neumann") * d_hat,
+                "neumann") / dt
+    return _snapshot(data, t_new, phi, mu, xi, iters)
 
 
 # The scheme names stay bound to the one stepper: configs name them, and

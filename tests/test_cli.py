@@ -440,6 +440,87 @@ def test_simulate_memory_does_not_grow_with_outputs(tmp_path):
     assert growth < 2 * field_bytes, growth
 
 
+def test_verify_all_memory_does_not_grow_with_outputs(tmp_path):
+    """verify-all keeps a running maximum of sup|zeta| instead of every
+    snapshot: the traced peak of a 3-D run with 50 outputs is that of the
+    same run with 5, within two grid fields (keeping them would add about
+    45 times four)."""
+    cells = 16
+    field_bytes = cells ** 3 * 8
+    base = (DIRICHLET_CONFIG.replace("dim = 1", "dim = 3")
+            .replace("cells = 32", f"cells = {cells}")
+            .replace("T = 0.01", "T = 0.05"))
+    codes = []
+
+    def verify(outputs, name):
+        path = tmp_path / f"{name}.ini"
+        path.write_text(base.replace("outputs = 3", f"outputs = {outputs}"))
+        codes.append(cli.main(["verify-all", "--config", str(path),
+                               "--quiet", "--out", str(tmp_path / name)]))
+
+    def traced_peak(outputs):
+        tracemalloc.start()
+        try:
+            verify(outputs, f"traced{outputs}")
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    verify(5, "warm")  # fills the caches that the traced runs reuse
+    growth = traced_peak(50) - traced_peak(5)
+    assert codes == [cli.EXIT_OK] * 3
+    assert growth < 2 * field_bytes, growth
+
+
+@pytest.mark.parametrize("nan_at", [0, 2], ids=["first", "later"])
+def test_verify_all_saturation_fails_on_a_nan_zeta(tmp_path, monkeypatch,
+                                                   capsys, nan_at):
+    """A NaN sup|zeta| in any snapshot fails the saturation check, the
+    first one or a later one."""
+    run, seen = solver.run, []
+
+    def run_with_nan(data, cfg, on_output=None):
+        def hook(snap):
+            if len(seen) == nan_at:
+                snap = replace(snap, zeta=np.full_like(snap.zeta, np.nan))
+            seen.append(snap.t)
+            on_output(snap)
+        return run(data, cfg, on_output=hook)
+
+    monkeypatch.setattr(solver, "run", run_with_nan)
+    code = cli.main(["verify-all", "--config",
+                     os.path.join(CONFIGS, "neumann_smoke.ini"),
+                     "--out", str(tmp_path / "out")])
+    assert len(seen) > nan_at + 1
+    assert code == cli.EXIT_VERIFICATION
+    assert "control saturation: fail (sup |zeta| = nan" in \
+        capsys.readouterr().out
+
+
+def test_simulate_into_an_existing_out_leaves_only_its_own_snapshots(
+        tmp_path):
+    """A successful simulate removes the snapshots of an earlier run into
+    the same --out that it did not overwrite; other files stay."""
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "notes.txt").write_text("kept")
+    for name in ("contdep_g.ini", "neumann_smoke.ini"):
+        assert cli.main(["simulate", "--config",
+                         os.path.join(CONFIGS, name), "--quiet",
+                         "--out", str(out)]) == cli.EXIT_OK
+    snaps = sorted(out.glob("snapshot_*.bin"))
+    assert [p.name for p in snaps] == [f"snapshot_{k:04d}.bin"
+                                       for k in range(6)]
+    cfg = configparser.ConfigParser()
+    cfg.read(os.path.join(CONFIGS, "neumann_smoke.ini"))
+    T = float(cfg["time"]["T"])
+    times = [read_snapshot(p)[1] for p in snaps]
+    assert times == pytest.approx(np.linspace(0.0, T, 6), abs=1e-12)
+    assert (out / "notes.txt").read_text() == "kept"
+    assert sorted(p.name for p in out.iterdir()) == sorted(
+        ["notes.txt", "diagnostics.csv"] + [p.name for p in snaps])
+
+
 def test_eps_whose_reciprocal_overflows_is_a_numerical_failure(tmp_path,
                                                               capsys):
     """At eps = 5e-324, 1/eps is already inf: the quartic resolvent names

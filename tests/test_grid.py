@@ -215,8 +215,9 @@ def test_dense_and_fft_transforms_agree(shape, dense, bc):
     psi = rng.standard_normal(shape)
     psi -= grid.mean(psi)
     symbol = grid.inverse_eigenvalues(bc)
-    u_dense = gr._symbol_dense(grid, psi, symbol, bc)
-    u_fft = gr._symbol_fft(psi, symbol, bc)
+    u_dense = gr._inverse_dense(
+        grid, symbol * gr._forward_dense(grid, psi, bc), bc)
+    u_fft = gr._inverse_fft(symbol * gr._forward_fft(psi, bc), bc)
     scale = np.max(np.abs(u_fft))
     assert np.max(np.abs(u_dense - u_fft)) <= 1e-13 * scale
     inverse, cg_inverse = ((gr.inverse_neumann, cg_inverse_neumann)
@@ -231,6 +232,35 @@ def test_dense_and_fft_transforms_agree(shape, dense, bc):
         assert np.array_equal(u, u_dense if dense else u_fft)
     u_cg = cg_inverse(grid, psi)
     assert np.max(np.abs(u_cg - u)) <= 1e-9 * scale
+
+
+@pytest.mark.parametrize("shape, dense", TRANSFORM_SHAPES,
+                         ids=[str(s) for s, _ in TRANSFORM_SHAPES])
+@pytest.mark.parametrize("bc", ["neumann", "dirichlet"])
+def test_transform_halves_are_orthonormal_inverses(shape, dense, bc):
+    """forward_transform is scipy's orthonormal DCT-II / DST-II on the
+    dense and the FFT path, inverse_transform undoes it both ways round,
+    and both keep the Euclidean norm (Parseval); apply_symbol is the
+    pair around a product, bit for bit."""
+    from scipy.fft import dctn, dstn
+    grid = Grid(shape=shape,
+                lengths=tuple(0.5 + 0.25 * a for a in range(len(shape))))
+    assert gr._dense_transforms(shape) is dense
+    rng = np.random.default_rng(21)
+    u, c = rng.standard_normal(shape), rng.standard_normal(shape)
+    coeffs = gr.forward_transform(grid, u, bc)
+    reference = (dctn if bc == "neumann" else dstn)(u, type=2, norm="ortho")
+    assert coeffs.shape == shape
+    assert np.max(np.abs(coeffs - reference)) <= 1e-13 * np.max(np.abs(u))
+    back = gr.inverse_transform(grid, coeffs, bc)
+    assert np.max(np.abs(back - u)) <= 1e-13 * np.max(np.abs(u))
+    there = gr.forward_transform(grid, gr.inverse_transform(grid, c, bc), bc)
+    assert np.max(np.abs(there - c)) <= 1e-13 * np.max(np.abs(c))
+    norm = np.sqrt((u * u).sum())
+    assert abs(np.sqrt((coeffs * coeffs).sum()) - norm) <= 1e-13 * norm
+    symbol = grid.inverse_eigenvalues(bc)
+    assert np.array_equal(gr.apply_symbol(grid, u, symbol, bc),
+                          gr.inverse_transform(grid, symbol * coeffs, bc))
 
 
 @pytest.mark.parametrize("n", [3, 8, 64, 128, 256, 288])
@@ -288,7 +318,9 @@ def test_1d_dense_inverse_is_one_folded_matrix(n, bc):
     if bc == "dirichlet":
         assert "_mat_dirichlet" not in grid.__dict__
     scale = np.max(np.abs(u))
-    u_dense = gr._symbol_dense(grid, psi, grid.inverse_eigenvalues(bc), bc)
+    u_dense = gr._inverse_dense(
+        grid, grid.inverse_eigenvalues(bc) * gr._forward_dense(grid, psi, bc),
+        bc)
     assert np.max(np.abs(u - u_dense)) <= 1e-13 * scale
     assert np.max(np.abs(-lap(grid, u) - psi)) <= 1e-10 * np.max(np.abs(psi))
 

@@ -6,7 +6,9 @@ import pytest
 from chsmc import potentials as pot
 from chsmc import smc, solver
 from chsmc.errors import ConfigError, NewtonError, ParamError
-from chsmc.grid import (Grid, dual_norm, harmonic_extension,
+from chsmc.grid import (Grid, dual_norm, forward_transform,
+                        harmonic_extension, inverse_dirichlet,
+                        inverse_neumann, inverse_transform,
                         laplacian_neumann, pcg)
 
 from conftest import (zero_potential, zero_field, neumann_problem,
@@ -340,14 +342,17 @@ def test_step_reuses_newtons_last_evaluation(kind):
     assert state1.newton_iters > 0
     assert np.array_equal(state1.xi,
                           pot.beta_eps(data.spec, cfg.eps, state1.phi))
-    _, G, P, _ = solver._regime(grid, kind, data.tau, cfg.dt)
     X = grid.meshgrid()
     t = cfg.dt
-    mu_H = (harmonic_extension(grid, data.bc.datum, t)
-            if kind == "dirichlet" else 0.0)
     rest = (pot.beta_eps(data.spec, cfg.eps, state1.phi)
             + solver._explicit_part(data, X, state0.phi, t) - data.g(X, t))
-    mu = mu_H - G((state1.phi - state0.phi) / cfg.dt) + (rest - P(rest))
+    dphi = (state1.phi - state0.phi) / cfg.dt
+    if kind == "neumann":
+        # G = N o P, and (I - P) rest is the mean of rest
+        mu = grid.mean(rest) - inverse_neumann(grid, dphi - grid.mean(dphi))
+    else:
+        mu = (harmonic_extension(grid, data.bc.datum, t)
+              - inverse_dirichlet(grid, dphi))
     assert np.max(np.abs(state1.mu - mu)) <= 1e-13 * np.max(np.abs(mu))
 
 
@@ -524,25 +529,73 @@ def test_coupled_preconditioner_inverts_constant_coefficient_jacobian(grid2d):
     rng = np.random.default_rng(11)
     v = rng.standard_normal(grid2d.shape)
     v -= grid2d.mean(v)
+    v_hat = forward_transform(grid2d, v, "neumann")
+    v_hat.flat[0] = 0.0
     bprime = np.full(grid2d.shape, 3.7)
-    K, _, P, precondition = solver._regime(grid2d, "neumann", 0.7, 1e-3)
-    w = precondition(3.7)(K(v) + P(bprime * v))
-    assert grid2d.l2_norm(w - v) <= 1e-12 * grid2d.l2_norm(v)
+    symbol = solver._regime(grid2d, "neumann", 0.7, 1e-3)
+    jacobian = solver._jacobian(grid2d, "neumann", symbol, 1e-3, bprime)
+    w = (solver._preconditioner(grid2d, "neumann", symbol, 1e-3, 3.7)
+         * jacobian(v_hat))
+    assert grid2d.l2_norm(w - v_hat) <= 1e-12 * grid2d.l2_norm(v_hat)
 
 
-@pytest.mark.parametrize("shape", [(64,), (12, 10), (128, 128), (129, 128),
-                                   (8, 8, 8)], ids=str)
+# Shapes on the dense and the FFT path, in 1-D, 2-D and 3-D
+OPERATOR_SHAPES = [(64,), (12, 10), (128, 128), (129, 128), (8, 8, 8),
+                   (283, 3, 3)]
+
+
+def _operator_grid(shape):
+    return Grid(shape=shape,
+                lengths=tuple(0.5 + 0.25 * a for a in range(len(shape))))
+
+
+@pytest.mark.parametrize("shape", OPERATOR_SHAPES[:5], ids=str)
 def test_zero_flux_step_operator_is_one_cosine_symbol(shape):
     """The zero-flux K, one symbol on the dense or the FFT path, is the
     sum tau*v/dt + G(v)/dt - Lap_N v, for v with a nonzero mean too."""
-    grid = Grid(shape=shape,
-                lengths=tuple(0.5 + 0.25 * a for a in range(len(shape))))
+    grid = _operator_grid(shape)
     tau, dt = 0.7, 1e-3
-    K, G, _, _ = solver._regime(grid, "neumann", tau, dt)
+    symbol = solver._regime(grid, "neumann", tau, dt)
     v = np.random.default_rng(13).standard_normal(shape) + 0.3
-    expected = tau * v / dt + G(v) / dt - laplacian_neumann(grid, v)
+    Kv, G = solver._step_operator(grid, "neumann", symbol, dt,
+                                  forward_transform(grid, v, "neumann"), v,
+                                  grid.zeros())
+    assert G is None
+    expected = (tau * v / dt + inverse_neumann(grid, v - grid.mean(v)) / dt
+                - laplacian_neumann(grid, v))
     scale = np.max(np.abs(expected))
-    assert np.max(np.abs(K(v) - expected)) <= 1e-13 * scale
+    assert (np.max(np.abs(inverse_transform(grid, Kv, "neumann") - expected))
+            <= 1e-13 * scale)
+
+
+@pytest.mark.parametrize("shape", OPERATOR_SHAPES, ids=str)
+@pytest.mark.parametrize("kind", ["neumann", "dirichlet"])
+def test_coefficient_jacobian_is_the_transformed_stencil_form(kind, shape):
+    """The Jacobian CG applies to DCT-II coefficients is the forward
+    transform of tau*v/dt + G(v)/dt - Lap_N v + P(beta' v), G and P those
+    of the regime, with the stencil Laplacian; v mean-free for zero
+    flux, the subspace Newton works in."""
+    grid = _operator_grid(shape)
+    tau, dt = 0.7, 1e-3
+    rng = np.random.default_rng(17)
+    v = rng.standard_normal(shape)
+    bprime = 1.0 + rng.uniform(0.0, 5e3, shape)
+    if kind == "neumann":
+        v -= grid.mean(v)
+        Gv = inverse_neumann(grid, v)
+        Pw = bprime * v - grid.mean(bprime * v)
+    else:
+        Gv, Pw = inverse_dirichlet(grid, v), bprime * v
+    expected = forward_transform(
+        grid, tau * v / dt + Gv / dt - laplacian_neumann(grid, v) + Pw,
+        "neumann")
+    v_hat = forward_transform(grid, v, "neumann")
+    if kind == "neumann":
+        v_hat.flat[0] = 0.0
+    symbol = solver._regime(grid, kind, tau, dt)
+    Jv = solver._jacobian(grid, kind, symbol, dt, bprime)(v_hat)
+    scale = np.max(np.abs(expected))
+    assert np.max(np.abs(Jv - expected)) <= 1e-13 * scale
 
 
 @pytest.mark.parametrize("spec", [pot.regular(), pot.logarithmic(2.0)],
