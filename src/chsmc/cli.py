@@ -30,7 +30,7 @@ config fully determines a run::
     [time]
     dt = 1e-3
     T = 1.0
-    outputs = 21
+    outputs = 21              ; >= 1 snapshot times, evenly from 0 to T
 
     [solver]                      ; optional, as are both its keys
     scheme = eliminated_dirichlet ; the default for dirichlet;
@@ -84,8 +84,9 @@ existing ``--out`` stay.  A run that succeeds removes the snapshot files
 of an earlier run there that it did not overwrite, so the snapshots in
 ``--out`` are exactly its own.  A failed command removes the ``--out``
 directories that it made (``nest/a/b`` may make three) while they are
-empty, so it leaves no trace.  A bad argument to the library raises a
-``ParamError``, which is also a ``ValueError`` (see
+empty, so it leaves no trace; it reads ``nest/a/../b`` as ``nest/b``,
+lexically, even where ``nest/a`` is a symlink.  A bad argument to the
+library raises a ``ParamError``, which is also a ``ValueError`` (see
 :mod:`chsmc.errors`).
 """
 
@@ -372,8 +373,9 @@ def load_config(path):
     dt = _get(cp, "time", "dt", _number_above(0.0))
     T = _get(cp, "time", "T", _number_above(0.0, or_equal=True))
     n_out = _get(cp, "time", "outputs", int, 11)
-    if n_out < 0:
-        raise ConfigError("[time] outputs must be nonnegative")
+    if n_out < 1:
+        raise ConfigError(f"[time] outputs must be at least 1, got {n_out}: "
+                          "the state at t = 0 is always written")
     output_times = list(np.linspace(0.0, T, n_out)) if T > 0.0 else []
     scheme = _get(cp, "solver", "scheme", _one_of(*_SCHEMES.values()),
                   _SCHEMES[bc_kind])
@@ -403,13 +405,14 @@ def _say(args, text):
 
 
 def _outdir(args):
-    out = args.out or "chsmc-out"
+    # normalised, so that a/../b makes b alone (.. read lexically)
+    out = os.path.normpath(args.out or "chsmc-out")
     # the directories that makedirs is about to make, from the leaf up,
     # for main to remove while empty
     args.made_out, head = [], out
     while head and not os.path.exists(head):
         args.made_out.append(head)
-        head = os.path.dirname(head.rstrip(os.sep))
+        head = os.path.dirname(head)
     try:
         os.makedirs(out, exist_ok=True)
     except OSError as exc:  # a file of that name, or no permission

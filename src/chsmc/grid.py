@@ -20,10 +20,10 @@ constructed, before any time is spent stepping.
 
 The transforms come in halves, :func:`forward_transform` to orthonormal
 coefficients and :func:`inverse_transform` back, so that a caller can
-work in coefficients; :func:`apply_symbol` is the pair around a product
-with any operator diagonal in either basis.  The module also holds the
-package's one preconditioned CG loop, which the time stepper runs on its
-Newton systems in DCT-II coefficients.
+work in coefficients; on the dense path both run one body over the
+per-axis matrices, the inverse with their transposes.  The module also
+holds the package's one preconditioned CG loop, which the time stepper
+runs on its Newton systems in DCT-II coefficients.
 """
 
 from __future__ import annotations
@@ -295,42 +295,18 @@ def _dense_transforms(shape: tuple) -> bool:
     return sum(shape) <= _DENSE_MAX_SUM[len(shape)]
 
 
-def _forward_dense(grid: Grid, u: np.ndarray, bc: str) -> np.ndarray:
-    M = grid.transform_matrices(bc)
+def _dense_transform(grid: Grid, u: np.ndarray, mats: tuple) -> np.ndarray:
+    """``u`` times the per-axis matrices ``mats``, each along its axis."""
     if grid.dim == 1:
-        (A,) = M
+        (A,) = mats
         return A @ u
     if grid.dim == 2:
-        A, B = M
+        A, B = mats
         return A @ u @ B.T
     # 3-D: axes 1 and 2 as a stack of 2-D products, then axis 0 on the
     # (n0, n1*n2) reshape
-    A, B, C = M
+    A, B, C = mats
     return (A @ (B @ u @ C.T).reshape(grid.shape[0], -1)).reshape(grid.shape)
-
-
-def _inverse_dense(grid: Grid, coeffs: np.ndarray, bc: str) -> np.ndarray:
-    M = grid.transform_matrices(bc)
-    if grid.dim == 1:
-        (A,) = M
-        return A.T @ coeffs
-    if grid.dim == 2:
-        A, B = M
-        return A.T @ coeffs @ B
-    A, B, C = M
-    return (A.T @ (B.T @ coeffs @ C).reshape(grid.shape[0], -1)).reshape(
-        grid.shape)
-
-
-def _forward_fft(u: np.ndarray, bc: str) -> np.ndarray:
-    from scipy.fft import dctn, dstn
-    return (dctn if bc == "neumann" else dstn)(u, type=2, norm="ortho")
-
-
-def _inverse_fft(coeffs: np.ndarray, bc: str) -> np.ndarray:
-    from scipy.fft import idctn, idstn
-    return (idctn if bc == "neumann" else idstn)(coeffs, type=2,
-                                                  norm="ortho")
 
 
 def forward_transform(grid: Grid, u: np.ndarray, bc: str) -> np.ndarray:
@@ -339,8 +315,9 @@ def forward_transform(grid: Grid, u: np.ndarray, bc: str) -> np.ndarray:
     :func:`_dense_transforms` selects.  Orthonormal, so the Euclidean
     norm and inner product of coefficients are those of the values."""
     if _dense_transforms(grid.shape):
-        return _forward_dense(grid, u, bc)
-    return _forward_fft(u, bc)
+        return _dense_transform(grid, u, grid.transform_matrices(bc))
+    from scipy.fft import dctn, dstn
+    return (dctn if bc == "neumann" else dstn)(u, type=2, norm="ortho")
 
 
 def inverse_transform(grid: Grid, coeffs: np.ndarray, bc: str) -> np.ndarray:
@@ -348,17 +325,12 @@ def inverse_transform(grid: Grid, coeffs: np.ndarray, bc: str) -> np.ndarray:
     DST-II ("dirichlet") coefficients ``coeffs``: the inverse of
     :func:`forward_transform`, on the same path."""
     if _dense_transforms(grid.shape):
-        return _inverse_dense(grid, coeffs, bc)
-    return _inverse_fft(coeffs, bc)
-
-
-def apply_symbol(grid: Grid, u: np.ndarray, symbol: np.ndarray,
-                 bc: str) -> np.ndarray:
-    """Operator diagonal in the orthonormal DCT-II ("neumann") or DST-II
-    ("dirichlet") basis: multiply the coefficients of ``u`` by the
-    grid-shaped ``symbol`` and transform back."""
-    return inverse_transform(grid, symbol * forward_transform(grid, u, bc),
-                             bc)
+        mats = grid._cached("_mat_T_" + bc, lambda: tuple(
+            M.T for M in grid.transform_matrices(bc)))
+        return _dense_transform(grid, coeffs, mats)
+    from scipy.fft import idctn, idstn
+    return (idctn if bc == "neumann" else idstn)(coeffs, type=2,
+                                                  norm="ortho")
 
 
 # -- conjugate gradients -----------------------------------------------
@@ -416,10 +388,12 @@ def _apply_inverse(grid: Grid, psi: np.ndarray, bc: str) -> np.ndarray:
     """(-Lap)^{-1} psi through the symbol :meth:`Grid.inverse_eigenvalues`:
     on a 1-D grid that takes the dense path, one product with the folded
     :meth:`Grid.inverse_matrix` (ncells^2 entries, so only there);
-    elsewhere :func:`apply_symbol`."""
+    elsewhere the transform pair around the symbol."""
     if grid.dim == 1 and _dense_transforms(grid.shape):
         return grid.inverse_matrix(bc) @ psi
-    return apply_symbol(grid, psi, grid.inverse_eigenvalues(bc), bc)
+    return inverse_transform(
+        grid, grid.inverse_eigenvalues(bc) * forward_transform(grid, psi, bc),
+        bc)
 
 
 def inverse_neumann(grid: Grid, psi: np.ndarray) -> np.ndarray:

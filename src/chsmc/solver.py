@@ -225,12 +225,11 @@ _INNER_RTOL = 1e-6
 _INNER_FLOOR = 0.1
 
 
-def _newton(residual, solve, x0, norm, project, first):
+def _newton(residual, solve, x0, norm, first):
     """Newton to ``NEWTON_TOL`` on ``norm`` of the residual, the one Newton
-    iteration of every stepper; each new iterate is passed through
-    ``project``.  ``residual(x)`` returns ``(r, ev)``, ``ev`` being what
-    the evaluation computed that the step reuses, and ``first`` is that
-    pair at ``x0``.  ``solve(x, r, ev)`` returns the step dx with
+    iteration of every stepper.  ``residual(x)`` returns ``(r, ev)``, ``ev``
+    being what the evaluation computed that the step reuses, and ``first``
+    is that pair at ``x0``.  ``solve(x, r, ev)`` returns the step dx with
     J(x) dx = -r.  Returns ``(x, iters, ev)`` at the converged iterate.
     A non-finite residual norm, a :class:`SolveError` from ``solve`` (a
     CG breakdown) and ``NEWTON_MAX`` residual evaluations, ``first``
@@ -249,29 +248,44 @@ def _newton(residual, solve, x0, norm, project, first):
             dx = solve(x, r, ev)
         except SolveError as exc:
             raise NewtonError(f"inner solve failed: {exc}") from exc
-        x = project(x + dx)
+        x = x + dx
     raise NewtonError(f"Newton did not converge (residual {rnorm:.3e})")
 
 
-def _regime(grid: Grid, bc_kind: str, tau: float, dt: float) -> np.ndarray:
-    """The step symbol of the potential's boundary regime for one step of
-    length dt: the part of the step operator K(v) = tau*v/dt + G(v)/dt -
-    Lap_N v that is diagonal in the DCT-II basis, as a grid-shaped array
-    of mode factors.
+def _regime(grid: Grid, bc_kind: str, tau: float, dt: float):
+    """The mode factors of the potential's boundary regime for one step of
+    length dt: ``(symbol, precondition)``.  ``symbol`` is the part of the
+    step operator K(v) = tau*v/dt + G(v)/dt - Lap_N v that is diagonal in
+    the DCT-II basis, and ``precondition(shift)`` gives the CG
+    preconditioner 1/(S + shift), S the regime's DCT symbol of all of K
+    (fast direct solvers as preconditioners, Concus & Golub 1973).
 
     Zero flux: G = N o P, N the mean-free inverse Laplacian and P the
     mean-free projection, which sets mode 0 to zero.  The DCT-II
     diagonalizes Lap_N exactly and G is its mean-free inverse, so all of
     K is the symbol tau/dt + lam + 1/(dt*lam), with the zero mode's 1/lam
-    read as 0.
+    read as 0; S is that symbol, and the preconditioner drops mode 0, as
+    K acts on mean-free d.
     Dirichlet: G = D = (-Lap_D)^{-1}, P = I.  D is diagonal in the DST
     basis, not the DCT one, so the symbol is tau/dt + lam and
-    :func:`_step_operator` applies D on the grid values.
+    :func:`_step_operator` applies D on the grid values.  S stands in
+    1/(dt*(lam + lam_D,min)) for D/dt, a mismatch that is small next to
+    tau/dt, formed only in a solve, so an at-rest step does not pay for it.
     """
-    symbol = tau / dt + grid.eigenvalues("neumann")
+    lam = grid.eigenvalues("neumann")
+    symbol = tau / dt + lam
     if bc_kind == "neumann":
         symbol += grid.inverse_eigenvalues("neumann") / dt
-    return symbol
+
+        def precondition(shift):
+            inverse = 1.0 / (symbol + shift)
+            inverse.flat[0] = 0.0
+            return inverse
+    else:
+        def precondition(shift):
+            lam_d = grid.eigenvalues("dirichlet").flat[0]
+            return 1.0 / (symbol + 1.0 / (dt * (lam + lam_d)) + shift)
+    return symbol, precondition
 
 
 def _step_operator(grid: Grid, bc_kind: str, symbol: np.ndarray, dt: float,
@@ -308,25 +322,6 @@ def _jacobian(grid: Grid, bc_kind: str, symbol: np.ndarray, dt: float,
         return _step_operator(grid, bc_kind, symbol, dt, v_hat, v,
                               bprime * v)[0]
     return apply
-
-
-def _preconditioner(grid: Grid, bc_kind: str, symbol: np.ndarray, dt: float,
-                    shift: float) -> np.ndarray:
-    """The CG preconditioner as DCT-II mode factors: 1/(S + shift), S the
-    regime's DCT symbol of all of K (fast direct solvers as
-    preconditioners, Concus & Golub 1973).
-
-    Zero flux: S is the step symbol itself, and mode 0 is dropped, as K
-    acts on mean-free d.  Dirichlet: S stands in 1/(dt*(lam +
-    lam_D,min)) for D/dt, a mismatch that is small next to tau/dt.
-    """
-    if bc_kind == "neumann":
-        inverse = 1.0 / (symbol + shift)
-        inverse.flat[0] = 0.0
-        return inverse
-    lam = grid.eigenvalues("neumann")
-    lam_d = grid.eigenvalues("dirichlet").flat[0]
-    return 1.0 / (symbol + 1.0 / (dt * (lam + lam_d)) + shift)
 
 
 # -- steppers ----------------------------------------------------------
@@ -366,11 +361,12 @@ def step_eliminated(state: StateSnapshot, data: ProblemData,
     A residual evaluation is one inverse transform to phi = phi^n + d,
     beta_eps(phi), and :func:`_step_operator`; a CG iteration is one
     inverse transform, beta_eps' v, and :func:`_step_operator`.  For zero
-    flux P sets mode 0 to zero, so d stays mean-free and the mean of phi
-    is conserved.  A step applies the stencil Laplacian once, to phi^n,
-    and takes G(d) for mu from the converged coefficients: one inverse
-    transform of d_hat/lam for zero flux, the D d of the last residual
-    for Dirichlet.
+    flux P zeroes mode 0 of the residual and the preconditioner drops it,
+    so every CG and Newton iterate keeps that mode exactly 0: d stays
+    mean-free with no projection, and the mean of phi is conserved.  A
+    step applies the stencil Laplacian once, to phi^n, and takes G(d) for
+    mu from the converged coefficients: one inverse transform of
+    d_hat/lam for zero flux, the D d of the last residual for Dirichlet.
 
     Each residual evaluation hands its (phi, xi = beta_eps(phi), G(d)/dt)
     to :func:`_newton`, which passes them to the linear solve at the same
@@ -386,7 +382,7 @@ def step_eliminated(state: StateSnapshot, data: ProblemData,
     kind = data.bc.kind
     t_new = state.t + dt
     X = grid.meshgrid()
-    symbol = _regime(grid, kind, data.tau, dt)
+    symbol, precondition = _regime(grid, kind, data.tau, dt)
     mu_H = (harmonic_extension(grid, data.bc.datum, t_new)
             if kind == "dirichlet" else 0.0)
     phi_n = state.phi
@@ -409,18 +405,15 @@ def step_eliminated(state: StateSnapshot, data: ProblemData,
     def solve(d_hat, r, ev):
         phi, xi, _ = ev
         bprime = pot.beta_eps_prime(data.spec, cfg.eps, phi, xi)
-        inverse = _preconditioner(grid, kind, symbol, dt, grid.mean(bprime))
+        inverse = precondition(grid.mean(bprime))
         return pcg(_jacobian(grid, kind, symbol, dt, bprime), -r,
                    lambda r: inverse * r, rtol=_INNER_RTOL, atol=floor)
 
-    # the residual at d = 0, where phi = phi^n and K(0) = 0.  For zero flux
-    # the preconditioner zeroes mode 0, so every CG iterate, and with it
-    # every Newton iterate, keeps that mode exactly 0: Newton's projection
-    # is the identity
+    # the residual at d = 0, where phi = phi^n and K(0) = 0
     first, _ = _step_operator(grid, kind, symbol, dt, 0.0, None,
                               state.xi + fixed)
     d_hat, iters, (phi, xi, Gd) = _newton(
-        residual, solve, grid.zeros(), grid.l2_norm, lambda c: c,
+        residual, solve, grid.zeros(), grid.l2_norm,
         (first, (phi_n, state.xi, 0.0)))
     if kind == "dirichlet":
         mu = mu_H - Gd
@@ -481,7 +474,7 @@ def step_galerkin_neumann(state: StateSnapshot, data: ProblemData,
     # the modes are orthonormal, so the Euclidean norm of the coefficients
     # is the L2 norm of the synthesized residual
     c, iters, (u, xi, b) = _newton(residual, solve, coeffs, np.linalg.norm,
-                                   lambda c: c, residual(coeffs))
+                                   residual(coeffs))
     eta = data.tau * (c - coeffs) / dt + lam * c + b + fixed
     return _snapshot(data, t_new, u, basis.synthesize(eta), xi, iters)
 

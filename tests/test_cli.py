@@ -350,12 +350,16 @@ def test_failed_command_keeps_an_out_directory_it_did_not_make(tmp_path):
     assert out.is_dir() and not any(out.iterdir())
 
 
-@pytest.mark.parametrize("existing, left", [
-    (None, ["eps.ini"]), ("nest", ["eps.ini", "nest"])])
+@pytest.mark.parametrize("existing, out, left", [
+    (None, "nest/a/b", ["eps.ini"]),
+    ("nest", "nest/a/b", ["eps.ini", "nest"]),
+    (None, "nest/a/../b", ["eps.ini"])],
+    ids=["None-left0", "nest-left1", "None-dotdot-left2"])
 def test_failed_command_removes_every_directory_it_made(tmp_path, existing,
-                                                        left):
+                                                        out, left):
     """``--out nest/a/b`` may make three directories: a failed command
-    removes each one it made, and nothing above them."""
+    removes each one it made, and nothing above them.  ``nest/a/../b``
+    is ``nest/b``, so ``nest/a`` is never made."""
     with open(os.path.join(CONFIGS, "neumann_smoke.ini")) as fh:
         text = fh.read().replace("eps = 1e-2", "eps = 1e-300")
     path = tmp_path / "eps.ini"
@@ -363,11 +367,21 @@ def test_failed_command_removes_every_directory_it_made(tmp_path, existing,
     if existing:
         (tmp_path / existing).mkdir()
     code = cli.main(["simulate", "--config", str(path), "--quiet",
-                     "--out", str(tmp_path / "nest" / "a" / "b")])
+                     "--out", str(tmp_path.joinpath(*out.split("/")))])
     assert code == cli.EXIT_NUMERICAL
     assert sorted(os.listdir(tmp_path)) == left
     if existing:
         assert not any((tmp_path / existing).iterdir())
+
+
+def test_successful_command_makes_only_the_normalised_out(tmp_path):
+    """``--out nest/a/../b`` is ``nest/b``: a run that succeeds leaves no
+    empty ``nest/a`` beside it."""
+    code = cli.main(["simulate", "--config",
+                     os.path.join(CONFIGS, "neumann_smoke.ini"), "--quiet",
+                     "--out", str(tmp_path.joinpath("nest", "a", "..", "b"))])
+    assert code == 0
+    assert os.listdir(tmp_path / "nest") == ["b"]
 
 
 @pytest.mark.parametrize("existing", [False, True])
@@ -752,6 +766,7 @@ REJECTED_CASES = [
     (NEUMANN_CONFIG, "rho = 0", "rho = inf"),
     (NEUMANN_CONFIG, "T = 0.01", "T = inf"),
     (NEUMANN_CONFIG, "outputs = 3", "outputs = -1"),
+    (NEUMANN_CONFIG, "outputs = 3", "outputs = 0"),
     (NEUMANN_CONFIG, "amplitude=0.4", "amplitude=abc"),
     (NEUMANN_CONFIG, "mode=1", "mode=x"),
     (NEUMANN_CONFIG, "tau = 1.0", "tau = inf"),

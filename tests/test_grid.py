@@ -204,6 +204,22 @@ TRANSFORM_SHAPES = [((64,), True), ((256,), True), ((1024,), False),
                     ((282, 3, 3), True), ((283, 3, 3), False)]
 
 
+def _dense_pair(grid, u, symbol, bc):
+    """The dense transform pair around ``symbol``, on any grid shape."""
+    mats = grid.transform_matrices(bc)
+    return gr._dense_transform(
+        grid, symbol * gr._dense_transform(grid, u, mats),
+        tuple(M.T for M in mats))
+
+
+def _fft_pair(u, symbol, bc):
+    """The scipy.fft transform pair around ``symbol``."""
+    from scipy.fft import dctn, dstn, idctn, idstn
+    forward, inverse = (dctn, idctn) if bc == "neumann" else (dstn, idstn)
+    return inverse(symbol * forward(u, type=2, norm="ortho"), type=2,
+                   norm="ortho")
+
+
 @pytest.mark.parametrize("shape, dense", TRANSFORM_SHAPES,
                          ids=[str(s) for s, _ in TRANSFORM_SHAPES])
 @pytest.mark.parametrize("bc", ["neumann", "dirichlet"])
@@ -215,9 +231,8 @@ def test_dense_and_fft_transforms_agree(shape, dense, bc):
     psi = rng.standard_normal(shape)
     psi -= grid.mean(psi)
     symbol = grid.inverse_eigenvalues(bc)
-    u_dense = gr._inverse_dense(
-        grid, symbol * gr._forward_dense(grid, psi, bc), bc)
-    u_fft = gr._inverse_fft(symbol * gr._forward_fft(psi, bc), bc)
+    u_dense = _dense_pair(grid, psi, symbol, bc)
+    u_fft = _fft_pair(psi, symbol, bc)
     scale = np.max(np.abs(u_fft))
     assert np.max(np.abs(u_dense - u_fft)) <= 1e-13 * scale
     inverse, cg_inverse = ((gr.inverse_neumann, cg_inverse_neumann)
@@ -240,9 +255,10 @@ def test_dense_and_fft_transforms_agree(shape, dense, bc):
 def test_transform_halves_are_orthonormal_inverses(shape, dense, bc):
     """forward_transform is scipy's orthonormal DCT-II / DST-II on the
     dense and the FFT path, inverse_transform undoes it both ways round,
-    and both keep the Euclidean norm (Parseval); apply_symbol is the
-    pair around a product, bit for bit."""
-    from scipy.fft import dctn, dstn
+    and both keep the Euclidean norm (Parseval).  The dense inverse is the
+    forward body with the transposed matrices, kept as read-only views,
+    bit for bit; the FFT inverse is scipy's."""
+    from scipy.fft import dctn, dstn, idctn, idstn
     grid = Grid(shape=shape,
                 lengths=tuple(0.5 + 0.25 * a for a in range(len(shape))))
     assert gr._dense_transforms(shape) is dense
@@ -258,9 +274,16 @@ def test_transform_halves_are_orthonormal_inverses(shape, dense, bc):
     assert np.max(np.abs(there - c)) <= 1e-13 * np.max(np.abs(c))
     norm = np.sqrt((u * u).sum())
     assert abs(np.sqrt((coeffs * coeffs).sum()) - norm) <= 1e-13 * norm
-    symbol = grid.inverse_eigenvalues(bc)
-    assert np.array_equal(gr.apply_symbol(grid, u, symbol, bc),
-                          gr.inverse_transform(grid, symbol * coeffs, bc))
+    if dense:
+        mats = grid.transform_matrices(bc)
+        assert np.array_equal(back, gr._dense_transform(
+            grid, coeffs, tuple(M.T for M in mats)))
+        transposes = grid.__dict__["_mat_T_" + bc]
+        for M, T in zip(mats, transposes):
+            assert T.base is M and not T.flags.writeable
+    else:
+        assert np.array_equal(back, (idctn if bc == "neumann" else idstn)(
+            coeffs, type=2, norm="ortho"))
 
 
 @pytest.mark.parametrize("n", [3, 8, 64, 128, 256, 288])
@@ -318,9 +341,7 @@ def test_1d_dense_inverse_is_one_folded_matrix(n, bc):
     if bc == "dirichlet":
         assert "_mat_dirichlet" not in grid.__dict__
     scale = np.max(np.abs(u))
-    u_dense = gr._inverse_dense(
-        grid, grid.inverse_eigenvalues(bc) * gr._forward_dense(grid, psi, bc),
-        bc)
+    u_dense = _dense_pair(grid, psi, grid.inverse_eigenvalues(bc), bc)
     assert np.max(np.abs(u - u_dense)) <= 1e-13 * scale
     assert np.max(np.abs(-lap(grid, u) - psi)) <= 1e-10 * np.max(np.abs(psi))
 
@@ -337,7 +358,8 @@ def test_inverse_folds_only_on_the_1d_dense_path(bc):
                    else gr.inverse_dirichlet)
         u = inverse(grid, psi)
         symbol = grid.inverse_eigenvalues(bc)
-        assert np.array_equal(u, gr.apply_symbol(grid, psi, symbol, bc))
+        assert np.array_equal(u, gr.inverse_transform(
+            grid, symbol * gr.forward_transform(grid, psi, bc), bc))
         gr.dual_norm(grid, psi, bc)
         assert "_inv_mat_" + bc not in grid.__dict__
     with pytest.raises(ParamError, match="1-D"):

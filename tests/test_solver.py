@@ -532,10 +532,9 @@ def test_coupled_preconditioner_inverts_constant_coefficient_jacobian(grid2d):
     v_hat = forward_transform(grid2d, v, "neumann")
     v_hat.flat[0] = 0.0
     bprime = np.full(grid2d.shape, 3.7)
-    symbol = solver._regime(grid2d, "neumann", 0.7, 1e-3)
+    symbol, precondition = solver._regime(grid2d, "neumann", 0.7, 1e-3)
     jacobian = solver._jacobian(grid2d, "neumann", symbol, 1e-3, bprime)
-    w = (solver._preconditioner(grid2d, "neumann", symbol, 1e-3, 3.7)
-         * jacobian(v_hat))
+    w = precondition(3.7) * jacobian(v_hat)
     assert grid2d.l2_norm(w - v_hat) <= 1e-12 * grid2d.l2_norm(v_hat)
 
 
@@ -555,7 +554,7 @@ def test_zero_flux_step_operator_is_one_cosine_symbol(shape):
     sum tau*v/dt + G(v)/dt - Lap_N v, for v with a nonzero mean too."""
     grid = _operator_grid(shape)
     tau, dt = 0.7, 1e-3
-    symbol = solver._regime(grid, "neumann", tau, dt)
+    symbol, _ = solver._regime(grid, "neumann", tau, dt)
     v = np.random.default_rng(13).standard_normal(shape) + 0.3
     Kv, G = solver._step_operator(grid, "neumann", symbol, dt,
                                   forward_transform(grid, v, "neumann"), v,
@@ -592,7 +591,7 @@ def test_coefficient_jacobian_is_the_transformed_stencil_form(kind, shape):
     v_hat = forward_transform(grid, v, "neumann")
     if kind == "neumann":
         v_hat.flat[0] = 0.0
-    symbol = solver._regime(grid, kind, tau, dt)
+    symbol, _ = solver._regime(grid, kind, tau, dt)
     Jv = solver._jacobian(grid, kind, symbol, dt, bprime)(v_hat)
     scale = np.max(np.abs(expected))
     assert np.max(np.abs(Jv - expected)) <= 1e-13 * scale
@@ -620,6 +619,38 @@ def test_zero_flux_step_applies_the_laplacian_once(monkeypatch, spec):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("shape", [(64,), (12, 10), (8, 8, 8), (129, 128)],
+                         ids=str)
+def test_zero_flux_iterates_keep_mode_zero_exactly(monkeypatch, shape):
+    """Newton has no projection: in a zero-flux step every coefficient
+    array the stepper transforms back, Newton iterates and CG directions
+    alike, has DCT mode 0 exactly 0: P zeroes that mode of the residual
+    and the preconditioner drops it.  beta' varies in space, so the
+    preconditioner's shift is not exact and CG takes several
+    iterations."""
+    modes = []
+
+    def recording(grid, coeffs, bc):
+        modes.append(coeffs.flat[0])
+        return inverse_transform(grid, coeffs, bc)
+
+    monkeypatch.setattr(solver, "inverse_transform", recording)
+    grid = _operator_grid(shape)
+    phi0 = 0.1 + 0.6 * np.prod(
+        [np.cos(np.pi * x / L) for x, L in zip(grid.meshgrid(), grid.lengths)],
+        axis=0)
+    data = neumann_problem(grid, pot.logarithmic(2.0), phi0, rho=1.0)
+    cfg = solver.SolverConfig(eps=1e-2, dt=1e-3, T=0.0,
+                              scheme="coupled_neumann")
+    state0 = solver._initial_snapshot(data, cfg)
+    bprime = pot.beta_eps_prime(data.spec, cfg.eps, state0.phi, state0.xi)
+    assert np.ptp(bprime) > 0.1 * np.mean(bprime)
+    state1 = solver.step_eliminated(state0, data, cfg, cfg.dt)
+    assert state1.newton_iters >= 2
+    assert len(modes) > 2 * state1.newton_iters + 1
+    assert all(m == 0.0 for m in modes)
+
+
 def test_newton_raises_on_indefinite_jacobian():
     grid = small_grid()
 
@@ -631,7 +662,7 @@ def test_newton_raises_on_indefinite_jacobian():
 
     with pytest.raises(NewtonError, match="breakdown"):
         solver._newton(residual, solve, grid.zeros(), grid.l2_norm,
-                       lambda x: x, residual(grid.zeros()))
+                       residual(grid.zeros()))
 
 
 def test_newton_raises_after_its_iteration_cap():
@@ -645,7 +676,7 @@ def test_newton_raises_after_its_iteration_cap():
     with pytest.raises(NewtonError, match=re.escape(
             "Newton did not converge (residual 1.000e+00)")):
         solver._newton(residual, lambda x, r, ev: np.zeros_like(x), x0,
-                       np.linalg.norm, lambda x: x, residual(x0))
+                       np.linalg.norm, residual(x0))
     # the caller's first evaluation counts
     assert len(calls) == solver.NEWTON_MAX
 
