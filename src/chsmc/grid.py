@@ -145,9 +145,6 @@ class Grid:
     def l2_norm(self, u: np.ndarray) -> float:
         return math.sqrt((u * u).sum() * self.cell_volume)
 
-    def inner(self, u: np.ndarray, v: np.ndarray) -> float:
-        return float((u * v).sum() * self.cell_volume)
-
     def sup_norm(self, u: np.ndarray) -> float:
         return float(np.abs(u).max())
 
@@ -412,22 +409,17 @@ def inverse_dirichlet(grid: Grid, psi: np.ndarray) -> np.ndarray:
 
 
 def dual_norm(grid: Grid, psi: np.ndarray, bc: str) -> float:
-    """Dual (inverse-Laplacian) norm of psi.
-
-    Neumann: sqrt(<psi0, N psi0> + mean(psi)^2) with psi0 = psi - mean(psi)
-    the mean-free part, i.e. sqrt(||grad N psi0||^2 + mean(psi)^2).  N is
-    applied as its symbol, which is 0 on the constant mode, so the
-    roundoff left in psi0 for a constant psi needs no mean check.
-    Dirichlet: sqrt(<psi, D psi>) = ||grad D psi||.
-    """
+    """Dual (inverse-Laplacian) norm of psi: sqrt(<psi0, N psi0> + m^2)
+    for Neumann, with m = mean(psi) and psi0 = psi - m, and sqrt(<psi, D psi>)
+    for Dirichlet.  By Parseval both are sqrt(cell_volume * sum(w c^2) + m^2)
+    over the orthonormal DCT-II (DST-II) coefficients c of psi, with w the
+    inverse symbol, whose w_0 = 0 drops the constant mode, and m read off as
+    c_0/sqrt(ncells) for Neumann, 0 for Dirichlet: one forward transform."""
     _check_bc(bc)
-    if bc == "neumann":
-        m = grid.mean(psi)
-        psi0 = psi - m
-        u = _apply_inverse(grid, psi0, "neumann")
-        return float(np.sqrt(max(grid.inner(psi0, u), 0.0) + m * m))
-    u = inverse_dirichlet(grid, psi)
-    return float(np.sqrt(max(grid.inner(psi, u), 0.0)))
+    c = forward_transform(grid, psi, bc)
+    m = c.flat[0] / math.sqrt(grid.ncells) if bc == "neumann" else 0.0
+    w = grid.inverse_eigenvalues(bc)
+    return math.sqrt(grid.cell_volume * float(((w * c) * c).sum()) + m * m)
 
 
 # -- harmonic extension ------------------------------------------------

@@ -601,11 +601,13 @@ def run(data: ProblemData, cfg: SolverConfig,
         out_times = [cfg.T] if cfg.T > 0 else []
     remaining = sorted(t for t in out_times if t > 0.0)
 
-    state = _initial_snapshot(data, cfg)
+    diag = DiagnosticsSeries()
+    # an overflow at t = 0 is a config error that the checks below raise
+    with np.errstate(over="ignore", invalid="ignore"):
+        state = _initial_snapshot(data, cfg)
+        _record(diag, data, cfg, state, None, cfg.dt)
     snapshots = []
     keep = snapshots.append if on_output is None else on_output
-    diag = DiagnosticsSeries()
-    _record(diag, data, cfg, state, None, cfg.dt)
     if not np.isfinite(diag.free_energy_reg[0]):
         # a finite phi0 far outside the domain overflows the quartic
         # envelope or the gradient energy

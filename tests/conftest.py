@@ -179,3 +179,72 @@ def dirichlet_problem(grid, spec, phi0, rho=0.0, eps=1e-2, tau=1.0,
         grid=grid, spec=spec, phi0=phi0, g=g, phistar=phistar,
         bc=solver.dirichlet_bc(datum or (lambda x, t: 0.0)), tau=tau,
         control=smc.SmcParams(rho=rho, eps=eps), **kw)
+
+
+def mixed_dirichlet_step(state, data, cfg, dt):
+    """One backward-Euler step of the Dirichlet system in its mixed form,
+    with (phi, mu) both unknown and nothing eliminated:
+
+        tau (phi - phi^n)/dt - Lap_N phi + beta_eps(phi) + pi(phi^n)
+            + rho sign_eps(phi^n - phistar(t)) - g(t) - mu = 0,
+        (phi - phi^n)/dt - Lap_D mu - b = 0,
+
+    t = t^n + dt, where Lap_D has odd-reflection ghosts and b is
+    2*datum/h^2 from each face of a boundary cell, the datum's share of
+    the ghost.  The stencils are Kronecker sums of 1-D three-point
+    matrices, with boundary diagonal -1 (Neumann) or -3 (Dirichlet), and
+    Newton solves with ``spsolve``: no transform, harmonic extension or
+    inverse Laplacian, so it checks the eliminated stepper independently.
+    Returns (phi, mu)."""
+    import scipy.sparse as sp
+    from scipy.sparse.linalg import spsolve
+
+    grid, tau = data.grid, data.tau
+    n = grid.ncells
+    t = state.t + dt
+
+    def stencil(edge):
+        out = sp.csr_matrix((n, n))
+        for axis, (m, h) in enumerate(zip(grid.shape, grid.h)):
+            diag = np.full(m, -2.0)
+            diag[[0, -1]] = edge
+            T = sp.diags([np.ones(m - 1), diag, np.ones(m - 1)],
+                         [-1, 0, 1]) / h**2
+            before = sp.identity(int(np.prod(grid.shape[:axis])))
+            after = sp.identity(int(np.prod(grid.shape[axis + 1:])))
+            out = out + sp.kron(sp.kron(before, T), after)
+        return out.tocsc()
+
+    lap_n, lap_d = stencil(-1.0), stencil(-3.0)
+    X = grid.meshgrid()
+    b = np.zeros(grid.shape)
+    for axis, h in enumerate(grid.h):
+        for face, side in ((0.0, slice(0, 1)),
+                           (grid.lengths[axis], slice(-1, None))):
+            cells = tuple(side if a == axis else slice(None)
+                          for a in range(grid.dim))
+            Xf = [x[cells] for x in X]
+            Xf[axis] = np.full_like(Xf[axis], face)
+            b[cells] += 2.0 * data.bc.datum(tuple(Xf), t) / h**2
+    b = b.reshape(-1)
+    phi_n = state.phi.reshape(-1)
+    fixed = (data.spec.pi(state.phi)
+             + smc.apply_S_eps(data.control, state.phi - data.phistar(X, t))
+             - data.g(X, t)).reshape(-1)
+    eye = sp.identity(n)
+    phi, mu = phi_n.copy(), np.zeros(n)
+    for _ in range(_REFERENCE_MAXITER):
+        xi = pot.beta_eps(data.spec, cfg.eps, phi)
+        r = np.concatenate([
+            tau * (phi - phi_n) / dt - lap_n @ phi + xi + fixed - mu,
+            (phi - phi_n) / dt - lap_d @ mu - b])
+        J = sp.bmat([
+            [tau / dt * eye - lap_n
+             + sp.diags(pot.beta_eps_prime(data.spec, cfg.eps, phi, xi)),
+             -eye],
+            [eye / dt, -lap_d]], format="csc")
+        dx = spsolve(J, -r)
+        phi, mu = phi + dx[:n], mu + dx[n:]
+        if np.max(np.abs(dx)) <= _REFERENCE_TOL * (1.0 + np.max(np.abs(mu))):
+            return phi.reshape(grid.shape), mu.reshape(grid.shape)
+    raise SolveError("mixed Dirichlet Newton did not converge")

@@ -778,8 +778,10 @@ REJECTED_CASES = [
     (DIRICHLET_CONFIG, "value=0.1", "value=nan"),
     (DIRICHLET_CONFIG, "amplitude=0.4", "amplitude=nan"),
     # a finite datum whose boundary term 2*datum/h**2 overflows in the
-    # harmonic extension that mu starts from
-    (DIRICHLET_CONFIG, "value=0.1", "value=1.7e308"),
+    # harmonic extension that mu starts from, rejected with no numpy
+    # warning first
+    pytest.param(DIRICHLET_CONFIG, "value=0.1", "value=1.7e308",
+                 marks=pytest.mark.filterwarnings("error::RuntimeWarning")),
     # files configparser cannot read: a duplicate key, no section header,
     # a bare % (interpolation syntax)
     (NEUMANN_CONFIG, "dim = 1", "dim = 1\ndim = 2"),
@@ -789,7 +791,8 @@ REJECTED_CASES = [
 
 
 @pytest.mark.parametrize("config,old,new", REJECTED_CASES,
-                         ids=[new for _, _, new in REJECTED_CASES])
+                         ids=[getattr(case, "values", case)[2]
+                              for case in REJECTED_CASES])
 def test_non_finite_or_malformed_values_exit_2(tmp_path, capsys, config,
                                                old, new):
     path = tmp_path / "bad.ini"
@@ -1229,10 +1232,12 @@ def test_module_entry_point_runs_without_runtime_warning():
     assert "usage: chsmc" in out.stdout
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("T", ["0", "0.01"])
 def test_phi0_whose_free_energy_overflows_exits_2(tmp_path, capsys, T):
     """A finite phi0 of 1e300 overflows the quartic energy: at T = 0 the
-    run used to exit 0 with a NaN free energy, and at T > 0 exit 3."""
+    run used to exit 0 with a NaN free energy, and at T > 0 exit 3.  It
+    exits 2 with no numpy warning first."""
     config = tmp_path / "run.ini"
     config.write_text(NEUMANN_CONFIG
                       .replace("amplitude=0.4", "amplitude=1e300")

@@ -70,7 +70,7 @@ def test_quadrature_and_norms(grid1d):
     assert grid1d.integral(x * (1.0 - x)) == pytest.approx(
         1.0 / 6.0, abs=grid1d.h[0] ** 2)
     v = np.sin(2.0 * np.pi * x)
-    assert grid1d.inner(u, v) == pytest.approx(0.0, abs=1e-13)
+    assert grid1d.integral(u * v) == pytest.approx(0.0, abs=1e-13)
 
 
 def test_gradient_energy_linear_field(grid1d):
@@ -90,7 +90,7 @@ def test_gradient_energy_is_summation_by_parts(shape):
     u = np.random.default_rng(3).standard_normal(shape)
     energy = grid.gradient_energy(u)
     assert energy == pytest.approx(
-        -grid.inner(u, gr.laplacian_neumann(grid, u)), rel=1e-14, abs=0)
+        -grid.integral(u * gr.laplacian_neumann(grid, u)), rel=1e-14, abs=0)
 
 
 # -- Laplacians -------------------------------------------------------------
@@ -114,8 +114,8 @@ def test_laplacian_symmetry(grid2d, bc):
     u = rng.standard_normal(grid2d.shape)
     v = rng.standard_normal(grid2d.shape)
     op = gr.laplacian_neumann if bc == "neumann" else laplacian_dirichlet
-    assert grid2d.inner(op(grid2d, u), v) == pytest.approx(
-        grid2d.inner(u, op(grid2d, v)), rel=1e-12)
+    assert grid2d.integral(op(grid2d, u) * v) == pytest.approx(
+        grid2d.integral(u * op(grid2d, v)), rel=1e-12)
 
 
 def test_discrete_eigenpairs_1d(grid1d):
@@ -430,10 +430,33 @@ def test_dual_norm_closed_forms(grid1d):
         gr.dual_norm(grid1d, c, "robin")
 
 
+@pytest.mark.parametrize("shape", [(64,), (300,), (12, 10), (129, 128),
+                                   (8, 8, 8)])
+@pytest.mark.parametrize("bc", ["neumann", "dirichlet"])
+def test_dual_norm_matches_the_inverse_form(shape, bc):
+    """The weighted coefficient sum equals the inverse solve it stands for,
+    sqrt(<psi0, N psi0> + mean^2) and sqrt(<psi, D psi>), on the dense
+    paths and on the 1-D (300) and 2-D (129 x 128) FFT paths."""
+    assert gr._dense_transforms(shape) == (shape not in [(300,), (129, 128)])
+    grid = Grid(shape=shape, lengths=(1.0, 2.0, 0.5)[:len(shape)])
+    psi = 0.3 + np.random.default_rng(grid.ncells).standard_normal(shape)
+    norm = gr.dual_norm(grid, psi, bc)
+    # one forward transform: a 1-D grid builds no folded inverse for it
+    assert "_inv_mat_" + bc not in grid.__dict__
+    if bc == "neumann":
+        m = grid.mean(psi)
+        psi0 = psi - m
+        ref = np.sqrt(grid.integral(psi0 * gr.inverse_neumann(grid, psi0))
+                      + m * m)
+    else:
+        ref = np.sqrt(grid.integral(psi * gr.inverse_dirichlet(grid, psi)))
+    assert norm == pytest.approx(ref, rel=1e-13, abs=0)
+
+
 @pytest.mark.parametrize("cells", [3, 6, 7, 10, 12])
 def test_dual_norm_of_a_constant_is_its_size(cells):
-    """A constant leaves only roundoff in its mean-free part, which the
-    zero-flux dual norm takes without a mean check (a one-mode Galerkin
+    """A constant lies in mode 0 up to roundoff, which the inverse symbol
+    drops, so the zero-flux dual norm is its mean (a one-mode Galerkin
     run records such a constant at every step)."""
     grid = Grid(shape=(cells,), lengths=(1.0,))
     for c in (0.1, 0.3, 1.0 / 3.0, 0.7, 1.1):
@@ -598,7 +621,7 @@ def test_neumann_eigenbasis_matches_per_mode_reference(shape, lengths):
 
 def test_neumann_eigenbasis_orthonormal(grid2d):
     basis = gr.neumann_eigenbasis(grid2d, 10)
-    G = np.array([[grid2d.inner(basis.modes[i], basis.modes[j])
+    G = np.array([[grid2d.integral(basis.modes[i] * basis.modes[j])
                    for j in range(10)] for i in range(10)])
     assert np.allclose(G, np.eye(10), atol=1e-10)
     assert basis.eigenvalues[0] == 0.0
