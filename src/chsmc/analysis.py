@@ -40,7 +40,7 @@ def check_mass_conservation(traj: Trajectory) -> MassReport:
         raise RegimeError("mass conservation holds only in the zero-flux "
                           "regime")
     means = np.asarray(traj.diagnostics.mean_phi)
-    drift = float(np.max(np.abs(means - means[0]))) if len(means) else 0.0
+    drift = float(np.max(np.abs(means - means[0])))
     tol = 1e-12 * (1.0 + abs(means[0]))
     return MassReport(passed=drift <= tol, max_drift=drift, tolerance=tol)
 
@@ -108,12 +108,18 @@ def check_comparison_bound(traj: Trajectory,
 
 def measure_comparison_drift(traj: Trajectory) -> float:
     """M_meas = max over the run of sup|G_eps| plus the sup of the minimal
-    section of beta at the target (sampled over the output snapshots)."""
+    section of beta at the target (sampled over the output snapshots).
+    A run given ``on_output`` keeps no snapshots to sample, which is a
+    :class:`ParamError`."""
     data = traj.data
     supG = np.asarray(traj.diagnostics.sup_G_eps)
     if len(supG) == 0 or np.all(np.isnan(supG)):
         raise ConfigError("trajectory has no drift diagnostics; "
                           "supply dphistar_dt and lap_phistar")
+    if not traj.snapshots:
+        raise ParamError("trajectory kept no snapshots to sample the "
+                         "target's beta0 over (a run given on_output keeps "
+                         "none)")
     X = data.grid.meshgrid()
     betastar = 0.0
     for snap in traj.snapshots:
@@ -284,46 +290,3 @@ def _rhs_norm(grid: Grid, which: str, shape, delta: float,
         acc += grid.l2_norm(shape(X, times[k])) ** 2 * dt_out
     l2q = delta * float(np.sqrt(acc))
     return l2q if which == "g" else float(np.sqrt(l2q))
-
-
-# -- Yosida convergence study --------------------------------------------
-
-
-@dataclass(frozen=True)
-class YosidaRow:
-    eps_coarse: float
-    eps_fine: float
-    distance: float        # L2(Q) distance of the two order parameters
-    overshoot_coarse: float  # max excursion beyond the beta domain
-    overshoot_fine: float
-
-
-def yosida_convergence_study(data: ProblemData, cfg: SolverConfig,
-                             eps_list: Sequence[float]) -> List[YosidaRow]:
-    """Pairwise L2(Q) distances along a decreasing regularization sweep.
-
-    Both the potential and the control use the same level.  No rate is
-    asserted, only the observed Cauchy behavior (and, for constrained
-    potentials, the decay of the overshoot beyond the domain).
-    """
-    trajs = []
-    overshoots = []
-    grid = data.grid
-    lo, hi = data.spec.lo, data.spec.hi
-    for eps in eps_list:
-        control = smc.SmcParams(rho=data.control.rho, eps=eps)
-        traj = run(replace(data, control=control), replace(cfg, eps=eps))
-        trajs.append(traj)
-        overshoots.append(max(float(np.max(np.maximum(s.phi - hi, 0.0)
-                                           + np.maximum(lo - s.phi, 0.0)))
-                              for s in traj.snapshots))
-    rows = []
-    for k in range(len(eps_list) - 1):
-        dist = sum(grid.l2_norm(d) ** 2 * dt_out
-                   for d, dt_out in _paired_outputs(trajs[k], trajs[k + 1]))
-        rows.append(YosidaRow(eps_coarse=eps_list[k],
-                              eps_fine=eps_list[k + 1],
-                              distance=float(np.sqrt(dist)),
-                              overshoot_coarse=overshoots[k],
-                              overshoot_fine=overshoots[k + 1]))
-    return rows

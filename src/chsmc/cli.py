@@ -67,7 +67,9 @@ config errors.
 
 Exit codes: 0 ok, 2 config error (a ``[solver] scheme`` other than the
 one of ``[bc] kind``, such as the library's spectral Galerkin oracle,
-a ``[bc] datum`` so large that its harmonic extension overflows, an
+a ``[bc] datum`` so large that its harmonic extension overflows, more
+``[time] outputs`` than the run's step ends plus t = 0, a run that
+needs more memory than is available, an
 ``--out`` that cannot be made a directory, a ``contdep`` phi0
 perturbation that is not mean-free in the zero-flux regime or run with
 fewer than two output times, a ``sliding-check`` phistar where beta0 is
@@ -376,6 +378,14 @@ def load_config(path):
     if n_out < 1:
         raise ConfigError(f"[time] outputs must be at least 1, got {n_out}: "
                           "the state at t = 0 is always written")
+    # a T/dt that overflows is SolverConfig's error, below; a run that
+    # takes no step (T = 0, or below 1e-9*dt) writes the state at t = 0
+    # for each of its output times
+    nsteps = smc.step_count(T, dt) if T / dt < np.inf else 0
+    if nsteps and n_out > nsteps + 1:
+        raise ConfigError(
+            f"[time] outputs = {n_out} is more than the {nsteps + 1} times "
+            f"that the run's {nsteps} steps reach, t = 0 included")
     output_times = list(np.linspace(0.0, T, n_out)) if T > 0.0 else []
     scheme = _get(cp, "solver", "scheme", _one_of(*_SCHEMES.values()),
                   _SCHEMES[bc_kind])
@@ -701,6 +711,10 @@ def main(argv=None) -> int:
     except ChsmcError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except MemoryError:
+        print("config error: the run needs more memory than is available "
+              "(too many [grid] cells or [time] outputs?)", file=sys.stderr)
+        return EXIT_CONFIG
     finally:  # every command that succeeds writes into its --out
         for path in getattr(args, "made_out", ()):
             if os.path.isdir(path):  # makedirs may have failed below it

@@ -88,14 +88,18 @@ def ode_weps_closed_form_zero(eps: float, M: float, rho: float,
     return (eps * M / rho) * (1.0 - np.exp(-rho * tt / (eps * tau)))
 
 
-def step_end_times(T: float, dt: float) -> Iterator[float]:
-    """End times (Python floats) of ceil(T/dt) steps from 0, step n ending
-    at n*dt and the last at T, yielded one at a time.  A ratio T/dt within
-    1e-9 (relative, absolute below 1) of a whole number counts as that
-    number, so roundoff adds no sliver of a step and T below 1e-9*dt
-    takes none."""
+def step_count(T: float, dt: float) -> int:
+    """ceil(T/dt), with a ratio T/dt within 1e-9 (relative, absolute below
+    1) of a whole number counted as that number, so roundoff adds no
+    sliver of a step and T below 1e-9*dt takes none."""
     ratio = T / dt
-    nsteps = math.ceil(ratio - 1e-9 * max(ratio, 1.0))
+    return math.ceil(ratio - 1e-9 * max(ratio, 1.0))
+
+
+def step_end_times(T: float, dt: float) -> Iterator[float]:
+    """End times (Python floats) of the :func:`step_count` steps from 0,
+    step n ending at n*dt and the last at T, yielded one at a time."""
+    nsteps = step_count(T, dt)
     return itertools.chain((n * dt for n in range(1, nsteps)),
                            [T] if nsteps else [])
 

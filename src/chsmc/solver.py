@@ -596,9 +596,7 @@ def run(data: ProblemData, cfg: SolverConfig,
         warnings.warn("explicit control term is stiff: dt*rho/(tau*eps) = "
                       f"{text} > 1", stacklevel=2)
 
-    out_times = cfg.output_times
-    if out_times is None:
-        out_times = [cfg.T] if cfg.T > 0 else []
+    out_times = [cfg.T] if cfg.output_times is None else cfg.output_times
     remaining = sorted(t for t in out_times if t > 0.0)
 
     diag = DiagnosticsSeries()

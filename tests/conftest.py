@@ -1,10 +1,15 @@
+from dataclasses import dataclass, replace
+from typing import List, Sequence
+
 import numpy as np
 import pytest
 
 from chsmc import potentials as pot
 from chsmc import smc, solver
+from chsmc.analysis import _paired_outputs
 from chsmc.errors import ParamError, SolveError
 from chsmc.grid import Grid
+from chsmc.solver import ProblemData, SolverConfig, run
 
 
 @pytest.fixture
@@ -181,21 +186,22 @@ def dirichlet_problem(grid, spec, phi0, rho=0.0, eps=1e-2, tau=1.0,
         control=smc.SmcParams(rho=rho, eps=eps), **kw)
 
 
-def mixed_dirichlet_step(state, data, cfg, dt):
-    """One backward-Euler step of the Dirichlet system in its mixed form,
-    with (phi, mu) both unknown and nothing eliminated:
+def mixed_step(state, data, cfg, dt):
+    """One backward-Euler step of the system in its mixed form, with
+    (phi, mu) both unknown and nothing eliminated, in the mu regime of
+    ``data.bc``:
 
         tau (phi - phi^n)/dt - Lap_N phi + beta_eps(phi) + pi(phi^n)
             + rho sign_eps(phi^n - phistar(t)) - g(t) - mu = 0,
-        (phi - phi^n)/dt - Lap_D mu - b = 0,
+        (phi - phi^n)/dt - Lap_mu mu - b = 0,
 
-    t = t^n + dt, where Lap_D has odd-reflection ghosts and b is
-    2*datum/h^2 from each face of a boundary cell, the datum's share of
-    the ghost.  The stencils are Kronecker sums of 1-D three-point
-    matrices, with boundary diagonal -1 (Neumann) or -3 (Dirichlet), and
-    Newton solves with ``spsolve``: no transform, harmonic extension or
-    inverse Laplacian, so it checks the eliminated stepper independently.
-    Returns (phi, mu)."""
+    t = t^n + dt.  For zero flux Lap_mu is Lap_N and b = 0; for Dirichlet
+    Lap_mu has odd-reflection ghosts and b is 2*datum/h^2 from each face
+    of a boundary cell, the datum's share of the ghost.  The stencils are
+    Kronecker sums of 1-D three-point matrices, with boundary diagonal -1
+    (Neumann) or -3 (Dirichlet), and Newton solves with ``spsolve``: no
+    transform, harmonic extension or inverse Laplacian, so it checks the
+    steppers independently.  Returns (phi, mu)."""
     import scipy.sparse as sp
     from scipy.sparse.linalg import spsolve
 
@@ -215,10 +221,11 @@ def mixed_dirichlet_step(state, data, cfg, dt):
             out = out + sp.kron(sp.kron(before, T), after)
         return out.tocsc()
 
-    lap_n, lap_d = stencil(-1.0), stencil(-3.0)
+    dirichlet = data.bc.kind == "dirichlet"
+    lap_n, lap_mu = stencil(-1.0), stencil(-3.0 if dirichlet else -1.0)
     X = grid.meshgrid()
     b = np.zeros(grid.shape)
-    for axis, h in enumerate(grid.h):
+    for axis, h in enumerate(grid.h if dirichlet else ()):
         for face, side in ((0.0, slice(0, 1)),
                            (grid.lengths[axis], slice(-1, None))):
             cells = tuple(side if a == axis else slice(None)
@@ -237,14 +244,57 @@ def mixed_dirichlet_step(state, data, cfg, dt):
         xi = pot.beta_eps(data.spec, cfg.eps, phi)
         r = np.concatenate([
             tau * (phi - phi_n) / dt - lap_n @ phi + xi + fixed - mu,
-            (phi - phi_n) / dt - lap_d @ mu - b])
+            (phi - phi_n) / dt - lap_mu @ mu - b])
         J = sp.bmat([
             [tau / dt * eye - lap_n
              + sp.diags(pot.beta_eps_prime(data.spec, cfg.eps, phi, xi)),
              -eye],
-            [eye / dt, -lap_d]], format="csc")
+            [eye / dt, -lap_mu]], format="csc")
         dx = spsolve(J, -r)
         phi, mu = phi + dx[:n], mu + dx[n:]
         if np.max(np.abs(dx)) <= _REFERENCE_TOL * (1.0 + np.max(np.abs(mu))):
             return phi.reshape(grid.shape), mu.reshape(grid.shape)
-    raise SolveError("mixed Dirichlet Newton did not converge")
+    raise SolveError("mixed Newton did not converge")
+
+
+# -- Yosida convergence study --------------------------------------------
+
+
+@dataclass(frozen=True)
+class YosidaRow:
+    eps_coarse: float
+    eps_fine: float
+    distance: float        # L2(Q) distance of the two order parameters
+    overshoot_coarse: float  # max excursion beyond the beta domain
+    overshoot_fine: float
+
+
+def yosida_convergence_study(data: ProblemData, cfg: SolverConfig,
+                             eps_list: Sequence[float]) -> List[YosidaRow]:
+    """Pairwise L2(Q) distances along a decreasing regularization sweep.
+
+    Both the potential and the control use the same level.  No rate is
+    asserted, only the observed Cauchy behavior (and, for constrained
+    potentials, the decay of the overshoot beyond the domain).
+    """
+    trajs = []
+    overshoots = []
+    grid = data.grid
+    lo, hi = data.spec.lo, data.spec.hi
+    for eps in eps_list:
+        control = smc.SmcParams(rho=data.control.rho, eps=eps)
+        traj = run(replace(data, control=control), replace(cfg, eps=eps))
+        trajs.append(traj)
+        overshoots.append(max(float(np.max(np.maximum(s.phi - hi, 0.0)
+                                           + np.maximum(lo - s.phi, 0.0)))
+                              for s in traj.snapshots))
+    rows = []
+    for k in range(len(eps_list) - 1):
+        dist = sum(grid.l2_norm(d) ** 2 * dt_out
+                   for d, dt_out in _paired_outputs(trajs[k], trajs[k + 1]))
+        rows.append(YosidaRow(eps_coarse=eps_list[k],
+                              eps_fine=eps_list[k + 1],
+                              distance=float(np.sqrt(dist)),
+                              overshoot_coarse=overshoots[k],
+                              overshoot_fine=overshoots[k + 1]))
+    return rows

@@ -7,7 +7,9 @@ from chsmc import analysis, potentials as pot, solver
 from chsmc.errors import ConfigError, ParamError, RegimeError
 from chsmc.grid import Grid
 
-from conftest import neumann_problem, dirichlet_problem
+import conftest
+from conftest import (neumann_problem, dirichlet_problem,
+                      yosida_convergence_study)
 
 
 def synthetic_trajectory(times, sup_chi, bc_kind="dirichlet", dt=1e-3,
@@ -136,6 +138,27 @@ def test_measure_drift_on_real_run():
     assert M > 0.0
 
 
+def test_measure_drift_rejects_a_run_that_kept_no_snapshots():
+    """beta* = sup|beta0(phistar)| is sampled over the snapshots, and a
+    run given on_output keeps none: without them the drift would drop
+    beta0(0.8) = 2.197 of the logarithmic potential."""
+    grid = Grid(shape=(32,), lengths=(1.0,))
+    x = grid.meshgrid()[0]
+    spec = pot.logarithmic(2.0)
+    data = dirichlet_problem(grid, spec, 0.3 * np.cos(np.pi * x),
+                             phistar=lambda X, t: np.full_like(X[0], 0.8))
+    cfg = solver.SolverConfig(eps=1e-2, dt=1e-3, T=0.01,
+                              scheme="eliminated_dirichlet")
+    kept = solver.run(data, cfg)
+    betastar = float(pot.beta0(spec, np.array(0.8)))
+    assert analysis.measure_comparison_drift(kept) == pytest.approx(
+        np.nanmax(kept.diagnostics.sup_G_eps) + betastar, rel=1e-15)
+    hooked = solver.run(data, cfg, on_output=lambda snap: None)
+    assert hooked.snapshots == []
+    with pytest.raises(ParamError, match="kept no snapshots"):
+        analysis.measure_comparison_drift(hooked)
+
+
 # -- continuous dependence ---------------------------------------------------
 
 
@@ -219,7 +242,7 @@ def test_solution_distance_rejects_mismatched_times():
 
 def test_yosida_study_row_structure():
     data, cfg = contdep_setup()
-    rows = analysis.yosida_convergence_study(data, cfg, [1e-1, 1e-2, 1e-3])
+    rows = yosida_convergence_study(data, cfg, [1e-1, 1e-2, 1e-3])
     assert len(rows) == 2
     assert rows[0].eps_coarse == 1e-1
     assert rows[1].eps_fine == 1e-3
@@ -240,9 +263,9 @@ def test_yosida_study_rejects_mismatched_times(monkeypatch):
         runs.append(traj)
         return traj
 
-    monkeypatch.setattr(analysis, "run", run_shifting_later_runs)
+    monkeypatch.setattr(conftest, "run", run_shifting_later_runs)
     with pytest.raises(ValueError, match="output times"):
-        analysis.yosida_convergence_study(data, cfg, [1e-1, 1e-2])
+        yosida_convergence_study(data, cfg, [1e-1, 1e-2])
 
 
 def test_sliding_experiment_rejects_a_horizon_that_is_not_positive():

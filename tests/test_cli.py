@@ -803,6 +803,44 @@ def test_non_finite_or_malformed_values_exit_2(tmp_path, capsys, config,
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("old,new,message", [
+    ("outputs = 3", f"outputs = {10**15}", f"[time] outputs = {10**15} is "
+     "more than the 11 times that the run's 10 steps reach"),
+    ("outputs = 3", "outputs = 12", "[time] outputs = 12 is more than the "
+     "11 times that the run's 10 steps reach"),
+    ("cells = 32", f"cells = {10**15}", "the run needs more memory than is "
+     "available"),
+], ids=["outputs=1e15", "outputs=12", "cells=1e15"])
+def test_a_run_larger_than_memory_or_its_steps_exits_2(tmp_path, capsys, old,
+                                                       new, message):
+    """More outputs than the 10 steps reach, t = 0 included, are rejected
+    before their times are allocated; a grid whose arrays cannot be
+    allocated is a MemoryError that main reports as a config error.
+    10**15 float64 values exceed any address space, so the failing
+    allocation allocates nothing."""
+    path = tmp_path / "big.ini"
+    path.write_text(NEUMANN_CONFIG.replace(old, new))
+    out = tmp_path / "out"
+    code = cli.main(["simulate", "--config", str(path), "--quiet",
+                     "--out", str(out)])
+    assert code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: " + message)
+    assert not out.exists()
+
+
+def test_outputs_may_reach_every_step_end(tmp_path):
+    """11 outputs on a 10-step run: one snapshot at t = 0 and one at each
+    step end."""
+    path = tmp_path / "every.ini"
+    path.write_text(NEUMANN_CONFIG.replace("outputs = 3", "outputs = 11"))
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--config", str(path), "--quiet",
+                     "--out", str(out)]) == cli.EXIT_OK
+    times = sorted(read_snapshot(p)[1] for p in out.glob("snapshot_*.bin"))
+    assert times == pytest.approx(np.linspace(0.0, 0.01, 11), abs=1e-15)
+
+
 # (base config, old, new, the key the error names): profiles that load_config
 # rejects where they are sampled.  On 32 cells of [0, 1] the cell centers
 # are (k + 1/2)/32, and the datum's ramp overflows on the face x = 1 only.
@@ -1026,6 +1064,15 @@ _BAD_VALUE = st.one_of(
                                -1.0, 0.0])),
     st.tuples(st.sampled_from(sorted(set(_PROPERTY_RANGES) - {"dt", "T"})),
               st.sampled_from(_EXTREME_FINITE)))
+def _with_outputs_the_run_reaches(config, T, dt):
+    """``config`` with its 3 outputs cut to 2 where T < 2*dt (or a NaN)
+    leaves the run at most one step end: load_config rejects more outputs
+    than the run's step ends plus t = 0, and the property tests are about
+    the runs and the other checks."""
+    return config if T >= 2 * dt else config.replace("outputs = 3",
+                                                     "outputs = 2")
+
+
 _MIDDLE_VALUES = {k: 0.5 * (lo + hi)
                   for k, (lo, hi) in _PROPERTY_RANGES.items()}
 _CONSTANT_PROFILES = dict.fromkeys(("g", "phistar", "datum"),
@@ -1068,8 +1115,9 @@ def test_config_either_rejected_or_runs_finite(dirichlet, potential,
         scheme = "eliminated_dirichlet"
     else:
         bc, scheme = "neumann", "coupled_neumann"
-    text = PROPERTY_CONFIG.format(potential=potential.format(c=c), bc=bc,
-                                  scheme=scheme, **values)
+    text = _with_outputs_the_run_reaches(
+        PROPERTY_CONFIG, values["T"], values["dt"]).format(
+            potential=potential.format(c=c), bc=bc, scheme=scheme, **values)
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "run.ini")
         with open(path, "w") as fh:
@@ -1130,7 +1178,8 @@ def test_zero_flux_runs_conserve_mass_and_dissipate_energy(
     regularized free energy rises by at most the bound of verify-all.
     The Galerkin stepper is a library oracle, so its draws run the loaded
     config through solver.run."""
-    text = (PROPERTY_CONFIG.replace("cells = 16", f"cells = {cells}")
+    text = (_with_outputs_the_run_reaches(PROPERTY_CONFIG, T, values["dt"])
+            .replace("cells = 16", f"cells = {cells}")
             .format(potential=potential.format(c=c), bc="neumann",
                     scheme="coupled_neumann", rho=rho, g=g,
                     phistar=phistar, T=T, **values))

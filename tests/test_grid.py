@@ -239,9 +239,10 @@ def test_dense_and_fft_transforms_agree(shape, dense, bc):
                            if bc == "neumann" else
                            (gr.inverse_dirichlet, cg_inverse_dirichlet))
     u = inverse(grid, psi)
-    if dense and grid.dim == 1:
-        # the 1-D dense path applies the folded matrix, not the transforms
-        assert np.array_equal(u, grid.inverse_matrix(bc) @ psi)
+    if dense and grid.dim == 1 and bc == "dirichlet":
+        # the 1-D dense Dirichlet path applies the fold, not the transforms
+        (A,) = grid.transform_matrices(bc)
+        assert np.array_equal(u, (A.T @ (symbol[:, None] * A)) @ psi)
         assert np.max(np.abs(u - u_dense)) <= 1e-13 * scale
     else:
         assert np.array_equal(u, u_dense if dense else u_fft)
@@ -322,48 +323,51 @@ def test_transform_data_cached_read_only(grid2d):
 @pytest.mark.parametrize("n", [3, 64, 128, 256])
 @pytest.mark.parametrize("bc", ["neumann", "dirichlet"])
 def test_1d_dense_inverse_is_one_folded_matrix(n, bc):
-    """A 1-D dense-path grid applies (-Lap)^{-1} as one cached, read-only
-    matrix: bitwise its product, within 1e-13 of the transform pair, and a
-    solve of the stencil.  The per-axis matrix is not kept, so a
-    Dirichlet grid holds only the folded one."""
+    """On a 1-D dense-path grid the Dirichlet inverse, the one a run
+    applies, is one product with a cached, read-only fold of the cached
+    DST-II matrix A, bitwise A.T @ (w * A) @ psi with w the inverse
+    symbol; the Neumann inverse is the transform pair, bit for bit, and
+    builds no fold.  Both solve the stencil."""
     grid = Grid(shape=(n,), lengths=(0.7,))
     assert gr._dense_transforms(grid.shape)
     rng = np.random.default_rng(n)
     psi = rng.standard_normal(grid.shape)
     psi -= grid.mean(psi)
+    w = grid.inverse_eigenvalues(bc)
     if bc == "neumann":
         u, lap = gr.inverse_neumann(grid, psi), gr.laplacian_neumann
+        assert np.array_equal(u, _dense_pair(grid, psi, w, bc))
+        assert "_inv_mat_neumann" not in grid.__dict__
     else:
         u, lap = gr.inverse_dirichlet(grid, psi), laplacian_dirichlet
-    D = grid.inverse_matrix(bc)
-    assert D is grid.inverse_matrix(bc) and not D.flags.writeable
-    assert np.array_equal(u, D @ psi)
-    if bc == "dirichlet":
-        assert "_mat_dirichlet" not in grid.__dict__
-    scale = np.max(np.abs(u))
-    u_dense = _dense_pair(grid, psi, grid.inverse_eigenvalues(bc), bc)
-    assert np.max(np.abs(u - u_dense)) <= 1e-13 * scale
+        D = grid.__dict__["_inv_mat_dirichlet"]
+        (A,) = grid.transform_matrices(bc)
+        assert np.array_equal(D, A.T @ (w[:, None] * A))
+        assert np.array_equal(u, D @ psi) and not D.flags.writeable
+        gr.inverse_dirichlet(grid, psi)
+        assert grid.__dict__["_inv_mat_dirichlet"] is D
     assert np.max(np.abs(-lap(grid, u) - psi)) <= 1e-10 * np.max(np.abs(psi))
 
 
 @pytest.mark.parametrize("bc", ["neumann", "dirichlet"])
 def test_inverse_folds_only_on_the_1d_dense_path(bc):
-    """The 1-D FFT-path grid (1024 cells) and the 2-D and 3-D grids, where
-    the folded matrix would have ncells^2 entries, keep the transforms."""
-    for shape in [(1024,), (12, 10), (6, 7, 5)]:
+    """Only the 1-D dense-path Dirichlet inverse builds a fold.  The 1-D
+    dense Neumann inverse, the 1-D FFT-path grid (1024 cells) and the 2-D
+    and 3-D grids, where a fold would have ncells^2 entries, apply the
+    transform pair."""
+    for shape in [(64,), (1024,), (12, 10), (6, 7, 5)]:
         grid = Grid(shape=shape, lengths=(1.0,) * len(shape))
         psi = np.random.default_rng(1).standard_normal(shape)
         psi -= grid.mean(psi)
         inverse = (gr.inverse_neumann if bc == "neumann"
                    else gr.inverse_dirichlet)
         u = inverse(grid, psi)
-        symbol = grid.inverse_eigenvalues(bc)
-        assert np.array_equal(u, gr.inverse_transform(
-            grid, symbol * gr.forward_transform(grid, psi, bc), bc))
-        gr.dual_norm(grid, psi, bc)
-        assert "_inv_mat_" + bc not in grid.__dict__
-    with pytest.raises(ParamError, match="1-D"):
-        Grid(shape=(12, 10), lengths=(1.0, 1.0)).inverse_matrix(bc)
+        folds = bc == "dirichlet" and shape == (64,)
+        assert ("_inv_mat_" + bc in grid.__dict__) is folds
+        if not folds:
+            symbol = grid.inverse_eigenvalues(bc)
+            assert np.array_equal(u, gr.inverse_transform(
+                grid, symbol * gr.forward_transform(grid, psi, bc), bc))
 
 
 @pytest.mark.parametrize("shape", [(64,), (12, 10), (6, 7, 5)])
