@@ -21,7 +21,13 @@ tightly by conjugate gradients preconditioned with the inverse of the
 regime's DCT-II step symbol, shifted by the mean of the Jacobian's
 diagonal (fast direct solvers as preconditioners, Concus & Golub 1973);
 for zero flux and a constant diagonal it is the exact inverse, so a step
-takes about as many Newton iterations as exact Newton.
+takes about as many Newton iterations as exact Newton.  A step evaluates
+its data at its end time once (:class:`DataEvaluation`), for its
+explicit part, zeta and its diagnostics row.  A step from a state that a
+0-iteration step returned, under data byte-equal to that state's,
+returns that state at the new time: the paper's sliding solutions stay
+at the target after the sliding time, so most steps of a sliding run
+solve nothing.
 
 ``galerkin_neumann`` projects onto the first n zero-flux cosine modes,
 with the nonlinearities evaluated by collocation, and solves its small
@@ -152,6 +158,53 @@ class SolverConfig:
 
 
 @dataclass(frozen=True)
+class DataEvaluation:
+    """The problem data at one time t, as :func:`step_eliminated` evaluates
+    it at its end time: phistar, g and the harmonic extension mu_H of the
+    Dirichlet datum (None for zero flux), and, where :func:`_record`
+    records the comparison drift (:func:`_records_drift`), d_t phistar and
+    Lap phistar (else None)."""
+
+    phistar: np.ndarray
+    g: np.ndarray
+    mu_H: Optional[np.ndarray]
+    dphistar_dt: Optional[np.ndarray] = None
+    lap_phistar: Optional[np.ndarray] = None
+
+
+def _records_drift(data: ProblemData) -> bool:
+    """Whether the diagnostics carry sup|G_eps|: Dirichlet data with both
+    target derivatives given."""
+    return (data.bc.kind == "dirichlet" and data.dphistar_dt is not None
+            and data.lap_phistar is not None)
+
+
+def _evaluate(data: ProblemData, t: float, drift: bool,
+              mu_H: Optional[np.ndarray] = None) -> DataEvaluation:
+    """The data at time t, the target derivatives only where ``drift``;
+    ``mu_H`` is the caller's harmonic extension at t."""
+    X = data.grid.meshgrid()
+    return DataEvaluation(
+        phistar=data.phistar(X, t), g=data.g(X, t), mu_H=mu_H,
+        dphistar_dt=data.dphistar_dt(X, t) if drift else None,
+        lap_phistar=data.lap_phistar(X, t) if drift else None)
+
+
+def _same_data(a: DataEvaluation, b: DataEvaluation) -> bool:
+    """Whether two evaluations hold byte-equal fields and the same mu_H
+    object, which the harmonic-extension cache returns for equal boundary
+    values."""
+    def key(v):
+        v = np.asarray(v)
+        return v.dtype.str, v.shape, v.tobytes()
+    return a.mu_H is b.mu_H and all(
+        x is y or (x is not None and y is not None and key(x) == key(y))
+        for x, y in ((a.phistar, b.phistar), (a.g, b.g),
+                     (a.dphistar_dt, b.dphistar_dt),
+                     (a.lap_phistar, b.lap_phistar)))
+
+
+@dataclass(frozen=True)
 class StateSnapshot:
     """(t, phi, mu, xi, zeta) with the regularized selections
     xi = beta_eps(phi) and zeta = rho*sign_eps(phi - phistar).
@@ -159,9 +212,14 @@ class StateSnapshot:
     xi is exactly ``beta_eps(spec, cfg.eps, phi)`` for the run's potential
     and eps, as :func:`_initial_snapshot` and every stepper compute it;
     :func:`step_eliminated` starts Newton from it without solving the
-    resolvent again.  A step that leaves phi unchanged returns its start's
-    phi and xi arrays, so consecutive snapshots may share them; no code
-    writes into a snapshot's arrays.
+    resolvent again.  ``evaluation`` is the data at t that
+    :func:`step_eliminated` solved with, which :func:`_record` reads its
+    diagnostics from; None for the initial state and the Galerkin
+    stepper's states.  A step that leaves phi unchanged returns its
+    start's phi and xi arrays, and a step that repeats its start
+    (:func:`step_eliminated`) all of its arrays and its evaluation, so
+    consecutive snapshots may share them; no code writes into a
+    snapshot's arrays.
     """
 
     t: float
@@ -170,6 +228,7 @@ class StateSnapshot:
     xi: np.ndarray
     zeta: np.ndarray
     newton_iters: int = 0
+    evaluation: Optional[DataEvaluation] = None
 
 
 @dataclass
@@ -270,7 +329,9 @@ def _regime(grid: Grid, bc_kind: str, tau: float, dt: float):
     basis, not the DCT one, so the symbol is tau/dt + lam and
     :func:`_step_operator` applies D on the grid values.  S stands in
     1/(dt*(lam + lam_D,min)) for D/dt, a mismatch that is small next to
-    tau/dt, formed only in a solve, so an at-rest step does not pay for it.
+    tau/dt; formed on the first solve only, so a step that converges
+    without one does not pay for it, and each later solve only adds its
+    shift.
     """
     lam = grid.eigenvalues("neumann")
     symbol = tau / dt + lam
@@ -282,9 +343,14 @@ def _regime(grid: Grid, bc_kind: str, tau: float, dt: float):
             inverse.flat[0] = 0.0
             return inverse
     else:
+        stand_in = None
+
         def precondition(shift):
-            lam_d = grid.eigenvalues("dirichlet").flat[0]
-            return 1.0 / (symbol + 1.0 / (dt * (lam + lam_d)) + shift)
+            nonlocal stand_in
+            if stand_in is None:
+                lam_d = grid.eigenvalues("dirichlet").flat[0]
+                stand_in = symbol + 1.0 / (dt * (lam + lam_d))
+            return 1.0 / (stand_in + shift)
     return symbol, precondition
 
 
@@ -296,10 +362,10 @@ def _step_operator(grid: Grid, bc_kind: str, symbol: np.ndarray, dt: float,
     the residual and the Jacobian of :func:`step_eliminated` share.
 
     v is given by its coefficients ``v_hat`` and, for Dirichlet, by its
-    grid values ``v`` (None with v_hat = 0 for v = 0).  G(v)/dt is D v/dt
-    for Dirichlet, None for zero flux and for v = 0.  ``w`` holds grid
-    values and is overwritten.  One forward transform, plus the DST pair
-    of D for Dirichlet.
+    grid values ``v`` (both None for v = 0).  G(v)/dt is D v/dt for
+    Dirichlet, None for zero flux and for v = 0.  ``w`` holds grid values
+    and is overwritten.  One forward transform, plus the DST pair of D for
+    Dirichlet.
     """
     Gv = None
     if bc_kind == "dirichlet" and v is not None:
@@ -309,7 +375,8 @@ def _step_operator(grid: Grid, bc_kind: str, symbol: np.ndarray, dt: float,
     out = forward_transform(grid, w, "neumann")
     if bc_kind == "neumann":
         out.flat[0] = 0.0  # P
-    out += symbol * v_hat
+    if v_hat is not None:
+        out += symbol * v_hat
     return out, Gv
 
 
@@ -355,6 +422,11 @@ def step_eliminated(state: StateSnapshot, data: ProblemData,
     explicit - g], with mu_H the harmonic extension of the Dirichlet
     datum (0 for zero flux).
 
+    The step evaluates its data at its end time once
+    (:class:`DataEvaluation`); the explicit part, zeta and the returned
+    state's ``evaluation``, from which :func:`_record` reads the
+    diagnostics, share it.
+
     Newton's unknown, the residual and the CG iterates are the DCT-II
     coefficient arrays of the module docstring; by Parseval their norms
     are those of the grid values, so the tolerances keep their meaning.
@@ -375,20 +447,34 @@ def step_eliminated(state: StateSnapshot, data: ProblemData,
     residual, at d = 0, takes ``state.xi`` and K(0) = 0, so ``state.xi``
     must be beta_eps(phi^n) with ``cfg.eps`` (the :class:`StateSnapshot`
     contract); a step solves the resolvent once per Newton iteration.  A
-    step that converges there, with 0 Newton iterations, applies no G
-    and returns ``state.phi`` and ``state.xi`` themselves, not copies.
+    step that converges there, with 0 Newton iterations, applies no G,
+    returns ``state.phi`` and ``state.xi`` themselves, not copies, and
+    takes zeta from the control term of its explicit part.
+
+    That first residual, forward(P[xi + pi(phi) + zeta - g + mu_H -
+    Lap_N phi]), holds neither dt nor mu.  So a step from a state that a
+    0-iteration step of the same problem returned, under data byte-equal
+    to the data that state carries and the same mu_H object, would give
+    that state's (phi, xi, mu, zeta) again: it returns the state itself
+    at the new time, with the evaluation it carries, and applies no
+    stencil, control or transform.
     """
     grid = data.grid
     kind = data.bc.kind
     t_new = state.t + dt
-    X = grid.meshgrid()
+    now = _evaluate(data, t_new, _records_drift(data),
+                   harmonic_extension(grid, data.bc.datum, t_new)
+                   if kind == "dirichlet" else None)
+    if (state.newton_iters == 0 and state.evaluation is not None
+            and _same_data(state.evaluation, now)):
+        return replace(state, t=t_new)
     symbol, precondition = _regime(grid, kind, data.tau, dt)
-    mu_H = (harmonic_extension(grid, data.bc.datum, t_new)
-            if kind == "dirichlet" else 0.0)
+    mu_H = 0.0 if now.mu_H is None else now.mu_H
     phi_n = state.phi
     # fixed = explicit - g + mu_H - Lap_N phi^n, built in place; only the
     # mean of explicit - g is kept, (I - P) of it for zero-flux mu
-    fixed = _explicit_part(data, X, phi_n, t_new) - data.g(X, t_new)
+    control = smc.apply_S_eps(data.control, phi_n - now.phistar)
+    fixed = data.spec.pi(phi_n) + control - now.g
     mean_explicit = grid.mean(fixed)
     fixed += mu_H
     fixed -= laplacian_neumann(grid, phi_n)
@@ -410,7 +496,7 @@ def step_eliminated(state: StateSnapshot, data: ProblemData,
                    lambda r: inverse * r, rtol=_INNER_RTOL, atol=floor)
 
     # the residual at d = 0, where phi = phi^n and K(0) = 0
-    first, _ = _step_operator(grid, kind, symbol, dt, 0.0, None,
+    first, _ = _step_operator(grid, kind, symbol, dt, None, None,
                               state.xi + fixed)
     d_hat, iters, (phi, xi, Gd) = _newton(
         residual, solve, grid.zeros(), grid.l2_norm,
@@ -423,7 +509,10 @@ def step_eliminated(state: StateSnapshot, data: ProblemData,
             mu -= inverse_transform(
                 grid, grid.inverse_eigenvalues("neumann") * d_hat,
                 "neumann") / dt
-    return _snapshot(data, t_new, phi, mu, xi, iters)
+    zeta = (smc.apply_S_eps(data.control, phi - now.phistar) if iters
+            else control)
+    return StateSnapshot(t=t_new, phi=phi, mu=mu, xi=xi, zeta=zeta,
+                         newton_iters=iters, evaluation=now)
 
 
 # The scheme names stay bound to the one stepper: configs name them, and
@@ -482,15 +571,18 @@ def step_galerkin_neumann(state: StateSnapshot, data: ProblemData,
 # -- runner ------------------------------------------------------------
 
 
-def assemble_G_eps(state: StateSnapshot, data: ProblemData) -> np.ndarray:
-    """Comparison drift G = mu + g - pi(phi) - tau*d_t phistar - Lap phistar."""
+def assemble_G_eps(state: StateSnapshot, data: ProblemData,
+                   now: Optional[DataEvaluation] = None) -> np.ndarray:
+    """Comparison drift G = mu + g - pi(phi) - tau*d_t phistar - Lap phistar
+    at ``state.t``, with the data ``now`` evaluated there, target
+    derivatives included; evaluated here when None."""
     if data.dphistar_dt is None or data.lap_phistar is None:
         raise ConfigError(
             "assemble_G_eps needs dphistar_dt and lap_phistar")
-    X = data.grid.meshgrid()
-    return (state.mu + data.g(X, state.t) - data.spec.pi(state.phi)
-            - data.tau * data.dphistar_dt(X, state.t)
-            - data.lap_phistar(X, state.t))
+    if now is None:
+        now = _evaluate(data, state.t, True)
+    return (state.mu + now.g - data.spec.pi(state.phi)
+            - data.tau * now.dphistar_dt - now.lap_phistar)
 
 
 def _initial_snapshot(data: ProblemData, cfg: SolverConfig) -> StateSnapshot:
@@ -510,35 +602,46 @@ def _initial_snapshot(data: ProblemData, cfg: SolverConfig) -> StateSnapshot:
 
 
 def _record(diag: DiagnosticsSeries, data: ProblemData, cfg: SolverConfig,
-            state: StateSnapshot, prev_phi: Optional[np.ndarray], dt: float):
+            state: StateSnapshot, prev: Optional[StateSnapshot], dt: float):
     """Append the diagnostics row of ``state``, which a step of length dt
-    reached from a state with phi ``prev_phi`` (None for t = 0).
+    reached from ``prev`` (None for t = 0).  chi and G take the data from
+    the evaluation that ``state`` carries, or, for a state without one
+    (the initial state, the Galerkin stepper's), from a fresh evaluation
+    at ``state.t``.
 
-    A state whose phi is ``prev_phi`` itself came from a step that left
+    A state whose phi is ``prev.phi`` itself came from a step that left
     (phi, xi) unchanged (:func:`step_eliminated`): its free energy is the
-    previous row's, and the dual norm of its zero increment is 0.0, which
-    are the bits that evaluating them again would give.
+    previous row's, and the dual norm of its zero increment is 0.0.  If
+    it also carries ``prev``'s evaluation, the step repeated ``prev``, and
+    so do mean(phi), sup|chi| and sup|G_eps|.  These are the bits that
+    evaluating them again would give.
     """
     grid = data.grid
-    X = grid.meshgrid()
-    chi = state.phi - data.phistar(X, state.t)
-    unmoved = state.phi is prev_phi
+    unmoved = prev is not None and state.phi is prev.phi
+    now = state.evaluation
+    if unmoved and now is not None and now is prev.evaluation:
+        diag.append(t=state.t, mean_phi=diag.mean_phi[-1],
+                    free_energy_reg=diag.free_energy_reg[-1],
+                    sup_chi=diag.sup_chi[-1], sup_G_eps=diag.sup_G_eps[-1],
+                    dual_norm_dphi=0.0, newton_iters=state.newton_iters)
+        return
+    drift = _records_drift(data)
+    if now is None:
+        now = _evaluate(data, state.t, drift)
     fe = (diag.free_energy_reg[-1] if unmoved else
           pot.free_energy(grid, state.phi, data.spec, cfg.eps, state.xi))
-    if (data.bc.kind == "dirichlet" and data.dphistar_dt is not None
-            and data.lap_phistar is not None):
-        supG = grid.sup_norm(assemble_G_eps(state, data))
-    else:
-        supG = float("nan")
-    if prev_phi is None or unmoved:
+    supG = (grid.sup_norm(assemble_G_eps(state, data, now)) if drift
+            else float("nan"))
+    if prev is None or unmoved:
         dn = 0.0
     else:
         # imported here: the benchmark tracer patches chsmc.grid.dual_norm,
         # which a module-level import would bypass
         from .grid import dual_norm
-        dn = dual_norm(grid, (state.phi - prev_phi) / dt, data.bc.kind)
+        dn = dual_norm(grid, (state.phi - prev.phi) / dt, data.bc.kind)
     diag.append(t=state.t, mean_phi=grid.mean(state.phi),
-                free_energy_reg=fe, sup_chi=grid.sup_norm(chi),
+                free_energy_reg=fe, sup_chi=grid.sup_norm(state.phi
+                                                          - now.phistar),
                 sup_G_eps=supG, dual_norm_dphi=dn,
                 newton_iters=state.newton_iters)
 
@@ -615,20 +718,19 @@ def run(data: ProblemData, cfg: SolverConfig,
         raise ConfigError("the mu datum has a harmonic extension that is "
                           "not finite")
     keep(state)
-    prev_phi = state.phi
     for end in smc.step_end_times(cfg.T, cfg.dt):
         # the end time minus the start time is exact (Sterbenz), so the
         # step ends at ``end`` itself, with no drift from summing step
         # lengths
-        dt = end - state.t
+        prev = state
+        dt = end - prev.t
         try:
-            state = _advance(state, data, cfg, dt)
+            state = _advance(prev, data, cfg, dt)
         except NewtonError as exc:
             raise NewtonError(
-                f"step from t = {state.t:g} to {end:g} failed even after "
+                f"step from t = {prev.t:g} to {end:g} failed even after "
                 f"halving 8 times: {exc}") from exc
-        _record(diag, data, cfg, state, prev_phi, dt)
-        prev_phi = state.phi
+        _record(diag, data, cfg, state, prev, dt)
         # an output time goes to the step that ends nearest to it; one
         # within roundoff of that step's end is carried exactly
         next_dt = min(cfg.dt, cfg.T - state.t)

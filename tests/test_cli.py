@@ -10,7 +10,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, event, example, given, settings
+from hypothesis import (HealthCheck, Phase, event, example, given,
+                        settings)
 from hypothesis import strategies as st
 
 import chsmc
@@ -1073,6 +1074,11 @@ def _with_outputs_the_run_reaches(config, T, dt):
                                                      "outputs = 2")
 
 
+# The property tests run full simulations per example; shrinking a failing
+# one through them would take minutes, so a failure reports the example
+# Hypothesis found as it is.
+_NO_SHRINK = (Phase.explicit, Phase.reuse, Phase.generate)
+
 _MIDDLE_VALUES = {k: 0.5 * (lo + hi)
                   for k, (lo, hi) in _PROPERTY_RANGES.items()}
 _CONSTANT_PROFILES = dict.fromkeys(("g", "phistar", "datum"),
@@ -1080,7 +1086,8 @@ _CONSTANT_PROFILES = dict.fromkeys(("g", "phistar", "datum"),
 
 
 @settings(max_examples=100, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
+          suppress_health_check=[HealthCheck.too_slow],
+          phases=_NO_SHRINK)
 @given(dirichlet=st.booleans(),
        potential=st.sampled_from(["regular", "logarithmic\nc1 = {c!r}",
                                   "obstacle\nc2 = {c!r}"]),
@@ -1157,7 +1164,8 @@ _SMOOTH_PROFILES = st.one_of(
 
 
 @settings(max_examples=60, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
+          suppress_health_check=[HealthCheck.too_slow],
+          phases=_NO_SHRINK)
 @given(cells=st.integers(3, 16),
        potential=st.sampled_from(["regular", "logarithmic\nc1 = {c!r}",
                                   "obstacle\nc2 = {c!r}"]),

@@ -108,6 +108,38 @@ def test_laplacian_neumann_integral_telescopes(grid2d):
         0.0, abs=1e-11)
 
 
+def _per_axis_laplacian_neumann(grid, u):
+    """Reference: per axis, ((v+ - 2v) + v-) inside and v+ - v, v- - v at
+    the edges, divided by h**2 into a fresh array, summed over the axes in
+    order."""
+    def second_difference(h, axis):
+        v = u.swapaxes(0, axis)
+        d = np.empty_like(v)
+        d[1:-1] = v[2:] - 2.0 * v[1:-1] + v[:-2]
+        d[0] = v[1] - v[0]
+        d[-1] = v[-2] - v[-1]
+        return d.swapaxes(0, axis) / h**2
+    out = second_difference(grid.h[0], 0)
+    for axis in range(1, grid.dim):
+        out += second_difference(grid.h[axis], axis)
+    return out
+
+
+@pytest.mark.parametrize("shape", [(3,), (64,), (3, 4), (12, 10),
+                                   (6, 7, 5), (24, 24, 24)], ids=str)
+def test_laplacian_neumann_bits_of_the_per_axis_form(shape):
+    """The in-place Laplacian has the bits of the per-axis quotients
+    summed in order, on fields of very different sizes and with signed
+    zeros."""
+    grid = Grid(shape=shape, lengths=(0.7, 1.3, 0.45)[:len(shape)])
+    rng = np.random.default_rng(len(shape))
+    fields = [rng.standard_normal(shape) * 10.0 ** e for e in (-300, 0, 300)]
+    fields.append(np.where(rng.random(shape) < 0.5, -0.0, 0.0))
+    for u in fields:
+        assert (gr.laplacian_neumann(grid, u).tobytes()
+                == _per_axis_laplacian_neumann(grid, u).tobytes())
+
+
 @pytest.mark.parametrize("bc", ["neumann", "dirichlet"])
 def test_laplacian_symmetry(grid2d, bc):
     rng = np.random.default_rng(4)
@@ -523,6 +555,19 @@ def test_harmonic_extension_solves_a_changed_datum_again(monkeypatch):
                                       datum, t)
         assert u.tobytes() == fresh.tobytes()
     assert sum(g is grid for g in calls) == 3
+
+
+def test_harmonic_extension_keys_on_the_values_with_their_dtype():
+    """The cache key is each side's datum values: values with the bytes of
+    the previous call's but another dtype (the integer 1 and the float
+    5e-324) are another datum, solved again."""
+    grid = Grid(shape=(4, 3), lengths=(1.0, 0.5))
+    for value in (np.int64(1), np.float64(5e-324), np.int64(1)):
+        u = gr.harmonic_extension(grid, lambda X, t: value, 0.0)
+        fresh = gr.harmonic_extension(Grid(shape=(4, 3), lengths=(1.0, 0.5)),
+                                      lambda X, t: value, 0.0)
+        assert u.tobytes() == fresh.tobytes()
+    assert np.max(u) > 0.5
 
 
 def test_harmonic_extension_result_cannot_be_written(grid1d):

@@ -1,4 +1,5 @@
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -462,52 +463,117 @@ def test_run_keeps_xi_the_beta_eps_of_phi(monkeypatch, kind, spec):
                               pot.beta_eps(spec, cfg.eps, state.phi))
 
 
-@pytest.mark.parametrize("halve", [False, True], ids=["whole", "halved"])
+@pytest.mark.parametrize("case", ["whole", "halved", "moving_target",
+                                  "zero_flux_at_rest"])
 def test_a_step_at_rest_shares_phi_and_repeats_its_diagnostics(monkeypatch,
-                                                                halve):
-    """A Dirichlet run whose control freezes phi on a plateau: every step
-    with 0 Newton iterations returns its start's phi and xi arrays, the
-    two halves of a halved step at rest included, and its diagnostics row
-    holds the bits of a fresh free energy and dual norm of its state."""
+                                                                case):
+    """Runs with a step after every output time: a Dirichlet run whose
+    control freezes phi on a plateau, whole and with a halved step at
+    rest; a Dirichlet run at rest, phi0 = 0 without control or forcing,
+    whose target moves with t; and a zero-flux run that starts at rest,
+    phi0 = phistar constant with g = 0.
+
+    Every step with 0 Newton iterations returns its start's phi and xi
+    arrays.  A step from a 0-iteration state under unchanged data repeats
+    it: it applies no stencil and returns the start's evaluation, the two
+    halves of a halved step at rest included.  A moving target changes
+    the data at every step, so every step applies the stencil.  Every
+    diagnostics row holds the bits of a fresh evaluation of its state,
+    and the run is bitwise the run whose stepper clears the evaluation of
+    the state it starts from, which forces a full solve at every step."""
     grid = small_grid(16)
     spec = pot.regular()
-    data = dirichlet_problem(grid, spec, cosine_data(grid, amp=0.05,
-                                                     offset=0.0), rho=1.0)
     T, dt = 0.3, 1e-2
-    cfg = solver.SolverConfig(eps=1e-2, dt=dt, T=T,
-                              scheme="eliminated_dirichlet",
+    if case == "zero_flux_at_rest":
+        data = neumann_problem(grid, spec, np.full(grid.shape, 0.2), rho=1.0,
+                               phistar=lambda X, t: np.full_like(X[0], 0.2))
+        scheme = "coupled_neumann"
+    elif case == "moving_target":
+        data = dirichlet_problem(
+            grid, spec, grid.zeros(),
+            phistar=lambda X, t: np.full_like(X[0], 0.1 + 1e-3 * t))
+        data = replace(data, dphistar_dt=lambda X, t: np.full_like(X[0],
+                                                                   1e-3))
+        scheme = "eliminated_dirichlet"
+    else:
+        data = dirichlet_problem(grid, spec, cosine_data(grid, amp=0.05,
+                                                         offset=0.0),
+                                 rho=1.0)
+        scheme = "eliminated_dirichlet"
+    cfg = solver.SolverConfig(eps=1e-2, dt=dt, T=T, scheme=scheme,
                               output_times=[k * dt for k in range(31)])
-    if halve:
-        step, failed = solver.step_eliminated_dirichlet, []
+    name = "step_" + scheme
+    step, failed, stencils = getattr(solver, name), [], []
 
-        def fail_once_at_rest(state, data, cfg, dt):
-            if state.t > 0.2 and not failed:
+    def counting(grid, u):
+        stencils.append(1)
+        return laplacian_neumann(grid, u)
+
+    def run(clear):
+        failed.clear()
+        stencils.clear()
+
+        def stepper(state, data, cfg, dt):
+            if clear:
+                state = replace(state, evaluation=None)
+            if case == "halved" and state.t > 0.2 and not failed:
                 failed.append(state.t)
                 raise NewtonError("injected failure")
             return step(state, data, cfg, dt=dt)
 
-        monkeypatch.setattr(solver, "step_eliminated_dirichlet",
-                            fail_once_at_rest)
+        monkeypatch.setattr(solver, name, stepper)
+        if case != "halved":
+            return solver.run(data, cfg)
         with pytest.warns(UserWarning, match="retrying"):
             traj = solver.run(data, cfg)
         assert len(failed) == 1
-    else:
-        traj = solver.run(data, cfg)
+        return traj
+
+    monkeypatch.setattr(solver, "laplacian_neumann", counting)
+    traj = run(clear=False)
     diag, snaps = traj.diagnostics, traj.snapshots
     assert len(snaps) == 31
-    first_rest = diag.newton_iters.index(0, 1)
-    assert 1 < first_rest < 20 and not any(diag.newton_iters[first_rest:])
+    if case == "zero_flux_at_rest":
+        assert not any(diag.newton_iters)
+        solves = 1
+    elif case == "moving_target":
+        assert not any(diag.newton_iters)
+        solves = 30
+    else:
+        first_rest = diag.newton_iters.index(0, 1)
+        assert 1 < first_rest < 20 and not any(diag.newton_iters[first_rest:])
+        solves = first_rest
+    assert len(stencils) == solves
+    X = grid.meshgrid()
     for k in range(1, len(snaps)):
         prev, state = snaps[k - 1], snaps[k]
         at_rest = diag.newton_iters[k] == 0
         assert (state.phi is prev.phi) == at_rest
         assert (state.xi is prev.xi) == at_rest
+        assert (state.evaluation is prev.evaluation) == (k > solves)
         fe = pot.free_energy(grid, state.phi, spec, cfg.eps, state.xi)
         dn = dual_norm(grid, (state.phi - prev.phi) / (diag.t[k]
                                                       - diag.t[k - 1]),
-                       "dirichlet")
+                       data.bc.kind)
+        sup_chi = grid.sup_norm(state.phi - data.phistar(X, state.t))
         assert diag.free_energy_reg[k] == fe
         assert diag.dual_norm_dphi[k] == dn
+        assert diag.mean_phi[k] == grid.mean(state.phi)
+        assert diag.sup_chi[k] == sup_chi
+        if data.bc.kind == "dirichlet":
+            assert diag.sup_G_eps[k] == grid.sup_norm(
+                solver.assemble_G_eps(state, data))
+        else:
+            assert np.isnan(diag.sup_G_eps[k])
+    full = run(clear=True)
+    assert len(stencils) == (31 if case == "halved" else 30)
+    for col in solver.DiagnosticsSeries.COLUMNS:
+        assert np.array_equal(getattr(full.diagnostics, col),
+                              getattr(diag, col), equal_nan=True), col
+    for a, b in zip(full.snapshots, snaps, strict=True):
+        assert (a.t, a.newton_iters) == (b.t, b.newton_iters)
+        for field in ("phi", "mu", "xi", "zeta"):
+            assert getattr(a, field).tobytes() == getattr(b, field).tobytes()
 
 
 def test_control_term_saturates():
