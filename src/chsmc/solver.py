@@ -25,9 +25,8 @@ takes about as many Newton iterations as exact Newton.  A step evaluates
 its data at its end time once (:class:`DataEvaluation`), for its
 explicit part, zeta and its diagnostics row.  A step from a state that a
 0-iteration step returned, under data byte-equal to that state's,
-returns that state at the new time: the paper's sliding solutions stay
-at the target after the sliding time, so most steps of a sliding run
-solve nothing.
+returns that state at the new time: after the sliding time a sliding
+run holds phi still, so most of its steps solve nothing.
 
 ``galerkin_neumann`` projects onto the first n zero-flux cosine modes,
 with the nonlinearities evaluated by collocation, and solves its small
