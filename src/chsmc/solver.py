@@ -214,11 +214,12 @@ class StateSnapshot:
     resolvent again.  ``evaluation`` is the data at t that
     :func:`step_eliminated` solved with, which :func:`_record` reads its
     diagnostics from; None for the initial state and the Galerkin
-    stepper's states.  A step that leaves phi unchanged returns its
-    start's phi and xi arrays, and a step that repeats its start
-    (:func:`step_eliminated`) all of its arrays and its evaluation, so
-    consecutive snapshots may share them; no code writes into a
-    snapshot's arrays.
+    stepper's states.  :func:`run` keeps it only on a state at rest, the
+    only kind a step repeats, and hands out its snapshots without it.  A
+    step that leaves phi unchanged returns its start's phi and xi arrays,
+    and a step that repeats its start (:func:`step_eliminated`) all of its
+    arrays and its evaluation, so consecutive snapshots may share them; no
+    code writes into a snapshot's arrays.
     """
 
     t: float
@@ -730,16 +731,22 @@ def run(data: ProblemData, cfg: SolverConfig,
                 f"step from t = {prev.t:g} to {end:g} failed even after "
                 f"halving 8 times: {exc}") from exc
         _record(diag, data, cfg, state, prev, dt)
+        if state.newton_iters:
+            # only a state at rest is repeated (step_eliminated), so a
+            # moving state's data evaluation would only hold memory
+            state = replace(state, evaluation=None)
         # an output time goes to the step that ends nearest to it; one
-        # within roundoff of that step's end is carried exactly
+        # within roundoff of that step's end is carried exactly.  No
+        # output holds on to an evaluation.
         next_dt = min(cfg.dt, cfg.T - state.t)
         while remaining and state.t >= remaining[0] - 0.5 * next_dt:
             t_out = remaining.pop(0)
-            keep(replace(state, t=t_out)
-                 if abs(state.t - t_out) <= 1e-9 * cfg.dt else state)
+            if abs(state.t - t_out) > 1e-9 * cfg.dt:
+                t_out = state.t
+            keep(replace(state, t=t_out, evaluation=None))
     # SolverConfig keeps the output times below T + 1e-9*dt, so any left
     # are T up to roundoff, past the last step end
     for t_out in remaining:
-        keep(replace(state, t=t_out))
+        keep(replace(state, t=t_out, evaluation=None))
     return Trajectory(snapshots=snapshots, diagnostics=diag, data=data,
                       cfg=cfg)

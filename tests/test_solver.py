@@ -503,7 +503,7 @@ def test_a_step_at_rest_shares_phi_and_repeats_its_diagnostics(monkeypatch,
     cfg = solver.SolverConfig(eps=1e-2, dt=dt, T=T, scheme=scheme,
                               output_times=[k * dt for k in range(31)])
     name = "step_" + scheme
-    step, failed, stencils = getattr(solver, name), [], []
+    step, failed, stencils, repeats = getattr(solver, name), [], [], []
 
     def counting(grid, u):
         stencils.append(1)
@@ -512,6 +512,7 @@ def test_a_step_at_rest_shares_phi_and_repeats_its_diagnostics(monkeypatch,
     def run(clear):
         failed.clear()
         stencils.clear()
+        repeats.clear()
 
         def stepper(state, data, cfg, dt):
             if clear:
@@ -519,7 +520,17 @@ def test_a_step_at_rest_shares_phi_and_repeats_its_diagnostics(monkeypatch,
             if case == "halved" and state.t > 0.2 and not failed:
                 failed.append(state.t)
                 raise NewtonError("injected failure")
-            return step(state, data, cfg, dt=dt)
+            solves = len(stencils)
+            out = step(state, data, cfg, dt=dt)
+            repeated = out.evaluation is state.evaluation
+            # a repeat is its start at the new time, and applies no stencil
+            assert repeated == (len(stencils) == solves)
+            if repeated:
+                assert out.newton_iters == state.newton_iters == 0
+                assert all(getattr(out, f) is getattr(state, f)
+                           for f in ("phi", "mu", "xi", "zeta"))
+            repeats.append(repeated)
+            return out
 
         monkeypatch.setattr(solver, name, stepper)
         if case != "halved":
@@ -544,13 +555,14 @@ def test_a_step_at_rest_shares_phi_and_repeats_its_diagnostics(monkeypatch,
         assert 1 < first_rest < 20 and not any(diag.newton_iters[first_rest:])
         solves = first_rest
     assert len(stencils) == solves
+    assert sum(repeats) == len(repeats) - solves
     X = grid.meshgrid()
     for k in range(1, len(snaps)):
         prev, state = snaps[k - 1], snaps[k]
         at_rest = diag.newton_iters[k] == 0
         assert (state.phi is prev.phi) == at_rest
         assert (state.xi is prev.xi) == at_rest
-        assert (state.evaluation is prev.evaluation) == (k > solves)
+        assert state.evaluation is None
         fe = pot.free_energy(grid, state.phi, spec, cfg.eps, state.xi)
         dn = dual_norm(grid, (state.phi - prev.phi) / (diag.t[k]
                                                       - diag.t[k - 1]),
