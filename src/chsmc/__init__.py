@@ -10,9 +10,26 @@ harness), :mod:`chsmc.cli` (batch front end).
 subpackage loads them all (PEP 562), so that ``python -m chsmc.cli`` does
 not find ``chsmc.cli`` imported before it runs, nor imports it a second
 time while it runs.
+
+On glibc, ``import chsmc`` also sets the allocator's mmap threshold to
+32 MiB and its trim threshold to 64 MiB (``mallopt``), the values glibc's
+own dynamic policy moves to once a large chunk is freed.  A time step
+frees grid-sized temporaries at every Newton and CG iteration; under
+glibc's start-up thresholds the allocator hands the freed top of the
+heap back to the kernel each time, and the next iteration faults those
+pages in again, so that 2-D and 3-D runs spent much of their time in
+the kernel.  The call is made here, before numpy is imported, so that
+numpy's own start-up allocations are placed under the same thresholds
+and the peak memory does not grow.  It changes no result.  To keep
+glibc's defaults, or to choose other values, set any of glibc's
+``MALLOC_*_`` variables (``MALLOC_TRIM_THRESHOLD_``, say) or
+``GLIBC_TUNABLES`` in the environment: chsmc then leaves the allocator
+alone.
 """
 
+import ctypes
 import importlib
+import os
 import sys
 
 from .errors import (ChsmcError, ConfigError, NewtonError, ParamError,
@@ -27,6 +44,41 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+# glibc's <malloc.h> parameter numbers, and the values of its dynamic
+# policy's ceiling on 64-bit hosts
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_MMAP_THRESHOLD = 32 << 20
+_TRIM_THRESHOLD = 64 << 20
+
+
+def _keep_heap_mapped(libc, environ) -> bool:
+    """Set glibc's mmap and trim thresholds through ``libc.mallopt``
+    unless ``environ`` tunes the allocator itself or ``libc`` is not glibc
+    (no ``gnu_get_libc_version`` or no ``mallopt``); whether both were set.
+
+    Any ``mallopt`` call switches glibc's dynamic thresholds off, so both
+    are set, the trim threshold only once the mmap threshold is accepted:
+    the trim threshold alone would pin the mmap threshold at its 128 KiB
+    start, and every grid-sized temporary would be mapped and unmapped.
+    """
+    if "GLIBC_TUNABLES" in environ or any(
+            k.startswith("MALLOC_") and k.endswith("_") for k in environ):
+        return False
+    mallopt = getattr(libc, "mallopt", None)
+    if mallopt is None or getattr(libc, "gnu_get_libc_version", None) is None:
+        return False
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    return bool(mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
+                and mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD))
+
+
+try:
+    _keep_heap_mapped(ctypes.CDLL(None), os.environ)
+except (OSError, TypeError):  # no C library to open by the null name
+    pass
 
 
 def __getattr__(name):

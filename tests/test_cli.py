@@ -2,10 +2,12 @@ import configparser
 import contextlib
 import io
 import os
+import platform
 import subprocess
 import sys
 import tempfile
 import tracemalloc
+import types
 from dataclasses import replace
 
 import numpy as np
@@ -1217,9 +1219,9 @@ def test_zero_flux_runs_conserve_mass_and_dissipate_energy(
         assert np.all(rise <= 10 * solver.NEWTON_TOL + 1e-12), text
 
 
-def _run_python(*args):
+def _run_python(*args, environ=os.environ):
     src = os.path.dirname(os.path.dirname(chsmc.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    env = dict(environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     return subprocess.run([sys.executable, *args], env=env,
                           capture_output=True, text=True)
@@ -1264,8 +1266,92 @@ def test_fft_path_grid_loads_scipy_fft_when_built():
 
 def test_package_import_loads_submodules_on_demand():
     out = _run_python("-c", "import sys, chsmc; print(sorted(m for m in "
-                            "sys.modules if m.startswith('chsmc')))")
-    assert out.stdout.strip() == "['chsmc', 'chsmc.errors']"
+                            "sys.modules if m.startswith('chsmc'))); "
+                            "print('numpy' in sys.modules)")
+    loaded, numpy_loaded = out.stdout.splitlines()
+    assert loaded == "['chsmc', 'chsmc.errors']"
+    # the allocator thresholds are set before numpy allocates anything,
+    # which keeps the peak memory where glibc's defaults leave it
+    assert numpy_loaded == "False"
+
+
+_FAULTS_OF_A_REPEATED_RUN = """\
+import resource
+import numpy as np
+import chsmc
+from chsmc import potentials as pot, smc, solver
+from chsmc.grid import Grid
+
+grid = Grid(shape=(128, 128), lengths=(1.0, 1.0))
+X, Y = grid.meshgrid()
+zero = lambda X, t: np.zeros_like(X[0])
+data = solver.ProblemData(
+    grid=grid, spec=pot.regular(), g=zero, phistar=zero,
+    phi0=0.1 + 0.3 * np.cos(2 * np.pi * X) * np.cos(np.pi * Y),
+    bc=solver.neumann_bc(), tau=1.0, control=smc.SmcParams(rho=0.5, eps=1e-2))
+cfg = solver.SolverConfig(eps=1e-2, dt=1e-4, T=3e-4, scheme="coupled_neumann")
+solver.run(data, cfg)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+traj = solver.run(data, cfg)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(traj.diagnostics.newton_iters)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="the allocator thresholds are glibc's")
+def test_repeated_run_reuses_its_heap_pages():
+    """A second 3-step 128^2 zero-flux run in one process finds every page
+    its temporaries need already mapped.  With glibc's start-up
+    thresholds the freed top of the heap went back to the kernel after
+    each iteration, and the run took over 2,000 minor page faults."""
+    environ = {k: v for k, v in os.environ.items()
+               if k != "GLIBC_TUNABLES" and not (
+                   k.startswith("MALLOC_") and k.endswith("_"))}
+    out = _run_python("-c", _FAULTS_OF_A_REPEATED_RUN, environ=environ)
+    assert out.returncode == 0, out.stderr
+    faults, iters = out.stdout.splitlines()
+    assert iters == "[0, 2, 2, 2]"  # the run solves at every step
+    assert int(faults) < 1000
+
+
+def _fake_libc(glibc=True, accepts=(1, 1)):
+    """A stand-in C library with ``mallopt`` (unless ``accepts`` is
+    None), returning ``accepts`` in turn, and ``gnu_get_libc_version``
+    where ``glibc``; and the list its ``mallopt`` records calls in."""
+    calls = []
+    libc = types.SimpleNamespace()
+    if glibc:
+        libc.gnu_get_libc_version = lambda: b"2.35"
+    if accepts is not None:
+        def mallopt(param, value):
+            calls.append((param, value))
+            return accepts[len(calls) - 1]
+        libc.mallopt = mallopt
+    return libc, calls
+
+
+_MMAP_THEN_TRIM = [(-3, 32 << 20), (-1, 64 << 20)]
+
+
+@pytest.mark.parametrize("libc_kw,environ,want", [
+    ({}, {}, _MMAP_THEN_TRIM),
+    ({}, {"PATH": "/bin", "MALLOC_ARENA_MAX": "2"}, _MMAP_THEN_TRIM),
+    ({"glibc": False}, {}, []),
+    ({"accepts": None}, {}, []),
+    ({}, {"MALLOC_TRIM_THRESHOLD_": "131072"}, []),
+    ({}, {"MALLOC_MMAP_THRESHOLD_": "131072"}, []),
+    ({}, {"GLIBC_TUNABLES": "glibc.malloc.trim_threshold=131072"}, []),
+    # a rejected mmap threshold leaves glibc's dynamic policy on, which
+    # the trim threshold alone would switch off
+    ({"accepts": (0, 1)}, {}, _MMAP_THEN_TRIM[:1]),
+], ids=["glibc", "unrelated_variables", "not_glibc", "no_mallopt",
+        "trim_variable", "mmap_variable", "tunables", "mmap_rejected"])
+def test_allocator_thresholds_set_only_on_untuned_glibc(libc_kw, environ,
+                                                         want):
+    libc, calls = _fake_libc(**libc_kw)
+    assert chsmc._keep_heap_mapped(libc, environ) is (want == _MMAP_THEN_TRIM)
+    assert calls == want
 
 
 def test_module_entry_point_does_not_import_itself_again():
