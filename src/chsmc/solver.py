@@ -190,17 +190,18 @@ def _evaluate(data: ProblemData, t: float, drift: bool,
 
 
 def _same_data(a: DataEvaluation, b: DataEvaluation) -> bool:
-    """Whether two evaluations hold byte-equal fields and the same mu_H
-    object, which the harmonic-extension cache returns for equal boundary
-    values."""
-    def key(v):
-        v = np.asarray(v)
-        return v.dtype.str, v.shape, v.tobytes()
-    return a.mu_H is b.mu_H and all(
-        x is y or (x is not None and y is not None and key(x) == key(y))
-        for x, y in ((a.phistar, b.phistar), (a.g, b.g),
-                     (a.dphistar_dt, b.dphistar_dt),
-                     (a.lap_phistar, b.lap_phistar)))
+    """Whether two evaluations hold the same mu_H object, which the
+    harmonic-extension cache returns for equal boundary values, and
+    byte-equal data fields.  A field without ``tobytes`` (a Python scalar
+    that a callable returned) matches only itself."""
+    try:
+        return a.mu_H is b.mu_H and all(
+            x is y or x.tobytes() == y.tobytes()
+            for x, y in ((a.phistar, b.phistar), (a.g, b.g),
+                         (a.dphistar_dt, b.dphistar_dt),
+                         (a.lap_phistar, b.lap_phistar)))
+    except AttributeError:
+        return False
 
 
 @dataclass(frozen=True)
@@ -462,12 +463,18 @@ def step_eliminated(state: StateSnapshot, data: ProblemData,
     grid = data.grid
     kind = data.bc.kind
     t_new = state.t + dt
-    now = _evaluate(data, t_new, _records_drift(data),
-                   harmonic_extension(grid, data.bc.datum, t_new)
-                   if kind == "dirichlet" else None)
-    if (state.newton_iters == 0 and state.evaluation is not None
-            and _same_data(state.evaluation, now)):
-        return replace(state, t=t_new)
+    drift = _records_drift(data)
+    # the target derivatives are read only by the repeat test and by
+    # _record, so a step that cannot repeat its start evaluates them after
+    # Newton, not holding them through it
+    repeatable = state.newton_iters == 0 and state.evaluation is not None
+    now = _evaluate(data, t_new, drift and repeatable,
+                    harmonic_extension(grid, data.bc.datum, t_new)
+                    if kind == "dirichlet" else None)
+    if repeatable and _same_data(state.evaluation, now):
+        return StateSnapshot(t=t_new, phi=state.phi, mu=state.mu,
+                             xi=state.xi, zeta=state.zeta,
+                             evaluation=state.evaluation)
     symbol, precondition = _regime(grid, kind, data.tau, dt)
     mu_H = 0.0 if now.mu_H is None else now.mu_H
     phi_n = state.phi
@@ -498,6 +505,8 @@ def step_eliminated(state: StateSnapshot, data: ProblemData,
     # the residual at d = 0, where phi = phi^n and K(0) = 0
     first, _ = _step_operator(grid, kind, symbol, dt, None, None,
                               state.xi + fixed)
+    if not grid.l2_norm(first) <= NEWTON_TOL:
+        control = None  # Newton iterates, and zeta is taken at its phi
     d_hat, iters, (phi, xi, Gd) = _newton(
         residual, solve, grid.zeros(), grid.l2_norm,
         (first, (phi_n, state.xi, 0.0)))
@@ -511,6 +520,11 @@ def step_eliminated(state: StateSnapshot, data: ProblemData,
                 "neumann") / dt
     zeta = (smc.apply_S_eps(data.control, phi - now.phistar) if iters
             else control)
+    if drift and not repeatable:
+        X = grid.meshgrid()
+        now = DataEvaluation(phistar=now.phistar, g=now.g, mu_H=now.mu_H,
+                             dphistar_dt=data.dphistar_dt(X, t_new),
+                             lap_phistar=data.lap_phistar(X, t_new))
     return StateSnapshot(t=t_new, phi=phi, mu=mu, xi=xi, zeta=zeta,
                          newton_iters=iters, evaluation=now)
 
@@ -734,7 +748,9 @@ def run(data: ProblemData, cfg: SolverConfig,
         if state.newton_iters:
             # only a state at rest is repeated (step_eliminated), so a
             # moving state's data evaluation would only hold memory
-            state = replace(state, evaluation=None)
+            state = StateSnapshot(t=state.t, phi=state.phi, mu=state.mu,
+                                  xi=state.xi, zeta=state.zeta,
+                                  newton_iters=state.newton_iters)
         # an output time goes to the step that ends nearest to it; one
         # within roundoff of that step's end is carried exactly.  No
         # output holds on to an evaluation.
