@@ -379,14 +379,14 @@ def load_config(path):
         raise ConfigError(f"[time] outputs must be at least 1, got {n_out}: "
                           "the state at t = 0 is always written")
     # a T/dt that overflows is SolverConfig's error, below; a run that
-    # takes no step (T = 0, or below 1e-9*dt) writes the state at t = 0
-    # for each of its output times
+    # takes no step (T = 0, or below 1e-9*dt) writes only the state at
+    # t = 0
     nsteps = smc.step_count(T, dt) if T / dt < np.inf else 0
     if nsteps and n_out > nsteps + 1:
         raise ConfigError(
             f"[time] outputs = {n_out} is more than the {nsteps + 1} times "
             f"that the run's {nsteps} steps reach, t = 0 included")
-    output_times = list(np.linspace(0.0, T, n_out)) if T > 0.0 else []
+    output_times = list(np.linspace(0.0, T, n_out)) if nsteps else []
     scheme = _get(cp, "solver", "scheme", _one_of(*_SCHEMES.values()),
                   _SCHEMES[bc_kind])
     eps = _get(cp, "solver", "eps", _number_above(0.0), ctrl_eps)
@@ -523,7 +523,7 @@ def cmd_contdep(args) -> int:
     data, cfg, extras = load_config(args.config)
     if len(cfg.output_times) < 2:
         raise ConfigError("bad values in [time]: contdep compares the runs "
-                          "at two or more output times, so it needs T > 0 "
+                          "at two or more output times, so it needs a step "
                           f"and outputs >= 2, got {len(cfg.output_times)}")
     cd = extras["contdep"]
     which = cd["which"]

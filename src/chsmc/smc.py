@@ -42,9 +42,11 @@ def sign_eps(eps: float, r):
     """Yosida approximation of sign: clamp(r/eps, -1, 1)."""
     if not eps > 0.0:
         raise ParamError("eps must be positive")
-    # np.minimum/np.maximum: the bits of np.clip without its Python wrapper
-    return np.minimum(np.maximum(np.asarray(r, dtype=float) / eps, -1.0),
-                      1.0)
+    # clamped to [-eps, eps] first, so that dividing by a tiny eps cannot
+    # overflow; np.minimum/np.maximum: the bits of np.clip without its
+    # Python wrapper
+    return np.minimum(np.maximum(np.asarray(r, dtype=float), -eps),
+                      eps) / eps
 
 
 def apply_S_eps(params: SmcParams, chi: np.ndarray) -> np.ndarray:

@@ -215,8 +215,7 @@ class StateSnapshot:
     resolvent again.  ``evaluation`` is the data at t that
     :func:`step_eliminated` solved with, which :func:`_record` reads its
     diagnostics from; None for the initial state and the Galerkin
-    stepper's states.  :func:`run` keeps it only on a state at rest, the
-    only kind a step repeats, and hands out its snapshots without it.  A
+    stepper's states.  :func:`run` hands out its snapshots without it.  A
     step that leaves phi unchanged returns its start's phi and xi arrays,
     and a step that repeats its start (:func:`step_eliminated`) all of its
     arrays and its evaluation, so consecutive snapshots may share them; no
@@ -330,9 +329,7 @@ def _regime(grid: Grid, bc_kind: str, tau: float, dt: float):
     basis, not the DCT one, so the symbol is tau/dt + lam and
     :func:`_step_operator` applies D on the grid values.  S stands in
     1/(dt*(lam + lam_D,min)) for D/dt, a mismatch that is small next to
-    tau/dt; formed on the first solve only, so a step that converges
-    without one does not pay for it, and each later solve only adds its
-    shift.
+    tau/dt.
     """
     lam = grid.eigenvalues("neumann")
     symbol = tau / dt + lam
@@ -344,13 +341,10 @@ def _regime(grid: Grid, bc_kind: str, tau: float, dt: float):
             inverse.flat[0] = 0.0
             return inverse
     else:
-        stand_in = None
+        lam_d = grid.eigenvalues("dirichlet").flat[0]
+        stand_in = symbol + 1.0 / (dt * (lam + lam_d))
 
         def precondition(shift):
-            nonlocal stand_in
-            if stand_in is None:
-                lam_d = grid.eigenvalues("dirichlet").flat[0]
-                stand_in = symbol + 1.0 / (dt * (lam + lam_d))
             return 1.0 / (stand_in + shift)
     return symbol, precondition
 
@@ -463,15 +457,11 @@ def step_eliminated(state: StateSnapshot, data: ProblemData,
     grid = data.grid
     kind = data.bc.kind
     t_new = state.t + dt
-    drift = _records_drift(data)
-    # the target derivatives are read only by the repeat test and by
-    # _record, so a step that cannot repeat its start evaluates them after
-    # Newton, not holding them through it
-    repeatable = state.newton_iters == 0 and state.evaluation is not None
-    now = _evaluate(data, t_new, drift and repeatable,
+    now = _evaluate(data, t_new, _records_drift(data),
                     harmonic_extension(grid, data.bc.datum, t_new)
                     if kind == "dirichlet" else None)
-    if repeatable and _same_data(state.evaluation, now):
+    if (state.newton_iters == 0 and state.evaluation is not None
+            and _same_data(state.evaluation, now)):
         return StateSnapshot(t=t_new, phi=state.phi, mu=state.mu,
                              xi=state.xi, zeta=state.zeta,
                              evaluation=state.evaluation)
@@ -505,8 +495,6 @@ def step_eliminated(state: StateSnapshot, data: ProblemData,
     # the residual at d = 0, where phi = phi^n and K(0) = 0
     first, _ = _step_operator(grid, kind, symbol, dt, None, None,
                               state.xi + fixed)
-    if not grid.l2_norm(first) <= NEWTON_TOL:
-        control = None  # Newton iterates, and zeta is taken at its phi
     d_hat, iters, (phi, xi, Gd) = _newton(
         residual, solve, grid.zeros(), grid.l2_norm,
         (first, (phi_n, state.xi, 0.0)))
@@ -520,11 +508,6 @@ def step_eliminated(state: StateSnapshot, data: ProblemData,
                 "neumann") / dt
     zeta = (smc.apply_S_eps(data.control, phi - now.phistar) if iters
             else control)
-    if drift and not repeatable:
-        X = grid.meshgrid()
-        now = DataEvaluation(phistar=now.phistar, g=now.g, mu_H=now.mu_H,
-                             dphistar_dt=data.dphistar_dt(X, t_new),
-                             lap_phistar=data.lap_phistar(X, t_new))
     return StateSnapshot(t=t_new, phi=phi, mu=mu, xi=xi, zeta=zeta,
                          newton_iters=iters, evaluation=now)
 
@@ -745,15 +728,9 @@ def run(data: ProblemData, cfg: SolverConfig,
                 f"step from t = {prev.t:g} to {end:g} failed even after "
                 f"halving 8 times: {exc}") from exc
         _record(diag, data, cfg, state, prev, dt)
-        if state.newton_iters:
-            # only a state at rest is repeated (step_eliminated), so a
-            # moving state's data evaluation would only hold memory
-            state = StateSnapshot(t=state.t, phi=state.phi, mu=state.mu,
-                                  xi=state.xi, zeta=state.zeta,
-                                  newton_iters=state.newton_iters)
         # an output time goes to the step that ends nearest to it; one
-        # within roundoff of that step's end is carried exactly.  No
-        # output holds on to an evaluation.
+        # within roundoff of that step's end is carried exactly, without
+        # the state's data evaluation
         next_dt = min(cfg.dt, cfg.T - state.t)
         while remaining and state.t >= remaining[0] - 0.5 * next_dt:
             t_out = remaining.pop(0)

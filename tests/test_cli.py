@@ -387,6 +387,24 @@ def test_successful_command_makes_only_the_normalised_out(tmp_path):
     assert os.listdir(tmp_path / "nest") == ["b"]
 
 
+@pytest.mark.parametrize("T", ["0", "1e-310"])
+def test_run_that_takes_no_step_writes_one_snapshot(tmp_path, T):
+    """T = 1e-310 is below 1e-9*dt, so the run takes no step, as at
+    T = 0: it writes the state at t = 0 once, not once per output time."""
+    with open(os.path.join(CONFIGS, "neumann_smoke.ini")) as fh:
+        text = fh.read()
+    assert "outputs = 6" in text
+    path = tmp_path / "run.ini"
+    path.write_text(text.replace("T = 0.05", f"T = {T}"))
+    out = tmp_path / "out"
+    code = cli.main(["simulate", "--config", str(path), "--quiet",
+                     "--out", str(out)])
+    assert code == cli.EXIT_OK
+    snaps = sorted(f for f in os.listdir(out) if f.startswith("snapshot_"))
+    assert snaps == ["snapshot_0000.bin"]
+    assert read_snapshot(out / snaps[0])[1] == 0.0
+
+
 @pytest.mark.parametrize("existing", [False, True])
 def test_simulate_failing_after_some_outputs_removes_what_it_wrote(
         tmp_path, neumann_config, monkeypatch, existing):

@@ -17,14 +17,19 @@ from chsmc.errors import ParamError
 
 @pytest.mark.parametrize("shape", [(40,), (5, 8), (2, 4, 5)])
 def test_sign_eps_bits_of_np_clip(shape):
-    """np.minimum/np.maximum give np.clip's bits, NaN and the sign of
-    zero included."""
+    """np.minimum/np.maximum give the bits of np.clip(r/eps, -1, 1), NaN
+    and the sign of zero included, with no floating-point warning: for
+    the subnormal eps, r/eps overflows but the clamped r/eps does not."""
     r = np.concatenate([[np.nan, -0.0, 0.0, np.inf, -np.inf, 1e-300],
                         np.random.default_rng(2).normal(0.0, 0.02, 34)])
     r = r.reshape(shape)
-    out = smc.sign_eps(0.01, r)
-    assert out.shape == shape
-    assert out.tobytes() == np.clip(r / 0.01, -1.0, 1.0).tobytes()
+    for eps in (0.01, 5e-324):
+        with np.errstate(all="raise"):
+            out = smc.sign_eps(eps, r)
+        with np.errstate(all="ignore"):
+            expected = np.clip(r / eps, -1.0, 1.0)
+        assert out.shape == shape
+        assert out.tobytes() == expected.tobytes(), eps
 
 
 def test_sign_eps_values():

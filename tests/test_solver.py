@@ -588,6 +588,41 @@ def test_a_step_at_rest_shares_phi_and_repeats_its_diagnostics(monkeypatch,
             assert getattr(a, field).tobytes() == getattr(b, field).tobytes()
 
 
+def test_a_step_evaluates_each_datum_once_at_its_end_time():
+    """The Dirichlet run of the ``whole`` case above records the drift
+    and has moving steps and steps at rest.  Every step calls phistar, g,
+    d_t phistar and Lap phistar once at its end time, and the mu datum
+    once per boundary side, and no datum is called at any other time
+    after t = 0."""
+    grid = small_grid(16)
+    calls = {}
+
+    def counted(name, f):
+        def wrapped(X, t):
+            calls[name, t] = calls.get((name, t), 0) + 1
+            return f(X, t)
+        return wrapped
+
+    data = dirichlet_problem(grid, pot.regular(),
+                             cosine_data(grid, amp=0.05, offset=0.0), rho=1.0)
+    names = ("phistar", "g", "dphistar_dt", "lap_phistar")
+    data = replace(data, bc=solver.dirichlet_bc(counted("datum",
+                                                        data.bc.datum)),
+                   **{n: counted(n, getattr(data, n)) for n in names})
+    T, dt = 0.3, 1e-2
+    cfg = solver.SolverConfig(eps=1e-2, dt=dt, T=T,
+                              scheme="eliminated_dirichlet",
+                              output_times=[k * dt for k in range(31)])
+    diag = solver.run(data, cfg).diagnostics
+    assert any(diag.newton_iters[1:]) and not all(diag.newton_iters[1:])
+    ends = diag.t[1:]
+    assert len(ends) == 30
+    sides = len(grid.boundary_sides())
+    after_0 = {k: v for k, v in calls.items() if k[1] != 0.0}
+    assert after_0 == {**{(n, t): 1 for n in names for t in ends},
+                       **{("datum", t): sides for t in ends}}
+
+
 def test_control_term_saturates():
     grid = small_grid()
     rho = 2.0
