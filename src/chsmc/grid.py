@@ -4,34 +4,34 @@ Second-order finite differences with ghost cells: mirrored ghosts give the
 zero-flux (Neumann) Laplacian, odd-reflection ghosts the homogeneous
 Dirichlet one, of which the module provides only the inverse.  Both
 operators are diagonalized exactly by tensor-product DCT-II / DST-II
-bases, which provides the fast inversion path on these uniform grids.  On
-small grids the transforms are applied as dense per-axis matrices (the
-fast diagonalization method of Lynch, Rice & Thomas, 1964); larger grids,
-where the O(n log n) transform wins, use ``scipy.fft``.  The bound between
-the two weighs a dense apply against an FFT apply plus the one-off import
-of ``scipy.fft`` (about 0.3 s), so 2-D grids up to 128^2 stay dense even
-though an FFT pair is slightly faster there.  The choice depends on the
-grid shape alone (:func:`_dense_transforms`).  On a 1-D grid that takes
-the dense path, the Dirichlet inverse Laplacian, the one a run applies
-per Newton residual, folds the cached DST-II matrix and the symbol into
-one cached matrix and applies it as one product.  The dense matrices
-are built in closed form with numpy, so only a grid whose shape takes
-the FFT path loads ``scipy.fft``, and it does so when the grid is
-constructed, before any time is spent stepping.
+bases, which provides the fast inversion path on these uniform grids.
+Each grid chooses its transform path once, from its shape alone
+(:func:`_dense_transforms`), and keeps the chosen (forward, inverse) pair
+per boundary condition (:meth:`Grid.transforms`): dense per-axis matrix
+products on small grids (the fast diagonalization method of Lynch, Rice
+& Thomas, 1964), ``scipy.fft`` on larger grids, where the O(n log n)
+transform wins.  The bound between the two weighs a dense apply against
+an FFT apply plus the one-off import of ``scipy.fft`` (about 0.3 s), so
+2-D grids up to 128^2 stay dense even though an FFT pair is slightly
+faster there.  On a 1-D grid that takes the dense path, the Dirichlet
+inverse Laplacian, the one a run applies per Newton residual, folds the
+cached DST-II matrix and the symbol into one cached matrix and applies it
+as one product.  The dense matrices are built in closed form with numpy,
+so only a grid whose shape takes the FFT path loads ``scipy.fft``, and it
+does so when the grid is constructed, before any time is spent stepping.
 
 The transforms come in halves, :func:`forward_transform` to orthonormal
 coefficients and :func:`inverse_transform` back, so that a caller can
-work in coefficients; on the dense path both run one body over the
-per-axis matrices, the inverse with their transposes.  The module also
-holds the package's one preconditioned CG loop, which the time stepper
-runs on its Newton systems in DCT-II coefficients.
+work in coefficients.  The module also holds the package's one
+preconditioned CG loop, which the time stepper runs on its Newton systems
+in DCT-II coefficients.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable
 
 import numpy as np
@@ -202,6 +202,24 @@ class Grid:
                          for n in self.shape)
         return self._cached("_mat_" + bc, build)
 
+    def transforms(self, bc: str) -> tuple:
+        """The (forward, inverse) pair of the orthonormal DCT-II
+        ("neumann") or DST-II ("dirichlet") transform of grid-shaped
+        arrays, on the path :func:`_dense_transforms` chooses for this
+        grid (cached): products with :meth:`transform_matrices`, the
+        inverse with their transposes, or ``scipy.fft``'s type-2
+        ``norm="ortho"`` transforms."""
+        def build():
+            if _dense_transforms(self.shape):
+                mats = self.transform_matrices(bc)
+                return (_dense_map(self.shape, mats),
+                        _dense_map(self.shape, tuple(M.T for M in mats)))
+            _check_bc(bc)
+            from scipy.fft import dctn, dstn, idctn, idstn
+            pair = (dctn, idctn) if bc == "neumann" else (dstn, idstn)
+            return tuple(partial(f, type=2, norm="ortho") for f in pair)
+        return self._cached("_transforms_" + bc, build)
+
 
 def _transform_matrix(n: int, bc: str) -> np.ndarray:
     """Orthonormal DCT-II ("neumann") or DST-II ("dirichlet") matrix of
@@ -231,43 +249,25 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 # -- Laplacians --------------------------------------------------------
 
 
-def _second_difference(out: np.ndarray, u: np.ndarray, axis: int) -> None:
-    """Write the undivided second difference of ``u`` along ``axis`` into
-    ``out``, in place.
-
-    Along the axis the neighbours of a cell lie s = prod(shape[axis+1:])
-    apart in the row-major order, so every cell but the first s and last s
-    takes (-2v + v[+s]) + v[-s] in three contiguous passes over the
-    flattened arrays; this has the bits of ((v+ - 2v) + v-).  A cell next
-    to a face along the axis has its neighbour across the face in another
-    row there and is written again afterwards, with the mirrored ghost
-    equal to the edge cell: v+ - v at the low face, v- - v at the high."""
-    s = math.prod(u.shape[axis + 1:])
-    f, inner = u.reshape(-1), out.reshape(-1)[s:-s]
-    np.multiply(f[s:-s], -2.0, out=inner)
-    inner += f[2 * s:]
-    inner += f[:-2 * s]
-    v, d = u.swapaxes(0, axis), out.swapaxes(0, axis)
-    d[0] = v[1] - v[0]
-    d[-1] = v[-2] - v[-1]
-
-
 def laplacian_neumann(grid: Grid, u: np.ndarray) -> np.ndarray:
     """Zero-flux Laplacian; its discrete integral telescopes to zero.
 
-    The sum over the axes, in order, of each axis's second difference
-    divided by h**2, written into one output; from the second axis on,
-    each term passes through one scratch array, so that it is divided
-    before it is added.  Bit for bit the sum of per-axis quotients."""
-    out = np.empty(u.shape)
-    _second_difference(out, u, 0)
-    out /= grid.h[0] ** 2
-    if grid.dim > 1:
-        term = np.empty_like(out)
-        for axis in range(1, grid.dim):
-            _second_difference(term, u, axis)
-            term /= grid.h[axis] ** 2
-            out += term
+    Per axis, the second difference ((v+ - 2v) + v-) inside and, with the
+    mirrored ghost equal to the edge cell, v+ - v at the low face and
+    v- - v at the high one, divided by h**2.  The terms are summed in axis
+    order, starting from the first axis's, so that signed zeros survive."""
+    out = None
+    for axis, h in enumerate(grid.h):
+        v = u.swapaxes(0, axis)
+        d = np.empty_like(v)
+        d[1:-1] = v[2:] - 2.0 * v[1:-1] + v[:-2]
+        d[0] = v[1] - v[0]
+        d[-1] = v[-2] - v[-1]
+        d /= h ** 2
+        if out is None:
+            out = d
+        else:
+            out += d.swapaxes(0, axis)
     return out
 
 
@@ -301,59 +301,34 @@ def _dense_transforms(shape: tuple) -> bool:
     return sum(shape) <= _DENSE_MAX_SUM[len(shape)]
 
 
-def _dense_transform(grid: Grid, u: np.ndarray, mats: tuple) -> np.ndarray:
-    """``u`` times the per-axis matrices ``mats``, each along its axis."""
-    if grid.dim == 1:
+def _dense_map(shape: tuple, mats: tuple) -> Callable:
+    """The map of arrays of ``shape`` to their products with the per-axis
+    matrices ``mats``, each along its axis."""
+    if len(shape) == 1:
         (A,) = mats
-        return A @ u
-    if grid.dim == 2:
+        return lambda u: A @ u
+    if len(shape) == 2:
         A, B = mats
-        return A @ u @ B.T
+        return lambda u: A @ u @ B.T
     # 3-D: axes 1 and 2 as a stack of 2-D products, then axis 0 on the
     # (n0, n1*n2) reshape
     A, B, C = mats
-    return (A @ (B @ u @ C.T).reshape(grid.shape[0], -1)).reshape(grid.shape)
-
-
-def _keep_1d(grid: Grid, key: str, mats: tuple) -> None:
-    """On a 1-D grid, keep the one matrix of ``mats`` under ``key``, where
-    the transforms look it up before their path test: a later call is one
-    dict lookup and one product."""
-    if grid.dim == 1:
-        grid.__dict__[key] = mats[0]
+    return lambda u: (A @ (B @ u @ C.T).reshape(shape[0], -1)).reshape(shape)
 
 
 def forward_transform(grid: Grid, u: np.ndarray, bc: str) -> np.ndarray:
     """Coefficients of ``u`` in the orthonormal DCT-II ("neumann") or
-    DST-II ("dirichlet") basis, grid-shaped; dense or FFT transforms as
-    :func:`_dense_transforms` selects.  Orthonormal, so the Euclidean
-    norm and inner product of coefficients are those of the values."""
-    A = grid.__dict__.get("_1d_" + bc)
-    if A is not None:
-        return A @ u
-    if _dense_transforms(grid.shape):
-        mats = grid.transform_matrices(bc)
-        _keep_1d(grid, "_1d_" + bc, mats)
-        return _dense_transform(grid, u, mats)
-    from scipy.fft import dctn, dstn
-    return (dctn if bc == "neumann" else dstn)(u, type=2, norm="ortho")
+    DST-II ("dirichlet") basis, grid-shaped, by :meth:`Grid.transforms`.
+    Orthonormal, so the Euclidean norm and inner product of coefficients
+    are those of the values."""
+    return grid.transforms(bc)[0](u)
 
 
 def inverse_transform(grid: Grid, coeffs: np.ndarray, bc: str) -> np.ndarray:
     """Values of the field with the orthonormal DCT-II ("neumann") or
     DST-II ("dirichlet") coefficients ``coeffs``: the inverse of
     :func:`forward_transform`, on the same path."""
-    A = grid.__dict__.get("_1d_T_" + bc)
-    if A is not None:
-        return A @ coeffs
-    if _dense_transforms(grid.shape):
-        mats = grid._cached("_mat_T_" + bc, lambda: tuple(
-            M.T for M in grid.transform_matrices(bc)))
-        _keep_1d(grid, "_1d_T_" + bc, mats)
-        return _dense_transform(grid, coeffs, mats)
-    from scipy.fft import idctn, idstn
-    return (idctn if bc == "neumann" else idstn)(coeffs, type=2,
-                                                  norm="ortho")
+    return grid.transforms(bc)[1](coeffs)
 
 
 # -- conjugate gradients -----------------------------------------------

@@ -239,9 +239,9 @@ TRANSFORM_SHAPES = [((64,), True), ((256,), True), ((1024,), False),
 def _dense_pair(grid, u, symbol, bc):
     """The dense transform pair around ``symbol``, on any grid shape."""
     mats = grid.transform_matrices(bc)
-    return gr._dense_transform(
-        grid, symbol * gr._dense_transform(grid, u, mats),
-        tuple(M.T for M in mats))
+    forward = gr._dense_map(grid.shape, mats)
+    inverse = gr._dense_map(grid.shape, tuple(M.T for M in mats))
+    return inverse(symbol * forward(u))
 
 
 def _fft_pair(u, symbol, bc):
@@ -289,8 +289,8 @@ def test_transform_halves_are_orthonormal_inverses(shape, dense, bc):
     """forward_transform is scipy's orthonormal DCT-II / DST-II on the
     dense and the FFT path, inverse_transform undoes it both ways round,
     and both keep the Euclidean norm (Parseval).  The dense inverse is the
-    forward body with the transposed matrices, kept as read-only views,
-    bit for bit; the FFT inverse is scipy's."""
+    forward product with the transposed matrices, bit for bit; the FFT
+    inverse is scipy's."""
     from scipy.fft import dctn, dstn, idctn, idstn
     grid = Grid(shape=shape,
                 lengths=tuple(0.5 + 0.25 * a for a in range(len(shape))))
@@ -309,11 +309,8 @@ def test_transform_halves_are_orthonormal_inverses(shape, dense, bc):
     assert abs(np.sqrt((coeffs * coeffs).sum()) - norm) <= 1e-13 * norm
     if dense:
         mats = grid.transform_matrices(bc)
-        assert np.array_equal(back, gr._dense_transform(
-            grid, coeffs, tuple(M.T for M in mats)))
-        transposes = grid.__dict__["_mat_T_" + bc]
-        for M, T in zip(mats, transposes):
-            assert T.base is M and not T.flags.writeable
+        assert np.array_equal(back, gr._dense_map(
+            shape, tuple(M.T for M in mats))(coeffs))
     else:
         assert np.array_equal(back, (idctn if bc == "neumann" else idstn)(
             coeffs, type=2, norm="ortho"))
@@ -338,6 +335,7 @@ def test_transform_data_cached_read_only(grid2d):
         assert mats is grid2d.transform_matrices(bc)
         inv = grid2d.inverse_eigenvalues(bc)
         assert inv is grid2d.inverse_eigenvalues(bc)
+        assert grid2d.transforms(bc) is grid2d.transforms(bc)
         for a, M in enumerate(mats):
             assert not M.flags.writeable
             assert np.allclose(M @ M.T, np.eye(grid2d.shape[a]), atol=1e-14)
@@ -346,10 +344,13 @@ def test_transform_data_cached_read_only(grid2d):
     inv = grid2d.inverse_eigenvalues("neumann")
     assert inv.flat[0] == 0.0  # the zero mode of the mean-free inverse
     assert np.all(inv.flat[1:] == 1.0 / lam.flat[1:])
-    for spectral in (grid2d.transform_matrices, grid2d.eigenvalues,
+    for spectral in (grid2d.transform_matrices, grid2d.transforms,
+                     grid2d.eigenvalues,
                      lambda bc: grid2d.axis_eigenvalues(0, bc)):
         with pytest.raises(ValueError):
             spectral("robin")
+    with pytest.raises(ValueError):
+        Grid(shape=(1024,), lengths=(1.0,)).transforms("robin")
 
 
 @pytest.mark.parametrize("n", [3, 64, 128, 256])
