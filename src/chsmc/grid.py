@@ -30,6 +30,7 @@ in DCT-II coefficients.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property, partial
 from typing import Callable
@@ -51,11 +52,16 @@ class Grid:
             raise ParamError("dimension must be 1, 2 or 3")
         if len(self.lengths) != len(self.shape):
             raise ParamError("shape and lengths must agree in dimension")
-        if any(n < 3 for n in self.shape):
+        try:
+            shape = tuple(operator.index(n) for n in self.shape)
+        except TypeError:
+            raise ParamError(f"cell counts {self.shape} must be "
+                             "integers") from None
+        if any(n < 3 for n in shape):
             raise ParamError("need at least 3 cells per axis")
         if not all(0 < L < np.inf for L in self.lengths):
             raise ParamError("lengths must be positive and finite")
-        object.__setattr__(self, "shape", tuple(int(n) for n in self.shape))
+        object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "lengths",
                            tuple(float(L) for L in self.lengths))
         if not all(0.0 < h * h < np.inf for h in self.h):
@@ -532,16 +538,25 @@ def write_snapshot(path, grid: Grid, t: float, field: np.ndarray) -> None:
 
 
 def read_snapshot(path):
-    """Inverse of :func:`write_snapshot`; returns (grid, t, field)."""
+    """Inverse of :func:`write_snapshot`; returns (grid, t, field).  A file
+    that is not one raises :class:`ParamError` naming ``path``."""
     with open(path, "rb") as fh:
-        header = fh.readline().decode("ascii").split()
+        line, raw = fh.readline(), fh.read()
+    try:
+        header = line.decode("ascii").split()
         if not header or header[0] != "CHSMC1":
             raise ParamError("not a CHSMC1 snapshot file")
         dim = int(header[1])
-        shape = tuple(int(v) for v in header[2:2 + dim])
-        lengths = tuple(float(v) for v in header[2 + dim:2 + 2 * dim])
-        t = float(header[2 + 2 * dim])
-        raw = fh.read()
-    field = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
-    return Grid(shape=shape, lengths=lengths), t, field
-
+        if len(header) != 3 + 2 * dim:
+            raise ParamError(f"header of {len(header)} fields for "
+                             f"dimension {dim}")
+        grid = Grid(shape=tuple(int(v) for v in header[2:2 + dim]),
+                    lengths=tuple(float(v) for v in header[2 + dim:-1]))
+        t = float(header[-1])
+        if len(raw) != 8 * grid.ncells:
+            raise ParamError(f"{len(raw)} bytes of cell values, not the "
+                             f"{8 * grid.ncells} of {grid.shape} cells")
+    except (IndexError, ValueError) as exc:
+        raise ParamError(f"{path}: {exc}") from None
+    field = np.frombuffer(raw, dtype="<f8").reshape(grid.shape).copy()
+    return grid, t, field

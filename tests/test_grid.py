@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -22,6 +23,17 @@ def test_grid_validation():
         Grid(shape=(4,), lengths=(0.0,))
     with pytest.raises(ValueError):
         Grid(shape=(4, 4, 4, 4), lengths=(1.0,) * 4)
+
+
+def test_grid_rejects_a_non_integral_cell_count():
+    """A cell count is an integer: a float is rejected, not truncated;
+    Python and numpy integers are taken."""
+    for cells in (64.9, np.float64(64.0)):
+        with pytest.raises(ParamError, match="must be integers"):
+            Grid(shape=(cells,), lengths=(1.0,))
+    grid = Grid(shape=(np.int64(8), np.int32(4), 5), lengths=(1.0,) * 3)
+    assert grid.shape == (8, 4, 5)
+    assert all(type(n) is int for n in grid.shape)
 
 
 @pytest.mark.parametrize("length", [1e300, 1e-320])
@@ -718,4 +730,24 @@ def test_snapshot_rejects_foreign_files(tmp_path):
     path = tmp_path / "bogus.bin"
     path.write_bytes(b"not a snapshot\n")
     with pytest.raises(ValueError):
+        gr.read_snapshot(path)
+
+
+_SNAPSHOT_8 = b"CHSMC1 1 8 1.0 0.0\n"
+
+
+@pytest.mark.parametrize("content", [
+    b"CHSMC1 1 8",
+    _SNAPSHOT_8 + bytes(8 * 7),
+    _SNAPSHOT_8 + bytes(8 * 8 + 3),
+    b"CHSMC1 one 8 1.0 0.0\n" + bytes(8 * 8),
+    b"CHSMC1 5 8 1.0 0.0\n" + bytes(8 * 8),
+    b"CHSMC1 5 4 4 4 4 4 1 1 1 1 1 0.0\n" + bytes(8 * 4 ** 5),
+    b"not a snapshot\n",
+], ids=["short_header", "truncated", "partial_value", "non_numeric_dim",
+        "dim_5", "dim_5_full_header", "foreign"])
+def test_snapshot_rejects_a_malformed_file_naming_it(tmp_path, content):
+    path = tmp_path / "bad.bin"
+    path.write_bytes(content)
+    with pytest.raises(ParamError, match=re.escape(str(path))):
         gr.read_snapshot(path)
