@@ -216,11 +216,11 @@ class Grid:
         inverse with their transposes, or ``scipy.fft``'s type-2
         ``norm="ortho"`` transforms."""
         def build():
+            _check_bc(bc)
             if _dense_transforms(self.shape):
                 mats = self.transform_matrices(bc)
                 return (_dense_map(self.shape, mats),
                         _dense_map(self.shape, tuple(M.T for M in mats)))
-            _check_bc(bc)
             from scipy.fft import dctn, dstn, idctn, idstn
             pair = (dctn, idctn) if bc == "neumann" else (dstn, idstn)
             return tuple(partial(f, type=2, norm="ortho") for f in pair)

@@ -729,7 +729,7 @@ def test_snapshot_roundtrip(tmp_path, grid2d):
 def test_snapshot_rejects_foreign_files(tmp_path):
     path = tmp_path / "bogus.bin"
     path.write_bytes(b"not a snapshot\n")
-    with pytest.raises(ValueError):
+    with pytest.raises(ParamError, match=re.escape(str(path))):
         gr.read_snapshot(path)
 
 
@@ -743,9 +743,8 @@ _SNAPSHOT_8 = b"CHSMC1 1 8 1.0 0.0\n"
     b"CHSMC1 one 8 1.0 0.0\n" + bytes(8 * 8),
     b"CHSMC1 5 8 1.0 0.0\n" + bytes(8 * 8),
     b"CHSMC1 5 4 4 4 4 4 1 1 1 1 1 0.0\n" + bytes(8 * 4 ** 5),
-    b"not a snapshot\n",
 ], ids=["short_header", "truncated", "partial_value", "non_numeric_dim",
-        "dim_5", "dim_5_full_header", "foreign"])
+        "dim_5", "dim_5_full_header"])
 def test_snapshot_rejects_a_malformed_file_naming_it(tmp_path, content):
     path = tmp_path / "bad.bin"
     path.write_bytes(content)
